@@ -293,12 +293,17 @@ TEST(MigrationKind, Names)
 // Throttle hook (BlockHammer's controller interface).
 // ---------------------------------------------------------------------
 
-/** Listener that forbids ACTs of one row until a given cycle. */
+/**
+ * Listener that forbids ACTs of one row until a given cycle and
+ * records every activation it observes.
+ */
 struct ThrottleListener : public MemCtrlListener
 {
     RowId row = kInvalidRow;
     Cycle until = 0;
     std::uint64_t queries = 0;
+    /** (flat bank, physical row) per onActivate call, in order */
+    std::vector<std::pair<std::uint32_t, RowId>> activations;
 
     Cycle
     actAllowedAt(std::uint32_t, std::uint32_t, RowId physRow,
@@ -306,6 +311,13 @@ struct ThrottleListener : public MemCtrlListener
     {
         ++queries;
         return physRow == row ? until : 0;
+    }
+
+    void
+    onActivate(std::uint32_t, std::uint32_t bank, RowId physRow,
+               Cycle) override
+    {
+        activations.emplace_back(bank, physRow);
     }
 };
 
@@ -388,6 +400,91 @@ TEST(ControllerThrottle, RowHitsBypassThrottle)
         now += timing.busClock;
     }
     EXPECT_EQ(done, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Cross-bank arrival order: FR-FCFS serves the oldest request across
+// all banks, never the lowest-numbered bank first.
+// ---------------------------------------------------------------------
+
+TEST(CrossBankOrder, OldestClosedBankActivatesFirst)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    ThrottleListener listener;
+    ctrl.setListener(&listener);
+    const AddressMap &map = ctrl.addressMap();
+
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 5, 70), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 0, 80), false, 0, 0);
+    ctrl.tick(0);
+    ASSERT_EQ(listener.activations.size(), 1u);
+    EXPECT_EQ(listener.activations[0].first, 5u);
+    EXPECT_EQ(listener.activations[0].second, 70u);
+}
+
+TEST(CrossBankOrder, OlderHitInHigherBankIsServedFirst)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemCtrlConfig cfg;
+    cfg.pagePolicy = PagePolicy::Open;
+    MemoryController ctrl(org, timing, cfg);
+    const AddressMap &map = ctrl.addressMap();
+    std::vector<Addr> done;
+    ctrl.setReadCallback([&done](const MemRequest &req) {
+        done.push_back(req.addr);
+    });
+
+    // Open row 10 in bank 3 and row 20 in bank 9; open-page keeps
+    // both rows open once their reads complete.
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 3, 10), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 9, 20), false, 0, 0);
+    Cycle now = 0;
+    while (done.size() < 2 && now < 10'000) {
+        ctrl.tick(now);
+        now += timing.busClock;
+    }
+    ASSERT_EQ(done.size(), 2u);
+
+    // One queued hit per open bank; the higher bank's is older.
+    const Addr older = map.rowBaseAddr(0, 0, 9, 20) + 64;
+    const Addr younger = map.rowBaseAddr(0, 0, 3, 10) + 64;
+    ctrl.enqueue(older, false, 0, now);
+    ctrl.enqueue(younger, false, 0, now);
+    const Cycle limit = now + 10'000;
+    while (done.size() < 4 && now < limit) {
+        ctrl.tick(now);
+        now += timing.busClock;
+    }
+    ASSERT_EQ(done.size(), 4u);
+    EXPECT_EQ(done[2], older);
+    EXPECT_EQ(done[3], younger);
+    EXPECT_EQ(ctrl.stats().get("activations"), 2u);
+}
+
+TEST(CrossBankOrder, ThrottledOldestYieldsToNextOldestSameTick)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    MemoryController ctrl(org, timing);
+    ThrottleListener listener;
+    listener.row = 50;
+    listener.until = 1'000'000;
+    ctrl.setListener(&listener);
+    const AddressMap &map = ctrl.addressMap();
+
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 7, 50), false, 0, 0);
+    ctrl.enqueue(map.rowBaseAddr(0, 0, 2, 60), false, 0, 0);
+    ctrl.tick(0);
+    // The throttled row was asked first, then the next-oldest
+    // request's row, which activated in the same tick.
+    EXPECT_EQ(listener.queries, 2u);
+    ASSERT_EQ(listener.activations.size(), 1u);
+    EXPECT_EQ(listener.activations[0].first, 2u);
+    EXPECT_EQ(listener.activations[0].second, 60u);
+    EXPECT_EQ(ctrl.stats().get("p2_skip_throttled"), 1u);
 }
 
 TEST(ForwardingReject, ForwardEligibleReadAcceptedWhenReadQueueFull)
