@@ -1,14 +1,12 @@
 #include "memctrl/controller.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace srs
 {
-
-/** Tombstones tolerated in a queue before it is compacted. */
-constexpr std::uint32_t kCompactThreshold = 32;
 
 const char *
 migrationKindName(MigrationJob::Kind kind)
@@ -24,6 +22,10 @@ migrationKindName(MigrationJob::Kind kind)
 
 namespace
 {
+
+/** "No candidate" request id: ids start at 1 and never reach it. */
+constexpr std::uint64_t kNoRequest =
+    std::numeric_limits<std::uint64_t>::max();
 
 /**
  * Intern every controller counter into @p s in one fixed order, so
@@ -80,12 +82,10 @@ MemoryController::MemoryController(const DramOrg &org,
         c.nextRefreshDue.assign(org_.ranksPerChannel, timing_.tREFI);
         c.refreshDebt.assign(org_.ranksPerChannel, 0);
         c.openRowArr.assign(flats, kInvalidRow);
-        c.readHit.assign(flats, 0);
-        c.writeHit.assign(flats, 0);
-        c.p2Verdict.assign(flats, 0);
-        // Tombstones let a queue exceed its live depth briefly.
-        c.readQ.reserve(cfg_.readQueueDepth + kCompactThreshold + 1);
-        c.writeQ.reserve(cfg_.writeQueueDepth + kCompactThreshold + 1);
+        c.readQ.banks.resize(flats);
+        c.writeQ.banks.resize(flats);
+        c.walk.reserve(flats);
+        c.waiting.reserve(flats);
         internCounters(c.stats);
     }
 
@@ -105,11 +105,12 @@ MemoryController::MemoryController(const DramOrg &org,
     h_.rowConflicts = stats_.handle("row_conflicts");
     h_.activations = stats_.handle("activations");
     h_.idleCloses = stats_.handle("idle_closes");
-    h_.p2SkipBusy = stats_.handle("p2_skip_busy");
-    h_.p2SkipForced = stats_.handle("p2_skip_forced");
-    h_.p2SkipHitWait = stats_.handle("p2_skip_hit_wait");
-    h_.p2SkipPreWait = stats_.handle("p2_skip_pre_wait");
-    h_.p2SkipActWait = stats_.handle("p2_skip_act_wait");
+    // In BankVerdict order.
+    const char *const skipNames[kSkipClasses] = {
+        "p2_skip_busy", "p2_skip_forced", "p2_skip_hit_wait",
+        "p2_skip_pre_wait", "p2_skip_act_wait"};
+    for (int k = 0; k < kSkipClasses; ++k)
+        h_.p2Skip[k] = stats_.handle(skipNames[k]);
     h_.p2SkipThrottled = stats_.handle("p2_skip_throttled");
     for (int k = 0; k < 4; ++k) {
         const auto kind = static_cast<MigrationJob::Kind>(k);
@@ -125,19 +126,11 @@ MemoryController::MemoryController(const DramOrg &org,
         pool_ = std::make_unique<ThreadPool>(workers);
 }
 
-std::uint32_t
-MemoryController::flatBank(const ChannelState &, std::uint32_t rank,
-                           std::uint32_t bank) const
-{
-    return rank * org_.banksPerRank + bank;
-}
-
 bool
-MemoryController::wouldForward(const ChannelState &c, Addr line) const
+MemoryController::wouldForward(const ChannelState &c, std::uint32_t flat,
+                               Addr line) const
 {
-    for (const MemRequest &w : c.writeQ) {
-        if (w.dead)
-            continue;
+    for (const MemRequest &w : c.writeQ.banks[flat].reqs) {
         if ((w.addr & ~static_cast<Addr>(org_.lineBytes - 1)) == line)
             return true;
     }
@@ -150,12 +143,13 @@ MemoryController::canAccept(Addr addr, bool isWrite) const
     const DramCoord coord = map_.decode(addr);
     const ChannelState &c = channels_[coord.channel];
     if (isWrite)
-        return liveWrites(c) < cfg_.writeQueueDepth;
-    if (liveReads(c) < cfg_.readQueueDepth)
+        return c.writeQ.queued < cfg_.writeQueueDepth;
+    if (c.readQ.queued < cfg_.readQueueDepth)
         return true;
     // A read served by read-around-write forwarding never occupies a
     // read-queue slot, so a full read queue must not reject it.
-    return wouldForward(c, addr & ~static_cast<Addr>(org_.lineBytes - 1));
+    return wouldForward(c, flatBank(coord.rank, coord.bank),
+                        addr & ~static_cast<Addr>(org_.lineBytes - 1));
 }
 
 std::uint64_t
@@ -173,10 +167,15 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
     req.coord = map_.decode(addr);
 
     ChannelState &c = channels_[req.coord.channel];
+    const std::uint32_t flat = flatBank(req.coord.rank, req.coord.bank);
+    // Ids grow with arrival, so appending keeps each bank queue in id
+    // order.  A new request's translation is stale until the
+    // scheduler reaches it.
     if (isWrite) {
         stats_.inc(h_.writesEnqueued);
-        c.writeQ.push_back(req);
-        ++c.writeStale;
+        c.writeQ.banks[flat].reqs.push_back(req);
+        ++c.writeQ.banks[flat].stale;
+        ++c.writeQ.queued;
         return req.id;
     }
 
@@ -185,7 +184,7 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
     // is checked before the queue-capacity path so a forwardable read
     // is accepted even when the read queue is full.
     const Addr line = addr & ~static_cast<Addr>(org_.lineBytes - 1);
-    if (wouldForward(c, line)) {
+    if (wouldForward(c, flat, line)) {
         stats_.inc(h_.readsForwarded);
         MemRequest done = req;
         done.completion = now + 1;
@@ -193,8 +192,9 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
         return req.id;
     }
     stats_.inc(h_.readsEnqueued);
-    c.readQ.push_back(req);
-    ++c.readStale;
+    c.readQ.banks[flat].reqs.push_back(req);
+    ++c.readQ.banks[flat].stale;
+    ++c.readQ.queued;
     return req.id;
 }
 
@@ -208,15 +208,15 @@ MemoryController::scheduleMigration(std::uint32_t channel,
     stats_.inc(h_.migScheduled[static_cast<int>(job.kind)]);
     // Any mitigation activity may have changed the row mapping, so
     // cached remaps in queued requests must be recomputed.  Every
-    // live request becomes stale; no cached translation can be a
+    // queued request becomes stale; no cached translation can be a
     // row-buffer hit until physRowOf() revalidates it.
     ++c.mapVersion;
-    c.readStale = liveReads(c);
-    c.writeStale = liveWrites(c);
-    std::fill(c.readHit.begin(), c.readHit.end(), 0u);
-    std::fill(c.writeHit.begin(), c.writeHit.end(), 0u);
-    c.readHitSum = 0;
-    c.writeHitSum = 0;
+    for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+        for (BankQueue &bq : q->banks) {
+            bq.stale = static_cast<std::uint32_t>(bq.reqs.size());
+            bq.hits = 0;
+        }
+    }
     ++c.migCount;
     c.migQ[bank].push_back(std::move(job));
 }
@@ -325,10 +325,8 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
 }
 
 bool
-MemoryController::startMigration(std::uint32_t chIdx, ChannelState &c,
-                                 Cycle now)
+MemoryController::startMigration(ChannelState &c, Cycle now)
 {
-    (void)chIdx;
     for (std::uint32_t flat = 0; flat < c.migQ.size(); ++flat) {
         if (c.migQ[flat].empty())
             continue;
@@ -370,9 +368,9 @@ MemoryController::startMigration(std::uint32_t chIdx, ChannelState &c,
 void
 MemoryController::updateDrainState(ChannelState &c)
 {
-    if (!c.draining && liveWrites(c) >= cfg_.writeHiWatermark)
+    if (!c.draining && c.writeQ.queued >= cfg_.writeHiWatermark)
         c.draining = true;
-    else if (c.draining && liveWrites(c) <= cfg_.writeLoWatermark)
+    else if (c.draining && c.writeQ.queued <= cfg_.writeLoWatermark)
         c.draining = false;
 }
 
@@ -380,29 +378,20 @@ RowId
 MemoryController::physRowOf(std::uint32_t chIdx, ChannelState &c,
                             MemRequest &req)
 {
-    if (req.mapVersion == c.mapVersion && req.physRow != kInvalidRow)
+    if (req.mapVersion == c.mapVersion)
         return req.physRow;
+    const std::uint32_t flat = flatBank(req.coord.rank, req.coord.bank);
     RowId phys = req.coord.row;
-    const std::uint32_t flat = flatBank(c, req.coord.rank, req.coord.bank);
     if (listener_)
         phys = listener_->remapRow(chIdx, flat, phys);
     // The request leaves the stale set; if its fresh translation hits
-    // its bank's open row it joins the hit counters.
-    if (req.isWrite)
-        --c.writeStale;
-    else
-        --c.readStale;
+    // its bank's open row it joins the hit counter.
+    BankQueue &bq = (req.isWrite ? c.writeQ : c.readQ).banks[flat];
+    --bq.stale;
     req.physRow = phys;
     req.mapVersion = c.mapVersion;
-    if (c.openRowArr[flat] == phys) {
-        if (req.isWrite) {
-            ++c.writeHit[flat];
-            ++c.writeHitSum;
-        } else {
-            ++c.readHit[flat];
-            ++c.readHitSum;
-        }
-    }
+    if (c.openRowArr[flat] == phys)
+        ++bq.hits;
     return phys;
 }
 
@@ -413,7 +402,7 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
 {
     Rank &r = c.ranks[rank];
     const Cycle done = r.issue(cmd, bank, row, now, autoPre);
-    const std::uint32_t flat = flatBank(c, rank, bank);
+    const std::uint32_t flat = flatBank(rank, bank);
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
     if (open != c.openRowArr[flat]) {
@@ -430,66 +419,31 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
 void
 MemoryController::recountBankHits(ChannelState &c, std::uint32_t flat)
 {
-    c.readHitSum -= c.readHit[flat];
-    c.writeHitSum -= c.writeHit[flat];
-    c.readHit[flat] = 0;
-    c.writeHit[flat] = 0;
     const RowId open = c.openRowArr[flat];
-    if (open == kInvalidRow)
-        return;
-    for (const MemRequest &r : c.readQ) {
-        if (!r.dead && r.mapVersion == c.mapVersion && r.physRow == open &&
-            flatBank(c, r.coord.rank, r.coord.bank) == flat) {
-            ++c.readHit[flat];
+    for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+        BankQueue &bq = q->banks[flat];
+        bq.hits = 0;
+        if (open == kInvalidRow)
+            continue;
+        for (const MemRequest &r : bq.reqs) {
+            if (r.mapVersion == c.mapVersion && r.physRow == open)
+                ++bq.hits;
         }
     }
-    for (const MemRequest &w : c.writeQ) {
-        if (!w.dead && w.mapVersion == c.mapVersion && w.physRow == open &&
-            flatBank(c, w.coord.rank, w.coord.bank) == flat) {
-            ++c.writeHit[flat];
-        }
-    }
-    c.readHitSum += c.readHit[flat];
-    c.writeHitSum += c.writeHit[flat];
 }
 
 void
-MemoryController::killRequest(ChannelState &c, MemRequest &req)
+MemoryController::removeRequest(ChannelState &c, RequestQueue &q,
+                                std::uint32_t flat, std::uint32_t pos)
 {
-    if (req.mapVersion == c.mapVersion) {
-        const std::uint32_t flat =
-            flatBank(c, req.coord.rank, req.coord.bank);
-        if (c.openRowArr[flat] == req.physRow) {
-            if (req.isWrite) {
-                --c.writeHit[flat];
-                --c.writeHitSum;
-            } else {
-                --c.readHit[flat];
-                --c.readHitSum;
-            }
-        }
-    } else {
-        if (req.isWrite)
-            --c.writeStale;
-        else
-            --c.readStale;
-    }
-    req.dead = true;
-    if (req.isWrite)
-        ++c.writeDead;
-    else
-        ++c.readDead;
-}
-
-void
-MemoryController::compactIfNeeded(ChannelState &c,
-                                  std::vector<MemRequest> &q, bool isWrite)
-{
-    std::uint32_t &dead = isWrite ? c.writeDead : c.readDead;
-    if (dead < kCompactThreshold)
-        return;
-    std::erase_if(q, [](const MemRequest &r) { return r.dead; });
-    dead = 0;
+    BankQueue &bq = q.banks[flat];
+    const MemRequest &req = bq.reqs[pos];
+    if (req.mapVersion != c.mapVersion)
+        --bq.stale;
+    else if (req.physRow == c.openRowArr[flat])
+        --bq.hits;
+    bq.reqs.erase(bq.reqs.begin() + pos);
+    --q.queued;
 }
 
 void
@@ -497,218 +451,259 @@ MemoryController::invalidateReqCache(ChannelState &c, MemRequest &req)
 {
     if (req.mapVersion == c.mapVersion) {
         const std::uint32_t flat =
-            flatBank(c, req.coord.rank, req.coord.bank);
-        if (c.openRowArr[flat] == req.physRow) {
-            if (req.isWrite) {
-                --c.writeHit[flat];
-                --c.writeHitSum;
-            } else {
-                --c.readHit[flat];
-                --c.readHitSum;
-            }
-        }
-        if (req.isWrite)
-            ++c.writeStale;
-        else
-            ++c.readStale;
+            flatBank(req.coord.rank, req.coord.bank);
+        BankQueue &bq = (req.isWrite ? c.writeQ : c.readQ).banks[flat];
+        if (c.openRowArr[flat] == req.physRow)
+            --bq.hits;
+        ++bq.stale;
     }
     req.mapVersion = 0;
 }
 
+template <typename Visit>
+void
+MemoryController::walkInIdOrder(ChannelState &c, RequestQueue &q,
+                                std::uint64_t limit, Visit &&visit)
+{
+    // A k-way merge by linear scan: k is at most the channel's bank
+    // count, and the common walk ends at its first request.
+    for (;;) {
+        BankCursor *next = nullptr;
+        std::uint64_t nextId = limit;
+        for (BankCursor &k : c.walk) {
+            const std::vector<MemRequest> &reqs = q.banks[k.flat].reqs;
+            if (k.pos < reqs.size() && reqs[k.pos].id < nextId) {
+                next = &k;
+                nextId = reqs[k.pos].id;
+            }
+        }
+        if (next == nullptr)
+            return;
+        if (visit(*next, q.banks[next->flat].reqs[next->pos]))
+            return;
+        ++next->pos;
+    }
+}
+
 bool
 MemoryController::serviceQueue(std::uint32_t chIdx, ChannelState &c,
-                               std::vector<MemRequest> &q, bool isWrite,
-                               Cycle now)
+                               RequestQueue &q, bool isWrite, Cycle now)
+{
+    if (q.queued == 0)
+        return false;
+    return serveOldestHit(chIdx, c, q, isWrite, now) ||
+           openForOldest(chIdx, c, q, now);
+}
+
+bool
+MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
+                                 RequestQueue &q, bool isWrite, Cycle now)
 {
     const DramCommand cas =
         isWrite ? DramCommand::Write : DramCommand::Read;
 
-    // Pass 1 (FR of FR-FCFS): serve a queued row-buffer hit.  The
-    // scan is provably a no-op — and skipped — when no current cached
-    // translation equals its bank's open row AND no translation is
-    // stale: physRowOf() revalidates stale entries as a side effect,
-    // which can surface hits mid-scan, so staleness forces the walk.
-    const std::uint32_t hitSum = isWrite ? c.writeHitSum : c.readHitSum;
-    const std::uint32_t staleCnt = isWrite ? c.writeStale : c.readStale;
-    if (hitSum > 0 || staleCnt > 0) {
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            MemRequest &req = q[i];
-            if (req.dead)
+    // Eligible banks are open and neither refreshing nor blocked.  A
+    // bank whose translations are all current yields its oldest hit
+    // directly.  Banks holding stale translations join an id-order
+    // walk instead: revalidating is a side effect (it feeds the hit
+    // counters that later precharge decisions read), so it must
+    // reach exactly the requests older than the winner.
+    std::uint64_t bestId = kNoRequest;
+    std::uint32_t bestFlat = 0;
+    std::uint32_t bestPos = 0;
+    c.walk.clear();
+    for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
+        const BankQueue &bq = q.banks[flat];
+        if (bq.hits == 0 && bq.stale == 0)
+            continue;
+        const std::uint32_t bi = flat % org_.banksPerRank;
+        const Rank &rank = c.ranks[flat / org_.banksPerRank];
+        const Bank &bank = rank.bank(bi);
+        if (rank.refreshing(now) || bank.blocked(now) || !bank.rowOpen())
+            continue;
+        const bool ready = rank.canIssue(cas, bi, bank.openRow(), now);
+        if (bq.stale > 0) {
+            c.walk.push_back({flat, 0, ready});
+            continue;
+        }
+        if (!ready)
+            continue;
+        for (std::uint32_t i = 0; i < bq.reqs.size(); ++i) {
+            if (bq.reqs[i].physRow != bank.openRow())
                 continue;
-            const std::uint32_t ri = req.coord.rank;
-            const std::uint32_t bi = req.coord.bank;
-            Rank &rank = c.ranks[ri];
-            Bank &bank = rank.bank(bi);
-            if (rank.refreshing(now) || bank.blocked(now) ||
-                !bank.rowOpen()) {
-                continue;
+            if (bq.reqs[i].id < bestId) {
+                bestId = bq.reqs[i].id;
+                bestFlat = flat;
+                bestPos = i;
             }
-            const RowId phys = physRowOf(chIdx, c, req);
-            if (bank.openRow() != phys)
-                continue;
-            if (!rank.canIssue(cas, bi, phys, now))
-                continue;
-            const Cycle done = issueCmd(c, ri, cas, bi, phys, now,
-                                        /*autoPre=*/false);
-            if (isWrite) {
-                c.stats.inc(h_.writesIssued);
-            } else {
-                c.stats.inc(h_.readsIssued);
-                c.stats.inc(h_.rowHits);
-                MemRequest finished = req;
-                finished.completion = done;
-                c.pendingReads.push({done, finished});
+            break;
+        }
+    }
+    walkInIdOrder(c, q, bestId,
+                  [&](const BankCursor &k, MemRequest &req) {
+        const RowId phys = physRowOf(chIdx, c, req);
+        if (!k.ready || phys != c.openRowArr[k.flat])
+            return false;
+        bestId = req.id;
+        bestFlat = k.flat;
+        bestPos = k.pos;
+        return true;
+    });
+    if (bestId == kNoRequest)
+        return false;
+
+    MemRequest &req = q.banks[bestFlat].reqs[bestPos];
+    const Cycle done = issueCmd(c, req.coord.rank, cas, req.coord.bank,
+                                req.physRow, now, /*autoPre=*/false);
+    if (isWrite) {
+        c.stats.inc(h_.writesIssued);
+    } else {
+        c.stats.inc(h_.readsIssued);
+        c.stats.inc(h_.rowHits);
+        MemRequest finished = req;
+        finished.completion = done;
+        c.pendingReads.push({done, finished});
+    }
+    removeRequest(c, q, bestFlat, bestPos);
+    return true;
+}
+
+MemoryController::BankVerdict
+MemoryController::bankVerdict(const ChannelState &c, std::uint32_t flat,
+                              Cycle now) const
+{
+    const std::uint32_t ri = flat / org_.banksPerRank;
+    const std::uint32_t bi = flat % org_.banksPerRank;
+    const Rank &rank = c.ranks[ri];
+    const Bank &bank = rank.bank(bi);
+    if (rank.refreshing(now) || bank.blocked(now))
+        return BankVerdict::Busy;
+    if (c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes)
+        return BankVerdict::Forced;
+    if (bank.rowOpen()) {
+        // Conflict: close the row so the bank's requests can proceed
+        // (pass 1 already served every hit it could).
+        if (bankHasPendingHit(c, flat))
+            return BankVerdict::HitWait;
+        return rank.canIssue(DramCommand::Precharge, bi, 0, now)
+            ? BankVerdict::PreReady : BankVerdict::PreWait;
+    }
+    // Activate legality is row-independent (tRRD/tFAW and the bank's
+    // tRC window), so any in-range row stands in for the bank's rows.
+    return rank.canIssue(DramCommand::Activate, bi, 0, now)
+        ? BankVerdict::ActReady : BankVerdict::ActWait;
+}
+
+bool
+MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
+                                RequestQueue &q, Cycle now)
+{
+    // Every bank holding requests gets one verdict, and nothing below
+    // changes the state it reads: pass 1 left every request of an
+    // open, non-busy bank revalidated, so revalidation here touches
+    // closed banks only and cannot move a hit counter.  The
+    // candidates for the command are the head of each
+    // precharge-ready bank and the unthrottled requests of each
+    // activate-ready bank, and the oldest candidate wins — the
+    // request a walk over the whole queue in id order would reach
+    // first.
+    c.walk.clear();
+    c.waiting.clear();
+    std::uint64_t preId = kNoRequest;
+    std::uint32_t preFlat = 0;
+    for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
+        const BankQueue &bq = q.banks[flat];
+        if (bq.reqs.empty())
+            continue;
+        const BankVerdict v = bankVerdict(c, flat, now);
+        if (v == BankVerdict::ActReady) {
+            c.walk.push_back({flat, 0, true});
+        } else if (v == BankVerdict::PreReady) {
+            if (bq.reqs.front().id < preId) {
+                preId = bq.reqs.front().id;
+                preFlat = flat;
             }
-            killRequest(c, req);
-            compactIfNeeded(c, q, isWrite);
-            return true;
+        } else {
+            c.waiting.emplace_back(flat, v);
         }
     }
 
-    // Pass 2 (FCFS): open the oldest serviceable request's row.
-    //
-    // Bank and rank state are constant for the duration of the scan
-    // (issuing any command returns immediately), so the skip verdict
-    // for a bank is computed once and memoized for every later
-    // request targeting it.  Verdicts reached after the physRowOf()
-    // call in the original control flow still refresh the skipped
-    // request's translation cache, preserving the side effect the
-    // unmemoized scan had; busy/forced verdicts precede it and must
-    // not.  Throttling is row-dependent and is never memoized.
-    enum : std::uint8_t
-    {
-        kVerdictNone = 0,
-        kVerdictBusy,
-        kVerdictForced,
-        kVerdictHitWait,
-        kVerdictPreWait,
-        kVerdictActWait,
-    };
-    std::vector<std::uint8_t> &verdict = c.p2Verdict;
-    std::fill(verdict.begin(), verdict.end(), kVerdictNone);
-    std::uint64_t nBusy = 0;
-    std::uint64_t nForced = 0;
-    std::uint64_t nHitWait = 0;
-    std::uint64_t nPreWait = 0;
-    std::uint64_t nActWait = 0;
-    const auto flushSkips = [&]() {
-        if (nBusy > 0)
-            c.stats.inc(h_.p2SkipBusy, nBusy);
-        if (nForced > 0)
-            c.stats.inc(h_.p2SkipForced, nForced);
-        if (nHitWait > 0)
-            c.stats.inc(h_.p2SkipHitWait, nHitWait);
-        if (nPreWait > 0)
-            c.stats.inc(h_.p2SkipPreWait, nPreWait);
-        if (nActWait > 0)
-            c.stats.inc(h_.p2SkipActWait, nActWait);
-    };
-    for (std::size_t i = 0; i < q.size(); ++i) {
-        MemRequest &req = q[i];
-        if (req.dead)
-            continue;
-        const std::uint32_t ri = req.coord.rank;
-        const std::uint32_t bi = req.coord.bank;
-        const std::uint32_t flat = flatBank(c, ri, bi);
-        switch (verdict[flat]) {
-          case kVerdictBusy:
-            ++nBusy;
-            continue;
-          case kVerdictForced:
-            ++nForced;
-            continue;
-          case kVerdictHitWait:
-            physRowOf(chIdx, c, req);
-            ++nHitWait;
-            continue;
-          case kVerdictPreWait:
-            physRowOf(chIdx, c, req);
-            ++nPreWait;
-            continue;
-          case kVerdictActWait:
-            physRowOf(chIdx, c, req);
-            ++nActWait;
-            continue;
-          default:
-            break;
-        }
-        Rank &rank = c.ranks[ri];
-        Bank &bank = rank.bank(bi);
-        if (rank.refreshing(now) || bank.blocked(now)) {
-            verdict[flat] = kVerdictBusy;
-            ++nBusy;
-            continue;
-        }
-        // Forced-refresh mode: no new activations on this rank.
-        if (c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes) {
-            verdict[flat] = kVerdictForced;
-            ++nForced;
-            continue;
-        }
+    // Activate-ready requests older than the oldest precharge
+    // candidate ask, in id order, whether their row may be activated
+    // now; the first that may wins.
+    MemRequest *act = nullptr;
+    std::uint32_t actFlat = 0;
+    RowId actPhys = kInvalidRow;
+    walkInIdOrder(c, q, preId,
+                  [&](const BankCursor &k, MemRequest &req) {
         const RowId phys = physRowOf(chIdx, c, req);
-        if (bank.rowOpen()) {
-            // Conflict: close the row so this request can proceed
-            // (pass 1 already drained any hits to the open row).
-            if (bankHasPendingHit(c, ri, bi, bank.openRow())) {
-                verdict[flat] = kVerdictHitWait;
-                ++nHitWait;
-                continue;
-            }
-            if (rank.canIssue(DramCommand::Precharge, bi, 0, now)) {
-                issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-                c.stats.inc(h_.rowConflicts);
-                flushSkips();
-                return true;
-            }
-            verdict[flat] = kVerdictPreWait;
-            ++nPreWait;
-            continue;
-        }
-        if (!rank.canIssue(DramCommand::Activate, bi, phys, now)) {
-            // Activate legality is row-independent (tRRD/tFAW and the
-            // bank's tRC window), so the verdict covers the bank.
-            verdict[flat] = kVerdictActWait;
-            ++nActWait;
-            continue;
-        }
         if (listener_ != nullptr &&
-            listener_->actAllowedAt(chIdx, flat, phys, now) > now) {
+            listener_->actAllowedAt(chIdx, k.flat, phys, now) > now) {
             c.stats.inc(h_.p2SkipThrottled);
-            continue;
+            return false;
         }
-        issueCmd(c, ri, DramCommand::Activate, bi, phys, now);
+        act = &req;
+        actFlat = k.flat;
+        actPhys = phys;
+        return true;
+    });
+    const std::uint64_t winnerId = act != nullptr ? act->id : preId;
+
+    // Every waiting request older than the winner is skipped under its
+    // bank's verdict.  Outside busy and forced-refresh banks it is
+    // also revalidated, as the request-order walk did on its way.
+    std::uint64_t skips[kSkipClasses] = {};
+    for (const auto &[flat, v] : c.waiting) {
+        BankQueue &bq = q.banks[flat];
+        const auto older = std::lower_bound(
+            bq.reqs.begin(), bq.reqs.end(), winnerId,
+            [](const MemRequest &r, std::uint64_t id) { return r.id < id; });
+        skips[static_cast<int>(v)] +=
+            static_cast<std::uint64_t>(older - bq.reqs.begin());
+        if (bq.stale > 0 && v != BankVerdict::Busy &&
+            v != BankVerdict::Forced) {
+            for (auto it = bq.reqs.begin(); it != older; ++it)
+                physRowOf(chIdx, c, *it);
+        }
+    }
+    for (int k = 0; k < kSkipClasses; ++k) {
+        if (skips[k] > 0)
+            c.stats.inc(h_.p2Skip[k], skips[k]);
+    }
+
+    if (act != nullptr) {
+        issueCmd(c, act->coord.rank, DramCommand::Activate,
+                 act->coord.bank, actPhys, now);
         c.stats.inc(h_.activations);
-        flushSkips();
         if (listener_) {
             // Notify in the serial phase-C sweep of tick(), not here:
             // the mitigation feeds shared trackers and draws RNG, so
             // the callback must fire in fixed channel order.  Nothing
             // else in this channel's tick consults the mitigation
             // after this point (we return immediately), so deferral
-            // is exactly equivalent to the former inline call.
-            c.deferredAct = DeferredAct{true, flat, phys, &req};
+            // is exactly equivalent to an inline call.
+            c.deferredAct = DeferredAct{true, actFlat, actPhys, act};
         }
         return true;
     }
-    flushSkips();
-    return false;
+    if (preId == kNoRequest)
+        return false;
+    const MemRequest &head = q.banks[preFlat].reqs.front();
+    issueCmd(c, head.coord.rank, DramCommand::Precharge, head.coord.bank,
+             0, now);
+    c.stats.inc(h_.rowConflicts);
+    return true;
 }
 
 bool
 MemoryController::bankHasPendingHit(const ChannelState &c,
-                                    std::uint32_t rank,
-                                    std::uint32_t bank,
-                                    RowId openRow) const
+                                    std::uint32_t flat) const
 {
-    // Formerly a scan of both queues per call (the simulator's top
-    // hotspot); the incremental counters answer in O(1).  Semantics
-    // are unchanged: only requests whose cached translation is
-    // current can register as hits, and writes count only while the
-    // channel is draining (otherwise a parked write would wedge the
-    // bank open forever).
-    const std::uint32_t flat = flatBank(c, rank, bank);
-    SRS_ASSERT(c.openRowArr[flat] == openRow, "open-row mirror stale");
-    return c.readHit[flat] > 0 || (c.draining && c.writeHit[flat] > 0);
+    // Only requests whose cached translation is current can register
+    // as hits, and writes count only while the channel is draining
+    // (otherwise a parked write would wedge the bank open forever).
+    return c.readQ.banks[flat].hits > 0 ||
+           (c.draining && c.writeQ.banks[flat].hits > 0);
 }
 
 bool
@@ -730,7 +725,7 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
         Bank &bank = rank.bank(bi);
         if (rank.refreshing(now) || bank.blocked(now) || !bank.rowOpen())
             continue;
-        if (bankHasPendingHit(c, ri, bi, bank.openRow()))
+        if (bankHasPendingHit(c, flat))
             continue;
         if (!rank.canIssue(DramCommand::Precharge, bi, 0, now))
             continue;
@@ -748,7 +743,7 @@ MemoryController::tickChannel(std::uint32_t ch, Cycle now)
     ChannelState &c = channels_[ch];
     if (manageRefresh(c, now))
         return;
-    if (startMigration(ch, c, now))
+    if (startMigration(c, now))
         return;
     updateDrainState(c);
     bool issued = false;
@@ -757,7 +752,7 @@ MemoryController::tickChannel(std::uint32_t ch, Cycle now)
                  serviceQueue(ch, c, c.readQ, false, now);
     } else {
         issued = serviceQueue(ch, c, c.readQ, false, now);
-        if (!issued && liveWrites(c) > 0 && liveReads(c) == 0)
+        if (!issued && c.writeQ.queued > 0 && c.readQ.queued == 0)
             issued = serviceQueue(ch, c, c.writeQ, true, now);
     }
     if (!issued && cfg_.pagePolicy == PagePolicy::Closed)
@@ -799,7 +794,7 @@ MemoryController::idle(Cycle now) const
     for (const auto &c : channels_) {
         if (!c.pendingReads.empty())
             return false;
-        if (liveReads(c) > 0 || liveWrites(c) > 0 || c.migCount > 0)
+        if (c.readQ.queued > 0 || c.writeQ.queued > 0 || c.migCount > 0)
             return false;
         for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
             const Rank &rank = c.ranks[ri];
@@ -817,7 +812,7 @@ MemoryController::nextEventAt(Cycle now) const
 {
     Cycle next = kNoCycle;
     for (const auto &c : channels_) {
-        // A queued completion bounds the next effect; any live
+        // A queued completion bounds the next effect; any queued
         // request, pending migration, owed refresh, or — under the
         // closed-page policy — an open bank means the channel can
         // act (or count a p2_skip_* stat) on the very next bus edge.
@@ -827,7 +822,7 @@ MemoryController::nextEventAt(Cycle now) const
             next = std::min(next,
                             std::max(c.pendingReads.top().done, now + 1));
         }
-        if (liveReads(c) > 0 || liveWrites(c) > 0 || c.migCount > 0)
+        if (c.readQ.queued > 0 || c.writeQ.queued > 0 || c.migCount > 0)
             return now + 1;
         bool debtPending = false;
         for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {

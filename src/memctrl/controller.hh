@@ -2,10 +2,12 @@
  * @file
  * Cycle-level DDR4 memory controller (USIMM-equivalent abstraction).
  *
- * Per channel: a read queue, a posted write queue with high/low
- * watermark draining, FCFS-with-ready-first scheduling under a
- * closed-page policy (the paper's assumption; open-page is available
- * for the Section VIII-3 study), tREFI/tRFC refresh with JEDEC
+ * Per channel: a read queue and a posted write queue with high/low
+ * watermark draining, each kept per bank in arrival order;
+ * FR-FCFS scheduling (the oldest row hit of any bank, else the
+ * oldest serviceable request) under a closed-page policy (the
+ * paper's assumption; open-page is available for the Section VIII-3
+ * study), tREFI/tRFC refresh with JEDEC
  * postponement, and a per-bank migration-job queue through which Row
  * Hammer mitigations perform swap / unswap-swap / place-back row
  * movements that occupy banks and deposit latent activations.
@@ -231,11 +233,68 @@ class MemoryController
         MemRequest *req = nullptr;
     };
 
+    /**
+     * The queued reads (or writes) of one channel to one bank, oldest
+     * first: request ids grow with arrival, so the vector is sorted by
+     * id.  `hits` counts requests whose cached translation is current
+     * (stamped with the channel's map version) and equals the bank's
+     * open row; `stale` counts requests whose translation is out of
+     * date.  Translations are revalidated lazily, only when the
+     * scheduler reaches a request, so a hit the scheduler has not yet
+     * reached is not counted.
+     */
+    struct BankQueue
+    {
+        std::vector<MemRequest> reqs;
+        std::uint32_t hits = 0;
+        std::uint32_t stale = 0;
+    };
+
+    /** A channel's read or write queue, split per (rank, bank). */
+    struct RequestQueue
+    {
+        /** indexed by flat bank (rank * banksPerRank + bank) */
+        std::vector<BankQueue> banks;
+        /** queued requests across all banks */
+        std::uint32_t queued = 0;
+    };
+
+    /**
+     * Pass-2 verdict for one bank, decided from bank, rank and
+     * refresh state that no pass-2 decision changes.  The first five
+     * are the p2_skip_* classes charged to every request the verdict
+     * makes wait.
+     */
+    enum class BankVerdict : std::uint8_t
+    {
+        Busy,     ///< rank refreshing or bank blocked by a migration
+        Forced,   ///< rank owes a forced refresh: no new activations
+        HitWait,  ///< open row still has a queued hit
+        PreWait,  ///< row conflict, PRE not yet legal
+        ActWait,  ///< bank closed, ACT not yet legal
+        PreReady, ///< row conflict, PRE legal now
+        ActReady, ///< bank closed, ACT legal now (throttling is per row)
+    };
+    static constexpr int kSkipClasses = 5;
+
+    /** A bank's position in a walk over several banks in id order. */
+    struct BankCursor
+    {
+        std::uint32_t flat = 0;
+        std::uint32_t pos = 0;
+        /** the bank may take the walk's command this tick */
+        bool ready = false;
+    };
+
+    /**
+     * Per-channel scheduler state.  Every member is channel-private,
+     * so phase B can tick channels on different workers.
+     */
     struct ChannelState
     {
         std::vector<Rank> ranks;
-        std::vector<MemRequest> readQ;
-        std::vector<MemRequest> writeQ;
+        RequestQueue readQ;
+        RequestQueue writeQ;
         /** per (rank, bank) migration queues, flattened */
         std::vector<std::deque<MigrationJob>> migQ;
         bool draining = false;
@@ -246,38 +305,20 @@ class MemoryController
         std::uint64_t mapVersion = 1;
         /** round-robin cursor for idle-close precharges */
         std::uint32_t closeCursor = 0;
-
-        // Incrementally-maintained scheduler state.  The invariant,
-        // re-established by every queue/bank/remap mutation: for each
-        // flat bank, readHit/writeHit count the live queued requests
-        // whose cached translation is current (mapVersion matches)
-        // and equals that bank's open row; readStale/writeStale count
-        // live requests whose cached translation is out of date.
-        // This turns bankHasPendingHit — formerly a full two-queue
-        // scan per precharge decision — into an array read.
-
         /** mirror of each bank's open row (kInvalidRow when closed) */
         std::vector<RowId> openRowArr;
-        std::vector<std::uint32_t> readHit;
-        std::vector<std::uint32_t> writeHit;
-        std::uint32_t readHitSum = 0;
-        std::uint32_t writeHitSum = 0;
-        std::uint32_t readStale = 0;
-        std::uint32_t writeStale = 0;
-        /** tombstoned (served, not yet compacted) entries per queue */
-        std::uint32_t readDead = 0;
-        std::uint32_t writeDead = 0;
         /** banks currently holding an open row */
         std::uint32_t openCount = 0;
         /** queued-but-unstarted migration jobs across all banks */
         std::uint64_t migCount = 0;
+
         /**
-         * Per-scan scratch for serviceQueue pass 2: the memoized
-         * skip verdict per flat bank (bank state cannot change
-         * mid-scan, so one verdict covers every later request to
-         * the same bank).  Kept here to avoid per-tick allocation.
+         * serviceQueue scratch, kept here so a tick allocates
+         * nothing: the banks of the current id-order walk, and the
+         * pass-2 verdicts of the banks whose requests wait.
          */
-        std::vector<std::uint8_t> p2Verdict;
+        std::vector<BankCursor> walk;
+        std::vector<std::pair<std::uint32_t, BankVerdict>> waiting;
 
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
@@ -296,16 +337,33 @@ class MemoryController
     void drainCompletedReads(ChannelState &c, Cycle now);
     void tickChannel(std::uint32_t ch, Cycle now);
     bool manageRefresh(ChannelState &c, Cycle now);
-    bool startMigration(std::uint32_t chIdx, ChannelState &c, Cycle now);
+    bool startMigration(ChannelState &c, Cycle now);
     bool serviceQueue(std::uint32_t chIdx, ChannelState &c,
-                      std::vector<MemRequest> &q, bool isWrite, Cycle now);
+                      RequestQueue &q, bool isWrite, Cycle now);
+    /** pass 1 (FR): serve the oldest row-buffer hit of any bank. */
+    bool serveOldestHit(std::uint32_t chIdx, ChannelState &c,
+                        RequestQueue &q, bool isWrite, Cycle now);
+    /** pass 2 (FCFS): PRE or ACT for the oldest serviceable request. */
+    bool openForOldest(std::uint32_t chIdx, ChannelState &c,
+                       RequestQueue &q, Cycle now);
+    BankVerdict bankVerdict(const ChannelState &c, std::uint32_t flat,
+                            Cycle now) const;
+    /**
+     * Visit the requests of the banks in c.walk in id order, oldest
+     * first, stopping before the first id >= @p limit or when
+     * @p visit returns true.
+     */
+    template <typename Visit>
+    void walkInIdOrder(ChannelState &c, RequestQueue &q,
+                       std::uint64_t limit, Visit &&visit);
     bool idleClose(ChannelState &c, Cycle now);
-    bool bankHasPendingHit(const ChannelState &c, std::uint32_t rank,
-                           std::uint32_t bank, RowId openRow) const;
+    bool bankHasPendingHit(const ChannelState &c, std::uint32_t flat) const;
     RowId physRowOf(std::uint32_t chIdx, ChannelState &c, MemRequest &req);
     void updateDrainState(ChannelState &c);
-    std::uint32_t flatBank(const ChannelState &c, std::uint32_t rank,
-                           std::uint32_t bank) const;
+    std::uint32_t flatBank(std::uint32_t rank, std::uint32_t bank) const
+    {
+        return rank * org_.banksPerRank + bank;
+    }
 
     /** issue through the rank, keeping open-row mirrors + hit counts. */
     Cycle issueCmd(ChannelState &c, std::uint32_t rank, DramCommand cmd,
@@ -313,24 +371,15 @@ class MemoryController
                    bool autoPre = false);
     /** rebuild one bank's hit counters after its open row changed. */
     void recountBankHits(ChannelState &c, std::uint32_t flat);
-    /** tombstone a served request, maintaining the counters. */
-    void killRequest(ChannelState &c, MemRequest &req);
-    /** amortized removal of tombstoned entries. */
-    void compactIfNeeded(ChannelState &c, std::vector<MemRequest> &q,
-                         bool isWrite);
+    /** remove a served request, maintaining the counters. */
+    void removeRequest(ChannelState &c, RequestQueue &q, std::uint32_t flat,
+                       std::uint32_t pos);
     /** counter-aware replacement for `req.mapVersion = 0`. */
     void invalidateReqCache(ChannelState &c, MemRequest &req);
-    /** true when a read of @p line would be served from the write queue */
-    bool wouldForward(const ChannelState &c, Addr line) const;
-
-    std::uint32_t liveReads(const ChannelState &c) const
-    {
-        return static_cast<std::uint32_t>(c.readQ.size()) - c.readDead;
-    }
-    std::uint32_t liveWrites(const ChannelState &c) const
-    {
-        return static_cast<std::uint32_t>(c.writeQ.size()) - c.writeDead;
-    }
+    /** true when a read of @p line (in bank @p flat) would be served
+     *  from the write queue */
+    bool wouldForward(const ChannelState &c, std::uint32_t flat,
+                      Addr line) const;
 
     DramOrg org_;
     DramTiming timing_;
@@ -357,8 +406,9 @@ class MemoryController
             readsCompleted, readLatencyCycles, refreshes,
             forcedPrecharges, latentActivations, migrationBusyCycles,
             writesIssued, readsIssued, rowHits, rowConflicts,
-            activations, idleCloses, p2SkipBusy, p2SkipForced,
-            p2SkipHitWait, p2SkipPreWait, p2SkipActWait, p2SkipThrottled;
+            activations, idleCloses, p2SkipThrottled;
+        /** p2_skip_* counters, indexed by BankVerdict */
+        StatSet::Handle p2Skip[kSkipClasses];
         StatSet::Handle migScheduled[4], migStarted[4];
     };
     StatHandles h_;

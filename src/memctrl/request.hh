@@ -26,17 +26,16 @@ struct MemRequest
     Cycle arrival = 0;          ///< enqueue cycle
 
     DramCoord coord;            ///< decoded coordinates (logical row)
-    RowId physRow = kInvalidRow;///< row after RIT remap (cached)
+    /**
+     * Cached RIT translation of coord.row, valid while mapVersion
+     * equals the channel's map version.  The controller revalidates
+     * it lazily, when its scheduler reaches the request, never at
+     * enqueue.
+     */
+    RowId physRow = kInvalidRow;
     std::uint64_t mapVersion = 0;///< remap-cache validity stamp
 
     Cycle completion = kNoCycle;///< data-return cycle once issued
-
-    /**
-     * Tombstone: the request was served and awaits queue compaction.
-     * Scheduler scans skip dead entries; compaction is amortized so
-     * serving a request never pays an O(queue) vector::erase.
-     */
-    bool dead = false;
 };
 
 /** Activation charge to a physical row embedded in a migration. */
