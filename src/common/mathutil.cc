@@ -11,7 +11,12 @@ namespace srs
 double
 logFactorial(std::uint64_t n)
 {
-    return std::lgamma(static_cast<double>(n) + 1.0);
+    // lgamma_r, not std::lgamma: lgamma also stores the sign of the
+    // gamma function in the global `signgam`, a data race when
+    // security cells are evaluated on several pool threads.  Both
+    // return the same value.
+    int sign = 0;
+    return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double
