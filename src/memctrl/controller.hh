@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -313,9 +314,9 @@ class MemoryController
         std::uint64_t migCount = 0;
 
         /**
-         * serviceQueue scratch, kept here so a tick allocates
-         * nothing: the banks of the current id-order walk, and the
-         * pass-2 verdicts of the banks whose requests wait.
+         * serviceQueue working buffers, kept here so a tick
+         * allocates nothing: the banks of the current id-order walk,
+         * and the pass-2 verdicts of the banks whose requests wait.
          */
         std::vector<BankCursor> walk;
         std::vector<std::pair<std::uint32_t, BankVerdict>> waiting;

@@ -74,7 +74,8 @@ struct ExperimentConfig
      *  warmup is kept small instead of tracked separately). */
     Cycle warmup = 0;
     /** Scaled-down refresh interval for tractable runs (default:
-     *  1 ms at 3.2 GHz; thresholds stay unscaled — see DESIGN.md). */
+     *  1 ms at 3.2 GHz; thresholds stay unscaled — see "Why the
+     *  epoch is scaled and T_RH is not" in docs/REPRODUCING.md). */
     Cycle epochLen = 3'200'000;
     /** Cores per simulated system (the paper evaluates 8). */
     std::uint32_t numCores = 8;

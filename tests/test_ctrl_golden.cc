@@ -9,9 +9,10 @@
  * way there — row hits, idle closes, forced precharges, read
  * forwarding and the pass-2 skip classes — so a controller rewrite
  * that keeps IPC but reorders commands or side effects is caught by
- * name.  On a mismatch the regenerated dump is written next to the
- * test binary's build directory and named in the failure message;
- * if the change is intentional, copy it over the committed file.
+ * name.  On a mismatch the regenerated dump is written into the build
+ * directory (ctrl_counters_regen.txt) and named in the failure
+ * message; if the change is intentional, copy it over the committed
+ * file.
  */
 
 #include <gtest/gtest.h>
