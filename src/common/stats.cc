@@ -164,15 +164,6 @@ StatSet::get(const std::string &name) const
     return it == index_.end() ? 0 : values_[it->second];
 }
 
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[name, h] : other.index_) {
-        if (other.values_[h] != 0)
-            inc(name, other.values_[h]);
-    }
-}
-
 std::map<std::string, std::uint64_t>
 StatSet::all() const
 {

@@ -159,15 +159,6 @@ class StatSet
     /** @return counter value; 0 when never touched. */
     std::uint64_t get(const std::string &name) const;
 
-    /**
-     * Fold @p other in: every counter of @p other is added to the
-     * same-named counter here (interned at zero when new).  A
-     * commutative counter add, so folding per-channel shards into an
-     * aggregate in any fixed order yields identical values — the
-     * same byte-identity argument as LatencyHistogram::merge().
-     */
-    void merge(const StatSet &other);
-
     /** Materialized name -> value view of every registered counter. */
     std::map<std::string, std::uint64_t> all() const;
 

@@ -27,42 +27,6 @@ namespace
 constexpr std::uint64_t kNoRequest =
     std::numeric_limits<std::uint64_t>::max();
 
-/**
- * Intern every controller counter into @p s in one fixed order, so
- * the controller-wide set and each channel shard assign identical
- * handles and the single StatHandles struct indexes them all.
- */
-void
-internCounters(StatSet &s)
-{
-    s.handle("writes_enqueued");
-    s.handle("reads_forwarded");
-    s.handle("reads_enqueued");
-    s.handle("reads_completed");
-    s.handle("read_latency_cycles");
-    s.handle("refreshes");
-    s.handle("forced_precharges");
-    s.handle("latent_activations");
-    s.handle("migration_busy_cycles");
-    s.handle("writes_issued");
-    s.handle("reads_issued");
-    s.handle("row_hits");
-    s.handle("row_conflicts");
-    s.handle("activations");
-    s.handle("idle_closes");
-    s.handle("p2_skip_busy");
-    s.handle("p2_skip_forced");
-    s.handle("p2_skip_hit_wait");
-    s.handle("p2_skip_pre_wait");
-    s.handle("p2_skip_act_wait");
-    s.handle("p2_skip_throttled");
-    for (int k = 0; k < 4; ++k) {
-        const auto kind = static_cast<MigrationJob::Kind>(k);
-        s.handle(std::string("mig_scheduled_") + migrationKindName(kind));
-        s.handle(std::string("mig_started_") + migrationKindName(kind));
-    }
-}
-
 } // namespace
 
 MemoryController::MemoryController(const DramOrg &org,
@@ -86,10 +50,8 @@ MemoryController::MemoryController(const DramOrg &org,
         c.writeQ.banks.resize(flats);
         c.walk.reserve(flats);
         c.waiting.reserve(flats);
-        internCounters(c.stats);
     }
 
-    internCounters(stats_);
     h_.writesEnqueued = stats_.handle("writes_enqueued");
     h_.readsForwarded = stats_.handle("reads_forwarded");
     h_.readsEnqueued = stats_.handle("reads_enqueued");
@@ -119,11 +81,6 @@ MemoryController::MemoryController(const DramOrg &org,
         h_.migStarted[k] = stats_.handle(
             std::string("mig_started_") + migrationKindName(kind));
     }
-
-    const std::uint32_t workers =
-        std::min(cfg_.channelWorkers, org_.channels);
-    if (workers > 1)
-        pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 bool
@@ -245,47 +202,14 @@ MemoryController::drainCompletedReads(ChannelState &c, Cycle now)
 void
 MemoryController::tick(Cycle now)
 {
-    // Phase A (serial): deliver completed reads, channel by channel
-    // in index order.  Completion effects commute across distinct
-    // requests (each wakes its own core token; the latency histogram
-    // and counters are commutative adds), so draining per channel is
-    // state-identical to draining one global completion queue — and
-    // gives the parallel phase fully channel-private queues.
+    // Completion effects commute across distinct requests (each wakes
+    // its own core token; the latency histogram and counters are
+    // commutative adds), so draining per channel in index order is
+    // state-identical to draining one global completion queue.
     for (auto &c : channels_)
         drainCompletedReads(c, now);
-
-    // Phase B: per-channel scheduling.  Channels share no mutable
-    // state here — queues, banks, migration jobs and the statistics
-    // shard are all channel-private, listener notifications are
-    // deferred, and the remaining listener queries are read-only or
-    // per-channel unless the listener opts out.
-    if (pool_ != nullptr &&
-        (listener_ == nullptr ||
-         listener_->concurrentChannelQueriesSafe())) {
-        for (std::uint32_t ch = 0; ch < channels_.size(); ++ch)
-            pool_->submit([this, ch, now] { tickChannel(ch, now); });
-        pool_->wait();
-    } else {
-        for (std::uint32_t ch = 0; ch < channels_.size(); ++ch)
-            tickChannel(ch, now);
-    }
-
-    // Phase C (serial): replay deferred activations in channel order
-    // — the order the serial loop would have fired them — so the
-    // mitigation's trackers, RNG draws and migration scheduling see
-    // one deterministic sequence at any worker count.
-    for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
-        ChannelState &c = channels_[ch];
-        if (!c.deferredAct.valid)
-            continue;
-        const DeferredAct act = c.deferredAct;
-        c.deferredAct = DeferredAct{};
-        listener_->onActivate(ch, act.flat, act.phys, now);
-        // The mitigation may have remapped rows; refresh the cached
-        // translation of the request whose ACT triggered it.
-        invalidateReqCache(c, *act.req);
-        physRowOf(ch, c, *act.req);
-    }
+    for (std::uint32_t ch = 0; ch < channels_.size(); ++ch)
+        tickChannel(ch, now);
 }
 
 bool
@@ -306,7 +230,7 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
             // refresh never disturbs the open-row mirror.
             rank.refresh(now);
             --debt;
-            c.stats.inc(h_.refreshes);
+            stats_.inc(h_.refreshes);
             return true;
         }
         if (debt >= cfg_.maxPostponedRefreshes) {
@@ -315,7 +239,7 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
                 if (rank.bank(b).rowOpen() &&
                     rank.canIssue(DramCommand::Precharge, b, 0, now)) {
                     issueCmd(c, ri, DramCommand::Precharge, b, 0, now);
-                    c.stats.inc(h_.forcedPrecharges);
+                    stats_.inc(h_.forcedPrecharges);
                     return true;
                 }
             }
@@ -356,10 +280,10 @@ MemoryController::startMigration(ChannelState &c, Cycle now)
         bank.blockFor(now, job.duration);
         for (const RowCharge &charge : job.charges) {
             bank.chargeActivation(charge.row, charge.count);
-            c.stats.inc(h_.latentActivations, charge.count);
+            stats_.inc(h_.latentActivations, charge.count);
         }
-        c.stats.inc(h_.migStarted[static_cast<int>(job.kind)]);
-        c.stats.inc(h_.migrationBusyCycles, job.duration);
+        stats_.inc(h_.migStarted[static_cast<int>(job.kind)]);
+        stats_.inc(h_.migrationBusyCycles, job.duration);
         return true;
     }
     return false;
@@ -556,10 +480,10 @@ MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
     const Cycle done = issueCmd(c, req.coord.rank, cas, req.coord.bank,
                                 req.physRow, now, /*autoPre=*/false);
     if (isWrite) {
-        c.stats.inc(h_.writesIssued);
+        stats_.inc(h_.writesIssued);
     } else {
-        c.stats.inc(h_.readsIssued);
-        c.stats.inc(h_.rowHits);
+        stats_.inc(h_.readsIssued);
+        stats_.inc(h_.rowHits);
         MemRequest finished = req;
         finished.completion = done;
         c.pendingReads.push({done, finished});
@@ -639,7 +563,7 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
         const RowId phys = physRowOf(chIdx, c, req);
         if (listener_ != nullptr &&
             listener_->actAllowedAt(chIdx, k.flat, phys, now) > now) {
-            c.stats.inc(h_.p2SkipThrottled);
+            stats_.inc(h_.p2SkipThrottled);
             return false;
         }
         act = &req;
@@ -668,21 +592,19 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     }
     for (int k = 0; k < kSkipClasses; ++k) {
         if (skips[k] > 0)
-            c.stats.inc(h_.p2Skip[k], skips[k]);
+            stats_.inc(h_.p2Skip[k], skips[k]);
     }
 
     if (act != nullptr) {
         issueCmd(c, act->coord.rank, DramCommand::Activate,
                  act->coord.bank, actPhys, now);
-        c.stats.inc(h_.activations);
+        stats_.inc(h_.activations);
         if (listener_) {
-            // Notify in the serial phase-C sweep of tick(), not here:
-            // the mitigation feeds shared trackers and draws RNG, so
-            // the callback must fire in fixed channel order.  Nothing
-            // else in this channel's tick consults the mitigation
-            // after this point (we return immediately), so deferral
-            // is exactly equivalent to an inline call.
-            c.deferredAct = DeferredAct{true, actFlat, actPhys, act};
+            listener_->onActivate(chIdx, actFlat, actPhys, now);
+            // The mitigation may have remapped rows; refresh the
+            // cached translation of the request whose ACT triggered it.
+            invalidateReqCache(c, *act);
+            physRowOf(chIdx, c, *act);
         }
         return true;
     }
@@ -691,7 +613,7 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     const MemRequest &head = q.banks[preFlat].reqs.front();
     issueCmd(c, head.coord.rank, DramCommand::Precharge, head.coord.bank,
              0, now);
-    c.stats.inc(h_.rowConflicts);
+    stats_.inc(h_.rowConflicts);
     return true;
 }
 
@@ -730,7 +652,7 @@ MemoryController::idleClose(ChannelState &c, Cycle now)
         if (!rank.canIssue(DramCommand::Precharge, bi, 0, now))
             continue;
         issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-        c.stats.inc(h_.idleCloses);
+        stats_.inc(h_.idleCloses);
         c.closeCursor = (flat + 1) % banks;
         return true;
     }
@@ -840,19 +762,6 @@ MemoryController::nextEventAt(Cycle now) const
             next = std::min(next, std::max(due, now + 1));
     }
     return next;
-}
-
-const StatSet &
-MemoryController::stats() const
-{
-    // Rebuild the merged view on every call (cold path: tests,
-    // result collection, reporting).  Shards fold in channel order —
-    // commutative adds, so the values are independent of where each
-    // counter was bumped and of the phase-B worker count.
-    mergedStats_ = stats_;
-    for (const auto &c : channels_)
-        mergedStats_.merge(c.stats);
-    return mergedStats_;
 }
 
 } // namespace srs

@@ -12,15 +12,10 @@
  * Hammer mitigations perform swap / unswap-swap / place-back row
  * movements that occupy banks and deposit latent activations.
  *
- * Channels are independent command streams once requests are routed,
- * so tick() is structured as three phases: a serial completion drain
- * in channel order, a per-channel scheduling phase that may fan out
- * across a thread pool (MemCtrlConfig::channelWorkers), and a serial
- * sweep that replays deferred mitigation notifications in channel
- * order.  Every cross-channel effect (read completions, listener
- * callbacks, statistics reduction) happens in one of the serial
- * phases at a fixed channel order, so results are identical at any
- * worker count — parallelism is an optimization, never an axis.
+ * One controller is one serial command stream: tick() drains every
+ * channel's completed reads, then schedules each channel in index
+ * order, notifying the mitigation inline after each ACT.  Simulations
+ * run in parallel across sweep cells, never inside one.
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
@@ -29,13 +24,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "dram/address.hh"
 #include "dram/command.hh"
@@ -88,18 +81,7 @@ class MemCtrlListener
         return 0;
     }
 
-    /**
-     * Whether remapRow()/actAllowedAt() may be queried from several
-     * channel workers concurrently.  True for listeners whose query
-     * paths only read, or only touch per-(channel, bank) state
-     * (onActivate() is always serialized by the controller, so
-     * mutation there is fine).  Listeners that mutate shared state
-     * while answering queries — BlockHammer's throttle bookkeeping
-     * updates a shared counter inside actAllowedAt() — return false
-     * and the controller falls back to the serial channel loop;
-     * results are identical either way, only the parallel speedup is
-     * forfeited.
-     */
+    /** Never called: the controller queries one channel at a time. */
     virtual bool concurrentChannelQueriesSafe() const { return true; }
 };
 
@@ -112,12 +94,6 @@ struct MemCtrlConfig
     std::uint32_t writeLoWatermark = 24; ///< stop draining
     PagePolicy pagePolicy = PagePolicy::Closed;
     std::uint32_t maxPostponedRefreshes = 8;
-    /**
-     * Worker threads for the per-channel scheduling phase of tick()
-     * (1 = serial; capped at the channel count).  Results are
-     * byte-identical at any value — see the file comment.
-     */
-    std::uint32_t channelWorkers = 1;
 };
 
 /** The full-system memory controller (all channels). */
@@ -154,14 +130,8 @@ class MemoryController
 
     /**
      * Advance the controller; call once per memory bus clock.
-     *
-     * Three phases: (A) completed reads are drained and delivered in
-     * channel order; (B) every channel schedules commands — in
-     * parallel across the worker pool when channelWorkers > 1 and
-     * the listener's query paths are concurrency-safe; (C) deferred
-     * listener activations (at most one per channel per tick) replay
-     * in channel order.  Phases A and C are the deterministic sync
-     * points that make worker count invisible in the results.
+     * Completed reads are delivered first, channel by channel; then
+     * each channel, in index order, issues at most one command.
      */
     void tick(Cycle now);
 
@@ -187,15 +157,8 @@ class MemoryController
     const DramOrg &org() const { return org_; }
     const DramTiming &timing() const { return timing_; }
 
-    /**
-     * Aggregate statistics (acts, reads, writes, migrations...).
-     * Counters touched by the per-channel scheduling phase live in
-     * per-channel shards; this merges them (in channel order) with
-     * the serial-phase counters into a cached view.  The reference
-     * stays valid until the controller is destroyed, but its values
-     * are a snapshot — call again after further ticks.
-     */
-    const StatSet &stats() const;
+    /** Aggregate statistics (acts, reads, writes, migrations...). */
+    const StatSet &stats() const { return stats_; }
 
     /**
      * Read-latency histogram, one sample per completed demand read
@@ -215,23 +178,6 @@ class MemoryController
         Cycle done;
         MemRequest req;
         bool operator>(const PendingRead &o) const { return done > o.done; }
-    };
-
-    /**
-     * One listener activation recorded during the scheduling phase
-     * and replayed in the serial phase-C sweep of tick().  At most
-     * one per channel per tick: serviceQueue() returns immediately
-     * after issuing the ACT, and nothing else in that channel's tick
-     * consults the mitigation afterwards, so the deferral is exactly
-     * equivalent to the former inline callback.
-     */
-    struct DeferredAct
-    {
-        bool valid = false;
-        std::uint32_t flat = 0;
-        RowId phys = kInvalidRow;
-        /** the request whose translation cache must be refreshed */
-        MemRequest *req = nullptr;
     };
 
     /**
@@ -287,10 +233,7 @@ class MemoryController
         bool ready = false;
     };
 
-    /**
-     * Per-channel scheduler state.  Every member is channel-private,
-     * so phase B can tick channels on different workers.
-     */
+    /** Per-channel scheduler state. */
     struct ChannelState
     {
         std::vector<Rank> ranks;
@@ -324,15 +267,6 @@ class MemoryController
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
                             std::greater<>> pendingReads;
-        /**
-         * Statistics shard for counters bumped inside tickChannel()
-         * (the possibly-parallel phase).  Interned with the exact
-         * handle order of the controller-wide set, so the shared
-         * StatHandles index both; stats() folds the shards back in.
-         */
-        StatSet stats;
-        /** activation awaiting the phase-C listener sweep */
-        DeferredAct deferredAct;
     };
 
     void drainCompletedReads(ChannelState &c, Cycle now);
@@ -392,13 +326,8 @@ class MemoryController
     MemCtrlListener *listener_ = nullptr;
     ReadCallback onReadDone_;
     std::uint64_t nextReqId_ = 1;
-    /** serial-phase counters (enqueue, completions, migrations) */
     StatSet stats_;
-    /** lazily rebuilt stats_ + channel shards view (cold path) */
-    mutable StatSet mergedStats_;
     LatencyHistogram readLatency_;
-    /** workers for the scheduling phase; null when serial */
-    std::unique_ptr<ThreadPool> pool_;
 
     /** Interned counter handles for the per-command hot paths. */
     struct StatHandles

@@ -23,7 +23,6 @@ makeSystemConfig(const ExperimentConfig &exp, MitigationKind kind,
     cfg.epochLen = exp.epochLen;
     cfg.seed = exp.seed;
     cfg.referenceLoop = exp.referenceLoop;
-    cfg.channelWorkers = exp.channelWorkers;
     axes.apply(cfg);
     return cfg;
 }

@@ -85,10 +85,6 @@ struct ExperimentConfig
      *  event-driven loop (A/B equivalence checks and the perf
      *  harness; results are identical either way). */
     bool referenceLoop = false;
-    /** Worker threads for channel-parallel simulation inside one
-     *  run (1 = serial; capped at the channel count; results are
-     *  byte-identical at any value — see sim/system.hh). */
-    std::uint32_t channelWorkers = 1;
 };
 
 /**

@@ -54,9 +54,8 @@ System::System(const SystemConfig &cfg)
       nextEpochAt_(epochLen_)
 {
     cfg_.org.validate();
-    MemCtrlConfig mcfg = cfg_.memCtrl;
-    mcfg.channelWorkers = cfg_.channelWorkers;
-    ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_, mcfg);
+    ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_,
+                                               cfg_.memCtrl);
     llc_ = std::make_unique<Llc>(cfg_.llc, cfg_.org.rowBytes,
                                  cfg_.pinCapacity);
 
@@ -273,11 +272,15 @@ System::onEpochBoundary()
 
     // Pinned rows are evicted at the refresh boundary; restore their
     // contents with posted writes (one per row: the full-row restore
-    // is modelled at row granularity).
+    // is modelled at row granularity).  A restore the write queue
+    // refuses is dropped and counted as such, never as restored.
     for (const Addr rowBase : llc_->unpinAll()) {
-        if (ctrl_->canAccept(rowBase, true))
+        if (ctrl_->canAccept(rowBase, true)) {
             ctrl_->enqueue(rowBase, true, 0, now_);
-        stats_.inc("pinned_rows_restored");
+            stats_.inc("pinned_rows_restored");
+        } else {
+            stats_.inc("pinned_restores_dropped");
+        }
     }
 }
 

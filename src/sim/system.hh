@@ -96,15 +96,6 @@ struct SystemConfig
      */
     bool referenceLoop = false;
 
-    /**
-     * Worker threads for the controller's channel-parallel
-     * scheduling phase (copied into MemCtrlConfig::channelWorkers;
-     * 1 = serial, values above the channel count are capped).  Like
-     * referenceLoop, this never changes results — the org-invariance
-     * tests lock serial and parallel runs to exact equality.
-     */
-    std::uint32_t channelWorkers = 1;
-
     std::uint64_t seed = 0xD00DULL;
 
     /** Effective epoch length in cycles. */

@@ -251,23 +251,24 @@ run_expect_fail(sweep --workloads=hotspot:4096@hot=1.5@p=0.5
                 --mitigations=rrs --trh=1200 --rates=6)
 
 # The DRAM organization is a system axis too: an org grid must be
-# invariant under both --threads and --channel-workers (the channel-
-# parallel kernel is an optimization, never an axis), carry the
-# @org= spellings in the identity column, and ride orchestrate/merge
-# byte-identically.
+# invariant under --threads, carry the @org= spellings in the
+# identity column, and ride orchestrate/merge byte-identically.
 set(org_grid --workloads=gups --mitigations=rrs,scale-srs --trh=1200
     --rates=6 --org=1x1x16,2x1x16,2x2x32 --cycles=60000 --epoch=25000)
-run_expect_ok(sweep ${org_grid} --threads=1 --channel-workers=1
+run_expect_ok(sweep ${org_grid} --threads=1
               --out=${smoke_dir}/org_serial.csv --journal=none)
-run_expect_ok(sweep ${org_grid} --threads=8 --channel-workers=8
+run_expect_ok(sweep ${org_grid} --threads=8
               --out=${smoke_dir}/org_parallel.csv --journal=none)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                 ${smoke_dir}/org_serial.csv
                 ${smoke_dir}/org_parallel.csv
                 RESULT_VARIABLE org_diff)
 if(NOT org_diff EQUAL 0)
-  message(FATAL_ERROR "org sweep depends on the thread/channel-worker count")
+  message(FATAL_ERROR "org sweep depends on the thread count")
 endif()
+# A cell is one serial simulation: the removed per-cell worker flag
+# must fail loudly rather than be ignored.
+run_expect_fail(sweep ${org_grid} --channel-workers=2)
 file(READ ${smoke_dir}/org_serial.csv org_csv)
 foreach(needle ",closed@org=1x1x16," ",closed,")
   if(NOT org_csv MATCHES "${needle}")
@@ -480,7 +481,7 @@ execute_process(COMMAND ${SRS_SIM} OUTPUT_VARIABLE usage_text
 foreach(subcommand perf sweep orchestrate merge farm monitor attack
         security storage trace list
         --workloads --shards --manifest --montecarlo --defenses --rounds
-        --trace --page-policy --preset --org --channel-workers
+        --trace --page-policy --preset --org
         --trc --trcd --trp --trefi --trfc "trace:"
         --hosts --status-file --stale-sec --plan-format --watch
         --interval-ms --poll-ms)

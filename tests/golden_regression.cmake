@@ -18,7 +18,7 @@
 # schema-v6 latency-percentile and Monte-Carlo-confidence columns
 # are locked down
 # too, and the multi-channel multi-rank org cells pin down the
-# channel-parallel execution kernel's byte-identity.  The
+# controller's cross-channel scheduling order.  The
 # regeneration runs at the default thread count:
 # sweep CSVs are byte-identical for any --threads value (that
 # invariant has its own tests), so the comparison is exact while the

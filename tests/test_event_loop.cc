@@ -125,115 +125,6 @@ TEST(EventLoop, MatchesReferenceOnGeneratorWorkloads)
     }
 }
 
-/**
- * Run one workload spelling (synthetic profile name or generator
- * spec) under @p axes with @p channelWorkers controller workers.
- */
-RunResult
-runOrgCell(const std::string &workload, MitigationKind kind,
-           const SystemAxes &axes, std::uint32_t channelWorkers)
-{
-    ExperimentConfig exp = smallExperiment(false);
-    exp.channelWorkers = channelWorkers;
-    const SystemConfig cfg = makeSystemConfig(
-        exp, kind, 1200, 6, TrackerKind::MisraGries, axes);
-    if (workload.find(':') != std::string::npos) {
-        return runWorkloadGenerator(
-            cfg, GeneratorSpec::parse(workload), exp);
-    }
-    return runWorkload(cfg, profileByName(workload), exp);
-}
-
-/**
- * The org-invariance contract: channel-parallel execution is an
- * optimization, never an axis.  For every workload x mitigation x
- * organization point — 1, 2 and 4 channels, multi-rank included —
- * a run with 8 channel workers must equal the serial run exactly:
- * every RunResult observable and the whole latency histogram,
- * bucket for bucket.
- */
-TEST(EventLoop, ChannelParallelMatchesSerialAcrossOrgs)
-{
-    const char *workloads[] = {
-        "gups",
-        "zipf:4096@s=0.99",
-        "blend:zipf:4096@s=0.9+attack@0.05",
-    };
-    const MitigationKind kinds[] = {
-        MitigationKind::None,
-        MitigationKind::Srs,
-        MitigationKind::ScaleSrs,
-    };
-    const char *orgs[] = {"1x1x16", "2x1x16", "4x2x32"};
-    for (const char *wl : workloads) {
-        for (const MitigationKind kind : kinds) {
-            for (const char *org : orgs) {
-                SystemAxes axes;
-                dramOrgFromName(org, axes);
-                const std::string label = std::string(wl) + "/"
-                    + mitigationKindName(kind) + "/org=" + org;
-                const RunResult serial =
-                    runOrgCell(wl, kind, axes, 1);
-                const RunResult parallel =
-                    runOrgCell(wl, kind, axes, 8);
-                expectIdentical(serial, parallel, label);
-                EXPECT_EQ(serial.latSamples, parallel.latSamples)
-                    << label;
-            }
-        }
-    }
-}
-
-/**
- * BlockHammer opts out of concurrent channel queries
- * (concurrentChannelQueriesSafe() == false), so the controller must
- * fall back to its serial loop — requesting workers still changes
- * nothing.
- */
-TEST(EventLoop, ChannelParallelMatchesSerialWithBlockHammer)
-{
-    SystemAxes axes;
-    dramOrgFromName("4x1x16", axes);
-    const RunResult serial =
-        runOrgCell("gups", MitigationKind::BlockHammer, axes, 1);
-    const RunResult parallel =
-        runOrgCell("gups", MitigationKind::BlockHammer, axes, 8);
-    expectIdentical(serial, parallel, "gups/blockhammer/org=4x1x16");
-}
-
-/**
- * The same invariance one layer up: a sweep over an org axis emits
- * byte-identical CSV whatever --channel-workers is, exactly like
- * --threads.
- */
-TEST(EventLoop, SweepCsvBytesMatchAtAnyChannelWorkerCount)
-{
-    SweepGrid grid;
-    grid.workloads = {WorkloadSpec::synthetic("gups")};
-    grid.mitigations = {MitigationKind::Srs, MitigationKind::ScaleSrs};
-    grid.orgs = {"1x1x16", "2x1x16", "4x2x32"};
-    grid.trhs = {1200};
-    grid.swapRates = {6};
-
-    ExperimentConfig exp;
-    exp.cycles = 60'000;
-    exp.epochLen = 25'000;
-
-    std::string csv[2];
-    const std::uint32_t workerCounts[] = {1, 8};
-    for (int w = 0; w < 2; ++w) {
-        exp.channelWorkers = workerCounts[w];
-        SweepRunner runner(exp, 2);
-        const std::vector<SweepResult> results = runner.run(grid);
-        std::ostringstream os;
-        SweepRunner::writeCsv(os, results);
-        csv[w] = os.str();
-    }
-    EXPECT_EQ(csv[0], csv[1]);
-    // The org spelling really is part of cell identity.
-    EXPECT_NE(csv[0].find("@org=4x2x32"), std::string::npos);
-}
-
 TEST(EventLoop, SweepCsvBytesMatchReferenceAtAnyThreadCount)
 {
     SweepGrid grid;

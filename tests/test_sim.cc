@@ -172,6 +172,23 @@ TEST(SystemIntegration, EpochBoundariesFireAndUnpin)
     EXPECT_GT(sys.stats().get("pinned_rows_restored"), 0u);
 }
 
+TEST(SystemIntegration, RefusedPinRestoresCountAsDropped)
+{
+    // With no write-queue slots every restore write is refused: the
+    // boundary must report it dropped, not restored.
+    SystemConfig cfg = attackConfig(MitigationKind::ScaleSrs);
+    cfg.scaleCfg.outlierSwaps = 1;
+    cfg.epochLen = 100'000;
+    cfg.memCtrl.writeQueueDepth = 0;
+    System sys(cfg);
+    sys.setTrace(0, std::make_unique<HammerTrace>(
+                        sys.controller().addressMap(), 0, 0, 5000));
+    sys.run(450'000);
+    EXPECT_EQ(sys.controller().stats().get("writes_enqueued"), 0u);
+    EXPECT_EQ(sys.stats().get("pinned_rows_restored"), 0u);
+    EXPECT_GE(sys.stats().get("pinned_restores_dropped"), 1u);
+}
+
 TEST(SystemIntegration, MitigationsSlowDownAttackThroughput)
 {
     // Swap busy-time must cost the attacker throughput: the
