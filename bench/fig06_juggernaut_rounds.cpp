@@ -10,9 +10,9 @@
  *
  * The whole figure is one SecuritySweep grid over (trh, rounds)
  * with Monte-Carlo campaigns enabled: each cell runs a stratified
- * campaign under its own deterministic cell seed, pool-parallel
- * across cells (SRS_BENCH_THREADS overrides the worker count;
- * results are identical at any thread count).  Each Monte-Carlo
+ * campaign under its own deterministic cell seed, and every (cell,
+ * stratum) pair is its own pool job (SRS_BENCH_THREADS overrides
+ * the worker count; results are identical at any thread count).  Each Monte-Carlo
  * estimate is printed with its 95% confidence interval — the same
  * numbers the security CSV columns carry.
  */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
@@ -29,25 +28,133 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Everything a stratum needs, precomputed once per campaign. */
-struct CampaignSpec
+/** Derive the presented statistics from the folded exact sums. */
+void
+finalize(double epochSec, MonteCarloResult &out)
 {
-    bool feasible = false;
-    bool instant = false; ///< k == 0: latent acts break epoch 1
-    double epochSec = 0.0;
-    double pEpoch = 0.0;  ///< exact per-epoch success probability
-    std::uint64_t g = 0;  ///< guesses per epoch
-    std::uint64_t k = 0;  ///< required correct guesses
-    double pRow = 0.0;    ///< per-guess landing probability
-    bool iterate = false; ///< epoch-by-epoch vs geometric sampling
-    std::uint64_t valve = 0; ///< censoring threshold in epochs
-};
+    if (out.iterations == 0)
+        return;
+    const double n = static_cast<double>(out.iterations);
+    out.pBreak = out.sumPBreak / n;
+    double pHalf = 0.0;
+    if (out.iterations >= 2) {
+        const double varP = std::max(
+            0.0, (out.sumSqPBreak - n * out.pBreak * out.pBreak) /
+                     (n - 1.0));
+        pHalf = kZ95 * std::sqrt(varP / n);
+    }
+    out.pBreakCiLo = std::max(0.0, out.pBreak - pHalf);
+    out.pBreakCiHi = std::min(1.0, out.pBreak + pHalf);
 
-CampaignSpec
-makeCampaign(const AttackParams &params, const AttackResult &analytic,
-             std::uint64_t epochLoopLimit, std::uint64_t valveOverride)
+    const std::uint64_t kept = out.iterations - out.censored;
+    if (kept > 0) {
+        const double m = static_cast<double>(kept);
+        out.meanTimeSec = out.sumTimeSec / m;
+        out.meanEpochs = out.meanTimeSec / epochSec;
+        double tHalf = 0.0;
+        if (kept >= 2) {
+            const double var = std::max(
+                0.0, (out.sumSqTimeSec -
+                      m * out.meanTimeSec * out.meanTimeSec) /
+                         (m - 1.0));
+            out.stddevTimeSec = std::sqrt(var);
+            tHalf = kZ95 * out.stddevTimeSec / std::sqrt(m);
+        }
+        out.timeCiLoSec = std::max(0.0, out.meanTimeSec - tHalf);
+        out.timeCiHiSec = out.meanTimeSec + tHalf;
+    }
+    // More than 5% censored trials bias the truncated time mean too
+    // far to trust the estimate.
+    out.reliable = kept > 0 && out.censored * 20 <= out.iterations;
+}
+
+/** The k == 0 campaign is deterministic: every trial breaks in the
+ *  first epoch.  Fill the sums exactly, no sampling. */
+MonteCarloResult
+instantResult(double epochSec, std::uint64_t iterations)
 {
-    CampaignSpec c;
+    MonteCarloResult out;
+    out.feasible = true;
+    out.iterations = iterations;
+    if (iterations == 0)
+        return out;
+    const double n = static_cast<double>(iterations);
+    out.meanEpochs = 1.0;
+    out.meanTimeSec = epochSec;
+    out.timeCiLoSec = epochSec;
+    out.timeCiHiSec = epochSec;
+    out.pBreak = 1.0;
+    out.pBreakCiLo = 1.0;
+    out.pBreakCiHi = 1.0;
+    out.sumTimeSec = n * epochSec;
+    out.sumSqTimeSec = n * epochSec * epochSec;
+    out.sumPBreak = n;
+    out.sumSqPBreak = n;
+    out.reliable = true;
+    return out;
+}
+
+} // namespace
+
+MonteCarloAttack::MonteCarloAttack(const AttackParams &params,
+                                   std::uint64_t seed)
+    : params_(params), model_(params), seed_(seed)
+{
+}
+
+void
+MonteCarloAttack::setEpochValve(std::uint64_t maxEpochs)
+{
+    valveOverride_ = maxEpochs;
+}
+
+MonteCarloResult
+MonteCarloAttack::run(const AttackResult &analytic,
+                      std::uint64_t iterations,
+                      std::uint64_t epochLoopLimit)
+{
+    StratifiedCampaign campaign(params_, analytic, seed_, iterations,
+                                epochLoopLimit, valveOverride_);
+    for (std::size_t s = 0; s < campaign.strata(); ++s)
+        campaign.runStratum(s);
+    return campaign.result();
+}
+
+MonteCarloResult
+MonteCarloAttack::runRrs(std::uint64_t rounds, std::uint64_t iterations,
+                         std::uint64_t epochLoopLimit)
+{
+    return run(model_.evaluateRrs(rounds), iterations, epochLoopLimit);
+}
+
+MonteCarloResult
+MonteCarloAttack::runSrs(std::uint64_t iterations)
+{
+    return run(model_.evaluateSrs(), iterations, 100000);
+}
+
+StratifiedCampaign::StratifiedCampaign(const AttackParams &params,
+                                       const AttackResult &analytic,
+                                       std::uint64_t seed,
+                                       std::uint64_t iterations,
+                                       std::uint64_t epochLoopLimit,
+                                       std::uint64_t valve)
+    : spec_(makeCampaign(params, analytic, epochLoopLimit, valve)),
+      seed_(seed), iterations_(iterations)
+{
+    // Infeasible and instant campaigns are exact without sampling.
+    if (spec_.feasible && !spec_.instant)
+        parts_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
+            iterations, MonteCarloAttack::kStrata)));
+}
+
+StratifiedCampaign::Spec
+StratifiedCampaign::makeCampaign(const AttackParams &params,
+                                 const AttackResult &analytic,
+                                 std::uint64_t epochLoopLimit,
+                                 std::uint64_t valve)
+{
+    Spec c;
     // An infeasible analytic result is infeasible regardless of its
     // k — k == 0 there means "no budget for even one guess", not
     // "breaks for free".
@@ -72,29 +179,22 @@ makeCampaign(const AttackParams &params, const AttackResult &analytic,
     c.k = analytic.k;
     c.iterate =
         c.pEpoch > 1.0 / static_cast<double>(epochLoopLimit);
-    c.valve = valveOverride != 0 ? valveOverride
-                                 : 100ULL * epochLoopLimit;
+    c.valve = valve != 0 ? valve : 100ULL * epochLoopLimit;
     return c;
 }
 
-/** Exact per-stratum sums; folded in stratum order. */
-struct StratumStats
+void
+StratifiedCampaign::runStratum(std::size_t s)
 {
-    std::uint64_t n = 0;
-    std::uint64_t censored = 0;
-    double sumT = 0.0;
-    double sumSqT = 0.0;
-    double sumP = 0.0;
-    double sumSqP = 0.0;
-};
-
-StratumStats
-runStratum(const CampaignSpec &c, std::uint64_t seed,
-           std::uint64_t trials)
-{
+    const Spec &c = spec_;
+    const std::uint64_t strata = parts_.size();
+    const std::uint64_t trials =
+        iterations_ / strata + (s < iterations_ % strata ? 1 : 0);
+    // Accumulate locally and store once: neighbouring slots share
+    // cache lines, and strata run concurrently.
     StratumStats st;
     st.n = trials;
-    Rng rng(seed);
+    Rng rng(MonteCarloBatch::shardSeed(seed_, s));
     for (std::uint64_t j = 0; j < trials; ++j) {
         if (c.iterate) {
             // Event-driven: draw guess landings epoch by epoch.  The
@@ -156,91 +256,24 @@ runStratum(const CampaignSpec &c, std::uint64_t seed,
             st.sumSqP += w * w;
         }
     }
-    return st;
+    parts_[s] = st;
 }
 
-/** Derive the presented statistics from the folded exact sums. */
-void
-finalize(const CampaignSpec &c, MonteCarloResult &out)
-{
-    if (out.iterations == 0)
-        return;
-    const double n = static_cast<double>(out.iterations);
-    out.pBreak = out.sumPBreak / n;
-    double pHalf = 0.0;
-    if (out.iterations >= 2) {
-        const double varP = std::max(
-            0.0, (out.sumSqPBreak - n * out.pBreak * out.pBreak) /
-                     (n - 1.0));
-        pHalf = kZ95 * std::sqrt(varP / n);
-    }
-    out.pBreakCiLo = std::max(0.0, out.pBreak - pHalf);
-    out.pBreakCiHi = std::min(1.0, out.pBreak + pHalf);
-
-    const std::uint64_t kept = out.iterations - out.censored;
-    if (kept > 0) {
-        const double m = static_cast<double>(kept);
-        out.meanTimeSec = out.sumTimeSec / m;
-        out.meanEpochs = out.meanTimeSec / c.epochSec;
-        double tHalf = 0.0;
-        if (kept >= 2) {
-            const double var = std::max(
-                0.0, (out.sumSqTimeSec -
-                      m * out.meanTimeSec * out.meanTimeSec) /
-                         (m - 1.0));
-            out.stddevTimeSec = std::sqrt(var);
-            tHalf = kZ95 * out.stddevTimeSec / std::sqrt(m);
-        }
-        out.timeCiLoSec = std::max(0.0, out.meanTimeSec - tHalf);
-        out.timeCiHiSec = out.meanTimeSec + tHalf;
-    }
-    // More than 5% censored trials bias the truncated time mean too
-    // far to trust the estimate.
-    out.reliable = kept > 0 && out.censored * 20 <= out.iterations;
-}
-
-/** The k == 0 campaign is deterministic: every trial breaks in the
- *  first epoch.  Fill the sums exactly, no sampling. */
 MonteCarloResult
-instantResult(const CampaignSpec &c, std::uint64_t iterations)
+StratifiedCampaign::result() const
 {
     MonteCarloResult out;
-    out.feasible = true;
-    out.iterations = iterations;
-    if (iterations == 0)
+    if (!spec_.feasible) {
+        out.iterations = iterations_;
         return out;
-    const double n = static_cast<double>(iterations);
-    out.meanEpochs = 1.0;
-    out.meanTimeSec = c.epochSec;
-    out.timeCiLoSec = c.epochSec;
-    out.timeCiHiSec = c.epochSec;
-    out.pBreak = 1.0;
-    out.pBreakCiLo = 1.0;
-    out.pBreakCiHi = 1.0;
-    out.sumTimeSec = n * c.epochSec;
-    out.sumSqTimeSec = n * c.epochSec * c.epochSec;
-    out.sumPBreak = n;
-    out.sumSqPBreak = n;
-    out.reliable = true;
-    return out;
-}
-
-std::size_t
-strataCount(std::uint64_t iterations)
-{
-    return static_cast<std::size_t>(std::min<std::uint64_t>(
-        iterations, MonteCarloAttack::kStrata));
-}
-
-MonteCarloResult
-foldStrata(const CampaignSpec &c,
-           const std::vector<StratumStats> &parts)
-{
-    MonteCarloResult out;
+    }
+    if (spec_.instant)
+        return instantResult(spec_.epochSec, iterations_);
     out.feasible = true;
+    out.strata = parts_.size();
     // Strict stratum order: double addition is not associative, and
-    // the bitwise serial == batch contract hangs on this fold.
-    for (const StratumStats &st : parts) {
+    // the bitwise serial == parallel contract hangs on this fold.
+    for (const StratumStats &st : parts_) {
         out.iterations += st.n;
         out.censored += st.censored;
         out.sumTimeSec += st.sumT;
@@ -248,67 +281,8 @@ foldStrata(const CampaignSpec &c,
         out.sumPBreak += st.sumP;
         out.sumSqPBreak += st.sumSqP;
     }
-    finalize(c, out);
+    finalize(spec_.epochSec, out);
     return out;
-}
-
-} // namespace
-
-MonteCarloAttack::MonteCarloAttack(const AttackParams &params,
-                                   std::uint64_t seed)
-    : params_(params), model_(params), seed_(seed)
-{
-}
-
-void
-MonteCarloAttack::setEpochValve(std::uint64_t maxEpochs)
-{
-    valveOverride_ = maxEpochs;
-}
-
-MonteCarloResult
-MonteCarloAttack::run(const AttackResult &analytic,
-                      std::uint64_t iterations,
-                      std::uint64_t epochLoopLimit)
-{
-    const CampaignSpec c = makeCampaign(params_, analytic,
-                                        epochLoopLimit,
-                                        valveOverride_);
-    MonteCarloResult out;
-    out.iterations = iterations;
-    if (!c.feasible)
-        return out;
-    if (c.instant)
-        return instantResult(c, iterations);
-    if (iterations == 0) {
-        out.feasible = true;
-        return out;
-    }
-
-    const std::size_t strata = strataCount(iterations);
-    const std::uint64_t perStratum = iterations / strata;
-    const std::uint64_t remainder = iterations % strata;
-    std::vector<StratumStats> parts(strata);
-    for (std::size_t s = 0; s < strata; ++s) {
-        const std::uint64_t trials =
-            perStratum + (s < remainder ? 1 : 0);
-        parts[s] = runStratum(c, MonteCarloBatch::shardSeed(seed_, s),
-                              trials);
-    }
-    return foldStrata(c, parts);
-}
-
-MonteCarloResult
-MonteCarloAttack::runRrs(std::uint64_t rounds, std::uint64_t iterations,
-                         std::uint64_t epochLoopLimit)
-{
-    return run(model_.evaluateRrs(rounds), iterations, epochLoopLimit);
-}
-
-MonteCarloResult
-MonteCarloAttack::runSrs(std::uint64_t iterations)
-{
-    return run(model_.evaluateSrs(), iterations, 100000);
 }
 
 MonteCarloBatch::MonteCarloBatch(const AttackParams &params,
@@ -338,67 +312,30 @@ MonteCarloBatch::shardSeed(std::uint64_t base, std::size_t shard)
     return splitmix64(base ^ splitmix64(shard));
 }
 
-std::size_t
-MonteCarloBatch::resolveShards(std::size_t requested,
-                               std::uint64_t iterations)
-{
-    std::uint64_t shards = requested == 0 ? 16 : requested;
-    shards = std::min<std::uint64_t>(shards, std::max<std::uint64_t>(
-                                                 iterations, 1));
-    return static_cast<std::size_t>(shards);
-}
-
 MonteCarloResult
 MonteCarloBatch::runCampaign(const AttackResult &analytic,
                              std::uint64_t iterations,
                              std::uint64_t epochLoopLimit)
 {
-    const CampaignSpec c = makeCampaign(params_, analytic,
-                                        epochLoopLimit,
-                                        valveOverride_);
-    MonteCarloResult out;
-    out.iterations = iterations;
-    if (!c.feasible)
-        return out;
-    if (c.instant)
-        return instantResult(c, iterations);
-    if (iterations == 0) {
-        out.feasible = true;
-        return out;
-    }
-
-    // Same strata, same seeds, same fold as the serial path — only
-    // the execution moves to the pool, so the result is bitwise
-    // identical to MonteCarloAttack at any thread count.
-    const std::size_t strata = strataCount(iterations);
-    const std::uint64_t perStratum = iterations / strata;
-    const std::uint64_t remainder = iterations % strata;
-    std::vector<StratumStats> parts(strata);
-    for (std::size_t s = 0; s < strata; ++s) {
-        pool_.submit([&, s] {
-            const std::uint64_t trials =
-                perStratum + (s < remainder ? 1 : 0);
-            parts[s] = runStratum(c, shardSeed(seed_, s), trials);
-        });
-    }
+    StratifiedCampaign campaign(params_, analytic, seed_, iterations,
+                                epochLoopLimit, valveOverride_);
+    for (std::size_t s = 0; s < campaign.strata(); ++s)
+        pool_.submit([&campaign, s] { campaign.runStratum(s); });
     pool_.wait();
-    return foldStrata(c, parts);
+    return campaign.result();
 }
 
 MonteCarloResult
 MonteCarloBatch::runRrs(std::uint64_t rounds, std::uint64_t iterations,
-                        std::uint64_t epochLoopLimit,
-                        std::size_t shards)
+                        std::uint64_t epochLoopLimit)
 {
-    (void)shards; // execution hint only; results never depend on it
     return runCampaign(JuggernautModel(params_).evaluateRrs(rounds),
                        iterations, epochLoopLimit);
 }
 
 MonteCarloResult
-MonteCarloBatch::runSrs(std::uint64_t iterations, std::size_t shards)
+MonteCarloBatch::runSrs(std::uint64_t iterations)
 {
-    (void)shards;
     return runCampaign(JuggernautModel(params_).evaluateSrs(),
                        iterations, 100000);
 }

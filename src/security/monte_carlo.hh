@@ -28,10 +28,11 @@
  * seeded with MonteCarloBatch::shardSeed(seed, s), and the exact
  * per-stratum sums are folded in stratum order.  The result is a
  * pure function of (params, seed, iterations, epochLoopLimit,
- * valve): MonteCarloBatch distributes strata over a ThreadPool but
- * folds the same sums in the same order, so the batch result is
- * bit-identical to the serial MonteCarloAttack at *any* shard or
- * thread count.
+ * valve).  StratifiedCampaign is the one place that splits, samples
+ * and folds; MonteCarloAttack runs its strata in a loop,
+ * MonteCarloBatch and SecuritySweep hand each stratum to a
+ * ThreadPool as its own job, so their results are bit-identical to
+ * the serial MonteCarloAttack at *any* thread count.
  */
 
 #ifndef SRS_SECURITY_MONTE_CARLO_HH
@@ -39,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -76,6 +78,9 @@ struct MonteCarloResult
     double sumSqTimeSec = 0.0; ///< sum of t^2 over uncensored trials
     double sumPBreak = 0.0;    ///< sum of per-trial p estimates
     double sumSqPBreak = 0.0;  ///< sum of their squares
+    /** Strata actually sampled: min(iterations, 16), or 0 when the
+     *  result is exact without sampling (infeasible, or k == 0). */
+    std::uint64_t strata = 0;
     /** False when the analytic model says the attack cannot land. */
     bool feasible = false;
     /** False when no uncensored trial exists or more than 5% of the
@@ -127,10 +132,9 @@ class MonteCarloAttack
 
     /**
      * Run a campaign against a precomputed analytic evaluation —
-     * the workhorse behind runRrs/runSrs, public so SecuritySweep
-     * cells and bestRrs-style callers reuse one code path.  An
-     * infeasible @p analytic returns an infeasible result
-     * regardless of its k.
+     * the workhorse behind runRrs/runSrs, public so bestRrs-style
+     * callers reuse one code path.  An infeasible @p analytic
+     * returns an infeasible result regardless of its k.
      */
     MonteCarloResult run(const AttackResult &analytic,
                          std::uint64_t iterations,
@@ -144,16 +148,95 @@ class MonteCarloAttack
 };
 
 /**
+ * One Monte-Carlo campaign cut into its fixed strata — the unit of
+ * work a thread pool schedules.
+ *
+ * Built once from the analytic evaluation, it reports how many
+ * strata need sampling, samples stratum s on shardSeed(seed, s)
+ * with N / S trials (one more for the first N % S strata), and
+ * folds the exact per-stratum sums in stratum order, so the result
+ * never depends on which thread ran which stratum, or when.
+ * Distinct strata may run concurrently — each writes only its own
+ * slot — and result() must follow every runStratum().
+ */
+class StratifiedCampaign
+{
+  public:
+    /**
+     * @param params         attack/system parameters
+     * @param analytic       the evaluation to sample (its G and k)
+     * @param seed           campaign seed; stratum 0 uses it as is
+     * @param iterations     total trials N across all strata
+     * @param epochLoopLimit as MonteCarloAttack::runRrs
+     * @param valve          as MonteCarloAttack::setEpochValve
+     *                       (0 derives 100 * epochLoopLimit)
+     */
+    StratifiedCampaign(const AttackParams &params,
+                       const AttackResult &analytic,
+                       std::uint64_t seed, std::uint64_t iterations,
+                       std::uint64_t epochLoopLimit,
+                       std::uint64_t valve = 0);
+
+    /** Pool jobs hold the campaign by reference while strata run. */
+    StratifiedCampaign(const StratifiedCampaign &) = delete;
+    StratifiedCampaign &operator=(const StratifiedCampaign &) = delete;
+
+    /** Strata to sample: min(N, kStrata), or 0 when the result is
+     *  exact without sampling (infeasible, k == 0, or N == 0). */
+    std::size_t strata() const { return parts_.size(); }
+
+    /** Sample stratum @p s < strata() into its slot. */
+    void runStratum(std::size_t s);
+
+    /** The campaign's statistics: its strata folded in order. */
+    MonteCarloResult result() const;
+
+  private:
+    /** Everything a stratum needs, precomputed once per campaign. */
+    struct Spec
+    {
+        bool feasible = false;
+        bool instant = false; ///< k == 0: latent acts break epoch 1
+        double epochSec = 0.0;
+        double pEpoch = 0.0;  ///< exact per-epoch success probability
+        std::uint64_t g = 0;  ///< guesses per epoch
+        std::uint64_t k = 0;  ///< required correct guesses
+        double pRow = 0.0;    ///< per-guess landing probability
+        bool iterate = false; ///< epoch-by-epoch vs geometric sampling
+        std::uint64_t valve = 0; ///< censoring threshold in epochs
+    };
+
+    /** Exact per-stratum sums; folded in stratum order. */
+    struct StratumStats
+    {
+        std::uint64_t n = 0;
+        std::uint64_t censored = 0;
+        double sumT = 0.0;
+        double sumSqT = 0.0;
+        double sumP = 0.0;
+        double sumSqP = 0.0;
+    };
+
+    static Spec makeCampaign(const AttackParams &params,
+                             const AttackResult &analytic,
+                             std::uint64_t epochLoopLimit,
+                             std::uint64_t valve);
+
+    Spec spec_;
+    std::uint64_t seed_;
+    std::uint64_t iterations_;
+    std::vector<StratumStats> parts_;
+};
+
+/**
  * Thread-pool-backed Monte-Carlo campaign runner.
  *
- * Statistically identical to MonteCarloAttack: the campaign's fixed
- * strata (see the file comment) are distributed over the pool, their
- * exact sums folded in stratum order, so the result is a pure
- * function of (params, seed, iterations, epochLoopLimit, valve) —
- * bit-identical to the serial MonteCarloAttack at any thread count
- * and any shard count.  The @p shards arguments survive as
- * execution hints for API compatibility; they no longer change
- * results.
+ * Statistically identical to MonteCarloAttack: each of the
+ * campaign's fixed strata (see StratifiedCampaign) is one pool job,
+ * and their exact sums are folded in stratum order, so the result
+ * is a pure function of (params, seed, iterations, epochLoopLimit,
+ * valve) — bit-identical to the serial MonteCarloAttack at any
+ * thread count.
  */
 class MonteCarloBatch
 {
@@ -176,22 +259,16 @@ class MonteCarloBatch
      * @param rounds biasing rounds N
      * @param iterations total trials across all strata
      * @param epochLoopLimit as MonteCarloAttack::runRrs
-     * @param shards execution hint only; results are bit-identical
-     *        at every shard count (the campaign always uses the
-     *        fixed min(iterations, 16) strata)
      */
     MonteCarloResult runRrs(std::uint64_t rounds,
                             std::uint64_t iterations,
-                            std::uint64_t epochLoopLimit = 100000,
-                            std::size_t shards = 0);
+                            std::uint64_t epochLoopLimit = 100000);
 
     /**
      * Batched MonteCarloAttack::runSrs.
      * @param iterations total trials across all strata
-     * @param shards execution hint only (see runRrs)
      */
-    MonteCarloResult runSrs(std::uint64_t iterations,
-                            std::size_t shards = 0);
+    MonteCarloResult runSrs(std::uint64_t iterations);
 
     /** Worker threads actually in use. */
     std::size_t threadCount() const;
@@ -203,10 +280,6 @@ class MonteCarloBatch
      */
     static std::uint64_t shardSeed(std::uint64_t base,
                                    std::size_t shard);
-
-    /** Resolve a shard count: 0 -> min(iterations, 16), >= 1. */
-    static std::size_t resolveShards(std::size_t requested,
-                                     std::uint64_t iterations);
 
   private:
     MonteCarloResult runCampaign(const AttackResult &analytic,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -176,6 +177,8 @@ std::vector<SecurityResult>
 SecuritySweep::run(const std::vector<SecurityCell> &cells)
 {
     std::vector<SecurityResult> results(cells.size());
+    std::vector<std::optional<StratifiedCampaign>> campaigns(
+        cells.size());
 
     // As in SweepRunner::run: a FatalError escaping a worker would
     // std::terminate, so jobs trap it and the first message (in cell
@@ -192,8 +195,9 @@ SecuritySweep::run(const std::vector<SecurityCell> &cells)
         }
     };
 
+    // One analytic job per cell; it also builds the cell's campaign.
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        pool_.submit([this, &cells, &results, &record, i] {
+        pool_.submit([this, &cells, &results, &campaigns, &record, i] {
             try {
                 const SecurityCell &cell = cells[i];
                 SecurityResult &r = results[i];
@@ -208,14 +212,9 @@ SecuritySweep::run(const std::vector<SecurityCell> &cells)
                         : (cell.bestRounds
                                ? model.bestRrs()
                                : model.evaluateRrs(cell.rounds));
-                if (iterations_ > 0) {
-                    // Serial per cell: MonteCarloAttack is itself
-                    // stratified, so the campaign is bit-identical
-                    // at any sweep thread count.
-                    MonteCarloAttack mc(params, r.seed);
-                    r.mc = mc.run(r.analytic, iterations_,
-                                  epochLoopLimit_);
-                }
+                if (iterations_ > 0)
+                    campaigns[i].emplace(params, r.analytic, r.seed,
+                                         iterations_, epochLoopLimit_);
             } catch (const FatalError &err) {
                 record(i, err.what());
             }
@@ -226,6 +225,22 @@ SecuritySweep::run(const std::vector<SecurityCell> &cells)
         std::lock_guard<std::mutex> lock(errorMutex);
         if (!errorMsg.empty())
             throw FatalError(errorMsg);
+    }
+
+    // Then every (cell, stratum) pair is its own job, so a grid whose
+    // cost sits in one cell still fills the pool.  Strata write their
+    // own slots and each campaign folds them in stratum order, so the
+    // bytes match a serial MonteCarloAttack at any thread count.
+    for (std::optional<StratifiedCampaign> &campaign : campaigns) {
+        if (!campaign)
+            continue;
+        for (std::size_t s = 0; s < campaign->strata(); ++s)
+            pool_.submit([&campaign, s] { campaign->runStratum(s); });
+    }
+    pool_.wait();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (campaigns[i])
+            results[i].mc = campaigns[i]->result();
     }
     return results;
 }

@@ -23,12 +23,18 @@
  * columns carry the campaign's iteration/censored counts and the
  * p_break estimate with its 95% confidence interval.
  *
+ * Scheduling: one pool job per cell evaluates the analytic model
+ * and builds the cell's StratifiedCampaign; then every (cell,
+ * stratum) pair runs as its own pool job, so a grid whose cost sits
+ * in fewer cells than there are threads (Fig. 6's rounds axis)
+ * still uses every worker.
+ *
  * Determinism: per-cell seeds are SweepRunner::cellSeed over a
- * canonical cell key, each cell's campaign runs a serial
- * MonteCarloAttack (itself internally stratified — results are
- * thread- and shard-count invariant), and cells land in
- * pre-assigned slots, so CSV output is byte-identical at any
- * thread count.
+ * canonical cell key, each campaign's fixed strata write
+ * pre-assigned slots and are folded in stratum order, and cells
+ * land in pre-assigned slots, so every result equals the serial
+ * MonteCarloAttack of its cell bit for bit and CSV output is
+ * byte-identical at any thread count.
  */
 
 #ifndef SRS_SECURITY_SECURITY_SWEEP_HH

@@ -39,8 +39,20 @@ run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
 # MIX points and batched Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200
               --rates=6 --cycles=60000 --epoch=25000 --threads=2)
-run_expect_ok(attack --defense=rrs --trh=2400 --rate=6 --rounds=900
-              --montecarlo=2000 --shards=4 --threads=2)
+# The attack reports the strata its campaign sampled and rejects --shards.
+set(attack_args attack --defense=rrs --trh=2400 --rate=6 --rounds=900
+    --montecarlo=2000 --threads=2)
+execute_process(COMMAND ${SRS_SIM} ${attack_args}
+                RESULT_VARIABLE attack_rc OUTPUT_VARIABLE attack_out
+                ERROR_VARIABLE attack_err)
+if(NOT attack_rc EQUAL 0)
+  message(FATAL_ERROR "srs_sim ${attack_args} exited ${attack_rc}\n"
+          "${attack_out}${attack_err}")
+endif()
+if(NOT attack_out MATCHES "2000 iters, 16 strata")
+  message(FATAL_ERROR "attack does not report its 16 strata:\n${attack_out}")
+endif()
+run_expect_fail(${attack_args} --shards=4)
 
 # Resume roundtrip: a full CSV resumes to byte-identical output
 # without recomputing anything.
@@ -450,6 +462,14 @@ file(READ ${smoke_dir}/sec_analytic.csv sec_analytic_csv)
 if(NOT sec_analytic_csv MATCHES ",0,0,0,0,0\n")
   message(FATAL_ERROR
           "analytic-only security row has live campaign columns")
+endif()
+# The axes drive the derived attack environment: a ddr5 preset
+# spells itself in the identity column.
+run_expect_ok(security --defenses=rrs --preset=ddr4,ddr5 --trh=3100
+              --rates=6 --rounds=best --out=${smoke_dir}/sec_presets.csv)
+file(READ ${smoke_dir}/sec_presets.csv sec_presets_csv)
+if(NOT sec_presets_csv MATCHES ",closed@ddr5,0x")
+  message(FATAL_ERROR "security sweep CSV lacks the closed@ddr5 identity")
 endif()
 run_expect_fail(security --defenses=scale-rrs --trh=2400 --rates=6)
 run_expect_fail(security ${sec_grid} --montecarlo=banana)

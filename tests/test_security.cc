@@ -218,15 +218,16 @@ TEST(MonteCarlo, ZeroKBreaksInOneEpoch)
     EXPECT_DOUBLE_EQ(r.meanEpochs, 1.0);
 }
 
-TEST(MonteCarloBatch, SingleShardMatchesSerialBitForBit)
+TEST(MonteCarloBatch, MatchesSerialBitForBit)
 {
-    // shardSeed(base, 0) == base, so a one-shard batch replays the
-    // serial campaign exactly.
+    // The batch runs the serial campaign's strata, one pool job
+    // each, on the same seeds and folds them in the same order, so
+    // it replays the serial campaign exactly.
     AttackParams p = paperParams(2400, 6);
     MonteCarloAttack serial(p, 42);
     const MonteCarloResult a = serial.runRrs(900, 4000);
     MonteCarloBatch batch(p, 42, 4);
-    const MonteCarloResult b = batch.runRrs(900, 4000, 100000, 1);
+    const MonteCarloResult b = batch.runRrs(900, 4000);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.feasible, b.feasible);
     EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
@@ -239,15 +240,15 @@ TEST(MonteCarloBatch, ThreadCountNeverChangesResults)
     AttackParams p = paperParams(2400, 6);
     MonteCarloBatch one(p, 7, 1);
     MonteCarloBatch many(p, 7, 8);
-    const MonteCarloResult a = one.runRrs(900, 8000, 100000, 8);
-    const MonteCarloResult b = many.runRrs(900, 8000, 100000, 8);
+    const MonteCarloResult a = one.runRrs(900, 8000);
+    const MonteCarloResult b = many.runRrs(900, 8000);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
     EXPECT_DOUBLE_EQ(a.meanTimeSec, b.meanTimeSec);
     EXPECT_DOUBLE_EQ(a.stddevTimeSec, b.stddevTimeSec);
 
-    const MonteCarloResult c = one.runSrs(2000, 4);
-    const MonteCarloResult d = many.runSrs(2000, 4);
+    const MonteCarloResult c = one.runSrs(2000);
+    const MonteCarloResult d = many.runSrs(2000);
     EXPECT_EQ(c.feasible, d.feasible);
     EXPECT_DOUBLE_EQ(c.meanTimeSec, d.meanTimeSec);
 }
@@ -265,13 +266,8 @@ TEST(MonteCarloBatch, MatchesAnalyticAtModerateProbability)
     EXPECT_NEAR(r.meanTimeSec / analytic.timeToBreakSec, 1.0, 0.15);
 }
 
-TEST(MonteCarloBatch, ShardResolution)
+TEST(MonteCarloBatch, StratumSeeds)
 {
-    EXPECT_EQ(MonteCarloBatch::resolveShards(0, 20000), 16u);
-    EXPECT_EQ(MonteCarloBatch::resolveShards(0, 5), 5u);
-    EXPECT_EQ(MonteCarloBatch::resolveShards(7, 20000), 7u);
-    EXPECT_EQ(MonteCarloBatch::resolveShards(64, 10), 10u);
-    EXPECT_EQ(MonteCarloBatch::resolveShards(4, 0), 1u);
     EXPECT_EQ(MonteCarloBatch::shardSeed(99, 0), 99u);
     EXPECT_NE(MonteCarloBatch::shardSeed(99, 1),
               MonteCarloBatch::shardSeed(99, 2));
@@ -366,17 +362,16 @@ TEST(MonteCarlo, InfeasibleAnalyticWithZeroKStaysInfeasible)
     EXPECT_DOUBLE_EQ(r.meanEpochs, 0.0);
 }
 
-TEST(MonteCarloBatch, ShardCountInvariantIncludingConfidenceFields)
+TEST(MonteCarloBatch, ThreadCountInvariantIncludingConfidenceFields)
 {
-    // The campaign always uses the fixed strata, so 1 shard and 16
-    // shards (and any thread count) must agree bit for bit on every
-    // field — including the exact sums and the confidence columns
-    // that land in the v6 CSV.
+    // The campaign always uses the fixed strata, so 1 and 8 threads
+    // must agree bit for bit on every field — including the exact
+    // sums and the confidence columns that land in the v6 CSV.
     AttackParams p = paperParams(2400, 6);
     MonteCarloBatch one(p, 4242, 1);
     MonteCarloBatch many(p, 4242, 8);
-    const MonteCarloResult a = one.runRrs(900, 6000, 100000, 1);
-    const MonteCarloResult b = many.runRrs(900, 6000, 100000, 16);
+    const MonteCarloResult a = one.runRrs(900, 6000);
+    const MonteCarloResult b = many.runRrs(900, 6000);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.censored, b.censored);
     EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
@@ -392,6 +387,92 @@ TEST(MonteCarloBatch, ShardCountInvariantIncludingConfidenceFields)
     EXPECT_DOUBLE_EQ(a.sumPBreak, b.sumPBreak);
     EXPECT_DOUBLE_EQ(a.sumSqPBreak, b.sumSqPBreak);
     EXPECT_EQ(a.reliable, b.reliable);
+}
+
+TEST(StratifiedCampaign, SamplesOnlyWhenTheResultNeedsIt)
+{
+    // Infeasible, instant (k == 0) and zero-trial campaigns are exact
+    // without sampling: they have no strata, so no pool job runs.
+    AttackParams p = paperParams(2400, 6);
+    JuggernautModel m(p);
+    const AttackResult iterated = m.evaluateRrs(600);
+    ASSERT_GT(iterated.k, 0u);
+    EXPECT_EQ(StratifiedCampaign(p, iterated, 1, 2000, 100000).strata(),
+              16u);
+    EXPECT_EQ(StratifiedCampaign(p, iterated, 1, 5, 100000).strata(), 5u);
+    EXPECT_EQ(StratifiedCampaign(p, iterated, 1, 0, 100000).strata(), 0u);
+
+    const AttackResult instant = m.bestRrs();
+    ASSERT_TRUE(instant.feasible);
+    ASSERT_EQ(instant.k, 0u);
+    const StratifiedCampaign oneEpoch(p, instant, 1, 2000, 100000);
+    EXPECT_EQ(oneEpoch.strata(), 0u);
+    EXPECT_EQ(oneEpoch.result().iterations, 2000u);
+    EXPECT_EQ(oneEpoch.result().strata, 0u);
+    EXPECT_DOUBLE_EQ(oneEpoch.result().meanEpochs, 1.0);
+
+    AttackParams slow = paperParams(4800, 6);
+    const AttackResult infeasible =
+        JuggernautModel(slow).evaluateRrs(100000);
+    ASSERT_FALSE(infeasible.feasible);
+    const StratifiedCampaign none(slow, infeasible, 1, 2000, 100000);
+    EXPECT_EQ(none.strata(), 0u);
+    EXPECT_FALSE(none.result().feasible);
+}
+
+TEST(StratifiedCampaign, StrataAreOneTrialCampaignsFoldedInOrder)
+{
+    // With N <= 16 every stratum runs one trial, so stratum s equals
+    // a one-trial campaign seeded shardSeed(seed, s), and the result
+    // is their exact sums added in stratum order — whatever order
+    // the strata ran in.  Covers both the epoch-iterated (n = 600)
+    // and the importance-sampled (n = 0) estimator.
+    AttackParams p = paperParams(2400, 6);
+    JuggernautModel m(p);
+    constexpr std::uint64_t kSeed = 77;
+    for (const std::uint64_t rounds : {600ULL, 0ULL}) {
+        SCOPED_TRACE(rounds);
+        const AttackResult analytic = m.evaluateRrs(rounds);
+        StratifiedCampaign campaign(p, analytic, kSeed, 5, 100000);
+        ASSERT_EQ(campaign.strata(), 5u);
+        for (std::size_t s = campaign.strata(); s-- > 0;)
+            campaign.runStratum(s);
+        const MonteCarloResult r = campaign.result();
+
+        MonteCarloResult fold;
+        for (std::size_t s = 0; s < 5; ++s) {
+            MonteCarloAttack one(p, MonteCarloBatch::shardSeed(kSeed, s));
+            const MonteCarloResult t = one.run(analytic, 1, 100000);
+            fold.iterations += t.iterations;
+            fold.censored += t.censored;
+            fold.sumTimeSec += t.sumTimeSec;
+            fold.sumSqTimeSec += t.sumSqTimeSec;
+            fold.sumPBreak += t.sumPBreak;
+            fold.sumSqPBreak += t.sumSqPBreak;
+        }
+        EXPECT_EQ(r.strata, 5u);
+        EXPECT_EQ(r.iterations, fold.iterations);
+        EXPECT_EQ(r.censored, fold.censored);
+        EXPECT_EQ(r.sumTimeSec, fold.sumTimeSec);
+        EXPECT_EQ(r.sumSqTimeSec, fold.sumSqTimeSec);
+        EXPECT_EQ(r.sumPBreak, fold.sumPBreak);
+        EXPECT_EQ(r.sumSqPBreak, fold.sumSqPBreak);
+    }
+}
+
+TEST(StratifiedCampaign, LeadingStrataTakeTheRemainderTrials)
+{
+    // 21 trials on 16 strata: strata 0-4 run two trials, 5-15 one.
+    // The epoch total pins that split and the stratum seeds; it is
+    // the serial campaign's value and must not move, or every
+    // published campaign whose N is not a multiple of 16 changes.
+    AttackParams p = paperParams(2400, 6);
+    MonteCarloAttack mc(p, 2024);
+    const MonteCarloResult r = mc.runRrs(600, 21);
+    EXPECT_EQ(r.strata, 16u);
+    EXPECT_EQ(r.iterations, 21u);
+    EXPECT_EQ(r.censored, 0u);
+    EXPECT_EQ(std::llround(r.sumTimeSec / p.epochSec), 125216);
 }
 
 TEST(MonteCarlo, ImportanceAndNaiveEstimatorsAgree)

@@ -2,12 +2,14 @@
  * @file
  * SecuritySweep engine tests: grid expansion order, axes-derived
  * attack parameters, per-cell seed purity, thread-count byte
- * identity, and the schema-v6 CSV row shape the security cells
- * share with the performance sweep.
+ * identity, equality with the serial Monte-Carlo oracle, and the
+ * schema-v6 CSV row shape the security cells share with the
+ * performance sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,6 +150,94 @@ TEST(SecuritySweep, ThreadCountNeverChangesBytes)
     SecuritySweep::writeCsv(a, one.run(grid));
     SecuritySweep::writeCsv(b, many.run(grid));
     EXPECT_EQ(a.str(), b.str());
+}
+
+/** Every field, compared exactly: EXPECT_DOUBLE_EQ's 4-ulp slack
+ *  could hide a changed fold order. */
+void
+expectSameCampaign(const MonteCarloResult &a, const MonteCarloResult &b)
+{
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.censored, b.censored);
+    EXPECT_EQ(a.meanEpochs, b.meanEpochs);
+    EXPECT_EQ(a.meanTimeSec, b.meanTimeSec);
+    EXPECT_EQ(a.stddevTimeSec, b.stddevTimeSec);
+    EXPECT_EQ(a.timeCiLoSec, b.timeCiLoSec);
+    EXPECT_EQ(a.timeCiHiSec, b.timeCiHiSec);
+    EXPECT_EQ(a.pBreak, b.pBreak);
+    EXPECT_EQ(a.pBreakCiLo, b.pBreakCiLo);
+    EXPECT_EQ(a.pBreakCiHi, b.pBreakCiHi);
+    EXPECT_EQ(a.sumTimeSec, b.sumTimeSec);
+    EXPECT_EQ(a.sumSqTimeSec, b.sumSqTimeSec);
+    EXPECT_EQ(a.sumPBreak, b.sumPBreak);
+    EXPECT_EQ(a.sumSqPBreak, b.sumSqPBreak);
+    EXPECT_EQ(a.strata, b.strata);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.reliable, b.reliable);
+}
+
+TEST(SecuritySweep, MatchesSerialOracleBitForBit)
+{
+    // The sweep runs each (cell, stratum) pair as its own pool job;
+    // every cell must still equal the serial MonteCarloAttack of
+    // that cell.  At T_RH 2400: rrs@n=600 is epoch-iterated and
+    // dominates the cost, n=0 and srs are importance-sampled, best
+    // breaks in the first epoch (k == 0, no strata).  N = 5 gives
+    // fewer trials than strata, N = 2003 a nonzero remainder.
+    SecurityGrid grid;
+    grid.defenses = {SecurityDefense::Srs, SecurityDefense::Rrs};
+    grid.trhs = {2400};
+    grid.swapRates = {6};
+    grid.rounds = {600, 0, SecurityGrid::kBestRounds};
+    const std::vector<SecurityCell> cells = grid.expand();
+    ASSERT_EQ(cells.size(), 4u);
+    constexpr std::uint64_t kBase = 0xFEED;
+    constexpr std::uint64_t kLimit = 100000;
+
+    std::vector<AttackParams> params;
+    std::vector<AttackResult> analytic;
+    for (const SecurityCell &cell : cells) {
+        params.push_back(
+            attackParamsFromAxes(cell.axes, cell.trh, cell.swapRate));
+        const JuggernautModel model(params.back());
+        analytic.push_back(
+            cell.defense == SecurityDefense::Srs
+                ? model.evaluateSrs()
+                : (cell.bestRounds ? model.bestRrs()
+                                   : model.evaluateRrs(cell.rounds)));
+    }
+    // The grid covers both estimators (iterated while the per-epoch
+    // probability exceeds 1 / kLimit) and the no-strata case.
+    EXPECT_LT(analytic[0].pSuccess, 1.0 / kLimit);
+    EXPECT_GT(analytic[1].pSuccess, 1.0 / kLimit);
+    EXPECT_GT(analytic[1].k, 0u);
+    EXPECT_LT(analytic[2].pSuccess, 1.0 / kLimit);
+    EXPECT_EQ(analytic[3].k, 0u);
+
+    for (const std::uint64_t n : {2000ULL, 2003ULL, 5ULL}) {
+        std::vector<MonteCarloResult> oracle;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            MonteCarloAttack mc(params[i],
+                                SecuritySweep::cellSeed(kBase, cells[i]));
+            oracle.push_back(mc.run(analytic[i], n, kLimit));
+        }
+        EXPECT_EQ(oracle[1].strata, std::min<std::uint64_t>(n, 16));
+        EXPECT_EQ(oracle[3].strata, 0u);
+
+        for (const std::size_t threads : {1u, 3u, 8u}) {
+            SCOPED_TRACE("N=" + std::to_string(n)
+                         + " threads=" + std::to_string(threads));
+            SecuritySweep sweep(kBase, threads);
+            sweep.setIterations(n);
+            sweep.setEpochLoopLimit(kLimit);
+            const std::vector<SecurityResult> results = sweep.run(cells);
+            ASSERT_EQ(results.size(), cells.size());
+            for (std::size_t i = 0; i < cells.size(); ++i) {
+                SCOPED_TRACE(cells[i].label());
+                expectSameCampaign(results[i].mc, oracle[i]);
+            }
+        }
+    }
 }
 
 TEST(SecuritySweep, RowsCarrySchemaV6Shape)

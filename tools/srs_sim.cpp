@@ -15,8 +15,7 @@
  *            for one configuration:
  *              srs_sim attack --defense=rrs --trh=4800 --rate=6
  *                      [--rounds=N|best] [--open-page] [--banks=B]
- *                      [--montecarlo=ITERS] [--shards=S]
- *                      [--threads=N]
+ *                      [--montecarlo=ITERS] [--threads=N]
  *
  *   security run the attack models (analytic + optional Monte-Carlo
  *            campaigns) over the same system axes as `sweep` and
@@ -577,8 +576,6 @@ cmdAttack(const Options &opts)
         static_cast<std::uint32_t>(opts.getUint("banks", 1));
     const std::string rounds = opts.getString("rounds", "best");
     const std::uint64_t mcIters = opts.getUint("montecarlo", 0);
-    const std::size_t mcShards =
-        static_cast<std::size_t>(opts.getUint("shards", 0));
     const std::size_t mcThreads =
         static_cast<std::size_t>(opts.getUint("threads", 0));
     opts.rejectUnknown();
@@ -618,15 +615,14 @@ cmdAttack(const Options &opts)
 
     if (mcIters > 0) {
         MonteCarloBatch mc(p, /*seed=*/0x5eed, mcThreads);
-        const MonteCarloResult sim =
-            defense == "rrs"
-                ? mc.runRrs(r.rounds, mcIters, 100000, mcShards)
-                : mc.runSrs(mcIters, mcShards);
+        const MonteCarloResult sim = defense == "rrs"
+                                         ? mc.runRrs(r.rounds, mcIters)
+                                         : mc.runSrs(mcIters);
         std::printf("  monte-carlo     %.3g days (%llu iters, "
-                    "%zu shards)\n",
+                    "%llu strata)\n",
                     sim.meanTimeSec / 86400.0,
                     static_cast<unsigned long long>(mcIters),
-                    MonteCarloBatch::resolveShards(mcShards, mcIters));
+                    static_cast<unsigned long long>(sim.strata));
     }
     return 0;
 }
@@ -835,7 +831,7 @@ usage()
         "    --defense=rrs|srs|scale-srs (rrs)  --trh=N (4800)\n"
         "    --rate=N (6)  --rounds=N|best (best)  --banks=B (1)\n"
         "    --open-page  --ddr5  --montecarlo=ITERS (0)\n"
-        "    --shards=S (auto)  --threads=N (all)\n"
+        "    --threads=N (all; never changes results)\n"
         "\n"
         "  security     attack-model sweep over the same system axes\n"
         "               as `sweep`, one schema-v6 CSV row per\n"
