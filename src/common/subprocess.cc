@@ -1,8 +1,11 @@
 #include "common/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -63,6 +66,31 @@ pollProcess(long pid, int &status)
     if (r < 0)
         fatal("waitpid(", pid, ") failed: ", std::strerror(errno));
     return r == static_cast<pid_t>(pid);
+}
+
+void
+waitForExit(const std::vector<long> &pids, std::uint64_t timeoutMs)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr Clock::duration kPeek = std::chrono::milliseconds(5);
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(timeoutMs);
+    for (;;) {
+        for (const long pid : pids) {
+            // si_pid stays 0 while the child runs.  A failed peek
+            // ends the wait too, so pollProcess reports it by name.
+            siginfo_t info{};
+            if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                         WEXITED | WNOHANG | WNOWAIT)
+                    != 0
+                || info.si_pid != 0)
+                return;
+        }
+        const Clock::time_point now = Clock::now();
+        if (now >= deadline)
+            return;
+        std::this_thread::sleep_for(std::min(kPeek, deadline - now));
+    }
 }
 
 int
@@ -133,6 +161,12 @@ spawnProcess(const std::vector<std::string> &, const std::string &)
 
 bool
 pollProcess(long, int &)
+{
+    posixOnly();
+}
+
+void
+waitForExit(const std::vector<long> &, std::uint64_t)
 {
     posixOnly();
 }

@@ -1,19 +1,21 @@
 /**
  * @file
- * Child-process helpers shared by the supervision layers.
+ * Child-process helpers for the shard supervisor.
  *
- * The orchestrator (sim/orchestrator.hh) and the fleet dispatcher
- * (farm/dispatcher.hh) both fork worker processes — a shard sweep
- * locally, or an ssh/scp client carrying one to another machine —
- * and both need the same primitives: spawn with output captured to a
- * log file, non-blocking reap, kill, and a human-readable exit
- * description.  POSIX-only (fork/execv/waitpid); every entry point
- * is fatal() on non-POSIX platforms.
+ * The farm dispatcher (farm/dispatcher.hh), which runs the shards of
+ * both `srs_sim orchestrate` and `srs_sim farm`, forks worker
+ * processes — a shard sweep locally, or an ssh/scp client carrying
+ * one to another machine — through these primitives: spawn with
+ * output captured to a log file, a wait that ends when a child
+ * exits, non-blocking reap, kill, and a human-readable exit
+ * description.  POSIX-only (fork/execv/waitid/waitpid); every entry
+ * point is fatal() on non-POSIX platforms.
  */
 
 #ifndef SRS_COMMON_SUBPROCESS_HH
 #define SRS_COMMON_SUBPROCESS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,16 @@ long spawnProcess(const std::vector<std::string> &argv,
  *         processExitCode); false while it is still running.
  */
 bool pollProcess(long pid, int &status);
+
+/**
+ * Sleep until one of @p pids has exited or @p timeoutMs has passed.
+ * Each pid is peeked every few milliseconds with
+ * waitid(P_PID, pid, WEXITED | WNOHANG | WNOWAIT), which leaves the
+ * child for pollProcess to reap.  The peek names each pid, never
+ * P_ALL, so another child of this process cannot end the wait.
+ */
+void waitForExit(const std::vector<long> &pids,
+                 std::uint64_t timeoutMs);
 
 /** Blocking reap of @p pid; @return the raw waitpid status. */
 int waitProcess(long pid);

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -45,8 +44,6 @@ FarmDispatcher::FarmDispatcher(ShardManifest manifest,
     if (config_.hosts.empty())
         fatal("farm: the hostfile provides no hosts");
 }
-
-#if !defined(_WIN32)
 
 void
 FarmDispatcher::run(std::ostream &mergedOut)
@@ -159,13 +156,11 @@ FarmDispatcher::run(std::ostream &mergedOut)
         // restarted (or rebalanced) shard resumes from its last
         // journal row instead of recomputing finished cells.
         std::string resume;
-        const std::string journal = shard.csv + ".journal";
-        if (std::filesystem::exists(config_.dir + "/" + journal)) {
-            transport.push(journal);
-            resume = transport.remoteDir() + "/" + journal;
-        } else if (std::filesystem::exists(localCsv(k))) {
-            transport.push(shard.csv);
-            resume = transport.remoteDir() + "/" + shard.csv;
+        const std::string checkpoint =
+            shardCheckpoint(shard, config_.dir);
+        if (!checkpoint.empty()) {
+            transport.push(checkpoint);
+            resume = transport.remoteDir() + "/" + checkpoint;
         }
         const std::string sim =
             host.sim.empty() ? config_.simPath : host.sim;
@@ -259,15 +254,18 @@ FarmDispatcher::run(std::ostream &mergedOut)
             launch(k, s);
         }
 
-        bool anyRunning = false;
-        for (std::size_t k = 0; k < n; ++k)
-            anyRunning |= live[k].state == ShardState::Running;
-        if (!anyRunning && pending.empty())
+        std::vector<long> running;
+        for (std::size_t k = 0; k < n; ++k) {
+            if (live[k].state == ShardState::Running)
+                running.push_back(live[k].pid);
+        }
+        if (running.empty() && pending.empty())
             break;
 
         writeStatus();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.pollMs));
+        // A shard's exit ends the wait early, so its slot is
+        // refilled at once instead of at the next poll.
+        waitForExit(running, config_.pollMs);
         const double now = steadySec();
 
         for (std::size_t k = 0; k < n; ++k) {
@@ -338,17 +336,5 @@ FarmDispatcher::run(std::ostream &mergedOut)
     writeShardSummary(std::cerr, manifest_, states_, config_.dir);
     mergeShards(manifest_, config_.dir, mergedOut);
 }
-
-#else // _WIN32
-
-void
-FarmDispatcher::run(std::ostream &)
-{
-    fatal("srs_sim farm requires a POSIX platform (fork/waitpid); "
-          "run the shards from the manifest by hand and stitch with "
-          "'srs_sim merge'");
-}
-
-#endif
 
 } // namespace srs

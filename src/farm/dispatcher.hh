@@ -1,10 +1,14 @@
 /**
  * @file
- * The fleet dispatcher behind `srs_sim farm`.
+ * The shard supervisor behind `srs_sim farm` and `srs_sim
+ * orchestrate`.
  *
  * FarmDispatcher takes a planned orchestration (the shard manifest)
  * and a fleet (the hostfile) and runs the shards to completion
- * across the fleet's job slots:
+ * across the fleet's job slots.  Orchestrator (sim/orchestrator.hh)
+ * runs it on a fleet of one `local` host with `--jobs` slots, so it
+ * is the only code that launches, polls and relaunches shard
+ * processes:
  *
  *  - shards are assigned to free slots in order; a fleet with more
  *    slots than shards just leaves slots idle;
@@ -13,7 +17,9 @@
  *    of the launch, so a restarted shard never recomputes finished
  *    cells;
  *  - supervision is journal-based: every poll pulls each running
- *    shard's checkpoint journal and samples its row count.  A shard
+ *    shard's checkpoint journal and samples its row count.  The
+ *    wait between polls ends as soon as a running shard's process
+ *    exits, so a finished slot is refilled at once.  A shard
  *    whose journal stops advancing for --stale-sec (straggler, dead
  *    host, wedged ssh) is killed and requeued; requeued shards take
  *    the *next free slot on any live host*, which is what rebalances
@@ -27,7 +33,8 @@
  *    sweep, whatever hosts, transports, kills, or restarts the run
  *    saw.  Transport is never part of cell identity.
  *
- * POSIX-only (like the orchestrator); run() is fatal() elsewhere.
+ * POSIX-only: the common/subprocess.hh helpers it launches and
+ * polls through are fatal() elsewhere.
  */
 
 #ifndef SRS_FARM_DISPATCHER_HH
@@ -58,7 +65,10 @@ struct FarmConfig
     std::size_t shardThreads = 1;
     /** Relaunches per shard after a crash, kill, or stall. */
     std::size_t retries = 2;
-    /** Poll interval for journals/children, in milliseconds. */
+    /**
+     * Longest wait between polls of journals and children, in
+     * milliseconds; a running shard's exit ends the wait early.
+     */
     std::uint64_t pollMs = 200;
     /**
      * Straggler timeout: a running shard whose journal has not

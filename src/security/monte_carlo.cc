@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
-#include "common/thread_pool.hh"
 
 namespace srs
 {
@@ -194,7 +193,7 @@ StratifiedCampaign::runStratum(std::size_t s)
     // cache lines, and strata run concurrently.
     StratumStats st;
     st.n = trials;
-    Rng rng(MonteCarloBatch::shardSeed(seed_, s));
+    Rng rng(shardSeed(seed_, s));
     for (std::uint64_t j = 0; j < trials; ++j) {
         if (c.iterate) {
             // Event-driven: draw guess landings epoch by epoch.  The
@@ -285,59 +284,12 @@ StratifiedCampaign::result() const
     return out;
 }
 
-MonteCarloBatch::MonteCarloBatch(const AttackParams &params,
-                                 std::uint64_t seed,
-                                 std::size_t threads)
-    : params_(params), seed_(seed), pool_(threads)
-{
-}
-
-void
-MonteCarloBatch::setEpochValve(std::uint64_t maxEpochs)
-{
-    valveOverride_ = maxEpochs;
-}
-
-std::size_t
-MonteCarloBatch::threadCount() const
-{
-    return pool_.threadCount();
-}
-
 std::uint64_t
-MonteCarloBatch::shardSeed(std::uint64_t base, std::size_t shard)
+StratifiedCampaign::shardSeed(std::uint64_t base, std::size_t shard)
 {
     if (shard == 0)
         return base;
     return splitmix64(base ^ splitmix64(shard));
-}
-
-MonteCarloResult
-MonteCarloBatch::runCampaign(const AttackResult &analytic,
-                             std::uint64_t iterations,
-                             std::uint64_t epochLoopLimit)
-{
-    StratifiedCampaign campaign(params_, analytic, seed_, iterations,
-                                epochLoopLimit, valveOverride_);
-    for (std::size_t s = 0; s < campaign.strata(); ++s)
-        pool_.submit([&campaign, s] { campaign.runStratum(s); });
-    pool_.wait();
-    return campaign.result();
-}
-
-MonteCarloResult
-MonteCarloBatch::runRrs(std::uint64_t rounds, std::uint64_t iterations,
-                        std::uint64_t epochLoopLimit)
-{
-    return runCampaign(JuggernautModel(params_).evaluateRrs(rounds),
-                       iterations, epochLoopLimit);
-}
-
-MonteCarloResult
-MonteCarloBatch::runSrs(std::uint64_t iterations)
-{
-    return runCampaign(JuggernautModel(params_).evaluateSrs(),
-                       iterations, 100000);
 }
 
 } // namespace srs

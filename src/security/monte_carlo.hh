@@ -25,14 +25,14 @@
  *
  * Determinism contract: a campaign of N trials is always split into
  * S = min(N, 16) fixed *strata*; stratum s runs its share on an Rng
- * seeded with MonteCarloBatch::shardSeed(seed, s), and the exact
+ * seeded with StratifiedCampaign::shardSeed(seed, s), and the exact
  * per-stratum sums are folded in stratum order.  The result is a
  * pure function of (params, seed, iterations, epochLoopLimit,
  * valve).  StratifiedCampaign is the one place that splits, samples
- * and folds; MonteCarloAttack runs its strata in a loop,
- * MonteCarloBatch and SecuritySweep hand each stratum to a
- * ThreadPool as its own job, so their results are bit-identical to
- * the serial MonteCarloAttack at *any* thread count.
+ * and folds; MonteCarloAttack runs its strata in a loop, and
+ * SecuritySweep (security/security_sweep.hh) hands each stratum to a
+ * ThreadPool as its own job, so its results are bit-identical to the
+ * serial MonteCarloAttack at *any* thread count.
  */
 
 #ifndef SRS_SECURITY_MONTE_CARLO_HH
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "security/attack_model.hh"
 
 namespace srs
@@ -71,9 +70,9 @@ struct MonteCarloResult
     /** 95% confidence interval on pBreak, clamped to [0, 1]. */
     double pBreakCiLo = 0.0;
     double pBreakCiHi = 0.0;
-    /** Exact running sums behind the statistics — carried so shard
-     *  and batch reductions fold losslessly instead of
-     *  reconstructing them from rounded means. */
+    /** Exact running sums behind the statistics — carried so the
+     *  strata fold losslessly instead of reconstructing them from
+     *  rounded means. */
     double sumTimeSec = 0.0;   ///< sum of t over uncensored trials
     double sumSqTimeSec = 0.0; ///< sum of t^2 over uncensored trials
     double sumPBreak = 0.0;    ///< sum of per-trial p estimates
@@ -191,6 +190,14 @@ class StratifiedCampaign
     /** The campaign's statistics: its strata folded in order. */
     MonteCarloResult result() const;
 
+    /**
+     * Seed of stratum @p shard: the base seed itself for stratum 0
+     * (so a one-stratum campaign replays a plain serial Rng stream
+     * bit-for-bit), splitmix64-derived for the rest.
+     */
+    static std::uint64_t shardSeed(std::uint64_t base,
+                                   std::size_t shard);
+
   private:
     /** Everything a stratum needs, precomputed once per campaign. */
     struct Spec
@@ -226,71 +233,6 @@ class StratifiedCampaign
     std::uint64_t seed_;
     std::uint64_t iterations_;
     std::vector<StratumStats> parts_;
-};
-
-/**
- * Thread-pool-backed Monte-Carlo campaign runner.
- *
- * Statistically identical to MonteCarloAttack: each of the
- * campaign's fixed strata (see StratifiedCampaign) is one pool job,
- * and their exact sums are folded in stratum order, so the result
- * is a pure function of (params, seed, iterations, epochLoopLimit,
- * valve) — bit-identical to the serial MonteCarloAttack at any
- * thread count.
- */
-class MonteCarloBatch
-{
-  public:
-    /**
-     * @param params  attack/system parameters, as MonteCarloAttack
-     * @param seed    campaign base seed; per-stratum seeds derive
-     *                from it via shardSeed()
-     * @param threads worker count; 0 picks hardware concurrency.
-     *                Changing it never changes results.
-     */
-    MonteCarloBatch(const AttackParams &params, std::uint64_t seed,
-                    std::size_t threads = 0);
-
-    /** As MonteCarloAttack::setEpochValve. */
-    void setEpochValve(std::uint64_t maxEpochs);
-
-    /**
-     * Batched MonteCarloAttack::runRrs.
-     * @param rounds biasing rounds N
-     * @param iterations total trials across all strata
-     * @param epochLoopLimit as MonteCarloAttack::runRrs
-     */
-    MonteCarloResult runRrs(std::uint64_t rounds,
-                            std::uint64_t iterations,
-                            std::uint64_t epochLoopLimit = 100000);
-
-    /**
-     * Batched MonteCarloAttack::runSrs.
-     * @param iterations total trials across all strata
-     */
-    MonteCarloResult runSrs(std::uint64_t iterations);
-
-    /** Worker threads actually in use. */
-    std::size_t threadCount() const;
-
-    /**
-     * Seed of stratum @p shard: the base seed itself for stratum 0
-     * (so a one-stratum campaign replays a plain serial Rng stream
-     * bit-for-bit), splitmix64-derived for the rest.
-     */
-    static std::uint64_t shardSeed(std::uint64_t base,
-                                   std::size_t shard);
-
-  private:
-    MonteCarloResult runCampaign(const AttackResult &analytic,
-                                 std::uint64_t iterations,
-                                 std::uint64_t epochLoopLimit);
-
-    AttackParams params_;
-    std::uint64_t seed_;
-    std::uint64_t valveOverride_ = 0;
-    /** Reused across campaigns (wait() makes the pool reusable). */
-    ThreadPool pool_;
 };
 
 } // namespace srs

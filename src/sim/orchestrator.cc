@@ -1,25 +1,17 @@
 #include "sim/orchestrator.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#endif
-
 #include "common/logging.hh"
 #include "common/options.hh"
-#include "common/subprocess.hh"
 #include "common/thread_pool.hh"
+#include "farm/dispatcher.hh"
 #include "sim/system.hh"
 
 namespace srs
@@ -151,36 +143,6 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
             rows->push_back(row);
     }
     return "";
-}
-
-/**
- * Stitch pre-validated shard rows (loadShardRows output, one vector
- * per shard) into one global CSV on @p out, rewriting each
- * shard-local index to the global cell index; every byte after the
- * first comma passes through untouched.
- */
-void
-stitchRows(const ShardManifest &manifest,
-           const std::vector<std::vector<std::string>> &rowsPerShard,
-           std::ostream &out)
-{
-    out << SweepRunner::csvHeader() << '\n';
-    std::size_t global = 0;
-    for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
-        if (global != manifest.shards[k].offset) {
-            fatal("merge: shard ", k, " offset ",
-                  manifest.shards[k].offset, " does not follow the "
-                  "previous shard (", global, " cells merged so "
-                  "far)");
-        }
-        for (const std::string &row : rowsPerShard[k]) {
-            const auto comma = row.find(',');
-            out << global << row.substr(comma) << '\n';
-            ++global;
-        }
-    }
-    if (!out.flush())
-        fatal("merge: error writing merged CSV");
 }
 
 } // namespace
@@ -495,7 +457,26 @@ mergeShards(const ShardManifest &manifest, const std::string &dir,
         if (!err.empty())
             fatal("merge: shard ", k, ": ", err);
     }
-    stitchRows(manifest, rowsPerShard, out);
+
+    // Each shard-local index becomes the global cell index; every
+    // byte after the first comma passes through untouched.
+    out << SweepRunner::csvHeader() << '\n';
+    std::size_t global = 0;
+    for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
+        if (global != manifest.shards[k].offset) {
+            fatal("merge: shard ", k, " offset ",
+                  manifest.shards[k].offset, " does not follow the "
+                  "previous shard (", global, " cells merged so "
+                  "far)");
+        }
+        for (const std::string &row : rowsPerShard[k]) {
+            const auto comma = row.find(',');
+            out << global << row.substr(comma) << '\n';
+            ++global;
+        }
+    }
+    if (!out.flush())
+        fatal("merge: error writing merged CSV");
 }
 
 Orchestrator::Orchestrator(ShardManifest manifest, Config config)
@@ -512,23 +493,23 @@ Orchestrator::shardCommand(std::size_t index) const
 {
     // A previous attempt's checkpoint (or torn CSV) seeds a resume,
     // so a killed shard never recomputes its finished cells.
-    const std::string csv =
-        config_.dir + "/" + manifest_.shards[index].csv;
-    const std::string journal = csv + ".journal";
-    std::string resume;
-    if (std::filesystem::exists(journal))
-        resume = journal;
-    else if (std::filesystem::exists(csv))
-        resume = csv;
-    return shardCommandLine(manifest_, index, config_.simPath,
-                            config_.dir, config_.shardThreads,
-                            resume);
+    const std::string checkpoint =
+        shardCheckpoint(manifest_.shards[index], config_.dir);
+    return shardCommandLine(
+        manifest_, index, config_.simPath, config_.dir,
+        config_.shardThreads,
+        checkpoint.empty() ? "" : config_.dir + "/" + checkpoint);
 }
 
-void
-Orchestrator::prepareDir()
+std::string
+shardCheckpoint(const ShardSpec &shard, const std::string &dir)
 {
-    prepareShardDir(manifest_, config_.dir);
+    const std::string journal = shard.csv + ".journal";
+    if (std::filesystem::exists(dir + "/" + journal))
+        return journal;
+    if (std::filesystem::exists(dir + "/" + shard.csv))
+        return shard.csv;
+    return "";
 }
 
 std::vector<std::string>
@@ -687,7 +668,7 @@ writeShardSummary(std::ostream &out, const ShardManifest &manifest,
 void
 Orchestrator::writePlan(std::ostream &out, bool json)
 {
-    prepareDir();
+    prepareShardDir(manifest_, config_.dir);
     const std::string manifestPath = config_.dir + "/manifest";
     if (!json) {
         out << "# manifest: " << manifestPath << '\n'
@@ -741,150 +722,24 @@ Orchestrator::writePlan(std::ostream &out, bool json)
         fatal("orchestrator: error writing the shard plan");
 }
 
-#if !defined(_WIN32)
-
-long
-Orchestrator::launchShard(std::size_t index)
-{
-    // spawnProcess sets PDEATHSIG on Linux: a SIGKILLed supervisor
-    // must not leave orphan shards racing a later re-orchestration
-    // for the same CSV and journal files.
-    return spawnProcess(shardCommand(index),
-                        config_.dir + "/shard"
-                            + std::to_string(index) + ".log");
-}
-
 void
 Orchestrator::run(std::ostream &mergedOut)
 {
-    prepareDir();
-
-    const std::size_t jobs = ThreadPool::resolveThreads(config_.jobs);
-    std::deque<std::size_t> pending;
-    for (std::size_t k = 0; k < manifest_.shards.size(); ++k)
-        pending.push_back(k);
-    states_.assign(manifest_.shards.size(), ShardRunState{});
-    std::map<long, std::size_t> running;
-
-    // Each shard CSV is read and validated exactly once, at the
-    // moment it is found complete; the surviving rows feed the
-    // final stitch directly.
-    std::vector<std::vector<std::string>> rowsPerShard(
-        manifest_.shards.size());
-    const auto validateCollect = [&](std::size_t k) {
-        rowsPerShard[k].clear();
-        return loadShardRows(manifest_.shards[k], manifest_.exp,
-                             config_.dir + "/"
-                                 + manifest_.shards[k].csv,
-                             &rowsPerShard[k]);
-    };
-
-    while (!pending.empty() || !running.empty()) {
-        while (!pending.empty() && running.size() < jobs) {
-            const std::size_t k = pending.front();
-            pending.pop_front();
-            const ShardSpec &shard = manifest_.shards[k];
-            if (validateCollect(k).empty()) {
-                std::fprintf(stderr,
-                             "orchestrate: shard %zu already "
-                             "complete (%zu cells)\n",
-                             k, shard.cells);
-                ++skipped_;
-                states_[k].done = true;
-                continue;
-            }
-            const long pid = launchShard(k);
-            ++launches_;
-            ++states_[k].launches;
-            std::fprintf(stderr,
-                         "orchestrate: shard %zu of %zu launched "
-                         "(pid %ld, %zu cells%s)\n",
-                         k, manifest_.shards.size(), pid,
-                         shard.cells,
-                         states_[k].restarts > 0 ? ", resumed" : "");
-            running.emplace(pid, k);
-        }
-        if (running.empty())
-            break; // every remaining shard was already complete
-
-        int status = 0;
-        const pid_t pid = ::waitpid(-1, &status, 0);
-        if (pid < 0)
-            fatal("orchestrator: waitpid failed: ",
-                  std::strerror(errno));
-        const auto it = running.find(pid);
-        if (it == running.end())
-            continue; // not one of our shards
-        const std::size_t k = it->second;
-        running.erase(it);
-
-        std::string err;
-        if (processExitedCleanly(status))
-            err = validateCollect(k);
-        else
-            err = describeProcessExit(status);
-        if (err.empty()) {
-            std::fprintf(stderr, "orchestrate: shard %zu done\n", k);
-            states_[k].done = true;
-            continue;
-        }
-        states_[k].lastError = err;
-        if (states_[k].launches > config_.retries) {
-            // Reap the other in-flight shards before bailing out —
-            // orphans would keep writing into the shard directory
-            // and race a re-orchestration.  Their journals survive,
-            // so no completed cell is lost.
-            for (const auto &[otherPid, otherShard] : running) {
-                (void)otherShard;
-                killProcess(otherPid);
-            }
-            for (const auto &[otherPid, otherShard] : running) {
-                (void)otherShard;
-                waitProcess(otherPid);
-            }
-            const std::string log = config_.dir + "/shard"
-                                    + std::to_string(k) + ".log";
-            // Surface the child's own last words (usually its fatal
-            // message) instead of leaving users to grep the log.
-            const std::string tail = lastLogLine(log);
-            writeShardSummary(std::cerr, manifest_, states_,
-                              config_.dir);
-            fatal("orchestrator: shard ", k, " failed after ",
-                  states_[k].launches, " attempt(s): ", err,
-                  tail.empty() ? ""
-                               : "\n  shard's last log line: " + tail,
-                  "\n  (see ", log, ")");
-        }
-        ++states_[k].restarts;
-        std::fprintf(stderr,
-                     "orchestrate: shard %zu failed (%s), "
-                     "relaunching from its journal (attempt "
-                     "%zu/%zu)\n",
-                     k, err.c_str(), states_[k].launches + 1,
-                     config_.retries + 1);
-        pending.push_back(k);
-    }
-
-    writeShardSummary(std::cerr, manifest_, states_, config_.dir);
-    stitchRows(manifest_, rowsPerShard, mergedOut);
+    // An orchestration is a farm of one local host with `jobs`
+    // slots: the dispatcher launches, polls, relaunches and merges.
+    HostSpec local; // the reserved name "local": shards run here
+    local.jobs = ThreadPool::resolveThreads(config_.jobs);
+    FarmConfig farm;
+    farm.dir = config_.dir;
+    farm.hosts = {local};
+    farm.simPath = config_.simPath;
+    farm.shardThreads = config_.shardThreads;
+    farm.retries = config_.retries;
+    FarmDispatcher dispatcher(manifest_, farm);
+    dispatcher.run(mergedOut);
+    launches_ = dispatcher.launches();
+    skipped_ = dispatcher.skippedShards();
+    states_ = dispatcher.shardStates();
 }
-
-#else // _WIN32
-
-long
-Orchestrator::launchShard(std::size_t)
-{
-    fatal("srs_sim orchestrate requires a POSIX platform (fork/"
-          "waitpid); run the shards from the manifest by hand and "
-          "stitch with 'srs_sim merge'");
-}
-
-void
-Orchestrator::run(std::ostream &)
-{
-    launchShard(0);
-}
-
-#endif
 
 } // namespace srs

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-process sweep orchestration: shard planning, the shard
- * manifest, byte-exact CSV stitching, and child-process supervision.
+ * manifest, byte-exact CSV stitching, and the local orchestrator.
  *
  * SweepRunner (sim/sweep.hh) scales a grid across the threads of one
  * process; this layer scales it across *processes* — on one machine
@@ -25,11 +25,14 @@
  *    prefix) and stitches them into one global CSV, renumbering the
  *    per-shard indices — the output is byte-identical to a
  *    single-process `srs_sim sweep` of the full grid.
- *  - Orchestrator forks `srs_sim sweep` children (POSIX), at most
- *    `jobs` at a time, restarts crashed or killed shards from their
- *    checkpoint journals (the engine's --resume machinery), and
- *    merges on completion.  Re-running a killed orchestration
- *    resumes every partial shard instead of starting over.
+ *  - Orchestrator runs the shards on this machine through the farm
+ *    dispatcher (farm/dispatcher.hh), the one shard supervisor, on
+ *    a single `local` host with `jobs` slots.  It restarts crashed
+ *    or killed shards from their checkpoint journals (the engine's
+ *    --resume machinery), writes the `<dir>/farm.status` snapshot
+ *    that `srs_sim monitor` reads, and merges on completion.
+ *    Re-running a killed orchestration resumes every partial shard
+ *    instead of starting over.
  */
 
 #ifndef SRS_SIM_ORCHESTRATOR_HH
@@ -93,9 +96,9 @@ struct ShardManifest
 };
 
 /**
- * Per-shard supervision accounting, shared by the local orchestrator
- * and the fleet dispatcher (farm/dispatcher.hh) so both report the
- * same end-of-run summary.
+ * Per-shard supervision accounting, kept by the farm dispatcher
+ * (farm/dispatcher.hh) for `orchestrate` and `farm` runs alike and
+ * printed by writeShardSummary().
  */
 struct ShardRunState
 {
@@ -185,10 +188,9 @@ void mergeShards(const ShardManifest &manifest, const std::string &dir,
  * with file paths resolved against @p dir — the shard directory as
  * seen by the *executing* process (the local dir, or a remote
  * host's workdir).  @p resume, when non-empty, is passed through as
- * `--resume=…`; callers decide whether a checkpoint exists on the
- * executing side.  The single source of truth for Orchestrator,
- * `orchestrate --plan` (text and JSON), and the farm dispatcher —
- * transport never appears in the command, so a shard computes the
+ * `--resume=…` (see shardCheckpoint()).  The single source of truth
+ * for `orchestrate --plan` (text and JSON) and the farm dispatcher
+ * — transport never appears in the command, so a shard computes the
  * same bytes wherever it runs.
  */
 std::vector<std::string>
@@ -196,6 +198,17 @@ shardCommandLine(const ShardManifest &manifest, std::size_t index,
                  const std::string &simPath, const std::string &dir,
                  std::size_t shardThreads,
                  const std::string &resume = "");
+
+/**
+ * The checkpoint a (re)launch of @p shard resumes from: its journal
+ * when `<dir>/<csv>.journal` exists, else its CSV (whole, short or
+ * torn) when `<dir>/<csv>` exists, else "" for a fresh start.  The
+ * name is relative to @p dir, so callers can resolve it on the
+ * executing side.  The one resume rule of `orchestrate --plan` and
+ * the farm dispatcher.
+ */
+std::string shardCheckpoint(const ShardSpec &shard,
+                            const std::string &dir);
 
 /**
  * Create @p dir and write its manifest, or verify byte-equality
@@ -227,9 +240,10 @@ void writeShardSummary(std::ostream &out,
                        const std::string &dir);
 
 /**
- * Launches and supervises the shard child processes of one
- * orchestrated sweep, then merges their CSVs.  POSIX-only (fork and
- * waitpid); construction is fatal() elsewhere.
+ * Runs one orchestrated sweep on this machine: a FarmDispatcher
+ * (farm/dispatcher.hh) with one `local` host of `jobs` slots
+ * launches, supervises and relaunches the shard processes, then
+ * merges their CSVs.
  */
 class Orchestrator
 {
@@ -254,11 +268,13 @@ class Orchestrator
     /**
      * Run the orchestration to completion: write the manifest into
      * the shard directory, launch every incomplete shard (resuming
-     * from its journal when one exists) with at most `jobs` children
-     * in flight, relaunch failed shards up to `retries` times, and
-     * finally merge all shard CSVs onto @p mergedOut.  A shard that
-     * still fails after its retries, or a shard directory holding a
-     * *different* orchestration's manifest, is fatal().
+     * from its checkpoint when one exists) with at most `jobs`
+     * children in flight, relaunch failed shards up to `retries`
+     * times, and finally merge all shard CSVs onto @p mergedOut.
+     * The farm dispatcher does all of this and writes
+     * `<dir>/farm.status` as it goes.  A shard that still fails
+     * after its retries, or a shard directory holding a *different*
+     * orchestration's manifest, is fatal().
      */
     void run(std::ostream &mergedOut);
 
@@ -287,10 +303,6 @@ class Orchestrator
     }
 
   private:
-    /** Create the shard dir and write/verify its manifest. */
-    void prepareDir();
-    /** Fork one child for shard @p index; returns its pid. */
-    long launchShard(std::size_t index);
     /** Command line for shard @p index (argv, argv[0] = simPath). */
     std::vector<std::string> shardCommand(std::size_t index) const;
 

@@ -36,7 +36,7 @@ run_expect_ok(perf --workload=gups --mitigation=rrs --trh=1200
 run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
               --rates=6 --cycles=60000 --epoch=25000 --threads=2)
 
-# MIX points and batched Monte-Carlo validation.
+# MIX points and Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200
               --rates=6 --cycles=60000 --epoch=25000 --threads=2)
 # The attack reports the strata its campaign sampled and rejects --shards.
@@ -53,6 +53,13 @@ if(NOT attack_out MATCHES "2000 iters, 16 strata")
   message(FATAL_ERROR "attack does not report its 16 strata:\n${attack_out}")
 endif()
 run_expect_fail(${attack_args} --shards=4)
+# --banks above 1 is modelled for analytic RRS only: the campaign and
+# the SRS model are single-bank, so they refuse it instead of
+# echoing a bank count they ignore.
+run_expect_ok(attack --defense=rrs --trh=2400 --rate=6 --banks=4)
+run_expect_fail(attack --defense=rrs --trh=2400 --rate=6 --banks=4
+                --montecarlo=2000)
+run_expect_fail(attack --defense=srs --trh=2400 --rate=6 --banks=4)
 
 # Resume roundtrip: a full CSV resumes to byte-identical output
 # without recomputing anything.
@@ -219,6 +226,90 @@ file(WRITE ${smoke_dir}/orch_shards/shard1.csv "${shard1_bad}")
 run_expect_fail(merge --manifest=${smoke_dir}/orch_shards/manifest
                 --out=${smoke_dir}/orch_rejected.csv)
 file(WRITE ${smoke_dir}/orch_shards/shard1.csv "${shard1_text}")
+
+# A killed shard: the wrapper --sim logs every argv and, on the first
+# launch overall only, runs the real srs_sim, cuts the shard journal
+# back to its header and first row, deletes the shard CSV and dies by
+# SIGKILL.  The supervisor must relaunch that shard from its journal
+# and merge the single-process bytes.  With --retries=0 the run fails
+# instead, and re-running it resumes and merges the same bytes.
+string(CONFIGURE [=[#!/bin/sh
+for arg in "$@"; do
+  case "$arg" in --out=*) out="${arg#--out=}" ;; esac
+done
+dir=$(dirname "$out")
+echo "$*" >> "$dir/argv.log"
+if mkdir "$dir/first_launch" 2>/dev/null; then
+  "@SRS_SIM@" "$@" || exit 1
+  head -n 2 "$out.journal" > "$out.journal.cut"
+  mv "$out.journal.cut" "$out.journal"
+  rm -f "$out"
+  echo "$out" > "$dir/killed"
+  kill -KILL $$
+fi
+exec "@SRS_SIM@" "$@"
+]=] kill_script @ONLY)
+set(kill_sim ${smoke_dir}/kill_sim.sh)
+file(WRITE ${kill_sim} "${kill_script}")
+file(CHMOD ${kill_sim} PERMISSIONS OWNER_READ OWNER_WRITE OWNER_EXECUTE)
+file(REMOVE_RECURSE ${smoke_dir}/kill_shards ${smoke_dir}/kill0_shards)
+set(kill_args orchestrate ${orch_grid} --shards=3 --jobs=2 --threads=1
+    --sim=${kill_sim})
+execute_process(COMMAND ${SRS_SIM} ${kill_args}
+                --out=${smoke_dir}/kill_merged.csv
+                --dir=${smoke_dir}/kill_shards
+                RESULT_VARIABLE kill_rc ERROR_VARIABLE kill_err
+                OUTPUT_QUIET)
+if(NOT kill_rc EQUAL 0)
+  message(FATAL_ERROR "orchestrate did not survive a killed shard:\n"
+          "${kill_err}")
+endif()
+if(NOT kill_err MATCHES "relaunching")
+  message(FATAL_ERROR "orchestrate did not relaunch the killed shard:\n"
+          "${kill_err}")
+endif()
+file(STRINGS ${smoke_dir}/kill_shards/killed killed_csv)
+file(READ ${smoke_dir}/kill_shards/argv.log kill_argv)
+string(FIND "${kill_argv}" "--resume=${killed_csv}.journal" kill_resume)
+if(kill_resume EQUAL -1)
+  message(FATAL_ERROR "the relaunch of ${killed_csv} did not resume "
+          "from its journal:\n${kill_argv}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${smoke_dir}/orch_single.csv
+                ${smoke_dir}/kill_merged.csv
+                RESULT_VARIABLE kill_diff)
+if(NOT kill_diff EQUAL 0)
+  message(FATAL_ERROR "CSV merged after a killed shard differs")
+endif()
+# orchestrate writes the farm status file, so monitor shows hosts.
+file(READ ${smoke_dir}/kill_shards/farm.status kill_status)
+execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/kill_shards
+                OUTPUT_VARIABLE kill_monitor ERROR_QUIET)
+foreach(report kill_status kill_monitor)
+  foreach(needle "\"done\":3" "\"host\":\"local\"")
+    if(NOT ${report} MATCHES "${needle}")
+      message(FATAL_ERROR "${report} lacks '${needle}':\n${${report}}")
+    endif()
+  endforeach()
+endforeach()
+execute_process(COMMAND ${SRS_SIM} ${kill_args} --retries=0
+                --out=${smoke_dir}/kill0_merged.csv
+                --dir=${smoke_dir}/kill0_shards
+                RESULT_VARIABLE kill0_rc OUTPUT_QUIET ERROR_QUIET)
+if(kill0_rc EQUAL 0)
+  message(FATAL_ERROR "orchestrate --retries=0 survived a killed shard")
+endif()
+run_expect_ok(${kill_args} --retries=0
+              --out=${smoke_dir}/kill0_merged.csv
+              --dir=${smoke_dir}/kill0_shards)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${smoke_dir}/orch_single.csv
+                ${smoke_dir}/kill0_merged.csv
+                RESULT_VARIABLE kill0_diff)
+if(NOT kill0_diff EQUAL 0)
+  message(FATAL_ERROR "re-run after a failed orchestrate differs")
+endif()
 
 # Generator workloads: a zipf + blend grid must be thread-count
 # invariant, carry the canonical spellings in the identity column,

@@ -3,9 +3,11 @@
  * Farm subsystem coverage: hostfile parsing and slot expansion, the
  * journal-based progress channel (scans, rate/ETA clock, JSON and
  * table snapshots), transport plumbing over LocalTransport, and the
- * dispatcher's configuration and skip/fail contracts.  Live
- * multi-host dispatch with kills and restarts is exercised
- * end-to-end by tests/cli_smoke.cmake and the CI farm smoke job.
+ * dispatcher's configuration and skip/fail contracts.  The
+ * dispatcher is the one shard supervisor, behind `srs_sim farm` and
+ * `srs_sim orchestrate` alike; tests/cli_smoke.cmake runs both end
+ * to end (a shard killed and relaunched from its journal included),
+ * and the CI farm smoke job kills a shard on a live two-host fleet.
  */
 
 #include <gtest/gtest.h>

@@ -4,9 +4,10 @@
  * manifest round-tripping, and the merge path — shard CSVs stitched
  * byte-identically to a single-process sweep, index renumbering,
  * rejection of mismatched or torn shards, and a killed-shard →
- * resume → re-merge roundtrip.  Child-process supervision itself is
- * exercised end-to-end by tests/cli_smoke.cmake and the CI
- * orchestrator smoke job.
+ * resume → re-merge roundtrip.  Orchestrator::run hands the shards
+ * to the farm dispatcher (tests/test_farm.cc); tests/cli_smoke.cmake
+ * runs it end to end, including a shard killed mid-run and
+ * relaunched from its journal.
  */
 
 #include <gtest/gtest.h>
@@ -601,19 +602,20 @@ TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
 {
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
+    const std::string dir = testing::TempDir() + "plan_json_dir";
     Orchestrator::Config cfg;
-    cfg.dir = "plan_json_dir";
+    cfg.dir = dir;
     cfg.simPath = "/opt/srs_sim";
     Orchestrator orchestrator(manifest, cfg);
     std::ostringstream os;
     orchestrator.writePlan(os, /*json=*/true);
     const std::string plan = os.str();
-    EXPECT_NE(plan.find("\"manifest\": \"plan_json_dir/manifest\""),
+    EXPECT_NE(plan.find("\"manifest\": " + jsonQuote(dir + "/manifest")),
               std::string::npos)
         << plan;
     EXPECT_NE(plan.find("\"argv\""), std::string::npos);
     EXPECT_NE(plan.find("\"/opt/srs_sim\""), std::string::npos);
-    EXPECT_NE(plan.find("out=plan_json_dir/shard1.csv"),
+    EXPECT_NE(plan.find("out=" + dir + "/shard1.csv"),
               std::string::npos);
     // Text mode still leads with the manifest comment.
     std::ostringstream text;

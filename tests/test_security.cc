@@ -218,59 +218,11 @@ TEST(MonteCarlo, ZeroKBreaksInOneEpoch)
     EXPECT_DOUBLE_EQ(r.meanEpochs, 1.0);
 }
 
-TEST(MonteCarloBatch, MatchesSerialBitForBit)
+TEST(StratifiedCampaign, StratumSeeds)
 {
-    // The batch runs the serial campaign's strata, one pool job
-    // each, on the same seeds and folds them in the same order, so
-    // it replays the serial campaign exactly.
-    AttackParams p = paperParams(2400, 6);
-    MonteCarloAttack serial(p, 42);
-    const MonteCarloResult a = serial.runRrs(900, 4000);
-    MonteCarloBatch batch(p, 42, 4);
-    const MonteCarloResult b = batch.runRrs(900, 4000);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
-    EXPECT_DOUBLE_EQ(a.meanTimeSec, b.meanTimeSec);
-    EXPECT_DOUBLE_EQ(a.stddevTimeSec, b.stddevTimeSec);
-}
-
-TEST(MonteCarloBatch, ThreadCountNeverChangesResults)
-{
-    AttackParams p = paperParams(2400, 6);
-    MonteCarloBatch one(p, 7, 1);
-    MonteCarloBatch many(p, 7, 8);
-    const MonteCarloResult a = one.runRrs(900, 8000);
-    const MonteCarloResult b = many.runRrs(900, 8000);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
-    EXPECT_DOUBLE_EQ(a.meanTimeSec, b.meanTimeSec);
-    EXPECT_DOUBLE_EQ(a.stddevTimeSec, b.stddevTimeSec);
-
-    const MonteCarloResult c = one.runSrs(2000);
-    const MonteCarloResult d = many.runSrs(2000);
-    EXPECT_EQ(c.feasible, d.feasible);
-    EXPECT_DOUBLE_EQ(c.meanTimeSec, d.meanTimeSec);
-}
-
-TEST(MonteCarloBatch, MatchesAnalyticAtModerateProbability)
-{
-    AttackParams p = paperParams(2400, 6);
-    JuggernautModel m(p);
-    const AttackResult analytic = m.evaluateRrs(900);
-    ASSERT_TRUE(analytic.feasible);
-    MonteCarloBatch batch(p, 1234, 0);
-    const MonteCarloResult r = batch.runRrs(900, 20000);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_EQ(r.iterations, 20000u);
-    EXPECT_NEAR(r.meanTimeSec / analytic.timeToBreakSec, 1.0, 0.15);
-}
-
-TEST(MonteCarloBatch, StratumSeeds)
-{
-    EXPECT_EQ(MonteCarloBatch::shardSeed(99, 0), 99u);
-    EXPECT_NE(MonteCarloBatch::shardSeed(99, 1),
-              MonteCarloBatch::shardSeed(99, 2));
+    EXPECT_EQ(StratifiedCampaign::shardSeed(99, 0), 99u);
+    EXPECT_NE(StratifiedCampaign::shardSeed(99, 1),
+              StratifiedCampaign::shardSeed(99, 2));
 }
 
 TEST(MonteCarlo, GeometricFallbackForTinyProbabilities)
@@ -362,33 +314,6 @@ TEST(MonteCarlo, InfeasibleAnalyticWithZeroKStaysInfeasible)
     EXPECT_DOUBLE_EQ(r.meanEpochs, 0.0);
 }
 
-TEST(MonteCarloBatch, ThreadCountInvariantIncludingConfidenceFields)
-{
-    // The campaign always uses the fixed strata, so 1 and 8 threads
-    // must agree bit for bit on every field — including the exact
-    // sums and the confidence columns that land in the v6 CSV.
-    AttackParams p = paperParams(2400, 6);
-    MonteCarloBatch one(p, 4242, 1);
-    MonteCarloBatch many(p, 4242, 8);
-    const MonteCarloResult a = one.runRrs(900, 6000);
-    const MonteCarloResult b = many.runRrs(900, 6000);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.censored, b.censored);
-    EXPECT_DOUBLE_EQ(a.meanEpochs, b.meanEpochs);
-    EXPECT_DOUBLE_EQ(a.meanTimeSec, b.meanTimeSec);
-    EXPECT_DOUBLE_EQ(a.stddevTimeSec, b.stddevTimeSec);
-    EXPECT_DOUBLE_EQ(a.timeCiLoSec, b.timeCiLoSec);
-    EXPECT_DOUBLE_EQ(a.timeCiHiSec, b.timeCiHiSec);
-    EXPECT_DOUBLE_EQ(a.pBreak, b.pBreak);
-    EXPECT_DOUBLE_EQ(a.pBreakCiLo, b.pBreakCiLo);
-    EXPECT_DOUBLE_EQ(a.pBreakCiHi, b.pBreakCiHi);
-    EXPECT_DOUBLE_EQ(a.sumTimeSec, b.sumTimeSec);
-    EXPECT_DOUBLE_EQ(a.sumSqTimeSec, b.sumSqTimeSec);
-    EXPECT_DOUBLE_EQ(a.sumPBreak, b.sumPBreak);
-    EXPECT_DOUBLE_EQ(a.sumSqPBreak, b.sumSqPBreak);
-    EXPECT_EQ(a.reliable, b.reliable);
-}
-
 TEST(StratifiedCampaign, SamplesOnlyWhenTheResultNeedsIt)
 {
     // Infeasible, instant (k == 0) and zero-trial campaigns are exact
@@ -441,7 +366,8 @@ TEST(StratifiedCampaign, StrataAreOneTrialCampaignsFoldedInOrder)
 
         MonteCarloResult fold;
         for (std::size_t s = 0; s < 5; ++s) {
-            MonteCarloAttack one(p, MonteCarloBatch::shardSeed(kSeed, s));
+            MonteCarloAttack one(p,
+                                 StratifiedCampaign::shardSeed(kSeed, s));
             const MonteCarloResult t = one.run(analytic, 1, 100000);
             fold.iterations += t.iterations;
             fold.censored += t.censored;
@@ -886,8 +812,9 @@ TEST_P(AttackMonotonicity, OpenPageNeverHelpsTheAttacker)
     open.actTimeFactor = kOpenPageActFactor;
     const AttackResult rc = JuggernautModel(closed).bestRrs();
     const AttackResult ro = JuggernautModel(open).bestRrs();
-    if (rc.feasible && ro.feasible)
+    if (rc.feasible && ro.feasible) {
         EXPECT_GE(ro.timeToBreakSec, rc.timeToBreakSec);
+    }
 }
 
 TEST_P(AttackMonotonicity, MoreBanksSlowTheAttack)

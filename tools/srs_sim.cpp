@@ -11,8 +11,10 @@
  *                      [--cycles=N] [--epoch=N] [--csv]
  *
  *   attack   evaluate the Juggernaut analytical model (and optional
- *            Monte-Carlo validation, batched across a thread pool)
- *            for one configuration:
+ *            Monte-Carlo validation) for one configuration — a
+ *            one-cell `security` sweep at its default seed; --banks
+ *            above 1 is modelled for --defense=rrs without
+ *            --montecarlo only:
  *              srs_sim attack --defense=rrs --trh=4800 --rate=6
  *                      [--rounds=N|best] [--open-page] [--banks=B]
  *                      [--montecarlo=ITERS] [--threads=N]
@@ -147,7 +149,6 @@
 #include "farm/hostfile.hh"
 #include "farm/progress.hh"
 #include "security/attack_model.hh"
-#include "security/monte_carlo.hh"
 #include "security/security_sweep.hh"
 #include "security/storage_model.hh"
 #include "sim/experiment.hh"
@@ -569,9 +570,10 @@ cmdAttack(const Options &opts)
         axes.pagePolicy = PagePolicy::Open;
     if (opts.getBool("ddr5", false))
         axes.preset = DramPreset::Ddr5;
-    const AttackParams p = attackParamsFromAxes(
-        axes, static_cast<std::uint32_t>(opts.getUint("trh", 4800)),
-        static_cast<std::uint32_t>(opts.getUint("rate", 6)));
+    const std::uint32_t trh =
+        static_cast<std::uint32_t>(opts.getUint("trh", 4800));
+    const std::uint32_t rate =
+        static_cast<std::uint32_t>(opts.getUint("rate", 6));
     const std::uint32_t banks =
         static_cast<std::uint32_t>(opts.getUint("banks", 1));
     const std::string rounds = opts.getString("rounds", "best");
@@ -580,21 +582,32 @@ cmdAttack(const Options &opts)
         static_cast<std::size_t>(opts.getUint("threads", 0));
     opts.rejectUnknown();
 
-    JuggernautModel model(p);
-    AttackResult r;
-    if (defense == "srs" || defense == "scale-srs") {
-        r = model.evaluateSrs();
-    } else if (defense == "rrs") {
-        if (banks > 1)
-            r = model.evaluateRrsMultiBank(banks);
-        else if (rounds == "best")
-            r = model.bestRrs();
-        else
-            r = model.evaluateRrs(std::strtoull(rounds.c_str(),
-                                                nullptr, 10));
-    } else {
+    if (defense != "rrs" && defense != "srs" && defense != "scale-srs")
         fatal("attack model covers 'rrs', 'srs' and 'scale-srs'");
-    }
+    if (banks > 1 && (defense != "rrs" || mcIters > 0))
+        fatal("--banks above 1 is modelled only for --defense=rrs "
+              "without --montecarlo");
+
+    // One security cell: the analytic evaluation and the campaign
+    // are those of the `security` row for this cell at its default
+    // seed (0x5eed).
+    SecurityGrid grid;
+    grid.pagePolicies = {axes.pagePolicy};
+    grid.presets = {axes.preset};
+    grid.defenses = {defense == "rrs" ? SecurityDefense::Rrs
+                                      : SecurityDefense::Srs};
+    grid.trhs = {trh};
+    grid.swapRates = {rate};
+    grid.rounds = {rounds == "best"
+                       ? SecurityGrid::kBestRounds
+                       : std::strtoull(rounds.c_str(), nullptr, 10)};
+    SecuritySweep sweep(/*baseSeed=*/0x5eed, mcThreads);
+    sweep.setIterations(mcIters);
+    const SecurityResult cell = sweep.run(grid).front();
+    const AttackParams p = attackParamsFromAxes(axes, trh, rate);
+    const AttackResult r =
+        banks > 1 ? JuggernautModel(p).evaluateRrsMultiBank(banks)
+                  : cell.analytic;
 
     std::printf("%s, T_RH %u, swap rate %u, %u bank(s)%s%s\n",
                 defense.c_str(), p.trh, p.swapRate, banks,
@@ -614,15 +627,11 @@ cmdAttack(const Options &opts)
                 r.timeToBreakSec / 86400.0);
 
     if (mcIters > 0) {
-        MonteCarloBatch mc(p, /*seed=*/0x5eed, mcThreads);
-        const MonteCarloResult sim = defense == "rrs"
-                                         ? mc.runRrs(r.rounds, mcIters)
-                                         : mc.runSrs(mcIters);
         std::printf("  monte-carlo     %.3g days (%llu iters, "
                     "%llu strata)\n",
-                    sim.meanTimeSec / 86400.0,
+                    cell.mc.meanTimeSec / 86400.0,
                     static_cast<unsigned long long>(mcIters),
-                    static_cast<unsigned long long>(sim.strata));
+                    static_cast<unsigned long long>(cell.mc.strata));
     }
     return 0;
 }
@@ -828,8 +837,11 @@ usage()
         "    --interval-ms=MS (1000)\n"
         "\n"
         "  attack       Juggernaut analytical model / Monte-Carlo\n"
+        "               (one `security` cell at seed 0x5eed)\n"
         "    --defense=rrs|srs|scale-srs (rrs)  --trh=N (4800)\n"
-        "    --rate=N (6)  --rounds=N|best (best)  --banks=B (1)\n"
+        "    --rate=N (6)  --rounds=N|best (best)\n"
+        "    --banks=B (1; above 1 only for --defense=rrs\n"
+        "    without --montecarlo)\n"
         "    --open-page  --ddr5  --montecarlo=ITERS (0)\n"
         "    --threads=N (all; never changes results)\n"
         "\n"
