@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "common/rng.hh"
 #include "common/logging.hh"
@@ -526,6 +529,362 @@ TEST(ForwardingReject, ForwardEligibleReadAcceptedWhenReadQueueFull)
     ASSERT_FALSE(done.empty());
     EXPECT_EQ(done[0], written);
     EXPECT_EQ(ctrl.stats().get("reads_forwarded"), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Quiet spans: scenarios with long stretches in which no channel tick
+// issues a command, each broken by one kind of event.  Every ACT
+// (cycle, channel, bank, physical row), every read completion, the
+// throttle-query count and the whole counter set are pinned, so a
+// scheduler that reuses a tick's decisions past the event that
+// changed them shows up by name.
+// ---------------------------------------------------------------------
+
+/** Listener that remaps and throttles rows and logs every ACT. */
+struct RecordingListener : public MemCtrlListener
+{
+    /** logical -> physical; rows not listed map to themselves */
+    std::map<RowId, RowId> remap;
+    RowId throttledRow = kInvalidRow;
+    Cycle throttleUntil = 0;
+    std::uint64_t queries = 0;
+    std::ostringstream *log = nullptr;
+
+    RowId
+    remapRow(std::uint32_t, std::uint32_t, RowId logical) override
+    {
+        const auto it = remap.find(logical);
+        return it == remap.end() ? logical : it->second;
+    }
+
+    void
+    onActivate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
+               Cycle now) override
+    {
+        *log << "act " << now << " ch" << channel << " b" << bank << " r"
+             << physRow << '\n';
+    }
+
+    Cycle
+    actAllowedAt(std::uint32_t, std::uint32_t, RowId physRow,
+                 Cycle) override
+    {
+        ++queries;
+        return physRow == throttledRow ? throttleUntil : 0;
+    }
+};
+
+/** A controller ticked on the bus clock, logging what it does. */
+struct QuietSpan
+{
+    explicit QuietSpan(const MemCtrlConfig &cfg)
+        : timing(DramTiming::fromNs(DramTimingNs{})),
+          ctrl(org, timing, cfg)
+    {
+        listener.log = &log;
+        ctrl.setListener(&listener);
+        ctrl.setReadCallback([this](const MemRequest &req) {
+            log << "done " << req.completion << " ch" << req.coord.channel
+                << " b" << req.coord.bank << " r" << req.coord.row << " c"
+                << req.coord.column << '\n';
+        });
+    }
+
+    void
+    runUntil(Cycle until)
+    {
+        for (; now < until; now += timing.busClock)
+            ctrl.tick(now);
+    }
+
+    void
+    enqueue(std::uint32_t ch, std::uint32_t bank, RowId row,
+            std::uint32_t col, bool isWrite)
+    {
+        DramCoord c;
+        c.channel = ch;
+        c.bank = bank;
+        c.row = row;
+        c.column = col;
+        const Addr addr = ctrl.addressMap().encode(c);
+        ASSERT_NE(ctrl.enqueue(addr, isWrite, 0, now),
+                  std::numeric_limits<std::uint64_t>::max());
+    }
+
+    /** The log, the throttle-query count and every counter. */
+    std::string
+    transcript() const
+    {
+        std::ostringstream out;
+        out << log.str() << "queries " << listener.queries << '\n';
+        std::string line;
+        for (const auto &[name, value] : ctrl.stats().all()) {
+            const std::string item = name + '=' + std::to_string(value);
+            if (!line.empty() && line.size() + 1 + item.size() > 72) {
+                out << line << '\n';
+                line.clear();
+            }
+            line += (line.empty() ? "" : " ") + item;
+        }
+        out << line << '\n';
+        return out.str();
+    }
+
+    DramOrg org;
+    DramTiming timing;
+    MemoryController ctrl;
+    RecordingListener listener;
+    std::ostringstream log;
+    Cycle now = 0;
+};
+
+MemCtrlConfig
+openPage()
+{
+    MemCtrlConfig cfg;
+    cfg.pagePolicy = PagePolicy::Open;
+    return cfg;
+}
+
+TEST(QuietSpan, StaleRequestIntoOpenBank)
+{
+    QuietSpan s(openPage());
+    s.listener.remap[100] = 5000;
+    s.enqueue(0, 0, 100, 0, false);
+    s.runUntil(50);
+    // The bank holds row 5000 with no queued hit, and its next RD is
+    // a few bus clocks away: the new request becomes a hit only once
+    // the scheduler revalidates it.
+    s.enqueue(0, 0, 100, 1, false);
+    s.runUntil(3000);
+    // Idle open bank: a hit and a conflict behind it.
+    s.enqueue(0, 0, 100, 2, false);
+    s.enqueue(0, 0, 200, 0, false);
+    s.runUntil(8000);
+    // The mapping moves without a migration; a new request takes the
+    // new translation and conflicts with the open row.
+    s.listener.remap[100] = 7000;
+    s.enqueue(0, 0, 100, 3, false);
+    s.runUntil(12000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b0 r5000
+done 99 ch0 b0 r100 c0
+done 115 ch0 b0 r100 c1
+done 3053 ch0 b0 r100 c2
+act 3070 ch0 b0 r200
+done 3169 ch0 b0 r200 c0
+act 8046 ch0 b0 r7000
+done 8145 ch0 b0 r100 c3
+queries 3
+activations=3 forced_precharges=0 idle_closes=0 latent_activations=0
+mig_scheduled_counter_access=0 mig_scheduled_place_back=0
+mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=44
+p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=72 p2_skip_pre_wait=11
+p2_skip_throttled=0 read_latency_cycles=531 reads_completed=5
+reads_enqueued=5 reads_forwarded=0 reads_issued=5 refreshes=0
+row_conflicts=2 row_hits=5 writes_enqueued=0 writes_issued=0
+)");
+}
+
+TEST(QuietSpan, MigrationRemapsOpenRow)
+{
+    QuietSpan s(openPage());
+    s.listener.remap[100] = 5000;
+    s.enqueue(0, 0, 100, 0, false);
+    s.enqueue(0, 1, 300, 0, false);
+    s.runUntil(2000);
+    // Both banks idle and open.  The mitigation moves logical row 100
+    // (open in bank 0) and queues the migration that performs it.
+    s.listener.remap[100] = 6000;
+    MigrationJob job;
+    job.kind = MigrationJob::Kind::Swap;
+    job.duration = 3000;
+    job.charges = {RowCharge{5000, 1}, RowCharge{6000, 1}};
+    s.ctrl.scheduleMigration(0, 0, job);
+    s.enqueue(0, 0, 100, 1, false);
+    s.runUntil(2600);
+    s.enqueue(0, 1, 300, 1, false);
+    s.runUntil(8000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b0 r5000
+act 16 ch0 b1 r300
+done 99 ch0 b0 r100 c0
+done 115 ch0 b1 r300 c0
+done 2653 ch0 b1 r300 c1
+act 5046 ch0 b0 r6000
+done 5145 ch0 b0 r100 c1
+queries 3
+activations=3 forced_precharges=0 idle_closes=0 latent_activations=2
+mig_scheduled_counter_access=0 mig_scheduled_place_back=0
+mig_scheduled_swap=1 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=1
+mig_started_unswap_swap=0 migration_busy_cycles=3000 p2_skip_act_wait=29
+p2_skip_busy=1498 p2_skip_forced=0 p2_skip_hit_wait=65
+p2_skip_pre_wait=0 p2_skip_throttled=0 read_latency_cycles=3412
+reads_completed=4 reads_enqueued=4 reads_forwarded=0 reads_issued=4
+refreshes=0 row_conflicts=0 row_hits=4 writes_enqueued=0 writes_issued=0
+)");
+}
+
+TEST(QuietSpan, MigrationStartsUnderActPacing)
+{
+    QuietSpan s(MemCtrlConfig{});
+    s.enqueue(0, 0, 10, 0, false);
+    s.runUntil(136);
+    // Bank 0 was idle-closed at cycle 100, so tRC and tRP hold its
+    // next ACT until 145; an ACT to bank 1 at 136 adds tRRD on top.
+    s.enqueue(0, 1, 30, 0, false);
+    s.runUntil(140);
+    // The migration starts as soon as bank 0's own timing allows,
+    // before the rank's ACT pacing would have let its request go.
+    MigrationJob job;
+    job.kind = MigrationJob::Kind::PlaceBack;
+    job.duration = 1000;
+    s.ctrl.scheduleMigration(0, 0, job);
+    s.enqueue(0, 0, 20, 0, false);
+    s.runUntil(3000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b0 r10
+done 99 ch0 b0 r10 c0
+act 136 ch0 b1 r30
+done 235 ch0 b1 r30 c0
+act 1146 ch0 b0 r20
+done 1245 ch0 b0 r20 c0
+queries 3
+activations=3 forced_precharges=0 idle_closes=3 latent_activations=0
+mig_scheduled_counter_access=0 mig_scheduled_place_back=1
+mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=1 mig_started_swap=0
+mig_started_unswap_swap=0 migration_busy_cycles=1000 p2_skip_act_wait=3
+p2_skip_busy=498 p2_skip_forced=0 p2_skip_hit_wait=65 p2_skip_pre_wait=0
+p2_skip_throttled=0 read_latency_cycles=1303 reads_completed=3
+reads_enqueued=3 reads_forwarded=0 reads_issued=3 refreshes=0
+row_conflicts=0 row_hits=3 writes_enqueued=0 writes_issued=0
+)");
+}
+
+TEST(QuietSpan, RefreshDebtForcesRefresh)
+{
+    MemCtrlConfig cfg = openPage();
+    cfg.maxPostponedRefreshes = 2;
+    QuietSpan s(cfg);
+    // Open rows hold refresh off, so debt accrues each tREFI.
+    s.enqueue(0, 0, 10, 0, false);
+    s.enqueue(1, 0, 10, 0, false);
+    s.runUntil(40000);
+    s.enqueue(0, 3, 20, 0, false);
+    // At 2 tREFI the debt reaches the bound: forced precharges, then
+    // two back-to-back refreshes.  A request arriving meanwhile waits
+    // behind them.
+    s.runUntil(2 * s.timing.tREFI + 4);
+    s.enqueue(0, 5, 30, 0, false);
+    s.runUntil(3 * s.timing.tREFI + 2000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b0 r10
+act 0 ch1 b0 r10
+done 99 ch0 b0 r10 c0
+done 99 ch1 b0 r10 c0
+act 40000 ch0 b3 r20
+done 40099 ch0 b3 r20 c0
+act 52208 ch0 b5 r30
+done 52307 ch0 b5 r30 c0
+queries 4
+activations=4 forced_precharges=3 idle_closes=0 latent_activations=0
+mig_scheduled_counter_access=0 mig_scheduled_place_back=0
+mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=0
+p2_skip_busy=1118 p2_skip_forced=22 p2_skip_hit_wait=88
+p2_skip_pre_wait=0 p2_skip_throttled=0 read_latency_cycles=2680
+reads_completed=4 reads_enqueued=4 reads_forwarded=0 reads_issued=4
+refreshes=5 row_conflicts=0 row_hits=4 writes_enqueued=0 writes_issued=0
+)");
+}
+
+TEST(QuietSpan, WriteDrainFlip)
+{
+    MemCtrlConfig cfg;
+    cfg.writeHiWatermark = 6;
+    cfg.writeLoWatermark = 2;
+    QuietSpan s(cfg);
+    // Reads to conflicting rows of bank 0 keep the read queue busy
+    // while writes to one row of bank 2 park below the watermark.
+    for (std::uint32_t i = 0; i < 6; ++i)
+        s.enqueue(0, 0, 10 + i, 0, false);
+    for (std::uint32_t col = 0; col < 5; ++col)
+        s.enqueue(0, 2, 40, col, true);
+    s.runUntil(300);
+    // The sixth write starts a drain; it stops at the low watermark
+    // with two writes to the open row still queued.
+    s.enqueue(0, 2, 40, 5, true);
+    s.runUntil(1500);
+    for (std::uint32_t i = 0; i < 2; ++i)
+        s.enqueue(0, 2, 50 + i, 0, false);
+    s.runUntil(4000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b0 r10
+done 99 ch0 b0 r10 c0
+act 146 ch0 b0 r11
+done 245 ch0 b0 r11 c0
+act 292 ch0 b0 r12
+act 308 ch0 b2 r40
+done 391 ch0 b0 r12 c0
+act 440 ch0 b0 r13
+done 539 ch0 b0 r13 c0
+act 586 ch0 b0 r14
+done 685 ch0 b0 r14 c0
+act 732 ch0 b0 r15
+act 780 ch0 b2 r40
+done 831 ch0 b0 r15 c0
+act 1500 ch0 b2 r50
+done 1599 ch0 b2 r50 c0
+act 1646 ch0 b2 r51
+done 1745 ch0 b2 r51 c0
+queries 10
+activations=10 forced_precharges=0 idle_closes=4 latent_activations=0
+mig_scheduled_counter_access=0 mig_scheduled_place_back=0
+mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=373
+p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=758
+p2_skip_pre_wait=461 p2_skip_throttled=0 read_latency_cycles=3134
+reads_completed=8 reads_enqueued=8 reads_forwarded=0 reads_issued=8
+refreshes=0 row_conflicts=6 row_hits=8 writes_enqueued=6 writes_issued=6
+)");
+}
+
+TEST(QuietSpan, ThrottlingListener)
+{
+    QuietSpan s(MemCtrlConfig{});
+    s.listener.throttledRow = 50;
+    s.listener.throttleUntil = 3001;
+    s.enqueue(0, 0, 50, 0, false);
+    s.enqueue(0, 1, 60, 0, false);
+    s.runUntil(1000);
+    s.enqueue(0, 0, 50, 1, false);
+    s.runUntil(4000);
+    // Throttle the row again, from outside the controller.
+    s.listener.throttleUntil = 6500;
+    s.enqueue(0, 0, 50, 2, false);
+    s.enqueue(0, 4, 70, 0, false);
+    s.runUntil(8000);
+    EXPECT_EQ(s.transcript(), R"(act 0 ch0 b1 r60
+done 99 ch0 b1 r60 c0
+act 3002 ch0 b0 r50
+done 3101 ch0 b0 r50 c0
+done 3117 ch0 b0 r50 c1
+act 4000 ch0 b4 r70
+done 4099 ch0 b4 r70 c0
+act 6500 ch0 b0 r50
+done 6599 ch0 b0 r50 c2
+queries 3740
+activations=4 forced_precharges=0 idle_closes=4 latent_activations=0
+mig_scheduled_counter_access=0 mig_scheduled_place_back=0
+mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
+mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=14
+p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=117 p2_skip_pre_wait=0
+p2_skip_throttled=3736 read_latency_cycles=8015 reads_completed=5
+reads_enqueued=5 reads_forwarded=0 reads_issued=5 refreshes=0
+row_conflicts=0 row_hits=5 writes_enqueued=0 writes_issued=0
+)");
 }
 
 } // namespace
