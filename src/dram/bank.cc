@@ -12,27 +12,6 @@ Bank::Bank(const DramTiming &timing, std::uint32_t rowsPerBank)
 {
 }
 
-bool
-Bank::canIssue(DramCommand cmd, RowId row, Cycle now) const
-{
-    if (now < blockedUntil_)
-        return false;
-    switch (cmd) {
-      case DramCommand::Activate:
-        return !rowOpen() && now >= actReady_ && row < rowsPerBank_;
-      case DramCommand::Read:
-        return rowOpen() && openRow_ == row && now >= rdReady_;
-      case DramCommand::Write:
-        return rowOpen() && openRow_ == row && now >= wrReady_;
-      case DramCommand::Precharge:
-        return now >= preReady_;
-      case DramCommand::Refresh:
-        // Refresh legality (all banks closed) is enforced at rank level.
-        return !rowOpen() && now >= actReady_;
-    }
-    return false;
-}
-
 Cycle
 Bank::issue(DramCommand cmd, RowId row, Cycle now, bool autoPre)
 {

@@ -16,6 +16,7 @@
 #ifndef SRS_DRAM_BANK_HH
 #define SRS_DRAM_BANK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 
@@ -33,7 +34,59 @@ class Bank
     Bank(const DramTiming &timing, std::uint32_t rowsPerBank);
 
     /** @return true when @p cmd to @p row may issue at @p now. */
-    bool canIssue(DramCommand cmd, RowId row, Cycle now) const;
+    bool canIssue(DramCommand cmd, RowId row, Cycle now) const
+    {
+        if (now < blockedUntil_)
+            return false;
+        switch (cmd) {
+          case DramCommand::Activate:
+            return !rowOpen() && now >= actReady_ && row < rowsPerBank_;
+          case DramCommand::Read:
+            return rowOpen() && openRow_ == row && now >= rdReady_;
+          case DramCommand::Write:
+            return rowOpen() && openRow_ == row && now >= wrReady_;
+          case DramCommand::Precharge:
+            return now >= preReady_;
+          case DramCommand::Refresh:
+            // Refresh legality (all banks closed) is enforced at rank
+            // level.
+            return !rowOpen() && now >= actReady_;
+        }
+        return false;
+    }
+
+    /**
+     * Earliest cycle from which canIssue(@p cmd, @p row, t) holds for
+     * every t, as long as no command or migration reaches the bank.
+     * @return kNoCycle when only a command can make it true
+     */
+    Cycle readyAt(DramCommand cmd, RowId row) const
+    {
+        Cycle ready = kNoCycle;
+        switch (cmd) {
+          case DramCommand::Activate:
+            if (!rowOpen() && row < rowsPerBank_)
+                ready = actReady_;
+            break;
+          case DramCommand::Read:
+            if (rowOpen() && openRow_ == row)
+                ready = rdReady_;
+            break;
+          case DramCommand::Write:
+            if (rowOpen() && openRow_ == row)
+                ready = wrReady_;
+            break;
+          case DramCommand::Precharge:
+            ready = preReady_;
+            break;
+          case DramCommand::Refresh:
+            if (!rowOpen())
+                ready = actReady_;
+            break;
+        }
+        return ready == kNoCycle ? kNoCycle
+                                 : std::max(ready, blockedUntil_);
+    }
 
     /**
      * Issue a command, updating timing windows.

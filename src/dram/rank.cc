@@ -16,32 +16,6 @@ Rank::Rank(const DramTiming &timing, const DramOrg &org)
     actWindow_.fill(0);
 }
 
-bool
-Rank::canIssue(DramCommand cmd, std::uint32_t bankIdx, RowId row,
-               Cycle now) const
-{
-    if (refreshing(now))
-        return false;
-    if (cmd == DramCommand::Activate && actCount_ > 0) {
-        if (now < lastAct_ + timing_.tRRD)
-            return false;
-        // Four-activate window: once four ACTs have issued, the
-        // fourth-last must be at least tFAW in the past.
-        if (actCount_ >= actWindow_.size()) {
-            const Cycle oldest = actWindow_[actWindowHead_];
-            if (now < oldest + timing_.tFAW)
-                return false;
-        }
-    }
-    if (cmd == DramCommand::Read || cmd == DramCommand::Write) {
-        const Cycle dataStart = now +
-            (cmd == DramCommand::Read ? timing_.tCAS : timing_.tCWL);
-        if (!busFree(dataStart, timing_.tBL))
-            return false;
-    }
-    return banks_[bankIdx].canIssue(cmd, row, now);
-}
-
 Cycle
 Rank::issue(DramCommand cmd, std::uint32_t bankIdx, RowId row, Cycle now,
             bool autoPre)
@@ -83,16 +57,6 @@ Rank::refresh(Cycle now)
     for (Bank &b : banks_)
         b.issue(DramCommand::Refresh, 0, now);
     return refreshUntil_;
-}
-
-bool
-Rank::busFree(Cycle start, Cycle len) const
-{
-    (void)len;
-    // The bus is modelled as busy-until: transfers are queued in issue
-    // order, so a transfer starting at or after the current horizon is
-    // conflict-free.
-    return start >= busBusyUntil_;
 }
 
 void

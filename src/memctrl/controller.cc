@@ -1,6 +1,7 @@
 #include "memctrl/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.hh"
@@ -27,6 +28,33 @@ namespace
 constexpr std::uint64_t kNoRequest =
     std::numeric_limits<std::uint64_t>::max();
 
+/**
+ * Call @p visit(flat) for each bank in [from, to) whose bit is set in
+ * @p word(flat / 64), in increasing order, until it returns true.
+ * Iterating set bits keeps the per-bank loops free of the
+ * data-dependent branches that a scan over every bank mispredicts.
+ * @return true if @p visit did
+ */
+template <typename Word, typename Visit>
+bool
+visitBanks(std::uint32_t from, std::uint32_t to, Word &&word,
+           Visit &&visit)
+{
+    for (std::uint32_t base = from & ~63u; base < to; base += 64) {
+        std::uint64_t bits = word(base / 64);
+        if (from > base)
+            bits &= ~std::uint64_t{0} << (from - base);
+        if (to - base < 64)
+            bits &= (std::uint64_t{1} << (to - base)) - 1;
+        for (; bits != 0; bits &= bits - 1) {
+            if (visit(base +
+                      static_cast<std::uint32_t>(std::countr_zero(bits))))
+                return true;
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 MemoryController::MemoryController(const DramOrg &org,
@@ -48,6 +76,13 @@ MemoryController::MemoryController(const DramOrg &org,
         c.openRowArr.assign(flats, kInvalidRow);
         c.readQ.banks.resize(flats);
         c.writeQ.banks.resize(flats);
+        c.verdicts.resize(flats);
+        c.openBanks.resize(flats);
+        c.closeCandidates.resize(flats);
+        for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
+            q->nonEmpty.resize(flats);
+            q->hitOrStale.resize(flats);
+        }
         c.walk.reserve(flats);
         c.waiting.reserve(flats);
     }
@@ -133,6 +168,8 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
         c.writeQ.banks[flat].reqs.push_back(req);
         ++c.writeQ.banks[flat].stale;
         ++c.writeQ.queued;
+        syncBankSets(c.writeQ, flat);
+        c.memoUntil = 0;
         return req.id;
     }
 
@@ -152,6 +189,8 @@ MemoryController::enqueue(Addr addr, bool isWrite, CoreId core, Cycle now)
     c.readQ.banks[flat].reqs.push_back(req);
     ++c.readQ.banks[flat].stale;
     ++c.readQ.queued;
+    syncBankSets(c.readQ, flat);
+    c.memoUntil = 0;
     return req.id;
 }
 
@@ -169,11 +208,15 @@ MemoryController::scheduleMigration(std::uint32_t channel,
     // row-buffer hit until physRowOf() revalidates it.
     ++c.mapVersion;
     for (RequestQueue *q : {&c.readQ, &c.writeQ}) {
-        for (BankQueue &bq : q->banks) {
+        for (std::uint32_t flat = 0; flat < q->banks.size(); ++flat) {
+            BankQueue &bq = q->banks[flat];
             bq.stale = static_cast<std::uint32_t>(bq.reqs.size());
             bq.hits = 0;
+            syncBankSets(*q, flat);
         }
     }
+    channelChanged(c);
+    c.memoUntil = 0;
     ++c.migCount;
     c.migQ[bank].push_back(std::move(job));
 }
@@ -218,30 +261,43 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
     for (std::uint32_t ri = 0; ri < c.ranks.size(); ++ri) {
         auto &due = c.nextRefreshDue[ri];
         auto &debt = c.refreshDebt[ri];
-        while (now >= due && debt < cfg_.maxPostponedRefreshes) {
-            due += timing_.tREFI;
-            ++debt;
+        if (now >= due && debt < cfg_.maxPostponedRefreshes) {
+            do {
+                due += timing_.tREFI;
+                ++debt;
+            } while (now >= due && debt < cfg_.maxPostponedRefreshes);
+            dropRankVerdicts(c, ri);
+            c.quiet = false;
         }
+        if (debt < cfg_.maxPostponedRefreshes)
+            noteDeadline(c, due);
         if (debt == 0)
             continue;
         Rank &rank = c.ranks[ri];
-        if (rank.canRefresh(now)) {
-            // canRefresh() requires every bank closed, so an all-bank
-            // refresh never disturbs the open-row mirror.
+        const Cycle refreshAt = rank.refreshReadyAt();
+        if (now >= refreshAt) {
+            // A refresh needs every bank closed, so it never disturbs
+            // the open-row mirror.
             rank.refresh(now);
             --debt;
+            dropRankVerdicts(c, ri);
             stats_.inc(h_.refreshes);
             return true;
         }
+        noteDeadline(c, refreshAt);
         if (debt >= cfg_.maxPostponedRefreshes) {
             // Forced refresh: close an open bank to make progress.
             for (std::uint32_t b = 0; b < rank.numBanks(); ++b) {
-                if (rank.bank(b).rowOpen() &&
-                    rank.canIssue(DramCommand::Precharge, b, 0, now)) {
+                if (!rank.bank(b).rowOpen())
+                    continue;
+                const Cycle preAt =
+                    rank.readyAt(DramCommand::Precharge, b, 0);
+                if (now >= preAt) {
                     issueCmd(c, ri, DramCommand::Precharge, b, 0, now);
                     stats_.inc(h_.forcedPrecharges);
                     return true;
                 }
+                noteDeadline(c, preAt);
             }
         }
     }
@@ -251,6 +307,8 @@ MemoryController::manageRefresh(ChannelState &c, Cycle now)
 bool
 MemoryController::startMigration(ChannelState &c, Cycle now)
 {
+    if (c.migCount == 0)
+        return false;
     for (std::uint32_t flat = 0; flat < c.migQ.size(); ++flat) {
         if (c.migQ[flat].empty())
             continue;
@@ -278,6 +336,7 @@ MemoryController::startMigration(ChannelState &c, Cycle now)
         c.migQ[flat].pop_front();
         --c.migCount;
         bank.blockFor(now, job.duration);
+        c.verdicts[flat].until = 0;
         for (const RowCharge &charge : job.charges) {
             bank.chargeActivation(charge.row, charge.count);
             stats_.inc(h_.latentActivations, charge.count);
@@ -296,6 +355,11 @@ MemoryController::updateDrainState(ChannelState &c)
         c.draining = true;
     else if (c.draining && c.writeQ.queued <= cfg_.writeLoWatermark)
         c.draining = false;
+    else
+        return;
+    // Write hits count as pending hits only while draining.
+    channelChanged(c);
+    c.quiet = false;
 }
 
 RowId
@@ -314,8 +378,12 @@ MemoryController::physRowOf(std::uint32_t chIdx, ChannelState &c,
     --bq.stale;
     req.physRow = phys;
     req.mapVersion = c.mapVersion;
-    if (c.openRowArr[flat] == phys)
+    c.quiet = false;
+    if (c.openRowArr[flat] == phys) {
         ++bq.hits;
+        bankChanged(c, flat);
+    }
+    syncBankSets(req.isWrite ? c.writeQ : c.readQ, flat);
     return phys;
 }
 
@@ -327,6 +395,17 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
     Rank &r = c.ranks[rank];
     const Cycle done = r.issue(cmd, bank, row, now, autoPre);
     const std::uint32_t flat = flatBank(rank, bank);
+    if (cmd == DramCommand::Activate) {
+        // tRRD/tFAW: the rank's ACT-ready banks may have to wait now.
+        // A cached ActWait stays right: an ACT only moves its deadline
+        // later, and the verdict is recomputed at the old one.
+        const std::uint32_t first = rank * org_.banksPerRank;
+        for (std::uint32_t i = first; i < first + org_.banksPerRank; ++i) {
+            if (c.verdicts[i].verdict == BankVerdict::ActReady)
+                c.verdicts[i].until = 0;
+        }
+    }
+    c.verdicts[flat].until = 0;
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
     if (open != c.openRowArr[flat]) {
@@ -335,6 +414,7 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
         else if (open == kInvalidRow)
             --c.openCount;
         c.openRowArr[flat] = open;
+        c.openBanks.assign(flat, open != kInvalidRow);
         recountBankHits(c, flat);
     }
     return done;
@@ -353,7 +433,40 @@ MemoryController::recountBankHits(ChannelState &c, std::uint32_t flat)
             if (r.mapVersion == c.mapVersion && r.physRow == open)
                 ++bq.hits;
         }
+        syncBankSets(*q, flat);
     }
+    bankChanged(c, flat);
+}
+
+void
+MemoryController::syncBankSets(RequestQueue &q, std::uint32_t flat)
+{
+    const BankQueue &bq = q.banks[flat];
+    q.nonEmpty.assign(flat, !bq.reqs.empty());
+    q.hitOrStale.assign(flat, bq.hits > 0 || bq.stale > 0);
+}
+
+void
+MemoryController::dropRankVerdicts(ChannelState &c, std::uint32_t rank)
+{
+    const std::uint32_t first = rank * org_.banksPerRank;
+    for (std::uint32_t b = 0; b < org_.banksPerRank; ++b)
+        c.verdicts[first + b].until = 0;
+}
+
+void
+MemoryController::bankChanged(ChannelState &c, std::uint32_t flat)
+{
+    c.verdicts[flat].until = 0;
+    c.closeCandidates.assign(flat, c.openRowArr[flat] != kInvalidRow &&
+                                       !bankHasPendingHit(c, flat));
+}
+
+void
+MemoryController::channelChanged(ChannelState &c)
+{
+    for (std::uint32_t flat = 0; flat < c.verdicts.size(); ++flat)
+        bankChanged(c, flat);
 }
 
 void
@@ -362,12 +475,15 @@ MemoryController::removeRequest(ChannelState &c, RequestQueue &q,
 {
     BankQueue &bq = q.banks[flat];
     const MemRequest &req = bq.reqs[pos];
-    if (req.mapVersion != c.mapVersion)
+    if (req.mapVersion != c.mapVersion) {
         --bq.stale;
-    else if (req.physRow == c.openRowArr[flat])
+    } else if (req.physRow == c.openRowArr[flat]) {
         --bq.hits;
+        bankChanged(c, flat);
+    }
     bq.reqs.erase(bq.reqs.begin() + pos);
     --q.queued;
+    syncBankSets(q, flat);
 }
 
 void
@@ -376,10 +492,13 @@ MemoryController::invalidateReqCache(ChannelState &c, MemRequest &req)
     if (req.mapVersion == c.mapVersion) {
         const std::uint32_t flat =
             flatBank(req.coord.rank, req.coord.bank);
-        BankQueue &bq = (req.isWrite ? c.writeQ : c.readQ).banks[flat];
-        if (c.openRowArr[flat] == req.physRow)
-            --bq.hits;
-        ++bq.stale;
+        RequestQueue &q = req.isWrite ? c.writeQ : c.readQ;
+        ++q.banks[flat].stale;
+        if (c.openRowArr[flat] == req.physRow) {
+            --q.banks[flat].hits;
+            bankChanged(c, flat);
+        }
+        syncBankSets(q, flat);
     }
     req.mapVersion = 0;
 }
@@ -436,22 +555,30 @@ MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
     std::uint32_t bestFlat = 0;
     std::uint32_t bestPos = 0;
     c.walk.clear();
-    for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
+    const auto openWithWork = [&](std::uint32_t w) {
+        return q.hitOrStale.words[w] & c.openBanks.words[w];
+    };
+    visitBanks(0, static_cast<std::uint32_t>(q.banks.size()), openWithWork,
+               [&](std::uint32_t flat) {
         const BankQueue &bq = q.banks[flat];
-        if (bq.hits == 0 && bq.stale == 0)
-            continue;
         const std::uint32_t bi = flat % org_.banksPerRank;
         const Rank &rank = c.ranks[flat / org_.banksPerRank];
         const Bank &bank = rank.bank(bi);
-        if (rank.refreshing(now) || bank.blocked(now) || !bank.rowOpen())
-            continue;
-        const bool ready = rank.canIssue(cas, bi, bank.openRow(), now);
-        if (bq.stale > 0) {
-            c.walk.push_back({flat, 0, ready});
-            continue;
+        if (rank.refreshing(now) || bank.blocked(now)) {
+            noteDeadline(c, std::max(rank.refreshUntil(),
+                                     bank.blockedUntil()));
+            return false;
         }
-        if (!ready)
-            continue;
+        const Cycle readyAt = rank.readyAt(cas, bi, bank.openRow());
+        if (bq.stale > 0) {
+            // The walk revalidates, so this tick is not quiet.
+            c.walk.push_back({flat, 0, now >= readyAt});
+            return false;
+        }
+        if (now < readyAt) {
+            noteDeadline(c, readyAt);
+            return false;
+        }
         for (std::uint32_t i = 0; i < bq.reqs.size(); ++i) {
             if (bq.reqs[i].physRow != bank.openRow())
                 continue;
@@ -462,7 +589,8 @@ MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
             }
             break;
         }
-    }
+        return false;
+    });
     walkInIdOrder(c, q, bestId,
                   [&](const BankCursor &k, MemRequest &req) {
         const RowId phys = physRowOf(chIdx, c, req);
@@ -493,29 +621,44 @@ MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
 }
 
 MemoryController::BankVerdict
-MemoryController::bankVerdict(const ChannelState &c, std::uint32_t flat,
-                              Cycle now) const
+MemoryController::bankVerdict(ChannelState &c, std::uint32_t flat,
+                              Cycle now)
 {
+    CachedVerdict &cached = c.verdicts[flat];
+    if (now < cached.until)
+        return cached.verdict;
+    // A waiting verdict holds until the deadline that ends its wait;
+    // the others hold until an event drops them (see CachedVerdict).
     const std::uint32_t ri = flat / org_.banksPerRank;
     const std::uint32_t bi = flat % org_.banksPerRank;
     const Rank &rank = c.ranks[ri];
     const Bank &bank = rank.bank(bi);
-    if (rank.refreshing(now) || bank.blocked(now))
-        return BankVerdict::Busy;
-    if (c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes)
-        return BankVerdict::Forced;
-    if (bank.rowOpen()) {
+    if (rank.refreshing(now) || bank.blocked(now)) {
+        cached = {BankVerdict::Busy,
+                  std::max(rank.refreshUntil(), bank.blockedUntil())};
+    } else if (c.refreshDebt[ri] >= cfg_.maxPostponedRefreshes) {
+        cached = {BankVerdict::Forced, kNoCycle};
+    } else if (bank.rowOpen()) {
         // Conflict: close the row so the bank's requests can proceed
         // (pass 1 already served every hit it could).
+        const Cycle preAt = rank.readyAt(DramCommand::Precharge, bi, 0);
         if (bankHasPendingHit(c, flat))
-            return BankVerdict::HitWait;
-        return rank.canIssue(DramCommand::Precharge, bi, 0, now)
-            ? BankVerdict::PreReady : BankVerdict::PreWait;
+            cached = {BankVerdict::HitWait, kNoCycle};
+        else if (now >= preAt)
+            cached = {BankVerdict::PreReady, kNoCycle};
+        else
+            cached = {BankVerdict::PreWait, preAt};
+    } else {
+        // Activate legality is row-independent (tRRD/tFAW and the
+        // bank's tRC window), so any in-range row stands in for the
+        // bank's rows.
+        const Cycle actAt = rank.readyAt(DramCommand::Activate, bi, 0);
+        if (now >= actAt)
+            cached = {BankVerdict::ActReady, kNoCycle};
+        else
+            cached = {BankVerdict::ActWait, actAt};
     }
-    // Activate legality is row-independent (tRRD/tFAW and the bank's
-    // tRC window), so any in-range row stands in for the bank's rows.
-    return rank.canIssue(DramCommand::Activate, bi, 0, now)
-        ? BankVerdict::ActReady : BankVerdict::ActWait;
+    return cached.verdict;
 }
 
 bool
@@ -535,10 +678,13 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     c.waiting.clear();
     std::uint64_t preId = kNoRequest;
     std::uint32_t preFlat = 0;
-    for (std::uint32_t flat = 0; flat < q.banks.size(); ++flat) {
+    // What the waiting banks skip when nothing wins: all they hold.
+    std::uint64_t skipAll[kSkipClasses] = {};
+    bool revalidate = false;
+    visitBanks(0, static_cast<std::uint32_t>(q.banks.size()),
+               [&](std::uint32_t w) { return q.nonEmpty.words[w]; },
+               [&](std::uint32_t flat) {
         const BankQueue &bq = q.banks[flat];
-        if (bq.reqs.empty())
-            continue;
         const BankVerdict v = bankVerdict(c, flat, now);
         if (v == BankVerdict::ActReady) {
             c.walk.push_back({flat, 0, true});
@@ -549,8 +695,13 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
             }
         } else {
             c.waiting.emplace_back(flat, v);
+            noteDeadline(c, c.verdicts[flat].until);
+            skipAll[static_cast<int>(v)] += bq.reqs.size();
+            revalidate |= bq.stale > 0 && v != BankVerdict::Busy &&
+                          v != BankVerdict::Forced;
         }
-    }
+        return false;
+    });
 
     // Activate-ready requests older than the oldest precharge
     // candidate ask, in id order, whether their row may be activated
@@ -561,6 +712,9 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     walkInIdOrder(c, q, preId,
                   [&](const BankCursor &k, MemRequest &req) {
         const RowId phys = physRowOf(chIdx, c, req);
+        // The listener's throttle state is invisible here, so a tick
+        // that consults it is never replayed.
+        c.quiet = false;
         if (listener_ != nullptr &&
             listener_->actAllowedAt(chIdx, k.flat, phys, now) > now) {
             stats_.inc(h_.p2SkipThrottled);
@@ -576,23 +730,28 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     // Every waiting request older than the winner is skipped under its
     // bank's verdict.  Outside busy and forced-refresh banks it is
     // also revalidated, as the request-order walk did on its way.
-    std::uint64_t skips[kSkipClasses] = {};
-    for (const auto &[flat, v] : c.waiting) {
-        BankQueue &bq = q.banks[flat];
-        const auto older = std::lower_bound(
-            bq.reqs.begin(), bq.reqs.end(), winnerId,
-            [](const MemRequest &r, std::uint64_t id) { return r.id < id; });
-        skips[static_cast<int>(v)] +=
-            static_cast<std::uint64_t>(older - bq.reqs.begin());
-        if (bq.stale > 0 && v != BankVerdict::Busy &&
-            v != BankVerdict::Forced) {
-            for (auto it = bq.reqs.begin(); it != older; ++it)
-                physRowOf(chIdx, c, *it);
+    if (winnerId == kNoRequest && !revalidate) {
+        for (int k = 0; k < kSkipClasses; ++k)
+            c.skips[k] += skipAll[k];
+    } else {
+        for (const auto &[flat, v] : c.waiting) {
+            BankQueue &bq = q.banks[flat];
+            auto older = bq.reqs.end();
+            if (winnerId != kNoRequest) {
+                older = std::lower_bound(
+                    bq.reqs.begin(), bq.reqs.end(), winnerId,
+                    [](const MemRequest &r, std::uint64_t id) {
+                        return r.id < id;
+                    });
+            }
+            c.skips[static_cast<int>(v)] +=
+                static_cast<std::uint64_t>(older - bq.reqs.begin());
+            if (bq.stale > 0 && v != BankVerdict::Busy &&
+                v != BankVerdict::Forced) {
+                for (auto it = bq.reqs.begin(); it != older; ++it)
+                    physRowOf(chIdx, c, *it);
+            }
         }
-    }
-    for (int k = 0; k < kSkipClasses; ++k) {
-        if (skips[k] > 0)
-            stats_.inc(h_.p2Skip[k], skips[k]);
     }
 
     if (act != nullptr) {
@@ -632,41 +791,64 @@ bool
 MemoryController::idleClose(ChannelState &c, Cycle now)
 {
     // Closed-page policy: proactively precharge one bank per tick
-    // whose open row has no queued hit.
+    // whose open row has no queued hit, the first candidate at or
+    // after the round-robin cursor whose PRE is legal.
     if (c.openCount == 0)
         return false;
     const std::uint32_t banks =
         org_.ranksPerChannel * org_.banksPerRank;
-    for (std::uint32_t step = 0; step < banks; ++step) {
-        const std::uint32_t flat = (c.closeCursor + step) % banks;
-        if (c.openRowArr[flat] == kInvalidRow)
-            continue;
-        const std::uint32_t ri = flat / org_.banksPerRank;
-        const std::uint32_t bi = flat % org_.banksPerRank;
-        Rank &rank = c.ranks[ri];
-        Bank &bank = rank.bank(bi);
-        if (rank.refreshing(now) || bank.blocked(now) || !bank.rowOpen())
-            continue;
-        if (bankHasPendingHit(c, flat))
-            continue;
-        if (!rank.canIssue(DramCommand::Precharge, bi, 0, now))
-            continue;
-        issueCmd(c, ri, DramCommand::Precharge, bi, 0, now);
-        stats_.inc(h_.idleCloses);
-        c.closeCursor = (flat + 1) % banks;
+    std::uint32_t closed = banks;
+    const auto tryClose = [&](std::uint32_t flat) {
+        const Rank &rank = c.ranks[flat / org_.banksPerRank];
+        const Cycle preAt = rank.readyAt(DramCommand::Precharge,
+                                         flat % org_.banksPerRank, 0);
+        if (now < preAt) {
+            noteDeadline(c, preAt);
+            return false;
+        }
+        closed = flat;
         return true;
-    }
-    return false;
+    };
+    const auto candidates = [&](std::uint32_t w) {
+        return c.closeCandidates.words[w];
+    };
+    if (!visitBanks(c.closeCursor, banks, candidates, tryClose) &&
+        !visitBanks(0, c.closeCursor, candidates, tryClose))
+        return false;
+    issueCmd(c, closed / org_.banksPerRank, DramCommand::Precharge,
+             closed % org_.banksPerRank, 0, now);
+    stats_.inc(h_.idleCloses);
+    c.closeCursor = (closed + 1) % banks;
+    return true;
 }
 
 void
 MemoryController::tickChannel(std::uint32_t ch, Cycle now)
 {
     ChannelState &c = channels_[ch];
-    if (manageRefresh(c, now))
-        return;
-    if (startMigration(c, now))
-        return;
+    if (now >= c.memoUntil) {
+        c.quiet = true;
+        c.horizon = kNoCycle;
+        std::fill(std::begin(c.skips), std::end(c.skips), 0);
+        const bool issued = scheduleChannel(ch, c, now);
+        // Queued migrations' readiness is not among the deadlines, so
+        // only a tick with none queued is replayed.
+        c.memoUntil =
+            !issued && c.quiet && c.migCount == 0 ? c.horizon : 0;
+    }
+    // A replayed tick skips exactly the requests its original did.
+    for (int k = 0; k < kSkipClasses; ++k) {
+        if (c.skips[k] > 0)
+            stats_.inc(h_.p2Skip[k], c.skips[k]);
+    }
+}
+
+bool
+MemoryController::scheduleChannel(std::uint32_t ch, ChannelState &c,
+                                  Cycle now)
+{
+    if (manageRefresh(c, now) || startMigration(c, now))
+        return true;
     updateDrainState(c);
     bool issued = false;
     if (c.draining) {
@@ -678,7 +860,8 @@ MemoryController::tickChannel(std::uint32_t ch, Cycle now)
             issued = serviceQueue(ch, c, c.writeQ, true, now);
     }
     if (!issued && cfg_.pagePolicy == PagePolicy::Closed)
-        idleClose(c, now);
+        issued = idleClose(c, now);
+    return issued;
 }
 
 void

@@ -16,11 +16,19 @@
  * channel's completed reads, then schedules each channel in index
  * order, notifying the mitigation inline after each ACT.  Simulations
  * run in parallel across sweep cells, never inside one.
+ *
+ * A channel tick costs what changed, not what exists: each bank's
+ * pass-2 verdict is cached until its Bank/Rank readyAt() deadline or
+ * an event that can move it, open banks without a pending hit are
+ * kept as an idle-close candidate set, and a tick that issued nothing
+ * and changed nothing is replayed (its p2_skip_* counts re-added)
+ * until the earliest deadline it evaluated.
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
 #define SRS_MEMCTRL_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -197,6 +205,25 @@ class MemoryController
         std::uint32_t stale = 0;
     };
 
+    /** A set of a channel's banks, one bit per flat bank. */
+    struct BankSet
+    {
+        std::vector<std::uint64_t> words;
+
+        void resize(std::uint32_t banks)
+        {
+            words.assign((banks + 63) / 64, 0);
+        }
+        void assign(std::uint32_t flat, bool member)
+        {
+            const std::uint64_t bit = std::uint64_t{1} << (flat % 64);
+            if (member)
+                words[flat / 64] |= bit;
+            else
+                words[flat / 64] &= ~bit;
+        }
+    };
+
     /** A channel's read or write queue, split per (rank, bank). */
     struct RequestQueue
     {
@@ -204,6 +231,10 @@ class MemoryController
         std::vector<BankQueue> banks;
         /** queued requests across all banks */
         std::uint32_t queued = 0;
+        /** banks holding requests */
+        BankSet nonEmpty;
+        /** banks with a counted hit or a stale request (pass 1) */
+        BankSet hitOrStale;
     };
 
     /**
@@ -223,6 +254,21 @@ class MemoryController
         ActReady, ///< bank closed, ACT legal now (throttling is per row)
     };
     static constexpr int kSkipClasses = 5;
+
+    /**
+     * A bank's cached pass-2 verdict.  It holds at every tick before
+     * `until` unless dropped first: per bank on the bank's own
+     * command, a change of its hit count or open row, or a migration
+     * start; per rank on a refresh or a refresh debt change, and for
+     * the rank's ActReady verdicts on an ACT (tRRD/tFAW); per channel
+     * on a drain flip or scheduleMigration.  until = 0 marks a
+     * dropped entry.
+     */
+    struct CachedVerdict
+    {
+        BankVerdict verdict = BankVerdict::Busy;
+        Cycle until = 0;
+    };
 
     /** A bank's position in a walk over several banks in id order. */
     struct BankCursor
@@ -251,10 +297,30 @@ class MemoryController
         std::uint32_t closeCursor = 0;
         /** mirror of each bank's open row (kInvalidRow when closed) */
         std::vector<RowId> openRowArr;
-        /** banks currently holding an open row */
+        /** banks currently holding an open row: count and set */
         std::uint32_t openCount = 0;
+        BankSet openBanks;
         /** queued-but-unstarted migration jobs across all banks */
         std::uint64_t migCount = 0;
+        /** pass-2 verdict cache, per flat bank */
+        std::vector<CachedVerdict> verdicts;
+        /** idle-close candidates: open banks without a pending hit */
+        BankSet closeCandidates;
+
+        /**
+         * Quiet-tick memo.  A tick that issued nothing and changed no
+         * controller state is replayed, by re-adding its p2_skip_*
+         * counts, at every tick before memoUntil: the earliest
+         * deadline it evaluated.  An enqueue or scheduleMigration
+         * disarms it.
+         */
+        Cycle memoUntil = 0;
+        /** p2_skip_* counts of the last computed tick */
+        std::uint64_t skips[kSkipClasses] = {};
+        /** while a tick is computed: earliest deadline it evaluated */
+        Cycle horizon = kNoCycle;
+        /** while a tick is computed: false once it changed state */
+        bool quiet = true;
 
         /**
          * serviceQueue working buffers, kept here so a tick
@@ -271,6 +337,8 @@ class MemoryController
 
     void drainCompletedReads(ChannelState &c, Cycle now);
     void tickChannel(std::uint32_t ch, Cycle now);
+    /** one computed channel tick; @return true when it issued */
+    bool scheduleChannel(std::uint32_t ch, ChannelState &c, Cycle now);
     bool manageRefresh(ChannelState &c, Cycle now);
     bool startMigration(ChannelState &c, Cycle now);
     bool serviceQueue(std::uint32_t chIdx, ChannelState &c,
@@ -281,8 +349,9 @@ class MemoryController
     /** pass 2 (FCFS): PRE or ACT for the oldest serviceable request. */
     bool openForOldest(std::uint32_t chIdx, ChannelState &c,
                        RequestQueue &q, Cycle now);
-    BankVerdict bankVerdict(const ChannelState &c, std::uint32_t flat,
-                            Cycle now) const;
+    /** the bank's verdict, from the cache while it holds */
+    BankVerdict bankVerdict(ChannelState &c, std::uint32_t flat,
+                            Cycle now);
     /**
      * Visit the requests of the banks in c.walk in id order, oldest
      * first, stopping before the first id >= @p limit or when
@@ -299,6 +368,19 @@ class MemoryController
     {
         return rank * org_.banksPerRank + bank;
     }
+
+    /** fold a deadline the current tick evaluated into its horizon */
+    static void noteDeadline(ChannelState &c, Cycle at)
+    {
+        c.horizon = std::min(c.horizon, at);
+    }
+    void dropRankVerdicts(ChannelState &c, std::uint32_t rank);
+    /** the bank's open row or hit count changed */
+    void bankChanged(ChannelState &c, std::uint32_t flat);
+    /** a drain flip or remap: every verdict and candidate may move */
+    void channelChanged(ChannelState &c);
+    /** re-derive @p flat's membership in @p q's bank sets */
+    static void syncBankSets(RequestQueue &q, std::uint32_t flat);
 
     /** issue through the rank, keeping open-row mirrors + hit counts. */
     Cycle issueCmd(ChannelState &c, std::uint32_t rank, DramCommand cmd,

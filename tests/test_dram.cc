@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for the DRAM substrate: parameter conversion, address
- * mapping (with property sweeps), the bank timing FSM, and rank-level
- * pacing/refresh.
+ * mapping (with property sweeps), the bank timing FSM, rank-level
+ * pacing/refresh, and the readyAt() deadlines against canIssue().
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "dram/address.hh"
 #include "dram/bank.hh"
 #include "dram/params.hh"
@@ -387,6 +388,108 @@ TEST(Rank, RefreshOccupiesTRfc)
     EXPECT_FALSE(rank.canIssue(DramCommand::Activate, 0, 1, 10));
     EXPECT_TRUE(rank.canIssue(DramCommand::Activate, 0, 1, t.tRFC));
 }
+
+// ---------------------------------------------------------------------
+// readyAt() is where the controller takes its deadlines from: at every
+// cycle it must name exactly the first cycle canIssue() admits.
+// ---------------------------------------------------------------------
+
+TEST(ReadyAt, ColumnCommandsBeforeAnyBusTransfer)
+{
+    // No burst has reserved the bus yet, so its busy-until horizon (0)
+    // lies below tCAS and tCWL; the bus bound must not wrap around.
+    const DramTiming t = defaultTiming();
+    DramOrg org;
+    Rank rank(t, org);
+    rank.issue(DramCommand::Activate, 0, 5, 0);
+    EXPECT_EQ(rank.readyAt(DramCommand::Read, 0, 5), t.tRCD);
+    EXPECT_EQ(rank.readyAt(DramCommand::Write, 0, 5), t.tRCD);
+    EXPECT_EQ(rank.readyAt(DramCommand::Read, 0, 6), kNoCycle);
+    EXPECT_EQ(rank.readyAt(DramCommand::Activate, 0, 6), kNoCycle);
+}
+
+class ReadyAtAgrees : public ::testing::TestWithParam<DramPreset>
+{
+};
+
+TEST_P(ReadyAtAgrees, WithCanIssueOnRandomLegalSequences)
+{
+    const DramTiming t =
+        DramTiming::fromNs(DramTimingNs::preset(GetParam()));
+    DramOrg org;
+    org.banksPerRank = 4;
+    org.rowsPerBank = 64;
+    Rank rank(t, org);
+    Rng rng(GetParam() == DramPreset::Ddr4 ? 41 : 42);
+    const DramCommand cmds[] = {
+        DramCommand::Activate, DramCommand::Read, DramCommand::Write,
+        DramCommand::Precharge, DramCommand::Refresh};
+    std::uint64_t issued = 0, refreshes = 0, migrations = 0;
+    // During a lull only open banks are precharged, so the rank can
+    // go idle and refresh.
+    Cycle lullUntil = 0;
+
+    for (Cycle now = 0; now < 100'000; ++now) {
+        for (std::uint32_t b = 0; b < org.banksPerRank; ++b) {
+            const Bank &bank = rank.bank(b);
+            // The open row (or some row), another row, a row past the
+            // end of the bank.
+            const RowId rows[] = {bank.rowOpen() ? bank.openRow() : 7, 9,
+                                  org.rowsPerBank};
+            for (const DramCommand cmd : cmds) {
+                for (const RowId row : rows) {
+                    ASSERT_EQ(rank.canIssue(cmd, b, row, now),
+                              now >= rank.readyAt(cmd, b, row))
+                        << commandName(cmd) << " bank " << b << " row "
+                        << row << " at cycle " << now;
+                    ASSERT_EQ(bank.canIssue(cmd, row, now),
+                              now >= bank.readyAt(cmd, row))
+                        << commandName(cmd) << " bank " << b << " row "
+                        << row << " at cycle " << now;
+                }
+            }
+        }
+        ASSERT_EQ(rank.canRefresh(now), now >= rank.refreshReadyAt())
+            << "cycle " << now;
+
+        // Drive the rank: at most one legal command per cycle, with
+        // the occasional refresh or migration block.
+        if (rank.canRefresh(now) && rng.nextBool(0.2)) {
+            rank.refresh(now);
+            ++refreshes;
+            continue;
+        }
+        if (now >= lullUntil && rng.nextBool(0.002))
+            lullUntil = now + 600;
+        const auto b = static_cast<std::uint32_t>(
+            rng.nextBelow(org.banksPerRank));
+        Bank &bank = rank.bank(b);
+        if (!bank.blocked(now) && !bank.rowOpen() && rng.nextBool(0.002)) {
+            bank.blockFor(now, 50 + rng.nextBelow(400));
+            ++migrations;
+            continue;
+        }
+        if (now < lullUntil && !bank.rowOpen())
+            continue;
+        const DramCommand cmd = now < lullUntil
+            ? DramCommand::Precharge : cmds[rng.nextBelow(4)];
+        const RowId row = cmd == DramCommand::Activate
+            ? static_cast<RowId>(rng.nextBelow(org.rowsPerBank))
+            : bank.openRow();
+        if (rank.canIssue(cmd, b, row, now) && rng.nextBool(0.5)) {
+            rank.issue(cmd, b, row, now, rng.nextBool(0.5));
+            ++issued;
+        }
+    }
+    // The walk reached every kind of state.
+    EXPECT_GT(issued, 1000u);
+    EXPECT_GT(refreshes, 20u);
+    EXPECT_GT(migrations, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, ReadyAtAgrees,
+                         ::testing::Values(DramPreset::Ddr4,
+                                           DramPreset::Ddr5));
 
 
 TEST(Ddr5Preset, DoubledRefreshHalvesTheWindow)
