@@ -395,17 +395,11 @@ MemoryController::issueCmd(ChannelState &c, std::uint32_t rank,
     Rank &r = c.ranks[rank];
     const Cycle done = r.issue(cmd, bank, row, now, autoPre);
     const std::uint32_t flat = flatBank(rank, bank);
-    if (cmd == DramCommand::Activate) {
-        // tRRD/tFAW: the rank's ACT-ready banks may have to wait now.
-        // A cached ActWait stays right: an ACT only moves its deadline
-        // later, and the verdict is recomputed at the old one.
-        const std::uint32_t first = rank * org_.banksPerRank;
-        for (std::uint32_t i = first; i < first + org_.banksPerRank; ++i) {
-            if (c.verdicts[i].verdict == BankVerdict::ActReady)
-                c.verdicts[i].until = 0;
-        }
-    }
-    c.verdicts[flat].until = 0;
+    // An ACT moves every bank of its rank under tRRD/tFAW.
+    if (cmd == DramCommand::Activate)
+        dropRankVerdicts(c, rank);
+    else
+        c.verdicts[flat].until = 0;
     const Bank &b = r.bank(bank);
     const RowId open = b.rowOpen() ? b.openRow() : kInvalidRow;
     if (open != c.openRowArr[flat]) {
@@ -569,14 +563,14 @@ MemoryController::serveOldestHit(std::uint32_t chIdx, ChannelState &c,
                                      bank.blockedUntil()));
             return false;
         }
-        const Cycle readyAt = rank.readyAt(cas, bi, bank.openRow());
+        const Cycle casAt = rank.readyAt(cas, bi, bank.openRow());
         if (bq.stale > 0) {
             // The walk revalidates, so this tick is not quiet.
-            c.walk.push_back({flat, 0, now >= readyAt});
+            c.walk.push_back({flat, 0, now >= casAt});
             return false;
         }
-        if (now < readyAt) {
-            noteDeadline(c, readyAt);
+        if (now < casAt) {
+            noteDeadline(c, casAt);
             return false;
         }
         for (std::uint32_t i = 0; i < bq.reqs.size(); ++i) {

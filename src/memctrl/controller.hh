@@ -19,10 +19,11 @@
  *
  * A channel tick costs what changed, not what exists: each bank's
  * pass-2 verdict is cached until its Bank/Rank readyAt() deadline or
- * an event that can move it, open banks without a pending hit are
- * kept as an idle-close candidate set, and a tick that issued nothing
- * and changed nothing is replayed (its p2_skip_* counts re-added)
- * until the earliest deadline it evaluated.
+ * an event that can move it, bank sets kept at the same events name
+ * the banks each pass must visit (idle close: open banks without a
+ * pending hit), and a tick that issued nothing and changed nothing
+ * is replayed (its p2_skip_* counts re-added) until the earliest
+ * deadline it evaluated.
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
@@ -259,10 +260,9 @@ class MemoryController
      * A bank's cached pass-2 verdict.  It holds at every tick before
      * `until` unless dropped first: per bank on the bank's own
      * command, a change of its hit count or open row, or a migration
-     * start; per rank on a refresh or a refresh debt change, and for
-     * the rank's ActReady verdicts on an ACT (tRRD/tFAW); per channel
-     * on a drain flip or scheduleMigration.  until = 0 marks a
-     * dropped entry.
+     * start; per rank on an ACT (tRRD/tFAW), a refresh or a refresh
+     * debt change; per channel on a drain flip or scheduleMigration.
+     * until = 0 marks a dropped entry.
      */
     struct CachedVerdict
     {
