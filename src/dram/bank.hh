@@ -3,9 +3,10 @@
  * Per-bank DDR4 timing state machine.
  *
  * The bank tracks the open row plus the earliest cycle at which each
- * command class may legally issue.  The controller asks canIssue()
- * before issue() — issue() panics on a timing violation, making the
- * protocol checker part of the model itself.
+ * command class may legally issue.  The controller schedules from
+ * readyAt() deadlines (or asks canIssue()) before issue() — issue()
+ * panics on a timing violation, checking canIssue() independently,
+ * which makes the protocol checker part of the model itself.
  *
  * The bank also owns the per-epoch activation ground truth used by the
  * Row Hammer security analyses: every ACT (demand or mitigation-
