@@ -161,6 +161,101 @@ TEST(Rng, BinomialEdgeCases)
     EXPECT_EQ(rng.nextBinomial(10, 1.0), 10u);
 }
 
+/**
+ * The binomial and Poisson draws as first written, kept verbatim as
+ * the oracle: a faster sampler must consume the same raw values in
+ * the same order and return the same counts, or every Monte-Carlo
+ * campaign and security CSV changes.
+ */
+std::uint64_t
+oraclePoisson(Rng &rng, double lambda)
+{
+    if (lambda == 0.0)
+        return 0;
+    if (lambda < 30.0) {
+        const double limit = std::exp(-lambda);
+        double prod = 1.0;
+        std::uint64_t k = 0;
+        do {
+            ++k;
+            prod *= rng.nextDouble();
+        } while (prod > limit);
+        return k - 1;
+    }
+    const std::uint64_t half = oraclePoisson(rng, lambda / 2.0);
+    return half + oraclePoisson(rng, lambda - lambda / 2.0);
+}
+
+std::uint64_t
+oracleBinomial(Rng &rng, std::uint64_t n, double p)
+{
+    if (n == 0 || p == 0.0)
+        return 0;
+    if (p == 1.0)
+        return n;
+    const double mean = static_cast<double>(n) * p;
+    if (p < 1e-3 && n > 1000) {
+        const std::uint64_t draw = oraclePoisson(rng, mean);
+        return draw > n ? n : draw;
+    }
+    std::uint64_t hits = 0;
+    for (std::uint64_t i = 0; i < n; ++i)
+        hits += rng.nextDouble() < p ? 1 : 0;
+    return hits;
+}
+
+TEST(Rng, BinomialDrawsReplayTheOracleStream)
+{
+    struct Case
+    {
+        std::uint64_t n;
+        double p;
+        int draws;
+    };
+    // Cases that spend many raw values per draw take fewer draws.
+    const Case cases[] = {
+        {2279, 1.0 / 131072.0, 100000},   // fig06 rrs@n=600 landings
+        {1940, 1.0 / 131072.0, 100000},   // fig06 rrs@n=900 landings
+        {100000, 1.0 / 131072.0, 100000}, // lambda 0.76
+        {1000000, 5e-5, 20000},           // lambda 50: split in halves
+        {1001, 1e-20, 100000},            // e^-lambda rounds to 1.0
+        {1000, 1.0 / 131072.0, 2000},     // n at the Bernoulli bound
+        {2000, 1e-3, 1000},               // p at the Bernoulli bound
+        {20, 0.25, 100000},
+        {0, 0.5, 100000},
+        {10, 0.0, 100000},
+        {10, 1.0, 100000},
+    };
+    for (const std::uint64_t seed : {1ULL, 0x5eedULL, 2024ULL}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " n "
+                                            << c.n << " p " << c.p);
+            Rng lib(seed);
+            Rng ref(seed);
+            for (int i = 0; i < c.draws; ++i)
+                ASSERT_EQ(lib.nextBinomial(c.n, c.p),
+                          oracleBinomial(ref, c.n, c.p))
+                    << "draw " << i;
+            // Same position in the stream, not only the same counts.
+            EXPECT_EQ(lib.next(), ref.next());
+        }
+    }
+}
+
+TEST(Rng, PoissonDrawsReplayTheOracleStream)
+{
+    for (const double lambda : {0.0, 1e-17, 0.0174, 4.2, 29.9, 30.0,
+                                45.0, 100.3}) {
+        SCOPED_TRACE(lambda);
+        Rng lib(lambda == 0.0 ? 3 : 5);
+        Rng ref(lambda == 0.0 ? 3 : 5);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(lib.nextPoisson(lambda), oraclePoisson(ref, lambda))
+                << "draw " << i;
+        EXPECT_EQ(lib.next(), ref.next());
+    }
+}
+
 TEST(Rng, GeometricMeanMatches)
 {
     Rng rng(37);

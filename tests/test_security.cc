@@ -401,6 +401,105 @@ TEST(StratifiedCampaign, LeadingStrataTakeTheRemainderTrials)
     EXPECT_EQ(std::llround(r.sumTimeSec / p.epochSec), 125216);
 }
 
+/** Every field of @p r equals @p want exactly. */
+void
+expectSameResult(const MonteCarloResult &r, const MonteCarloResult &want)
+{
+    EXPECT_EQ(r.iterations, want.iterations);
+    EXPECT_EQ(r.censored, want.censored);
+    EXPECT_EQ(r.meanEpochs, want.meanEpochs);
+    EXPECT_EQ(r.meanTimeSec, want.meanTimeSec);
+    EXPECT_EQ(r.stddevTimeSec, want.stddevTimeSec);
+    EXPECT_EQ(r.timeCiLoSec, want.timeCiLoSec);
+    EXPECT_EQ(r.timeCiHiSec, want.timeCiHiSec);
+    EXPECT_EQ(r.pBreak, want.pBreak);
+    EXPECT_EQ(r.pBreakCiLo, want.pBreakCiLo);
+    EXPECT_EQ(r.pBreakCiHi, want.pBreakCiHi);
+    EXPECT_EQ(r.sumTimeSec, want.sumTimeSec);
+    EXPECT_EQ(r.sumSqTimeSec, want.sumSqTimeSec);
+    EXPECT_EQ(r.sumPBreak, want.sumPBreak);
+    EXPECT_EQ(r.sumSqPBreak, want.sumSqPBreak);
+    EXPECT_EQ(r.strata, want.strata);
+    EXPECT_EQ(r.feasible, want.feasible);
+    EXPECT_EQ(r.reliable, want.reliable);
+}
+
+TEST(MonteCarlo, EpochIteratedCampaignsArePinned)
+{
+    // Every statistic of three epoch-iterated campaigns, recorded
+    // bit-exact: a change to how guess landings are drawn that moves
+    // one raw value of any stratum's stream moves these sums.
+    AttackParams p = paperParams(2400, 6);
+    {
+        SCOPED_TRACE("rrs@n=600, k = 2, Poisson-regime landings");
+        const MonteCarloResult r = MonteCarloAttack(p, 600).runRrs(600, 1000);
+        expectSameResult(r, {.iterations = 1000,
+                             .censored = 0,
+                             .meanEpochs = 6538.7649999999994,
+                             .meanTimeSec = 418.48095999999998,
+                             .stddevTimeSec = 428.45451723099626,
+                             .timeCiLoSec = 391.92556186517794,
+                             .timeCiHiSec = 445.03635813482202,
+                             .pBreak = 0.0,
+                             .pBreakCiLo = 0.0,
+                             .pBreakCiHi = 0.0,
+                             .sumTimeSec = 418480.95999999996,
+                             .sumSqTimeSec = 358516013.94483197,
+                             .sumPBreak = 0.0,
+                             .sumSqPBreak = 0.0,
+                             .strata = 16,
+                             .feasible = true,
+                             .reliable = true});
+    }
+    {
+        SCOPED_TRACE("rrs@n=900, k = 1, Poisson-regime landings");
+        const MonteCarloResult r = MonteCarloAttack(p, 900).runRrs(900, 4000);
+        expectSameResult(r, {.iterations = 4000,
+                             .censored = 0,
+                             .meanEpochs = 67.726499999999959,
+                             .meanTimeSec = 4.3344959999999979,
+                             .stddevTimeSec = 4.2863608042510917,
+                             .timeCiLoSec = 4.2016627433430074,
+                             .timeCiHiSec = 4.4673292566569884,
+                             .pBreak = 0.017000000000000001,
+                             .pBreakCiLo = 0.012993421939473331,
+                             .pBreakCiHi = 0.021006578060526672,
+                             .sumTimeSec = 17337.983999999993,
+                             .sumSqTimeSec = 148624.60518399999,
+                             .sumPBreak = 68.0,
+                             .sumSqPBreak = 68.0,
+                             .strata = 16,
+                             .feasible = true,
+                             .reliable = true});
+    }
+    {
+        // 512 rows put the per-guess probability at 1/512 >= 1e-3,
+        // so each epoch sums G Bernoulli landings instead.
+        SCOPED_TRACE("rrs@n=600 on 512 rows, Bernoulli-regime landings");
+        AttackParams small = p;
+        small.rowsPerBank = 512;
+        const MonteCarloResult r =
+            MonteCarloAttack(small, 512).runRrs(600, 500);
+        expectSameResult(r, {.iterations = 500,
+                             .censored = 0,
+                             .meanEpochs = 1.0620000000000007,
+                             .meanTimeSec = 0.067968000000000042,
+                             .stddevTimeSec = 0.017910011530594978,
+                             .timeCiLoSec = 0.06639814711914474,
+                             .timeCiHiSec = 0.069537852880855344,
+                             .pBreak = 0.94799999999999995,
+                             .pBreakCiLo = 0.92851934035381811,
+                             .pBreakCiHi = 0.9674806596461818,
+                             .sumTimeSec = 33.984000000000023,
+                             .sumSqTimeSec = 2.4698879999999996,
+                             .sumPBreak = 474.0,
+                             .sumSqPBreak = 474.0,
+                             .strata = 16,
+                             .feasible = true,
+                             .reliable = true});
+    }
+}
+
 TEST(MonteCarlo, ImportanceAndNaiveEstimatorsAgree)
 {
     // The same cell run through both estimator paths: a high epoch
