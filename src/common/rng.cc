@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -20,12 +21,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -33,22 +28,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -71,13 +50,6 @@ Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
     return lo + nextBelow(hi - lo + 1);
 }
 
-double
-Rng::nextDouble()
-{
-    // 53 high-quality bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 bool
 Rng::nextBool(double p)
 {
@@ -87,45 +59,13 @@ Rng::nextBool(double p)
 std::uint64_t
 Rng::nextPoisson(double lambda)
 {
-    SRS_ASSERT(lambda >= 0.0, "negative Poisson mean");
-    if (lambda == 0.0)
-        return 0;
-    // Inversion by sequential search (Devroye); fine for small means.
-    if (lambda < 30.0) {
-        const double limit = std::exp(-lambda);
-        double prod = 1.0;
-        std::uint64_t k = 0;
-        do {
-            ++k;
-            prod *= nextDouble();
-        } while (prod > limit);
-        return k - 1;
-    }
-    // Split large means to keep the inversion numerically safe.
-    const std::uint64_t half = nextPoisson(lambda / 2.0);
-    return half + nextPoisson(lambda - lambda / 2.0);
+    return BinomialSampler::poisson(lambda)(*this);
 }
 
 std::uint64_t
 Rng::nextBinomial(std::uint64_t n, double p)
 {
-    SRS_ASSERT(p >= 0.0 && p <= 1.0, "binomial p outside [0,1]");
-    if (n == 0 || p == 0.0)
-        return 0;
-    if (p == 1.0)
-        return n;
-    const double mean = static_cast<double>(n) * p;
-    // Small-probability regime: Poisson(np) is an excellent and much
-    // faster approximation (error O(p) per trial).
-    if (p < 1e-3 && n > 1000) {
-        const std::uint64_t draw = nextPoisson(mean);
-        return draw > n ? n : draw;
-    }
-    // Exact: sum of Bernoulli trials (n is small in the exact path).
-    std::uint64_t hits = 0;
-    for (std::uint64_t i = 0; i < n; ++i)
-        hits += nextBool(p) ? 1 : 0;
-    return hits;
+    return BinomialSampler(n, p)(*this);
 }
 
 std::uint64_t
@@ -138,6 +78,124 @@ Rng::nextGeometric(double p)
     const double u = 1.0 - nextDouble(); // (0, 1]
     return static_cast<std::uint64_t>(
         std::ceil(std::log(u) / std::log1p(-p)));
+}
+
+BinomialSampler::BinomialSampler(std::uint64_t n, double p)
+{
+    SRS_ASSERT(p >= 0.0 && p <= 1.0, "binomial p outside [0,1]");
+    if (n == 0 || p == 0.0)
+        return;
+    if (p == 1.0) {
+        n_ = n;
+        return;
+    }
+    if (p < 1e-3 && n > 1000) {
+        setPoisson(static_cast<double>(n) * p, n);
+        return;
+    }
+    regime_ = Regime::Bernoulli;
+    n_ = n;
+    p_ = p;
+}
+
+BinomialSampler
+BinomialSampler::poisson(double lambda)
+{
+    BinomialSampler s;
+    s.setPoisson(lambda, ~0ULL);
+    return s;
+}
+
+void
+BinomialSampler::setPoisson(double lambda, std::uint64_t cap)
+{
+    SRS_ASSERT(lambda >= 0.0 && lambda < 0x1.0p64,
+               "Poisson mean outside [0, 2^64)");
+    if (lambda == 0.0)
+        return;
+    n_ = cap;
+    // Halving is exact, and lambda - lambda / 2 == lambda / 2, so the
+    // recursive split of a large mean ends in 2^d equal leaves.
+    leaves_ = 1;
+    while (lambda >= 30.0) {
+        lambda /= 2.0;
+        leaves_ *= 2;
+    }
+    limit_ = std::exp(-lambda);
+    if (leaves_ > 1) {
+        regime_ = Regime::SplitPoisson;
+        return;
+    }
+    regime_ = Regime::Poisson;
+    // unit(r) <= limit_ exactly when (r >> 11) <= limit_ * 2^53 (a
+    // power-of-two scaling, so exact), i.e. when (r >> 11) is at most
+    // its floor.  A limit_ of 1 - 2^-53 or 1.0 makes every raw value
+    // quiet; clamping keeps the shift below from wrapping.
+    const std::uint64_t last = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(limit_ * 0x1.0p53), (1ULL << 53) - 1);
+    quietMax_ = (last << 11) | 0x7ff;
+}
+
+std::uint64_t
+BinomialSampler::firstAtLeast(std::uint64_t k, std::uint64_t max,
+                              Rng &rng) const
+{
+    std::uint64_t i = 0;
+    if (regime_ == Regime::Poisson && k >= 1) {
+        // A quiet draw is 0 < k: run through them without a call.
+        const std::uint64_t quietMax = quietMax_;
+        while (i < max) {
+            std::uint64_t raw;
+            do {
+                raw = rng.next();
+                ++i;
+            } while (raw <= quietMax && i < max);
+            if (raw > quietMax && poissonAfter(raw, rng) >= k)
+                return i;
+        }
+        return 0;
+    }
+    while (i < max) {
+        ++i;
+        if ((*this)(rng) >= k)
+            return i;
+    }
+    return 0;
+}
+
+std::uint64_t
+BinomialSampler::drawOther(Rng &rng) const
+{
+    if (regime_ == Regime::Constant)
+        return n_;
+    if (regime_ == Regime::Bernoulli) {
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = 0; i < n_; ++i)
+            hits += rng.nextDouble() < p_ ? 1 : 0;
+        return hits;
+    }
+    std::uint64_t draw = 0;
+    for (std::uint64_t i = 0; i < leaves_; ++i)
+        draw += leaf(rng.nextDouble(), rng);
+    return draw > n_ ? n_ : draw;
+}
+
+std::uint64_t
+BinomialSampler::poissonAfter(std::uint64_t raw, Rng &rng) const
+{
+    const std::uint64_t draw = leaf(Rng::unit(raw), rng);
+    return draw > n_ ? n_ : draw;
+}
+
+std::uint64_t
+BinomialSampler::leaf(double prod, Rng &rng) const
+{
+    std::uint64_t factors = 0;
+    while (prod > limit_) {
+        prod *= rng.nextDouble();
+        ++factors;
+    }
+    return factors;
 }
 
 } // namespace srs

@@ -167,15 +167,16 @@ StratifiedCampaign::makeCampaign(const AttackParams &params,
         c.pEpoch = 1.0;
         return c;
     }
-    c.pRow = 1.0 / static_cast<double>(params.rowsPerBank);
-    c.g = static_cast<std::uint64_t>(analytic.guesses);
+    const double pRow = 1.0 / static_cast<double>(params.rowsPerBank);
+    const auto g = static_cast<std::uint64_t>(analytic.guesses);
     // Per-epoch success probability (exact upper tail).
-    c.pEpoch = binomialSf(c.g, analytic.k, c.pRow);
+    c.pEpoch = binomialSf(g, analytic.k, pRow);
     if (c.pEpoch <= 0.0) {
         c.feasible = false;
         return c;
     }
     c.k = analytic.k;
+    c.landings = BinomialSampler(g, pRow);
     c.iterate =
         c.pEpoch > 1.0 / static_cast<double>(epochLoopLimit);
     c.valve = valve != 0 ? valve : 100ULL * epochLoopLimit;
@@ -198,26 +199,12 @@ StratifiedCampaign::runStratum(std::size_t s)
         if (c.iterate) {
             // Event-driven: draw guess landings epoch by epoch.  The
             // first epoch doubles as a naive sample of pEpoch.
-            std::uint64_t epochs = 0;
-            bool firstEpochBreak = false;
-            bool censored = false;
-            for (;;) {
-                ++epochs;
-                const bool broke =
-                    rng.nextBinomial(c.g, c.pRow) >= c.k;
-                if (epochs == 1)
-                    firstEpochBreak = broke;
-                if (broke)
-                    break;
-                if (epochs > c.valve) {
-                    censored = true;
-                    break;
-                }
-            }
-            const double pv = firstEpochBreak ? 1.0 : 0.0;
+            const std::uint64_t epochs =
+                c.landings.firstAtLeast(c.k, c.valve + 1, rng);
+            const double pv = epochs == 1 ? 1.0 : 0.0;
             st.sumP += pv;
             st.sumSqP += pv * pv;
-            if (censored) {
+            if (epochs == 0) {
                 ++st.censored;
             } else {
                 const double t =

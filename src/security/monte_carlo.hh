@@ -206,9 +206,9 @@ class StratifiedCampaign
         bool instant = false; ///< k == 0: latent acts break epoch 1
         double epochSec = 0.0;
         double pEpoch = 0.0;  ///< exact per-epoch success probability
-        std::uint64_t g = 0;  ///< guesses per epoch
         std::uint64_t k = 0;  ///< required correct guesses
-        double pRow = 0.0;    ///< per-guess landing probability
+        /** Correct guesses per epoch: Binomial(G, 1/R). */
+        BinomialSampler landings;
         bool iterate = false; ///< epoch-by-epoch vs geometric sampling
         std::uint64_t valve = 0; ///< censoring threshold in epochs
     };

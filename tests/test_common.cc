@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include <cmath>
 
@@ -253,6 +254,99 @@ TEST(Rng, PoissonDrawsReplayTheOracleStream)
             ASSERT_EQ(lib.nextPoisson(lambda), oraclePoisson(ref, lambda))
                 << "draw " << i;
         EXPECT_EQ(lib.next(), ref.next());
+    }
+}
+
+TEST(BinomialSampler, QuietTestMatchesTheFirstUniform)
+{
+    // quiet(r) must say exactly whether r's uniform, (r >> 11) * 2^-53,
+    // is at most e^-lambda, on both sides of the threshold the
+    // sampler derives from floor(e^-lambda * 2^53).
+    constexpr std::uint64_t kMax = ~0ULL;
+    struct Case
+    {
+        std::uint64_t n;
+        double p;
+    };
+    for (const Case &c : {Case{2279, 1.0 / 131072.0},
+                          Case{1940, 1.0 / 131072.0},
+                          Case{100000, 1.0 / 131072.0},
+                          Case{1001, 1e-20},     // e^-lambda == 1.0
+                          Case{1001, 1.1e-19},   // e^-lambda == 1 - 2^-53
+                          Case{1000000, 2.9e-5}}) {
+        SCOPED_TRACE(testing::Message() << "n " << c.n << " p " << c.p);
+        const double limit = std::exp(-static_cast<double>(c.n) * c.p);
+        const BinomialSampler landings(c.n, c.p);
+        const auto floorBits = std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(limit * 0x1.0p53),
+            (1ULL << 53) - 1);
+        const std::uint64_t last = (floorBits << 11) | 0x7ff;
+        std::vector<std::uint64_t> probes = {0, 0x7ff, 0x800, kMax,
+                                             last - 0x800, last - 1,
+                                             last};
+        if (last != kMax) {
+            probes.push_back(last + 1);
+            probes.push_back(last + 0x800);
+        }
+        for (const std::uint64_t r : probes) {
+            const bool zero =
+                static_cast<double>(r >> 11) * 0x1.0p-53 <= limit;
+            EXPECT_EQ(landings.quiet(r), zero) << "raw " << r;
+        }
+    }
+    EXPECT_EQ(std::exp(-1001 * 1e-20), 1.0);
+    EXPECT_EQ(std::exp(-1001 * 1.1e-19), 1.0 - 0x1.0p-53);
+    // Regimes whose first raw value never settles a draw alone.
+    for (const BinomialSampler &s :
+         {BinomialSampler(20, 0.25), BinomialSampler(0, 0.5),
+          BinomialSampler(10, 1.0), BinomialSampler(1000000, 5e-5),
+          BinomialSampler()}) {
+        for (const std::uint64_t r : {std::uint64_t{0}, kMax})
+            EXPECT_FALSE(s.quiet(r));
+    }
+}
+
+TEST(BinomialSampler, FirstAtLeastReplaysSingleDraws)
+{
+    // firstAtLeast(k, max) must consume exactly the raw values of the
+    // oracle's draws up to the first one >= k, in every regime.
+    struct Case
+    {
+        std::uint64_t n;
+        double p;
+        std::uint64_t k;
+        std::uint64_t max;
+    };
+    const Case cases[] = {
+        {2279, 1.0 / 131072.0, 2, 1000000},
+        {1940, 1.0 / 131072.0, 1, 1000000},
+        {1940, 1.0 / 131072.0, 1, 1},
+        {1940, 1.0 / 131072.0, 0, 10},
+        {1940, 1.0 / 131072.0, 1, 0},
+        {1001, 1e-20, 1, 500},      // never lands: runs to max
+        {1000000, 5e-5, 62, 2000}, // split mean
+        {20, 0.25, 9, 2000},       // Bernoulli
+        {10, 1.0, 5, 3},
+        {0, 0.5, 1, 3},
+    };
+    for (const std::uint64_t seed : {7ULL, 0x5eedULL}) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " n " << c.n << " p "
+                         << c.p << " k " << c.k << " max " << c.max);
+            const BinomialSampler landings(c.n, c.p);
+            Rng lib(seed);
+            Rng ref(seed);
+            for (int trial = 0; trial < 20; ++trial) {
+                std::uint64_t want = 0;
+                for (std::uint64_t i = 1; i <= c.max && want == 0; ++i)
+                    if (oracleBinomial(ref, c.n, c.p) >= c.k)
+                        want = i;
+                ASSERT_EQ(landings.firstAtLeast(c.k, c.max, lib), want)
+                    << "trial " << trial;
+            }
+            EXPECT_EQ(lib.next(), ref.next());
+        }
     }
 }
 
