@@ -197,10 +197,11 @@ StratifiedCampaign::runStratum(std::size_t s)
     Rng rng(shardSeed(seed_, s));
     for (std::uint64_t j = 0; j < trials; ++j) {
         if (c.iterate) {
-            // Event-driven: draw guess landings epoch by epoch.  The
-            // first epoch doubles as a naive sample of pEpoch.
+            // Event-driven: draw guess landings epoch by epoch, for
+            // at most valve epochs (0: censored).  The first epoch
+            // doubles as a naive sample of pEpoch.
             const std::uint64_t epochs =
-                c.landings.firstAtLeast(c.k, c.valve + 1, rng);
+                c.landings.firstAtLeast(c.k, c.valve, rng);
             const double pv = epochs == 1 ? 1.0 : 0.0;
             st.sumP += pv;
             st.sumSqP += pv * pv;

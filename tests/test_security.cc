@@ -278,6 +278,26 @@ TEST(MonteCarlo, ValveCensorsInsteadOfBookingBreaks)
     EXPECT_LT(oldBiased, 0.5 * analytic.timeToBreakSec);
 }
 
+TEST(MonteCarlo, ValveOfOneKeepsOnlyFirstEpochBreaks)
+{
+    // A valve of v epochs gives each trial at most v draws: with
+    // v = 1 a kept trial broke in its first epoch, so every kept
+    // time is one epoch and the kept count equals the first-epoch
+    // break count behind pBreak.  The kept times are summed one epoch
+    // at a time, so the time checks allow 4 ulps of rounding.
+    AttackParams p = paperParams(2400, 6);
+    const AttackResult analytic = JuggernautModel(p).evaluateRrs(900);
+    MonteCarloAttack mc(p, 99);
+    mc.setEpochValve(1);
+    const MonteCarloResult r = mc.run(analytic, 20000, 100000);
+    ASSERT_TRUE(r.feasible);
+    const std::uint64_t kept = r.iterations - r.censored;
+    ASSERT_GT(kept, 0u);
+    EXPECT_DOUBLE_EQ(r.meanEpochs, 1.0);
+    EXPECT_DOUBLE_EQ(r.sumTimeSec, static_cast<double>(kept) * p.epochSec);
+    EXPECT_EQ(r.sumPBreak, static_cast<double>(kept));
+}
+
 TEST(MonteCarlo, NoCensoringUnderDefaultValve)
 {
     // The derived valve (100x the epoch loop limit) sits far above
