@@ -28,6 +28,27 @@ function(run_expect_fail)
   endif()
 endfunction()
 
+# Expect srs_sim to fail with every NEEDLES string (matched
+# literally) on its stderr:
+#   run_expect_fail_saying(NEEDLES <needle>... ARGS <arg>...)
+function(run_expect_fail_saying)
+  cmake_parse_arguments(PARSE_ARGV 0 call "" "" "NEEDLES;ARGS")
+  execute_process(COMMAND ${SRS_SIM} ${call_ARGS}
+                  RESULT_VARIABLE rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "srs_sim ${call_ARGS} unexpectedly exited 0")
+  endif()
+  foreach(needle IN LISTS call_NEEDLES)
+    string(FIND "${err}" "${needle}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "srs_sim ${call_ARGS} failed without saying "
+              "'${needle}':\n${err}")
+    endif()
+  endforeach()
+endfunction()
+
 # Tiny cycle budgets keep the smoke test fast.
 run_expect_ok(list)
 run_expect_ok(storage --trh=1200)
@@ -345,13 +366,13 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT gen_orch_diff EQUAL 0)
   message(FATAL_ERROR "orchestrated generator CSV differs")
 endif()
-# Malformed generator spellings must be fatal up front.
-run_expect_fail(sweep --workloads=zipf:0 --mitigations=rrs --trh=1200
-                --rates=6)
-run_expect_fail(sweep --workloads=blend:zipf:64@s=1 --mitigations=rrs
-                --trh=1200 --rates=6)
-run_expect_fail(sweep --workloads=hotspot:4096@hot=1.5@p=0.5
-                --mitigations=rrs --trh=1200 --rates=6)
+# Malformed generator spellings must be fatal up front, quoting the
+# offending input verbatim and listing the grammar.
+foreach(bad "zipf:0" "blend:zipf:64@s=1" "hotspot:4096@hot=1.5@p=0.5")
+  run_expect_fail_saying(NEEDLES "${bad}" "zipf:<rows>@s=<skew>"
+                         ARGS sweep --workloads=${bad} --mitigations=rrs
+                              --trh=1200 --rates=6)
+endforeach()
 
 # The DRAM organization is a system axis too: an org grid must be
 # invariant under --threads, carry the @org= spellings in the
@@ -391,16 +412,33 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT org_orch_diff EQUAL 0)
   message(FATAL_ERROR "orchestrated org CSV differs")
 endif()
-# Malformed or out-of-range --org values are fatal up front.
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --org=2x2)
+# Stitch-only merge reads the org manifest, which names its orgs.
+run_expect_ok(merge --manifest=${smoke_dir}/org_shards/manifest
+              --out=${smoke_dir}/org_stitched.csv)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${smoke_dir}/org_serial.csv ${smoke_dir}/org_stitched.csv
+                RESULT_VARIABLE org_merge_diff)
+if(NOT org_merge_diff EQUAL 0)
+  message(FATAL_ERROR "stitch-only org CSV differs")
+endif()
+file(STRINGS ${smoke_dir}/org_shards/manifest org_manifest_orgs
+     REGEX "^orgs=")
+if(NOT org_manifest_orgs STREQUAL "orgs=1x1x16,2x1x16,2x2x32")
+  message(FATAL_ERROR "org manifest names its orgs as "
+          "'${org_manifest_orgs}'")
+endif()
+# Malformed or out-of-range --org values are fatal up front; a
+# malformed one is quoted next to the CxRxB grammar.
+run_expect_fail_saying(NEEDLES "2x2" "CxRxB"
+                       ARGS sweep --workloads=gups --mitigations=rrs
+                            --trh=1200 --rates=6 --org=2x2)
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --org=0x1x16)
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --org=2x2x128)
 
 # Unknown axis values must be fatal with the accepted spellings
-# listed, and schema-v1/v2/v3/v4 checkpoints/manifests must be
+# listed, and schema-v1 to v5 checkpoints/manifests must be
 # rejected with a versioned error instead of a cryptic identity
 # mismatch.
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
@@ -424,25 +462,36 @@ run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --resume=${smoke_dir}/v2_checkpoint.csv)
 file(WRITE ${smoke_dir}/v3_checkpoint.csv
      "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts\n")
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --resume=${smoke_dir}/v3_checkpoint.csv)
+run_expect_fail_saying(NEEDLES "schema v3"
+                       ARGS sweep --workloads=gups --mitigations=rrs
+                            --trh=1200 --rates=6
+                            --resume=${smoke_dir}/v3_checkpoint.csv)
 file(WRITE ${smoke_dir}/v4_checkpoint.csv
      "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat\n")
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --resume=${smoke_dir}/v4_checkpoint.csv)
 file(WRITE ${smoke_dir}/v5_checkpoint.csv
      "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples\n")
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --resume=${smoke_dir}/v5_checkpoint.csv)
+run_expect_fail_saying(NEEDLES "schema v5"
+                       ARGS sweep --workloads=gups --mitigations=rrs
+                            --trh=1200 --rates=6
+                            --resume=${smoke_dir}/v5_checkpoint.csv)
 file(READ ${smoke_dir}/orch_shards/manifest manifest_v6)
 if(NOT manifest_v6 MATCHES "version=6")
   message(FATAL_ERROR "orchestrate manifest is not schema v6")
 endif()
+# Stale manifests are rejected; versions 3-5 by name.
 foreach(stale_version 1 2 3 4 5)
   string(REPLACE "version=6" "version=${stale_version}" manifest_stale
          "${manifest_v6}")
   file(WRITE ${smoke_dir}/orch_shards/stale_manifest "${manifest_stale}")
-  run_expect_fail(merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
+  set(stale_args merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
+  if(stale_version GREATER_EQUAL 3)
+    run_expect_fail_saying(NEEDLES "version ${stale_version}"
+                           ARGS ${stale_args})
+  else()
+    run_expect_fail(${stale_args})
+  endif()
 endforeach()
 file(REMOVE ${smoke_dir}/orch_shards/stale_manifest)
 
