@@ -142,7 +142,9 @@ BinomialSampler::firstAtLeast(std::uint64_t k, std::uint64_t max,
 {
     std::uint64_t i = 0;
     if (regime_ == Regime::Poisson && k >= 1) {
-        // A quiet draw is 0 < k: run through them without a call.
+        // A quiet draw is 0 < k, so run through them in a loop with
+        // no call; quiet(raw) is tested against a local copy of the
+        // threshold, which the stores of rng.next() cannot alias.
         const std::uint64_t quietMax = quietMax_;
         while (i < max) {
             std::uint64_t raw;

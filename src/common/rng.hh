@@ -98,15 +98,16 @@ class Rng
  *  - constant: n == 0 or p == 0 draws 0, p == 1 draws n; no raw
  *    value is consumed.
  *  - Poisson: p < 1e-3 and n > 1000, the regime of random-guess
- *    landings (n up to ~10^5, p ~ 1/131072).  The draw is
- *    Poisson(lambda = n p), capped at n, by Knuth's product of
- *    uniforms: multiply nextDouble() values until the product falls
- *    to e^-lambda or below; the draw is the number of factors minus
- *    one.  A mean of 30 or more is halved until it is below 30, and
- *    the 2^d equal halves are drawn in turn and summed, so the
- *    product never nears the subnormal range.
- *  - Bernoulli: otherwise, the count of n nextDouble() values
- *    below p (error-free, O(n) per draw).
+ *    landings (n up to ~10^5, p ~ 1/131072).  The draw approximates
+ *    the binomial (error O(p) per trial) with Poisson(lambda = n p),
+ *    capped at n, by Knuth's product of uniforms: multiply
+ *    nextDouble() values until the product falls to e^-lambda or
+ *    below; the draw is the number of factors minus one.  A mean of
+ *    30 or more is halved until it is below 30, and the 2^d equal
+ *    halves are drawn in turn and summed, so the product never nears
+ *    the subnormal range.
+ *  - Bernoulli: otherwise, exactly: the count of n nextDouble()
+ *    values below p, O(n) per draw.
  *
  * Exactness rule: a draw consumes the same raw values, in the same
  * order, and returns the same count as the plain algorithm above
@@ -141,7 +142,7 @@ class BinomialSampler
         if (regime_ != Regime::Poisson)
             return drawOther(rng);
         const std::uint64_t raw = rng.next();
-        return raw <= quietMax_ ? 0 : poissonAfter(raw, rng);
+        return quiet(raw) ? 0 : poissonAfter(raw, rng);
     }
 
     /**

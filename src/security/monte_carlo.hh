@@ -7,8 +7,13 @@
  * Each trial simulates refresh epochs: per epoch the attacker makes
  * G random guesses and the number landing on the aggressor's original
  * location is drawn from Binomial(G, 1/R); the attack succeeds in the
- * first epoch with >= k landings.  Trials that outlive the epoch
- * safety valve are *censored*: they are counted
+ * first epoch with >= k landings.  The campaign settles that
+ * distribution once, in a BinomialSampler (common/rng.hh): with
+ * R = 131072 rows nearly every epoch lands no guess, and such an epoch
+ * costs one Rng::next() and one integer compare.  The sampler draws
+ * exactly what Rng::nextBinomial(G, 1/R) would, raw value for raw
+ * value.  Trials still unbroken after the epoch safety valve's
+ * epochs are *censored*: they are counted
  * (MonteCarloResult::censored) and excluded from the time statistics
  * instead of being booked as a break at the cap, and a censored
  * fraction above 5% marks the estimate unreliable.
