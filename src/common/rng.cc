@@ -137,6 +137,27 @@ BinomialSampler::setPoisson(double lambda, std::uint64_t cap)
 }
 
 std::uint64_t
+BinomialSampler::operator()(Rng &rng) const
+{
+    if (regime_ == Regime::Poisson) {
+        const std::uint64_t raw = rng.next();
+        return quiet(raw) ? 0 : poissonAfter(raw, rng);
+    }
+    if (regime_ == Regime::Constant)
+        return n_;
+    if (regime_ == Regime::Bernoulli) {
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = 0; i < n_; ++i)
+            hits += rng.nextDouble() < p_ ? 1 : 0;
+        return hits;
+    }
+    std::uint64_t draw = 0;
+    for (std::uint64_t i = 0; i < leaves_; ++i)
+        draw += leaf(rng.nextDouble(), rng);
+    return draw > n_ ? n_ : draw;
+}
+
+std::uint64_t
 BinomialSampler::firstAtLeast(std::uint64_t k, std::uint64_t max,
                               Rng &rng) const
 {
@@ -163,23 +184,6 @@ BinomialSampler::firstAtLeast(std::uint64_t k, std::uint64_t max,
             return i;
     }
     return 0;
-}
-
-std::uint64_t
-BinomialSampler::drawOther(Rng &rng) const
-{
-    if (regime_ == Regime::Constant)
-        return n_;
-    if (regime_ == Regime::Bernoulli) {
-        std::uint64_t hits = 0;
-        for (std::uint64_t i = 0; i < n_; ++i)
-            hits += rng.nextDouble() < p_ ? 1 : 0;
-        return hits;
-    }
-    std::uint64_t draw = 0;
-    for (std::uint64_t i = 0; i < leaves_; ++i)
-        draw += leaf(rng.nextDouble(), rng);
-    return draw > n_ ? n_ : draw;
 }
 
 std::uint64_t

@@ -136,14 +136,7 @@ class BinomialSampler
     static BinomialSampler poisson(double lambda);
 
     /** @return one draw, consuming raw values from @p rng. */
-    std::uint64_t
-    operator()(Rng &rng) const
-    {
-        if (regime_ != Regime::Poisson)
-            return drawOther(rng);
-        const std::uint64_t raw = rng.next();
-        return quiet(raw) ? 0 : poissonAfter(raw, rng);
-    }
+    std::uint64_t operator()(Rng &rng) const;
 
     /**
      * Draw up to @p max times and return the 1-based index of the
@@ -178,9 +171,6 @@ class BinomialSampler
     /** Enter the Poisson regime: mean @p lambda, draws capped at
      *  @p cap. */
     void setPoisson(double lambda, std::uint64_t cap);
-
-    /** A draw in any regime but Poisson. */
-    std::uint64_t drawOther(Rng &rng) const;
 
     /** The rest of a Poisson draw whose first raw value was @p raw. */
     std::uint64_t poissonAfter(std::uint64_t raw, Rng &rng) const;
