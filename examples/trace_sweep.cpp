@@ -14,7 +14,8 @@
  *
  * The merged CSV must be byte-identical to the single-process sweep
  * — the determinism contract that makes recorded-trace campaigns
- * shardable.  Exits nonzero when it is not (CI runs this binary).
+ * shardable.  Exits nonzero when it is not (ctest runs it as
+ * `example_trace_sweep`).
  *
  * Usage: trace_sweep [work-dir]   (default /tmp/srs_trace_sweep)
  */

@@ -74,9 +74,9 @@ FarmDispatcher::run(std::ostream &mergedOut)
         bool checkedComplete = false;
     };
     std::vector<Live> live(n);
-    std::vector<std::uint64_t> digests(n);
+    std::vector<std::string> headers(n);
     for (std::size_t k = 0; k < n; ++k) {
-        digests[k] = SweepRunner::gridDigest(
+        headers[k] = SweepRunner::journalHeader(
             manifest_.shards[k].grid.expand(), manifest_.exp.seed);
     }
 
@@ -305,7 +305,7 @@ FarmDispatcher::run(std::ostream &mergedOut)
             if (transport.pull(journal)) {
                 const JournalScan scan = scanShardJournal(
                     config_.dir + "/" + journal,
-                    manifest_.shards[k].cells, digests[k]);
+                    manifest_.shards[k].cells, headers[k]);
                 if (!scan.error.empty()) {
                     teardown();
                     fatal("farm: shard ", k, " journal '",

@@ -50,7 +50,7 @@ fmtPct(std::size_t rows, std::size_t cells)
 
 JournalScan
 scanShardJournal(const std::string &path, std::size_t cells,
-                 std::uint64_t digest)
+                 const std::string &header)
 {
     JournalScan scan;
     std::ifstream in(path, std::ios::binary);
@@ -71,41 +71,11 @@ scanShardJournal(const std::string &path, std::size_t cells,
         if (line.empty())
             continue;
         if (line[0] == '#') {
-            SweepRunner::JournalHeader header;
-            try {
-                if (!SweepRunner::parseJournalHeader(line, header))
-                    continue;
-            } catch (const FatalError &err) {
-                scan.error = err.what();
+            scan.error = SweepRunner::checkJournalHeader(line, header);
+            if (!scan.error.empty())
                 return scan;
-            }
-            scan.headerSeen = true;
-            if (header.schema != SweepRunner::kJournalSchema) {
-                scan.error =
-                    "journal header names schema "
-                    + std::to_string(header.schema)
-                    + "; this build reads schema "
-                    + std::to_string(SweepRunner::kJournalSchema)
-                    + " only";
-                return scan;
-            }
-            if (header.cells != cells || header.digest != digest) {
-                char want[64], got[64];
-                std::snprintf(want, sizeof(want),
-                              "cells=%zu grid=0x%016llx", cells,
-                              static_cast<unsigned long long>(
-                                  digest));
-                std::snprintf(got, sizeof(got),
-                              "cells=%llu grid=0x%016llx",
-                              static_cast<unsigned long long>(
-                                  header.cells),
-                              static_cast<unsigned long long>(
-                                  header.digest));
-                scan.error = std::string("journal belongs to a "
-                                         "different grid (header: ")
-                             + got + "; this shard: " + want + ")";
-                return scan;
-            }
+            if (line == header)
+                scan.headerSeen = true;
             continue;
         }
         ++scan.rows;
@@ -285,10 +255,10 @@ snapshotFromJournals(const ShardManifest &manifest,
         const ShardSpec &shard = manifest.shards[k];
         const std::string journal =
             dir + "/" + shard.csv + ".journal";
-        const std::uint64_t digest = SweepRunner::gridDigest(
-            shard.grid.expand(), manifest.exp.seed);
-        const JournalScan scan =
-            scanShardJournal(journal, shard.cells, digest);
+        const JournalScan scan = scanShardJournal(
+            journal, shard.cells,
+            SweepRunner::journalHeader(shard.grid.expand(),
+                                       manifest.exp.seed));
         if (!scan.error.empty()) {
             fatal("shard ", k, " journal '", journal, "': ",
                   scan.error);

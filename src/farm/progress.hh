@@ -55,14 +55,15 @@ struct JournalScan
 };
 
 /**
- * Scan one shard journal at @p path.  @p cells and @p digest are
- * the shard's expected cell count and SweepRunner::gridDigest —
- * a header naming anything else fills JournalScan::error.
- * Headerless journals (pre-header builds) scan fine; rows are
- * clamped to @p cells.
+ * Scan one shard journal at @p path.  @p cells is the shard's cell
+ * count and @p header its SweepRunner::journalHeader(); a `#` line
+ * failing SweepRunner::checkJournalHeader() fills
+ * JournalScan::error.  Headerless journals (pre-header builds) scan
+ * fine; rows are clamped to @p cells.
  */
 JournalScan scanShardJournal(const std::string &path,
-                             std::size_t cells, std::uint64_t digest);
+                             std::size_t cells,
+                             const std::string &header);
 
 /** Lifecycle of one shard as the monitor/dispatcher sees it. */
 enum class ShardState

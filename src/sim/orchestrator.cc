@@ -20,8 +20,6 @@ namespace srs
 namespace
 {
 
-constexpr std::uint64_t kManifestVersion = 6;
-
 std::string
 shardKey(std::size_t index, const char *field)
 {
@@ -58,54 +56,14 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
         lines.push_back(text.substr(start, nl - start));
         start = nl + 1;
     }
-    if (lines.empty() || lines.front() != SweepRunner::csvHeader()) {
-        if (!lines.empty()
-            && lines.front().rfind("index,workload,", 0) == 0) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v1 header (no workload_spec/axes "
-                   "columns); this build merges schema v6 only — "
-                   "re-run the shard (docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().find(",policy,") != std::string::npos
-            && lines.front().rfind("index,workload_spec,", 0) == 0) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v2 header (`policy` identity column, no "
-                   "DRAM preset/timing axes); this build merges "
-                   "schema v6 only — re-run the shard "
-                   "(docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",p50_lat") == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v3 header (no p50_lat/p99_lat/p999_lat "
-                   "tail-latency columns); this build merges schema "
-                   "v6 only — re-run the shard (docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",lat_samples")
-                   == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v4 header (no lat_samples column; it "
-                   "predates the DRAM-organization axis); this build "
-                   "merges schema v6 only — re-run the shard "
-                   "(docs/sweep-format.md)";
-        }
-        if (!lines.empty()
-            && lines.front().rfind("index,workload_spec,", 0) == 0
-            && lines.front().find(",iterations")
-                   == std::string::npos) {
-            return "shard CSV '" + path + "' carries the sweep CSV "
-                   "schema v5 header (no iterations/censored/"
-                   "p_break/ci_lo/ci_hi Monte-Carlo confidence "
-                   "columns); this build merges schema v6 only — "
-                   "re-run the shard (docs/sweep-format.md)";
-        }
-        return "shard CSV '" + path + "' does not start with this "
-               "build's schema v6 sweep CSV header";
+    for (const std::string &line : lines) {
+        const std::string err = SweepRunner::checkLine(line);
+        if (!err.empty())
+            return "shard CSV '" + path + "': " + err;
     }
+    if (lines.front() != SweepRunner::csvHeader())
+        return "shard CSV '" + path + "' does not start with the sweep "
+               "CSV header";
     if (lines.size() - 1 != shard.cells) {
         return "shard CSV '" + path + "' has "
                + std::to_string(lines.size() - 1) + " data rows, "
@@ -129,15 +87,6 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
                    + " does not match the manifest's cell identity"
                      "\n  row:      " + row
                    + "\n  expected: " + expected + "...";
-        }
-        const auto columns = static_cast<std::size_t>(
-            std::count(row.begin(), row.end(), ',') + 1);
-        if (columns != SweepRunner::kRowColumns
-            || row.back() == ',') {
-            return "shard CSV '" + path + "' row " + std::to_string(i)
-                   + " does not have "
-                   + std::to_string(SweepRunner::kRowColumns)
-                   + " fields";
         }
         if (rows)
             rows->push_back(row);
@@ -220,7 +169,7 @@ serializeManifest(const ShardManifest &manifest)
     const SweepGrid &grid = manifest.grid;
     std::ostringstream out;
     out << "# srs_sim shard manifest (docs/sweep-format.md)\n"
-        << "version=" << kManifestVersion << '\n'
+        << "version=" << SweepRunner::kSchemaVersion << '\n'
         << "workloads=" << joinSpecList(grid.workloads) << '\n';
     std::vector<std::string> mitigations;
     for (const MitigationKind kind : grid.mitigations)
@@ -268,49 +217,10 @@ ShardManifest
 loadManifest(const std::string &path)
 {
     const Options opts = Options::fromFile(path);
-    const std::uint64_t version = opts.getUint("version", 0);
-    if (version == 1) {
-        fatal("manifest '", path, "': schema version 1 (pre-"
-              "WorkloadSpec, no policies/trc axes); this build reads "
-              "manifest version ", kManifestVersion, " only — "
-              "re-plan the orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 2) {
-        fatal("manifest '", path, "': schema version 2 (no DRAM "
-              "preset or tRCD/tRP/tREFI/tRFC axes); this build reads "
-              "manifest version ", kManifestVersion, " only — "
-              "re-plan the orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 3) {
-        fatal("manifest '", path, "': schema version 3 (its shards "
-              "emit schema-v3 CSVs without the p50_lat/p99_lat/"
-              "p999_lat tail-latency columns, and predate generator "
-              "workload spellings); this build reads manifest "
-              "version ", kManifestVersion, " only — re-plan the "
-              "orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 4) {
-        fatal("manifest '", path, "': schema version 4 (no orgs "
-              "axis; its shards emit schema-v4 CSVs without the "
-              "lat_samples column); this build reads manifest "
-              "version ", kManifestVersion, " only — re-plan the "
-              "orchestration with 'srs_sim orchestrate' "
-              "(docs/sweep-format.md)");
-    }
-    if (version == 5) {
-        fatal("manifest '", path, "': schema version 5 (its shards "
-              "emit schema-v5 CSVs without the iterations/censored/"
-              "p_break/ci_lo/ci_hi Monte-Carlo confidence columns); "
-              "this build reads manifest version ", kManifestVersion,
-              " only — re-plan the orchestration with 'srs_sim "
-              "orchestrate' (docs/sweep-format.md)");
-    }
-    if (version != kManifestVersion) {
-        fatal("manifest '", path, "': unsupported version ", version,
-              " (this build reads version ", kManifestVersion, ")");
+    const std::string version = opts.getString("version", "");
+    if (version != std::to_string(SweepRunner::kSchemaVersion)) {
+        fatal("manifest '", path, "': expected version ",
+              SweepRunner::kSchemaVersion, ", found: version=", version);
     }
 
     ShardManifest manifest;
@@ -698,7 +608,7 @@ Orchestrator::writePlan(std::ostream &out, bool json)
     };
     out << "{\n"
         << "  \"manifest\": " << jsonQuote(manifestPath) << ",\n"
-        << "  \"version\": " << kManifestVersion << ",\n"
+        << "  \"version\": " << SweepRunner::kSchemaVersion << ",\n"
         << "  \"cells\": " << manifest_.totalCells() << ",\n"
         << "  \"merge\": "
         << argvJson({config_.simPath, "merge",

@@ -75,12 +75,11 @@ struct ShardSpec
 /**
  * Everything the merge (or a remote shard runner) needs to know
  * about one orchestrated sweep.  Serialized as `key=value` lines
- * (schema version 6: workload-spec spellings on the outer axis,
+ * (version SweepRunner::kSchemaVersion, the version of the sweep CSV
+ * its shards emit: workload-spec spellings on the outer axis,
  * page-policy/DRAM-preset/DRAM-organization/timing-override system
- * axes on the inner; its shards emit schema-v6 CSVs carrying the
- * Monte-Carlo confidence columns) — see docs/sweep-format.md for
- * the schema.  Version-1 through version-5 manifests are rejected
- * with a versioned error, never misread.
+ * axes on the inner) — see docs/sweep-format.md for the schema.  A
+ * manifest of any other version is rejected, never misread.
  */
 struct ShardManifest
 {
@@ -142,8 +141,9 @@ void writeManifest(const ShardManifest &manifest,
 
 /**
  * Parse a manifest written by writeManifest().  Unknown keys,
- * missing shards, a version mismatch, or shard slices that do not
- * tile the full grid contiguously are fatal().
+ * missing shards, a version other than SweepRunner::kSchemaVersion
+ * ("expected version 6, found: version=<N>"), or shard slices that
+ * do not tile the full grid contiguously are fatal().
  */
 ShardManifest loadManifest(const std::string &path);
 
@@ -151,13 +151,13 @@ ShardManifest loadManifest(const std::string &path);
  * Validate one shard's CSV against the manifest expectations.
  *
  * Checks, in order: the file exists and ends with a newline (a
- * torn final line means the writer died mid-row), the first line is
- * the schema-v6 sweep CSV header (a v1 through v5 header is
- * rejected with a versioned message), exactly @p shard.cells data
- * rows follow, and
- * every row has SweepRunner::kRowColumns fields and byte-matches
- * the identity prefix of its cell *within the shard's own
- * numbering* (index local to the shard, seed derived from @p exp).
+ * torn final line means the writer died mid-row), every line passes
+ * SweepRunner::checkLine() (so a stale header or row fails with the
+ * one schema message, quoting it), the first line is the header,
+ * exactly @p shard.cells data rows follow, and every row
+ * byte-matches the identity prefix of its cell *within the shard's
+ * own numbering* (index local to the shard, seed derived from
+ * @p exp).
  *
  * @return empty string when valid, else a human-readable reason.
  */

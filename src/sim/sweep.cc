@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -166,6 +165,23 @@ hex64(std::uint64_t v)
 /** The tag every journal header comment starts with. */
 constexpr const char *kJournalHeaderTag = "# srs_sim sweep journal ";
 
+/** How a journal header of this build's schema begins. */
+std::string
+journalSchemaTag()
+{
+    return std::string(kJournalHeaderTag) + "schema="
+           + std::to_string(SweepRunner::kSchemaVersion) + " ";
+}
+
+/** The one message for a line this build's schema does not allow. */
+std::string
+schemaMismatch(const std::string &line)
+{
+    return "expected sweep CSV schema v"
+           + std::to_string(SweepRunner::kSchemaVersion)
+           + ", found: " + line;
+}
+
 } // namespace
 
 std::uint64_t
@@ -195,32 +211,37 @@ std::string
 SweepRunner::journalHeader(const std::vector<SweepCell> &cells,
                            std::uint64_t baseSeed)
 {
-    return std::string(kJournalHeaderTag) + "schema="
-           + std::to_string(kJournalSchema) + " cells="
-           + std::to_string(cells.size()) + " grid="
-           + hex64(gridDigest(cells, baseSeed)) + " seed="
-           + hex64(baseSeed);
+    return journalSchemaTag() + "cells=" + std::to_string(cells.size())
+           + " grid=" + hex64(gridDigest(cells, baseSeed))
+           + " seed=" + hex64(baseSeed);
 }
 
-bool
-SweepRunner::parseJournalHeader(const std::string &line,
-                                JournalHeader &header)
+std::string
+SweepRunner::checkLine(const std::string &line)
 {
-    if (line.rfind(kJournalHeaderTag, 0) != 0)
-        return false;
-    unsigned long long schema = 0, cells = 0, digest = 0, seed = 0;
-    if (std::sscanf(line.c_str() + std::strlen(kJournalHeaderTag),
-                    "schema=%llu cells=%llu grid=0x%llx seed=0x%llx",
-                    &schema, &cells, &digest, &seed)
-        != 4) {
-        fatal("malformed journal header (want 'schema=<N> cells=<N> "
-              "grid=0x<hex> seed=0x<hex>'): ", line);
-    }
-    header.schema = schema;
-    header.cells = cells;
-    header.digest = digest;
-    header.seed = seed;
-    return true;
+    if (line == csvHeader())
+        return "";
+    const std::vector<std::string> fields = splitFields(line);
+    const auto nonEmpty = [](const std::string &f) { return !f.empty(); };
+    if (fields.size() == kRowColumns
+        && std::all_of(fields.begin(), fields.end(), nonEmpty)
+        && fields[0].find_first_not_of("0123456789")
+               == std::string::npos)
+        return "";
+    return schemaMismatch(line);
+}
+
+std::string
+SweepRunner::checkJournalHeader(const std::string &line,
+                                const std::string &expected)
+{
+    if (line.rfind(kJournalHeaderTag, 0) != 0 || line == expected)
+        return "";
+    if (line.rfind(journalSchemaTag(), 0) != 0)
+        return schemaMismatch(line);
+    return "journal header describes a different grid (cells, grid "
+           "digest or seed)\n  found:    " + line
+           + "\n  expected: " + expected;
 }
 
 std::string
@@ -296,143 +317,26 @@ SweepRunner::loadResume(const std::vector<SweepCell> &cells,
     std::ifstream in(resumePath_);
     if (!in)
         fatal("cannot open resume file '", resumePath_, "'");
+    const std::string header = journalHeader(cells, exp_.seed);
     std::string line;
     while (std::getline(in, line)) {
         // An interrupted writer can leave a torn final line — every
         // complete row ends with '\n', so a line that ran into EOF
         // instead may be cut anywhere (even mid-digit of the last
-        // field, where it still splits into 20 plausible fields).
+        // field, where it still splits into 25 plausible fields).
         // Never trust it; the cell is simply recomputed.
-        if (in.eof())
+        if (in.eof() || line.empty())
             continue;
-        if (line.empty() || line == csvHeader())
+        const std::string err = line[0] == '#'
+                                    ? checkJournalHeader(line, header)
+                                    : checkLine(line);
+        if (!err.empty())
+            fatal("resume file '", resumePath_, "': ", err);
+        if (line[0] == '#' || line == csvHeader())
             continue;
-        if (line[0] == '#') {
-            // A journal's header comment names its producer; when it
-            // parses, it must name *this* grid — a mismatch means the
-            // user pointed --resume at some other sweep's checkpoint,
-            // which the per-row identity check below would also catch,
-            // but only with a cryptic prefix diff.  Other comments
-            // (and headers from future schemas' tags) are skipped.
-            JournalHeader header;
-            if (!parseJournalHeader(line, header))
-                continue;
-            if (header.schema != kJournalSchema) {
-                fatal("resume file '", resumePath_, "': journal "
-                      "header names schema ", header.schema,
-                      "; this build reads schema ", kJournalSchema,
-                      " only — re-run the sweep "
-                      "(docs/sweep-format.md)");
-            }
-            if (header.cells != cells.size()
-                || header.digest != gridDigest(cells, exp_.seed)
-                || header.seed != exp_.seed) {
-                fatal("resume file '", resumePath_, "': journal "
-                      "header describes a different grid\n  header:   "
-                      "cells=", header.cells, " grid=",
-                      hex64(header.digest), " seed=",
-                      hex64(header.seed), "\n  this sweep: cells=",
-                      cells.size(), " grid=",
-                      hex64(gridDigest(cells, exp_.seed)), " seed=",
-                      hex64(exp_.seed));
-            }
-            continue;
-        }
-        if (line.rfind("index,workload_spec", 0) == 0) {
-            // A byte-exact v6 header matched above.  A v2 header is
-            // recognized by its `policy` identity column, a v3
-            // header by the missing latency-percentile columns, a v4
-            // header by the missing sample-count column, a v5 header
-            // by the missing Monte-Carlo confidence columns;
-            // anything else here is a header-like line this build
-            // cannot trust (foreign schema, stray \r, edited file).
-            if (line.find(",policy,") != std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v2 header (`policy` identity "
-                      "column, no DRAM preset/timing axes); this "
-                      "build reads schema v6 only — re-run the sweep "
-                      "(docs/sweep-format.md)");
-            }
-            if (line.find(",p50_lat") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v3 header (no "
-                      "p50_lat/p99_lat/p999_lat tail-latency "
-                      "columns); this build reads schema v6 only — "
-                      "re-run the sweep (docs/sweep-format.md)");
-            }
-            if (line.find(",lat_samples") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v4 header (no lat_samples "
-                      "column; it predates the DRAM-organization "
-                      "axis); this build reads schema v6 only — "
-                      "re-run the sweep (docs/sweep-format.md)");
-            }
-            if (line.find(",iterations") == std::string::npos) {
-                fatal("resume file '", resumePath_, "' carries the "
-                      "sweep CSV schema v5 header (no "
-                      "iterations/censored/p_break/ci_lo/ci_hi "
-                      "Monte-Carlo confidence columns); this build "
-                      "reads schema v6 only — re-run the sweep "
-                      "(docs/sweep-format.md)");
-            }
-            fatal("resume file '", resumePath_, "' has a header line "
-                  "that does not byte-match this build's schema v6 "
-                  "header (foreign schema version, or the file was "
-                  "edited — check for trailing whitespace or \\r "
-                  "line endings):\n  got:      ", line,
-                  "\n  expected: ", csvHeader());
-        }
-        if (line.rfind("index,workload", 0) == 0) {
-            fatal("resume file '", resumePath_, "' carries the sweep "
-                  "CSV schema v1 header (no workload_spec/axes "
-                  "columns); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
-        }
         const std::vector<std::string> fields = splitFields(line);
-        // A complete v1 row has 15 fields with the 0x-seed in column
-        // 7 (v2/v3 keep it in column 8 of a 16-field row, v4 in
-        // column 8 of a 19-field row, v5 in column 8 of a 20-field
-        // row); recognize all of them so stale checkpoints fail with
-        // a versioned message, not a silent recompute or a cryptic
-        // prefix mismatch.
-        if (fields.size() == 15
-            && fields.size() > 6 && fields[6].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v1 row (15 columns, seed "
-                  "in column 7); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
-        }
-        if (fields.size() == 16
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v2 or v3 row (16 columns, "
-                  "no p50_lat/p99_lat/p999_lat tail-latency "
-                  "columns); this build reads schema v6 only — "
-                  "re-run the sweep (docs/sweep-format.md)");
-        }
-        if (fields.size() == 19
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v4 row (19 columns, no "
-                  "lat_samples column); this build reads schema v6 "
-                  "only — re-run the sweep (docs/sweep-format.md)");
-        }
-        if (fields.size() == 20
-            && fields.size() > 7 && fields[7].rfind("0x", 0) == 0) {
-            fatal("resume file '", resumePath_, "': row '", fields[0],
-                  "' is a sweep CSV schema v5 row (20 columns, no "
-                  "iterations/censored/p_break/ci_lo/ci_hi "
-                  "Monte-Carlo confidence columns); this build reads "
-                  "schema v6 only — re-run the sweep "
-                  "(docs/sweep-format.md)");
-        }
-        if (fields.size() != kRowColumns || fields.back().empty())
-            continue;
-        char *end = nullptr;
         const unsigned long long index =
-            std::strtoull(fields[0].c_str(), &end, 10);
-        if (end == fields[0].c_str() || *end != '\0')
-            continue;
+            std::strtoull(fields[0].c_str(), nullptr, 10);
         if (index >= cells.size()) {
             fatal("resume file '", resumePath_, "': row index ",
                   fields[0], " is outside this sweep's ",

@@ -187,17 +187,12 @@ class SweepRunner
     /**
      * Before running, load completed rows from @p path — a sweep
      * CSV (possibly truncated mid-file) or a journal — and skip
-     * re-simulating those cells.  Rows are validated against the
-     * grid (workload spec, mitigation, tracker, trh, rate, axes,
-     * seed); a mismatch is fatal(), and a schema-v1, -v2, -v3, -v4
-     * or -v5 file (15-column rows, a header naming the v2 `policy`
-     * column, 16-column rows/headers without the v4
-     * latency-percentile columns, 19-column rows/headers without
-     * the v5 `lat_samples` column, or 20-column rows/headers
-     * without the v6 Monte-Carlo confidence columns) is rejected
-     * with a versioned error.  Incomplete
-     * trailing lines are ignored and recomputed.  An empty path
-     * disables resuming.
+     * re-simulating those cells.  Every complete line must pass
+     * checkLine() (a `#` line: checkJournalHeader()), and every row
+     * must match its cell's identity (workload spec, mitigation,
+     * tracker, trh, rate, axes, seed); anything else is fatal().  A
+     * torn final line is ignored and its cell recomputed.  An empty
+     * path disables resuming.
      */
     void setResume(const std::string &path);
 
@@ -254,8 +249,34 @@ class SweepRunner
     /** Total fields of one schema-v6 CSV data row. */
     static constexpr std::size_t kRowColumns = 25;
 
-    /** Journal/CSV schema version this build writes and reads. */
-    static constexpr std::uint64_t kJournalSchema = 6;
+    /**
+     * The schema version this build writes and reads: of the sweep
+     * CSV, the journal header and the shard manifest alike (they
+     * have changed together at every bump).
+     */
+    static constexpr std::uint64_t kSchemaVersion = 6;
+
+    /**
+     * The schema rule for one complete, non-comment line of a sweep
+     * CSV, journal or shard CSV: it is csvHeader(), or a row of
+     * kRowColumns non-empty fields whose first is a decimal index.
+     * @return "" when it is, else "expected sweep CSV schema v6,
+     *         found: <line>".
+     */
+    static std::string checkLine(const std::string &line);
+
+    /**
+     * The schema rule for a `#` comment line of a journal whose
+     * reader expects the header @p expected (journalHeader() of its
+     * grid).  Comments without the journal-header tag pass; a tagged
+     * line must equal @p expected, so its schema, cell count, grid
+     * digest and seed all match.
+     * @return "" when the line passes, else the schema message of
+     *         checkLine() (another schema, or a mangled header) or a
+     *         "different grid" message quoting both headers.
+     */
+    static std::string checkJournalHeader(const std::string &line,
+                                          const std::string &expected);
 
     /**
      * FNV-1a digest over every cell's identity prefix — a compact
@@ -269,35 +290,16 @@ class SweepRunner
     static std::uint64_t gridDigest(const std::vector<SweepCell> &cells,
                                     std::uint64_t baseSeed);
 
-    /** Parsed journal header comment (see journalHeader()). */
-    struct JournalHeader
-    {
-        std::uint64_t schema = 0;
-        std::uint64_t cells = 0;
-        std::uint64_t digest = 0;
-        std::uint64_t seed = 0;
-    };
-
     /**
-     * The comment line a checkpoint journal now starts with:
+     * The comment line a checkpoint journal starts with:
      * `# srs_sim sweep journal schema=6 cells=<N> grid=0x<digest>
      * seed=0x<seed>` (no trailing newline; digest = gridDigest()).
-     * Resume and the fleet monitor reject a journal whose header
-     * names a different schema or grid; headerless journals stay
-     * accepted as long as their rows carry the current schema
-     * (docs/sweep-format.md).
+     * Resume and the fleet monitor hold it to checkJournalHeader();
+     * headerless journals stay accepted (docs/sweep-format.md).
      */
     static std::string
     journalHeader(const std::vector<SweepCell> &cells,
                   std::uint64_t baseSeed);
-
-    /**
-     * Parse @p line as a journal header comment.  @return false when
-     * the line is not tagged as one (any other comment or data
-     * line); fatal() when it carries the tag but is malformed.
-     */
-    static bool parseJournalHeader(const std::string &line,
-                                   JournalHeader &header);
 
   private:
     void loadResume(const std::vector<SweepCell> &cells,

@@ -90,23 +90,30 @@ set(smoke_args sweep --workloads=gups --mitigations=rrs,scale-srs
 run_expect_ok(${smoke_args} --out=${smoke_dir}/smoke_full.csv)
 run_expect_ok(${smoke_args} --resume=${smoke_dir}/smoke_full.csv
               --out=${smoke_dir}/smoke_resumed.csv --journal=none)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${smoke_dir}/smoke_full.csv
-                ${smoke_dir}/smoke_resumed.csv
-                RESULT_VARIABLE smoke_diff)
-if(NOT smoke_diff EQUAL 0)
-  message(FATAL_ERROR "resumed sweep CSV differs from the fresh run")
-endif()
 # The journal of the full run is itself a resumable checkpoint.
 run_expect_ok(${smoke_args} --resume=${smoke_dir}/smoke_full.csv.journal
               --out=${smoke_dir}/smoke_journal.csv --journal=none)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${smoke_dir}/smoke_full.csv
-                ${smoke_dir}/smoke_journal.csv
-                RESULT_VARIABLE smoke_jdiff)
-if(NOT smoke_jdiff EQUAL 0)
-  message(FATAL_ERROR "journal-resumed sweep CSV differs")
-endif()
+# A copy cut mid-line at byte 300 (inside the first row: a sweep
+# killed mid-write) resumes to the same bytes, recomputing the torn
+# line, and that run's journal resumes to them again.
+# (file(READ ... LIMIT) would end a cut line with a newline.)
+file(READ ${smoke_dir}/smoke_full.csv smoke_full)
+string(SUBSTRING "${smoke_full}" 0 300 smoke_head)
+file(WRITE ${smoke_dir}/smoke_cut.csv "${smoke_head}")
+run_expect_ok(${smoke_args} --resume=${smoke_dir}/smoke_cut.csv
+              --out=${smoke_dir}/smoke_cut_resumed.csv)
+run_expect_ok(${smoke_args}
+              --resume=${smoke_dir}/smoke_cut_resumed.csv.journal
+              --out=${smoke_dir}/smoke_cut_journal.csv --journal=none)
+foreach(resumed smoke_resumed smoke_journal smoke_cut_resumed
+        smoke_cut_journal)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${smoke_dir}/smoke_full.csv ${smoke_dir}/${resumed}.csv
+                  RESULT_VARIABLE smoke_diff)
+  if(NOT smoke_diff EQUAL 0)
+    message(FATAL_ERROR "${resumed}.csv differs from the fresh run")
+  endif()
+endforeach()
 
 # Trace-file workloads and the system axes: record a synthetic
 # workload as a USIMM trace, then sweep the recorded file next to a
@@ -438,9 +445,7 @@ run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --org=2x2x128)
 
 # Unknown axis values must be fatal with the accepted spellings
-# listed, and schema-v1 to v5 checkpoints/manifests must be
-# rejected with a versioned error instead of a cryptic identity
-# mismatch.
+# listed.
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --page-policy=half-open)
 run_expect_fail(sweep --workloads=trace: --mitigations=rrs --trh=1200
@@ -452,48 +457,50 @@ run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
 # Inconsistent timings (tRC < tRCD + tRP) are fatal up front.
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --trc=20)
-file(WRITE ${smoke_dir}/v1_checkpoint.csv
-     "index,workload,mitigation,tracker,trh,rate,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts\n")
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --resume=${smoke_dir}/v1_checkpoint.csv)
-file(WRITE ${smoke_dir}/v2_checkpoint.csv
-     "index,workload_spec,mitigation,tracker,trh,rate,policy,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts\n")
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --resume=${smoke_dir}/v2_checkpoint.csv)
-file(WRITE ${smoke_dir}/v3_checkpoint.csv
-     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts\n")
-run_expect_fail_saying(NEEDLES "schema v3"
-                       ARGS sweep --workloads=gups --mitigations=rrs
-                            --trh=1200 --rates=6
-                            --resume=${smoke_dir}/v3_checkpoint.csv)
-file(WRITE ${smoke_dir}/v4_checkpoint.csv
-     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat\n")
-run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
-                --rates=6 --resume=${smoke_dir}/v4_checkpoint.csv)
-file(WRITE ${smoke_dir}/v5_checkpoint.csv
-     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples\n")
-run_expect_fail_saying(NEEDLES "schema v5"
-                       ARGS sweep --workloads=gups --mitigations=rrs
-                            --trh=1200 --rates=6
-                            --resume=${smoke_dir}/v5_checkpoint.csv)
+# Schema-v1 to v5 checkpoints and manifests fail with the one schema
+# message, quoting what they found, instead of a cryptic identity
+# mismatch.
 file(READ ${smoke_dir}/orch_shards/manifest manifest_v6)
 if(NOT manifest_v6 MATCHES "version=6")
   message(FATAL_ERROR "orchestrate manifest is not schema v6")
 endif()
-# Stale manifests are rejected; versions 3-5 by name.
+set(stale_headers
+    "index,workload,mitigation,tracker,trh,rate,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
+    "index,workload_spec,mitigation,tracker,trh,rate,policy,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
+    "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
+    "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat"
+    "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples")
 foreach(stale_version 1 2 3 4 5)
+  math(EXPR at "${stale_version} - 1")
+  list(GET stale_headers ${at} stale_header)
+  set(checkpoint ${smoke_dir}/v${stale_version}_checkpoint.csv)
+  file(WRITE ${checkpoint} "${stale_header}\n")
+  run_expect_fail_saying(
+    NEEDLES "expected sweep CSV schema v6, found: ${stale_header}"
+    ARGS sweep --workloads=gups --mitigations=rrs --trh=1200 --rates=6
+         --resume=${checkpoint})
   string(REPLACE "version=6" "version=${stale_version}" manifest_stale
          "${manifest_v6}")
   file(WRITE ${smoke_dir}/orch_shards/stale_manifest "${manifest_stale}")
-  set(stale_args merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
-  if(stale_version GREATER_EQUAL 3)
-    run_expect_fail_saying(NEEDLES "version ${stale_version}"
-                           ARGS ${stale_args})
-  else()
-    run_expect_fail(${stale_args})
-  endif()
+  run_expect_fail_saying(
+    NEEDLES "expected version 6, found: version=${stale_version}"
+    ARGS merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
 endforeach()
 file(REMOVE ${smoke_dir}/orch_shards/stale_manifest)
+# A schema-4 journal header stops `--resume` and the fleet monitor's
+# journal scan with the same message.
+file(REMOVE_RECURSE ${smoke_dir}/stale_journal_shards)
+run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan
+              --dir=${smoke_dir}/stale_journal_shards)
+set(stale_journal "# srs_sim sweep journal schema=4 cells=4 grid=0x0000000000000000 seed=0x0000000000000000")
+set(stale_journal_path ${smoke_dir}/stale_journal_shards/shard0.csv.journal)
+file(WRITE ${stale_journal_path} "${stale_journal}\n")
+foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
+        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}")
+  run_expect_fail_saying(
+    NEEDLES "expected sweep CSV schema v6, found: ${stale_journal}"
+    ARGS ${reader})
+endforeach()
 
 # Farm: dispatch a planned orchestration across a simulated fleet of
 # two "local" hosts x 2 jobs and require the merged CSV to be

@@ -236,8 +236,6 @@ TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
 {
     const std::vector<SweepCell> cells = testGrid().expand();
     const ExperimentConfig exp = tinyExperiment();
-    const std::uint64_t digest =
-        SweepRunner::gridDigest(cells, exp.seed);
     const std::string header =
         SweepRunner::journalHeader(cells, exp.seed);
 
@@ -245,7 +243,7 @@ TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
         "scan_rows.journal",
         header + "\nrow-a\nrow-b\ntorn-final-line-without-newline");
     const JournalScan scan =
-        scanShardJournal(path, cells.size(), digest);
+        scanShardJournal(path, cells.size(), header);
     EXPECT_TRUE(scan.exists);
     EXPECT_TRUE(scan.headerSeen);
     EXPECT_TRUE(scan.error.empty()) << scan.error;
@@ -253,7 +251,7 @@ TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
 
     // A missing journal is "no progress yet", not an error.
     const JournalScan missing = scanShardJournal(
-        testing::TempDir() + "no_such.journal", cells.size(), digest);
+        testing::TempDir() + "no_such.journal", cells.size(), header);
     EXPECT_FALSE(missing.exists);
     EXPECT_EQ(missing.rows, 0u);
     EXPECT_TRUE(missing.error.empty());
@@ -263,7 +261,7 @@ TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
     const std::string old = writeTempFile(
         "scan_headerless.journal", "r0\nr1\nr2\nr3\nr4\n");
     const JournalScan clamped =
-        scanShardJournal(old, cells.size(), digest);
+        scanShardJournal(old, cells.size(), header);
     EXPECT_FALSE(clamped.headerSeen);
     EXPECT_TRUE(clamped.error.empty());
     EXPECT_EQ(clamped.rows, cells.size());
@@ -273,40 +271,43 @@ TEST(JournalScan, ForeignOrStaleJournalsAreRejectedByName)
 {
     const std::vector<SweepCell> cells = testGrid().expand();
     const ExperimentConfig exp = tinyExperiment();
-    const std::uint64_t digest =
-        SweepRunner::gridDigest(cells, exp.seed);
+    const std::string header =
+        SweepRunner::journalHeader(cells, exp.seed);
 
     // A header from a differently-seeded grid names the mismatch.
     const std::string foreign = writeTempFile(
         "scan_foreign.journal",
         SweepRunner::journalHeader(cells, exp.seed ^ 1) + "\nrow\n");
     const JournalScan wrongGrid =
-        scanShardJournal(foreign, cells.size(), digest);
+        scanShardJournal(foreign, cells.size(), header);
     EXPECT_NE(wrongGrid.error.find("different grid"),
               std::string::npos)
         << wrongGrid.error;
 
-    // A stale schema is named, not misread.
-    const std::string stale = writeTempFile(
-        "scan_stale.journal",
+    // A stale schema fails with the one schema message, quoted.
+    const std::string staleHeader =
         "# srs_sim sweep journal schema=4 cells=2 "
-        "grid=0x0000000000000000 seed=0x0000000000000000\n");
+        "grid=0x0000000000000000 seed=0x0000000000000000";
+    const std::string stale =
+        writeTempFile("scan_stale.journal", staleHeader + "\n");
     const JournalScan wrongSchema =
-        scanShardJournal(stale, cells.size(), digest);
-    EXPECT_NE(wrongSchema.error.find("schema 4"), std::string::npos)
+        scanShardJournal(stale, cells.size(), header);
+    EXPECT_NE(wrongSchema.error.find(
+                  "expected sweep CSV schema v6, found: " + staleHeader),
+              std::string::npos)
         << wrongSchema.error;
 
     // A mangled header is an error, never silently skipped.
     const std::string mangled = writeTempFile(
         "scan_mangled.journal", "# srs_sim sweep journal gibberish\n");
     EXPECT_FALSE(
-        scanShardJournal(mangled, cells.size(), digest).error.empty());
+        scanShardJournal(mangled, cells.size(), header).error.empty());
 
     // Unrelated comments are fine.
     const std::string chatty = writeTempFile(
         "scan_chatty.journal", "# a note\nrow\n");
     const JournalScan ok =
-        scanShardJournal(chatty, cells.size(), digest);
+        scanShardJournal(chatty, cells.size(), header);
     EXPECT_TRUE(ok.error.empty());
     EXPECT_EQ(ok.rows, 1u);
 }

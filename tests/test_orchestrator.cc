@@ -21,6 +21,7 @@
 #include "common/logging.hh"
 #include "sim/orchestrator.hh"
 #include "sim/sweep.hh"
+#include "stale_schema.hh"
 
 namespace srs
 {
@@ -240,12 +241,9 @@ TEST(ShardManifestFile, CorruptedTilingIsFatal)
 
 TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
 {
-    // A version-1 through version-5 manifest (pre-WorkloadSpec,
-    // pre-DRAM-preset/timing-axes, pre-latency-percentiles,
-    // pre-DRAM-organization-axis, and pre-Monte-Carlo-confidence
-    // columns respectively) must fail with an error that names the
-    // version, not a key-parsing mess or a cryptic identity
-    // mismatch downstream.
+    // A version-1 through version-5 manifest must fail with the one
+    // version message, quoting what it found, not a key-parsing mess
+    // or a cryptic identity mismatch downstream.
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
     const std::string text = serializeManifest(manifest);
@@ -262,7 +260,8 @@ TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
             FAIL() << "v" << old << " manifest was not rejected";
         } catch (const FatalError &err) {
             EXPECT_NE(std::string(err.what())
-                          .find("version " + std::to_string(old)),
+                          .find("expected version 6, found: version="
+                                + std::to_string(old)),
                       std::string::npos)
                 << err.what();
         }
@@ -486,10 +485,10 @@ TEST(ShardMerge, TornOrShortShardIsFatal)
 
 TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
 {
-    // A shard produced by a schema-v4 build (percentile columns but
-    // no lat_samples, predating the DRAM-organization axis) must be
-    // rejected naming schema v4, mirroring the manifest-version
-    // checks — never merged with reinterpreted columns.
+    // A shard carrying a v1-v5 header, or a v1-v5 row under the v6
+    // header, must be rejected with the one schema message quoting
+    // that line, mirroring the manifest-version check — never merged
+    // with reinterpreted columns.
     const SweepGrid grid = testGrid();
     const ExperimentConfig exp = tinyExperiment();
     const ShardManifest manifest = runShardsInProcess(
@@ -498,19 +497,27 @@ TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
         testing::TempDir() + manifest.shards[0].csv;
     const std::string intact = readFile(path);
     const auto headerEnd = intact.find('\n');
-    const std::string v4Header =
-        "index,workload_spec,mitigation,tracker,trh,rate,axes,"
-        "seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,"
-        "place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,"
-        "p999_lat";
-    writeTempFile(manifest.shards[0].csv,
-                  v4Header + intact.substr(headerEnd));
-    const std::string reason =
-        validateShardCsv(manifest.shards[0], exp, path);
-    EXPECT_NE(reason.find("schema v4"), std::string::npos) << reason;
-    EXPECT_NE(reason.find("lat_samples"), std::string::npos)
-        << reason;
-    EXPECT_THROW(mergedCsv(manifest), FatalError);
+    const auto row0End = intact.find('\n', headerEnd + 1);
+    for (const std::string &header : test::kStaleHeaders) {
+        writeTempFile(manifest.shards[0].csv,
+                      header + intact.substr(headerEnd));
+        const std::string reason =
+            validateShardCsv(manifest.shards[0], exp, path);
+        EXPECT_NE(reason.find("expected sweep CSV schema v6, found: "
+                              + header),
+                  std::string::npos)
+            << reason;
+        EXPECT_THROW(mergedCsv(manifest), FatalError);
+    }
+    for (const std::string &row : test::kStaleRows) {
+        writeTempFile(manifest.shards[0].csv,
+                      intact.substr(0, headerEnd + 1) + row
+                          + intact.substr(row0End));
+        EXPECT_NE(validateShardCsv(manifest.shards[0], exp, path)
+                      .find("expected sweep CSV schema v6, found: "
+                            + row),
+                  std::string::npos);
+    }
 }
 
 TEST(ShardMerge, OrgAxisSurvivesShardingAndMergesByteIdentical)

@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "sim/sweep.hh"
+#include "stale_schema.hh"
 #include "trace_fixture.hh"
 
 namespace srs
@@ -231,6 +232,23 @@ resumeTestCells()
     return grid.expand();
 }
 
+/**
+ * The exact row (with its newline) a sweep writes for cell @p i,
+ * synthesized from fixed IPCs instead of a simulation.
+ */
+std::string
+syntheticRow(const std::vector<SweepCell> &cells, std::size_t i)
+{
+    SweepResult r;
+    r.cell = cells[i];
+    r.seed = SweepRunner::cellSeed(tinyExperiment().seed,
+                                   cells[i].workload.label());
+    r.run.aggregateIpc = 1.0;
+    r.baselineIpc = 2.0;
+    r.normalized = 0.5;
+    return SweepRunner::formatRow(i, r) + "\n";
+}
+
 TEST(SweepResume, TruncatedCsvResumesByteIdentical)
 {
     const std::vector<SweepCell> cells = resumeTestCells();
@@ -265,7 +283,7 @@ TEST(SweepResume, TruncatedCsvResumesByteIdentical)
 TEST(SweepResume, FinalLineTornMidDigitIsNotTrusted)
 {
     // The nastiest truncation: the file is cut inside the digits of
-    // the last field, so the torn line still splits into 15
+    // the last field, so the torn line still splits into 25
     // plausible fields.  Only the missing trailing newline gives it
     // away; the row must be recomputed, not trusted.
     const std::vector<SweepCell> cells = resumeTestCells();
@@ -313,18 +331,9 @@ TEST(SweepResume, MismatchedGridIsFatal)
     // Synthesize a plausible checkpoint without running simulations:
     // formatRow() emits the exact bytes a real sweep would.
     const std::vector<SweepCell> cells = resumeTestCells();
-    const ExperimentConfig exp = tinyExperiment();
     std::string full;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        SweepResult r;
-        r.cell = cells[i];
-        r.seed = SweepRunner::cellSeed(exp.seed,
-                                       cells[i].workload.label());
-        r.run.aggregateIpc = 1.0;
-        r.baselineIpc = 2.0;
-        r.normalized = 0.5;
-        full += SweepRunner::formatRow(i, r) + "\n";
-    }
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        full += syntheticRow(cells, i);
     const std::string path =
         writeTempFile("sweep_mismatch.csv", full);
 
@@ -351,33 +360,31 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
     const ExperimentConfig exp = tinyExperiment();
     const std::string header =
         SweepRunner::journalHeader(cells, exp.seed);
-    EXPECT_EQ(header.rfind("# srs_sim sweep journal schema=6 ", 0),
-              0u)
-        << header;
-
-    SweepRunner::JournalHeader parsed;
-    ASSERT_TRUE(SweepRunner::parseJournalHeader(header, parsed));
-    EXPECT_EQ(parsed.schema, SweepRunner::kJournalSchema);
-    EXPECT_EQ(parsed.cells, cells.size());
-    EXPECT_EQ(parsed.digest,
-              SweepRunner::gridDigest(cells, exp.seed));
-    EXPECT_EQ(parsed.seed, exp.seed);
+    const std::uint64_t digest =
+        SweepRunner::gridDigest(cells, exp.seed);
+    char expected[128];
+    std::snprintf(expected, sizeof(expected),
+                  "# srs_sim sweep journal schema=6 cells=%zu "
+                  "grid=0x%016llx seed=0x%016llx",
+                  cells.size(), static_cast<unsigned long long>(digest),
+                  static_cast<unsigned long long>(exp.seed));
+    EXPECT_EQ(header, expected);
+    EXPECT_EQ(SweepRunner::checkJournalHeader(header, header), "");
 
     // The digest is a function of the grid and the base seed: any
     // change to either renames the journal.
-    EXPECT_NE(SweepRunner::gridDigest(cells, exp.seed ^ 1),
-              parsed.digest);
+    EXPECT_NE(SweepRunner::gridDigest(cells, exp.seed ^ 1), digest);
     std::vector<SweepCell> other = cells;
     other[0].trh = 4800;
-    EXPECT_NE(SweepRunner::gridDigest(other, exp.seed),
-              parsed.digest);
+    EXPECT_NE(SweepRunner::gridDigest(other, exp.seed), digest);
 
     // Unrelated comments are not journal headers.
-    EXPECT_FALSE(SweepRunner::parseJournalHeader("# a note", parsed));
-    // A mangled header line is fatal, never silently skipped.
-    EXPECT_THROW(SweepRunner::parseJournalHeader(
-                     "# srs_sim sweep journal gibberish", parsed),
-                 FatalError);
+    EXPECT_EQ(SweepRunner::checkJournalHeader("# a note", header), "");
+    // A mangled header line is rejected, never silently skipped.
+    EXPECT_EQ(SweepRunner::checkJournalHeader(
+                  "# srs_sim sweep journal gibberish", header),
+              "expected sweep CSV schema v6, found: "
+              "# srs_sim sweep journal gibberish");
 }
 
 TEST(SweepJournal, RunWritesTheHeaderFirstAndResumeAcceptsIt)
@@ -427,35 +434,29 @@ TEST(SweepJournal, MismatchedHeaderIsFatalByName)
             << err.what();
     }
 
-    // A stale schema is named in the error.
-    const std::string stale = writeTempFile(
-        "journal_stale",
+    // A stale schema fails with the one schema message, quoted.
+    const std::string staleHeader =
         "# srs_sim sweep journal schema=4 cells=4 "
-        "grid=0x0000000000000000 seed=0x0000000000000000\n");
+        "grid=0x0000000000000000 seed=0x0000000000000000";
+    const std::string stale =
+        writeTempFile("journal_stale", staleHeader + "\n");
     SweepRunner old(tinyExperiment(), 2);
     old.setResume(stale);
     try {
         old.run(cells);
         FAIL() << "schema-4 journal header was not rejected";
     } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema 4"),
+        EXPECT_NE(std::string(err.what()).find(
+                      "expected sweep CSV schema v6, found: "
+                      + staleHeader),
                   std::string::npos)
             << err.what();
     }
 
     // Headerless journals (pre-header builds) still resume.
-    const ExperimentConfig exp = tinyExperiment();
     std::string rows;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        SweepResult r;
-        r.cell = cells[i];
-        r.seed = SweepRunner::cellSeed(exp.seed,
-                                       cells[i].workload.label());
-        r.run.aggregateIpc = 1.0;
-        r.baselineIpc = 2.0;
-        r.normalized = 0.5;
-        rows += SweepRunner::formatRow(i, r) + "\n";
-    }
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        rows += syntheticRow(cells, i);
     const std::string headerless =
         writeTempFile("journal_headerless", rows);
     SweepRunner tolerant(tinyExperiment(), 2);
@@ -935,198 +936,42 @@ TEST(SweepTrace, WrongPerCoreTraceCountOrMissingFileIsFatal)
     EXPECT_THROW(runner2.run(cells), FatalError);
 }
 
-TEST(SweepResume, SchemaV1FilesAreRejectedWithAVersionedError)
+TEST(SweepResume, StaleOrMalformedLinesFailWithTheOneSchemaMessage)
 {
+    // A complete checkpoint line is this build's header or a row of
+    // 25 non-empty fields with a numeric index.  Anything else fails
+    // naming the schema and quoting the line: a v1-v5 header, a stale
+    // row alone in a headerless journal, or a malformed line between
+    // good rows (24 fields, an empty last field, an `x` index).
     const std::vector<SweepCell> cells = resumeTestCells();
-
-    // A v1 CSV (header names no workload_spec/policy columns).
-    const std::string v1Header =
-        "index,workload,mitigation,tracker,trh,rate,seed,ipc,"
-        "baseline_ipc,normalized,swaps,unswap_swaps,place_backs,"
-        "rows_pinned,max_row_acts\n";
-    const std::string headerPath =
-        writeTempFile("sweep_v1_header.csv", v1Header);
-    SweepRunner runner(tinyExperiment(), 2);
-    runner.setResume(headerPath);
-    try {
-        runner.run(cells);
-        FAIL() << "v1 CSV header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v1"),
-                  std::string::npos)
-            << err.what();
+    std::string row1 = syntheticRow(cells, 1);
+    row1.pop_back();
+    const std::string dropped = row1.substr(0, row1.rfind(','));
+    const std::string emptyLast = dropped + ",";
+    const std::string xIndexed = "x" + row1.substr(row1.find(','));
+    std::vector<std::pair<std::string, std::string>> cases;
+    for (const auto *lines : {&test::kStaleHeaders, &test::kStaleRows}) {
+        for (const std::string &line : *lines)
+            cases.emplace_back(line, line + "\n");
     }
-
-    // A v1 journal (no header, 15-column rows with the seed in
-    // column 7) must fail the same way, not recompute silently.
-    const std::string v1Row =
-        "0,gups,rrs,misra-gries,1200,3,0x1234567890abcdef,1.0,2.0,"
-        "0.5,1,2,3,4,5\n";
-    const std::string rowPath =
-        writeTempFile("sweep_v1_journal", v1Row);
-    SweepRunner journalRunner(tinyExperiment(), 2);
-    journalRunner.setResume(rowPath);
-    try {
-        journalRunner.run(cells);
-        FAIL() << "v1 journal row was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v1"),
-                  std::string::npos)
-            << err.what();
+    for (const std::string &line : {dropped, emptyLast, xIndexed}) {
+        cases.emplace_back(line, std::string(SweepRunner::csvHeader())
+                                     + "\n" + syntheticRow(cells, 0)
+                                     + line + "\n"
+                                     + syntheticRow(cells, 2));
     }
-}
-
-TEST(SweepResume, SchemaV2FilesAreRejectedWithAVersionedError)
-{
-    // A v2 CSV names its 7th identity column `policy`; v3 renamed
-    // it to `axes` when the DRAM preset/timing knobs joined the
-    // axis.  Resuming from a v2 file must fail naming schema v2.
-    const std::vector<SweepCell> cells = resumeTestCells();
-    const std::string v2Header =
-        "index,workload_spec,mitigation,tracker,trh,rate,policy,"
-        "seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,"
-        "place_backs,rows_pinned,max_row_acts\n";
-    const std::string path =
-        writeTempFile("sweep_v2_header.csv", v2Header);
-    SweepRunner runner(tinyExperiment(), 2);
-    runner.setResume(path);
-    try {
-        runner.run(cells);
-        FAIL() << "v2 CSV header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v2"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(SweepResume, SchemaV3FilesAreRejectedWithAVersionedError)
-{
-    // A v3 CSV has the axes column but no tail-latency percentile
-    // columns; v4 appended p50_lat/p99_lat/p999_lat.  Resuming from
-    // a v3 file must fail naming schema v3, both via its header and
-    // via a headerless journal row.
-    const std::vector<SweepCell> cells = resumeTestCells();
-    const std::string v3Header =
-        "index,workload_spec,mitigation,tracker,trh,rate,axes,"
-        "seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,"
-        "place_backs,rows_pinned,max_row_acts\n";
-    const std::string path =
-        writeTempFile("sweep_v3_header.csv", v3Header);
-    SweepRunner runner(tinyExperiment(), 2);
-    runner.setResume(path);
-    try {
-        runner.run(cells);
-        FAIL() << "v3 CSV header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v3"),
-                  std::string::npos)
-            << err.what();
-    }
-
-    // A v3 journal row: 16 fields, 0x-seed in column 8.
-    const std::string v3Row =
-        "0,gups,rrs,misra-gries,1200,3,closed,0x1234567890abcdef,"
-        "1.0,2.0,0.5,1,2,3,4,5\n";
-    const std::string rowPath =
-        writeTempFile("sweep_v3_journal", v3Row);
-    SweepRunner journalRunner(tinyExperiment(), 2);
-    journalRunner.setResume(rowPath);
-    try {
-        journalRunner.run(cells);
-        FAIL() << "v3 journal row was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("v3"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(SweepResume, SchemaV4FilesAreRejectedWithAVersionedError)
-{
-    // A v4 CSV has the tail-latency percentile columns but no
-    // lat_samples count; v5 appended it alongside the
-    // DRAM-organization axis.  Resuming from a v4 file must fail
-    // naming schema v4, both via its header and via a headerless
-    // journal row.
-    const std::vector<SweepCell> cells = resumeTestCells();
-    const std::string v4Header =
-        "index,workload_spec,mitigation,tracker,trh,rate,axes,"
-        "seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,"
-        "place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,"
-        "p999_lat\n";
-    const std::string path =
-        writeTempFile("sweep_v4_header.csv", v4Header);
-    SweepRunner runner(tinyExperiment(), 2);
-    runner.setResume(path);
-    try {
-        runner.run(cells);
-        FAIL() << "v4 CSV header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v4"),
-                  std::string::npos)
-            << err.what();
-    }
-
-    // A v4 journal row: 19 fields, 0x-seed in column 8.
-    const std::string v4Row =
-        "0,gups,rrs,misra-gries,1200,3,closed,0x1234567890abcdef,"
-        "1.0,2.0,0.5,1,2,3,4,5,31,95,127\n";
-    const std::string rowPath =
-        writeTempFile("sweep_v4_journal", v4Row);
-    SweepRunner journalRunner(tinyExperiment(), 2);
-    journalRunner.setResume(rowPath);
-    try {
-        journalRunner.run(cells);
-        FAIL() << "v4 journal row was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("v4"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(SweepResume, SchemaV5FilesAreRejectedWithAVersionedError)
-{
-    // A v5 CSV has the lat_samples count but none of the v6
-    // iterations/censored/p_break/ci_lo/ci_hi Monte-Carlo
-    // confidence columns.  Resuming from a v5 file must fail naming
-    // schema v5, both via its header and via a headerless journal
-    // row.
-    const std::vector<SweepCell> cells = resumeTestCells();
-    const std::string v5Header =
-        "index,workload_spec,mitigation,tracker,trh,rate,axes,"
-        "seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,"
-        "place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,"
-        "p999_lat,lat_samples\n";
-    const std::string path =
-        writeTempFile("sweep_v5_header.csv", v5Header);
-    SweepRunner runner(tinyExperiment(), 2);
-    runner.setResume(path);
-    try {
-        runner.run(cells);
-        FAIL() << "v5 CSV header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("schema v5"),
-                  std::string::npos)
-            << err.what();
-    }
-
-    // A v5 journal row: 20 fields, 0x-seed in column 8.
-    const std::string v5Row =
-        "0,gups,rrs,misra-gries,1200,3,closed,0x1234567890abcdef,"
-        "1.0,2.0,0.5,1,2,3,4,5,31,95,127,4242\n";
-    const std::string rowPath =
-        writeTempFile("sweep_v5_journal", v5Row);
-    SweepRunner journalRunner(tinyExperiment(), 2);
-    journalRunner.setResume(rowPath);
-    try {
-        journalRunner.run(cells);
-        FAIL() << "v5 journal row was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("v5"),
-                  std::string::npos)
-            << err.what();
+    for (const auto &[line, text] : cases) {
+        SweepRunner runner(tinyExperiment(), 2);
+        runner.setResume(writeTempFile("sweep_stale_line.csv", text));
+        try {
+            runner.run(cells);
+            ADD_FAILURE() << "resume accepted the line: " << line;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "expected sweep CSV schema v6, found: " + line),
+                      std::string::npos)
+                << err.what();
+        }
     }
 }
 
