@@ -936,42 +936,96 @@ TEST(SweepTrace, WrongPerCoreTraceCountOrMissingFileIsFatal)
     EXPECT_THROW(runner2.run(cells), FatalError);
 }
 
-TEST(SweepResume, StaleOrMalformedLinesFailWithTheOneSchemaMessage)
+/**
+ * Resuming from a checkpoint holding @p text must fail with the one
+ * schema message, quoting the complete line @p line.  The checkpoint
+ * is named after the running test, since ctest runs tests in parallel.
+ */
+void
+expectResumeRejects(const std::string &line, const std::string &text)
+{
+    const std::string name =
+        std::string("sweep_stale_")
+        + testing::UnitTest::GetInstance()->current_test_info()->name()
+        + ".csv";
+    SweepRunner runner(tinyExperiment(), 2);
+    runner.setResume(writeTempFile(name.c_str(), text));
+    try {
+        runner.run(resumeTestCells());
+        ADD_FAILURE() << "resume accepted the line: " << line;
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "expected sweep CSV schema v6, found: " + line),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+/** As above, for a checkpoint that holds @p line alone. */
+void
+expectResumeRejects(const std::string &line)
+{
+    expectResumeRejects(line, line + "\n");
+}
+
+TEST(SweepResume, SchemaV1FilesAreRejectedWithAVersionedError)
+{
+    // A v1 CSV header (no workload_spec/axes columns), and a v1
+    // journal row (15 fields, the seed in column 7) alone in a
+    // headerless journal: both fail, neither recomputes silently.
+    expectResumeRejects(test::kStaleHeaders[0]);
+    expectResumeRejects(test::kStaleRows[0]);
+}
+
+TEST(SweepResume, SchemaV2FilesAreRejectedWithAVersionedError)
+{
+    // A v2 CSV names its 7th identity column `policy`; v3 renamed
+    // it to `axes`.
+    expectResumeRejects(test::kStaleHeaders[1]);
+}
+
+TEST(SweepResume, SchemaV3FilesAreRejectedWithAVersionedError)
+{
+    // A v3 CSV has the axes column but no tail-latency columns; its
+    // rows have 16 fields, the 0x-seed in column 8.
+    expectResumeRejects(test::kStaleHeaders[2]);
+    expectResumeRejects(test::kStaleRows[1]);
+}
+
+TEST(SweepResume, SchemaV4FilesAreRejectedWithAVersionedError)
+{
+    // A v4 CSV has p50_lat/p99_lat/p999_lat but no lat_samples; its
+    // rows have 19 fields.
+    expectResumeRejects(test::kStaleHeaders[3]);
+    expectResumeRejects(test::kStaleRows[2]);
+}
+
+TEST(SweepResume, SchemaV5FilesAreRejectedWithAVersionedError)
+{
+    // A v5 CSV has lat_samples but none of the v6 iterations/
+    // censored/p_break/ci_lo/ci_hi confidence columns; its rows have
+    // 20 fields.
+    expectResumeRejects(test::kStaleHeaders[4]);
+    expectResumeRejects(test::kStaleRows[3]);
+}
+
+TEST(SweepResume, MalformedLinesBetweenGoodRowsAreRejected)
 {
     // A complete checkpoint line is this build's header or a row of
-    // 25 non-empty fields with a numeric index.  Anything else fails
-    // naming the schema and quoting the line: a v1-v5 header, a stale
-    // row alone in a headerless journal, or a malformed line between
-    // good rows (24 fields, an empty last field, an `x` index).
+    // 25 non-empty fields with a numeric index.  A malformed line
+    // between good rows (24 fields, an empty last field, an `x`
+    // index) fails naming the schema and quoting the line.
     const std::vector<SweepCell> cells = resumeTestCells();
     std::string row1 = syntheticRow(cells, 1);
     row1.pop_back();
     const std::string dropped = row1.substr(0, row1.rfind(','));
     const std::string emptyLast = dropped + ",";
     const std::string xIndexed = "x" + row1.substr(row1.find(','));
-    std::vector<std::pair<std::string, std::string>> cases;
-    for (const auto *lines : {&test::kStaleHeaders, &test::kStaleRows}) {
-        for (const std::string &line : *lines)
-            cases.emplace_back(line, line + "\n");
-    }
     for (const std::string &line : {dropped, emptyLast, xIndexed}) {
-        cases.emplace_back(line, std::string(SweepRunner::csvHeader())
-                                     + "\n" + syntheticRow(cells, 0)
-                                     + line + "\n"
-                                     + syntheticRow(cells, 2));
-    }
-    for (const auto &[line, text] : cases) {
-        SweepRunner runner(tinyExperiment(), 2);
-        runner.setResume(writeTempFile("sweep_stale_line.csv", text));
-        try {
-            runner.run(cells);
-            ADD_FAILURE() << "resume accepted the line: " << line;
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find(
-                          "expected sweep CSV schema v6, found: " + line),
-                      std::string::npos)
-                << err.what();
-        }
+        expectResumeRejects(line, std::string(SweepRunner::csvHeader())
+                                      + "\n" + syntheticRow(cells, 0)
+                                      + line + "\n"
+                                      + syntheticRow(cells, 2));
     }
 }
 
