@@ -1,6 +1,7 @@
 #include "common/options.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 
@@ -26,6 +27,24 @@ trim(const std::string &s)
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+parseUnsigned(std::string_view text, std::uint64_t max, bool hex)
+{
+    int base = 10;
+    if (hex && text.starts_with("0x")) {
+        text.remove_prefix(2);
+        base = 16;
+    }
+    // from_chars takes no sign, whitespace or base prefix for an
+    // unsigned type, and reports an empty text and overflow.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v, base);
+    if (ec != std::errc() || stop != end || v > max)
+        return std::nullopt;
+    return v;
+}
 
 Options
 Options::fromArgs(int argc, const char *const *argv)
@@ -88,18 +107,21 @@ Options::getString(const std::string &key, const std::string &def) const
 }
 
 std::uint64_t
-Options::getUint(const std::string &key, std::uint64_t def) const
+Options::getUnsigned(const std::string &key, std::uint64_t def,
+                     std::uint64_t max, bool hex) const
 {
     consumed_.insert(key);
     const auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", key, ": '", it->second,
-              "' is not an integer");
-    return v;
+    const std::optional<std::uint64_t> v =
+        parseUnsigned(it->second, max, hex);
+    if (!v) {
+        fatal("option --", key, ": '", it->second, "' is not ",
+              hex ? "a decimal or 0x-hex" : "a decimal",
+              " integer in 0..", max);
+    }
+    return *v;
 }
 
 double

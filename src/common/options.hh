@@ -13,13 +13,28 @@
 #define SRS_COMMON_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace srs
 {
+
+/**
+ * Parse @p text as an unsigned integer no larger than @p max: base-10
+ * digits only (a leading zero is not octal), or, with @p hex, also
+ * `0x` followed by hex digits.  A sign, whitespace or any other
+ * character is an error.
+ * @return the value, or nullopt when @p text is not such a number
+ */
+std::optional<std::uint64_t> parseUnsigned(std::string_view text,
+                                           std::uint64_t max,
+                                           bool hex = false);
 
 /** Parsed option bag with typed access. */
 class Options
@@ -43,8 +58,25 @@ class Options
     /** Typed getters; fatal() on malformed values. */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t def) const;
+
+    /** Base-10 digits that fit @p T (parseUnsigned()); fatal()
+     *  quotes any other value. */
+    template <typename T = std::uint64_t>
+    T getUint(const std::string &key, std::type_identity_t<T> def) const
+    {
+        static_assert(std::is_unsigned_v<T>);
+        return static_cast<T>(
+            getUnsigned(key, def, std::numeric_limits<T>::max(), false));
+    }
+
+    /** A seed: base-10 digits, or `0x` and hex digits, the spelling
+     *  of the CSV `seed` column. */
+    std::uint64_t getSeed(const std::string &key, std::uint64_t def) const
+    {
+        return getUnsigned(key, def,
+                           std::numeric_limits<std::uint64_t>::max(), true);
+    }
+
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
@@ -61,6 +93,9 @@ class Options
     void set(const std::string &key, const std::string &value);
 
   private:
+    std::uint64_t getUnsigned(const std::string &key, std::uint64_t def,
+                              std::uint64_t max, bool hex) const;
+
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
     mutable std::set<std::string> consumed_;

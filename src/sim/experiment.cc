@@ -22,7 +22,6 @@ makeSystemConfig(const ExperimentConfig &exp, MitigationKind kind,
     cfg.mit.seed = exp.seed ^ 0x517e5ULL;
     cfg.epochLen = exp.epochLen;
     cfg.seed = exp.seed;
-    cfg.referenceLoop = exp.referenceLoop;
     axes.apply(cfg);
     return cfg;
 }
@@ -69,7 +68,7 @@ runWorkloadMix(const SystemConfig &sysCfg,
                             perCore[c], sys.controller().addressMap(),
                             c, exp.seed));
     }
-    sys.run(exp.warmup + exp.cycles);
+    sys.run(exp.cycles);
     return collect(sys);
 }
 
@@ -88,7 +87,7 @@ runWorkloadTrace(const SystemConfig &sysCfg,
         sys.setTrace(c, std::make_unique<FileTrace>(records,
                                                     /*loop=*/true));
     }
-    sys.run(exp.warmup + exp.cycles);
+    sys.run(exp.cycles);
     return collect(sys);
 }
 
@@ -103,7 +102,7 @@ runWorkloadGenerator(const SystemConfig &sysCfg,
                             gen, sys.controller().addressMap(), c,
                             exp.seed));
     }
-    sys.run(exp.warmup + exp.cycles);
+    sys.run(exp.cycles);
     return collect(sys);
 }
 

@@ -68,11 +68,8 @@ struct RunResult
 /** Knobs of the experiment harness. */
 struct ExperimentConfig
 {
-    /** CPU cycles to simulate per run (after warmup). */
+    /** CPU cycles to simulate per run; IPC covers all of them. */
     Cycle cycles = 3'000'000;
-    /** Warmup cycles excluded implicitly (IPC uses the full window;
-     *  warmup is kept small instead of tracked separately). */
-    Cycle warmup = 0;
     /** Scaled-down refresh interval for tractable runs (default:
      *  1 ms at 3.2 GHz; thresholds stay unscaled — see "Why the
      *  epoch is scaled and T_RH is not" in docs/REPRODUCING.md). */
@@ -81,10 +78,6 @@ struct ExperimentConfig
     std::uint32_t numCores = 8;
     /** Trace/RIT base seed; equal seeds replay equal runs. */
     std::uint64_t seed = 0xBEEFULL;
-    /** Run under the tick-per-cycle reference loop instead of the
-     *  event-driven loop (A/B equivalence checks and the perf
-     *  harness; results are identical either way). */
-    bool referenceLoop = false;
 };
 
 /**
@@ -115,7 +108,7 @@ SystemConfig makeSystemConfig(const ExperimentConfig &exp,
  *
  * @param sysCfg  system under test (makeSystemConfig())
  * @param profile synthetic benchmark profile driving every core
- * @param exp     cycle budget, warmup and trace seed
+ * @param exp     cycle budget and trace seed
  * @return aggregate statistics of the run
  */
 RunResult runWorkload(const SystemConfig &sysCfg,
@@ -128,7 +121,7 @@ RunResult runWorkload(const SystemConfig &sysCfg,
  * @param sysCfg  system under test
  * @param perCore one profile per core; size must equal
  *                sysCfg.numCores
- * @param exp     cycle budget, warmup and trace seed
+ * @param exp     cycle budget and trace seed
  * @return aggregate statistics of the run
  */
 RunResult runWorkloadMix(const SystemConfig &sysCfg,
@@ -144,7 +137,7 @@ RunResult runWorkloadMix(const SystemConfig &sysCfg,
  * @param sysCfg  system under test
  * @param perCore one parsed trace per core, or a single entry
  *                replayed by every core
- * @param exp     cycle budget and warmup (the trace itself is the
+ * @param exp     cycle budget (the trace itself is the
  *                access stream, so exp.seed does not reshape it)
  * @return aggregate statistics of the run
  */
@@ -159,7 +152,7 @@ RunResult runWorkloadTrace(const SystemConfig &sysCfg,
  *
  * @param sysCfg system under test
  * @param gen    generator identity (parsed from its spelling)
- * @param exp    cycle budget, warmup and trace seed
+ * @param exp    cycle budget and trace seed
  * @return aggregate statistics of the run
  */
 RunResult runWorkloadGenerator(const SystemConfig &sysCfg,

@@ -224,12 +224,12 @@ loadManifest(const std::string &path)
     }
 
     ShardManifest manifest;
-    manifest.exp.seed = opts.getUint("seed", manifest.exp.seed);
+    manifest.exp.seed = opts.getSeed("seed", manifest.exp.seed);
     manifest.exp.cycles = opts.getUint("cycles", manifest.exp.cycles);
     manifest.exp.epochLen =
         opts.getUint("epoch", manifest.exp.epochLen);
-    manifest.exp.numCores = static_cast<std::uint32_t>(
-        opts.getUint("cores", manifest.exp.numCores));
+    manifest.exp.numCores =
+        opts.getUint<std::uint32_t>("cores", manifest.exp.numCores);
 
     SweepGrid &grid = manifest.grid;
     grid.workloads = splitSpecList(opts.getString("workloads", ""),
@@ -266,10 +266,8 @@ loadManifest(const std::string &path)
     grid.swapRates = splitUint32List(opts.getString("rates", ""), "manifest: rates");
     grid.tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
-    grid.mixCount =
-        static_cast<std::uint32_t>(opts.getUint("mix", 0));
-    grid.mixBase =
-        static_cast<std::uint32_t>(opts.getUint("mix_base", 0));
+    grid.mixCount = opts.getUint<std::uint32_t>("mix", 0);
+    grid.mixBase = opts.getUint<std::uint32_t>("mix_base", 0);
     grid.mixCores = manifest.exp.numCores;
 
     const std::uint64_t shardCount = opts.getUint("shards", 0);
@@ -290,10 +288,10 @@ loadManifest(const std::string &path)
         shard.grid.workloads = splitSpecList(
             opts.getString(shardKey(k, "workloads"), ""),
             manifest.exp.numCores);
-        shard.grid.mixCount = static_cast<std::uint32_t>(
-            opts.getUint(shardKey(k, "mix"), 0));
-        shard.grid.mixBase = static_cast<std::uint32_t>(
-            opts.getUint(shardKey(k, "mix_base"), 0));
+        shard.grid.mixCount =
+            opts.getUint<std::uint32_t>(shardKey(k, "mix"), 0);
+        shard.grid.mixBase =
+            opts.getUint<std::uint32_t>(shardKey(k, "mix_base"), 0);
         shard.offset = opts.getUint(shardKey(k, "offset"), 0);
         shard.cells = opts.getUint(shardKey(k, "cells"), 0);
         shard.csv = opts.getString(shardKey(k, "csv"),

@@ -7,11 +7,13 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "common/thread_pool.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
@@ -694,15 +696,13 @@ splitUint32List(const std::string &value, const std::string &what)
 {
     std::vector<std::uint32_t> items;
     for (const std::string &item : splitList(value)) {
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0' || item[0] == '-'
-            || v > std::numeric_limits<std::uint32_t>::max()) {
+        const std::optional<std::uint64_t> v = parseUnsigned(
+            item, std::numeric_limits<std::uint32_t>::max());
+        if (!v) {
             fatal(what, ": '", item,
                   "' is not a 32-bit unsigned integer");
         }
-        items.push_back(static_cast<std::uint32_t>(v));
+        items.push_back(static_cast<std::uint32_t>(*v));
     }
     return items;
 }

@@ -89,10 +89,11 @@ struct SystemConfig
     std::uint32_t pinCapacity = 66;
 
     /**
-     * Use the tick-per-cycle reference loop instead of the
-     * event-driven skip-ahead loop.  Results are identical by
-     * construction (the equivalence tests lock this down); the
-     * reference exists for A/B verification and the perf harness.
+     * Run the tick-per-cycle reference loop instead of the
+     * event-driven skip-ahead loop.  It selects the oracle of the
+     * loop-equivalence tests (tests/test_event_loop.cc); no
+     * production caller sets it, so every CLI command, sweep, bench
+     * and example runs the event-driven loop.
      */
     bool referenceLoop = false;
 

@@ -52,6 +52,33 @@ endfunction()
 # Tiny cycle budgets keep the smoke test fast.
 run_expect_ok(list)
 run_expect_ok(storage --trh=1200)
+
+# Unsigned options are base-10 digits that fit their type: a leading
+# zero is not octal, and a sign or a value past 32 bits is fatal,
+# quoting the input.  Seeds alone also take the CSV's 0x spelling.
+execute_process(COMMAND ${SRS_SIM} storage --trh=02260
+                RESULT_VARIABLE storage_rc OUTPUT_VARIABLE storage_out
+                ERROR_QUIET)
+if(NOT storage_rc EQUAL 0 OR NOT storage_out MATCHES "T_RH = 2260\n")
+  message(FATAL_ERROR "storage --trh=02260 did not read 2260:\n"
+          "${storage_out}")
+endif()
+foreach(bad "-1" "4294968496")
+  run_expect_fail_saying(NEEDLES "'${bad}'" ARGS storage --trh=${bad})
+endforeach()
+set(seed_args sweep --workloads=gups --mitigations=rrs --trh=1200
+    --rates=6 --cycles=20000 --epoch=10000 --threads=1 --journal=none)
+foreach(seed 0x5eed 24301)
+  run_expect_ok(${seed_args} --seed=${seed}
+                --out=${CMAKE_CURRENT_BINARY_DIR}/seed_${seed}.csv)
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${CMAKE_CURRENT_BINARY_DIR}/seed_0x5eed.csv
+                ${CMAKE_CURRENT_BINARY_DIR}/seed_24301.csv
+                RESULT_VARIABLE seed_diff)
+if(NOT seed_diff EQUAL 0)
+  message(FATAL_ERROR "--seed=0x5eed and --seed=24301 differ")
+endif()
 run_expect_ok(perf --workload=gups --mitigation=rrs --trh=1200
               --rate=6 --cycles=60000 --epoch=25000 --csv)
 run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
@@ -257,10 +284,11 @@ file(WRITE ${smoke_dir}/orch_shards/shard1.csv "${shard1_text}")
 
 # A killed shard: the wrapper --sim logs every argv and, on the first
 # launch overall only, runs the real srs_sim, cuts the shard journal
-# back to its header and first row, deletes the shard CSV and dies by
-# SIGKILL.  The supervisor must relaunch that shard from its journal
-# and merge the single-process bytes.  With --retries=0 the run fails
-# instead, and re-running it resumes and merges the same bytes.
+# back to its header and first row, deletes the shard CSV, saves a
+# `monitor` snapshot of the live run and dies by SIGKILL.  The
+# supervisor must relaunch that shard from its journal and merge the
+# single-process bytes.  With --retries=0 the run fails instead, and
+# re-running it resumes and merges the same bytes.
 string(CONFIGURE [=[#!/bin/sh
 for arg in "$@"; do
   case "$arg" in --out=*) out="${arg#--out=}" ;; esac
@@ -273,6 +301,7 @@ if mkdir "$dir/first_launch" 2>/dev/null; then
   mv "$out.journal.cut" "$out.journal"
   rm -f "$out"
   echo "$out" > "$dir/killed"
+  "@SRS_SIM@" monitor --dir="$dir" > "$dir/monitor_live.json" 2>/dev/null
   kill -KILL $$
 fi
 exec "@SRS_SIM@" "$@"
@@ -280,36 +309,49 @@ exec "@SRS_SIM@" "$@"
 set(kill_sim ${smoke_dir}/kill_sim.sh)
 file(WRITE ${kill_sim} "${kill_script}")
 file(CHMOD ${kill_sim} PERMISSIONS OWNER_READ OWNER_WRITE OWNER_EXECUTE)
+# Run a supervisor (orchestrate or farm) whose first shard launch goes
+# through the wrapper and dies; require the relaunch from that shard's
+# journal, a mid-run monitor snapshot with fleet and shard lines, and
+# the single-process bytes:
+#   run_killing_one_shard(<shard dir> <merged csv> <argv>...)
+function(run_killing_one_shard dir merged)
+  execute_process(COMMAND ${SRS_SIM} ${ARGN} --out=${merged}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "srs_sim ${ARGN} did not survive a killed "
+            "shard:\n${err}")
+  endif()
+  if(NOT err MATCHES "relaunching")
+    message(FATAL_ERROR "srs_sim ${ARGN} did not relaunch the killed "
+            "shard:\n${err}")
+  endif()
+  file(STRINGS ${dir}/killed killed_csv)
+  file(READ ${dir}/argv.log argv_log)
+  string(FIND "${argv_log}" "--resume=${killed_csv}.journal" resumed)
+  if(resumed EQUAL -1)
+    message(FATAL_ERROR "the relaunch of ${killed_csv} did not resume "
+            "from its journal:\n${argv_log}")
+  endif()
+  file(READ ${dir}/monitor_live.json live)
+  foreach(needle "\"type\":\"fleet\"" "\"type\":\"shard\"")
+    if(NOT live MATCHES "${needle}")
+      message(FATAL_ERROR "the monitor snapshot taken before the kill "
+              "lacks '${needle}':\n${live}")
+    endif()
+  endforeach()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${smoke_dir}/orch_single.csv ${merged}
+                  RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "CSV merged after a killed shard differs")
+  endif()
+endfunction()
 file(REMOVE_RECURSE ${smoke_dir}/kill_shards ${smoke_dir}/kill0_shards)
 set(kill_args orchestrate ${orch_grid} --shards=3 --jobs=2 --threads=1
     --sim=${kill_sim})
-execute_process(COMMAND ${SRS_SIM} ${kill_args}
-                --out=${smoke_dir}/kill_merged.csv
-                --dir=${smoke_dir}/kill_shards
-                RESULT_VARIABLE kill_rc ERROR_VARIABLE kill_err
-                OUTPUT_QUIET)
-if(NOT kill_rc EQUAL 0)
-  message(FATAL_ERROR "orchestrate did not survive a killed shard:\n"
-          "${kill_err}")
-endif()
-if(NOT kill_err MATCHES "relaunching")
-  message(FATAL_ERROR "orchestrate did not relaunch the killed shard:\n"
-          "${kill_err}")
-endif()
-file(STRINGS ${smoke_dir}/kill_shards/killed killed_csv)
-file(READ ${smoke_dir}/kill_shards/argv.log kill_argv)
-string(FIND "${kill_argv}" "--resume=${killed_csv}.journal" kill_resume)
-if(kill_resume EQUAL -1)
-  message(FATAL_ERROR "the relaunch of ${killed_csv} did not resume "
-          "from its journal:\n${kill_argv}")
-endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${smoke_dir}/orch_single.csv
-                ${smoke_dir}/kill_merged.csv
-                RESULT_VARIABLE kill_diff)
-if(NOT kill_diff EQUAL 0)
-  message(FATAL_ERROR "CSV merged after a killed shard differs")
-endif()
+run_killing_one_shard(${smoke_dir}/kill_shards
+                      ${smoke_dir}/kill_merged.csv ${kill_args}
+                      --dir=${smoke_dir}/kill_shards)
 # orchestrate writes the farm status file, so monitor shows hosts.
 file(READ ${smoke_dir}/kill_shards/farm.status kill_status)
 execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/kill_shards
@@ -503,9 +545,9 @@ foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
 endforeach()
 
 # Farm: dispatch a planned orchestration across a simulated fleet of
-# two "local" hosts x 2 jobs and require the merged CSV to be
-# byte-identical to the single-process sweep; the JSON plan names
-# every shard's argv; monitor reports fleet completion from the
+# two "local" hosts x 2 jobs, with the first shard launch killed, and
+# require the relaunch and the single-process bytes; the JSON plan
+# names every shard's argv; monitor reports fleet completion from the
 # journals alone.
 file(REMOVE_RECURSE ${smoke_dir}/farm_shards)
 run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan
@@ -525,16 +567,11 @@ endforeach()
 run_expect_fail(orchestrate ${orch_grid} --plan --plan-format=yaml)
 file(WRITE ${smoke_dir}/farm_hosts.conf
      "version=1\nhosts=2\nhost0.host=local\nhost0.jobs=2\nhost1.host=local\nhost1.jobs=2\n")
-run_expect_ok(farm --manifest=${smoke_dir}/farm_shards/manifest
-              --hosts=${smoke_dir}/farm_hosts.conf --threads=1
-              --out=${smoke_dir}/farm_merged.csv)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${smoke_dir}/orch_single.csv
-                ${smoke_dir}/farm_merged.csv
-                RESULT_VARIABLE farm_diff)
-if(NOT farm_diff EQUAL 0)
-  message(FATAL_ERROR "farm CSV differs from single-process sweep")
-endif()
+run_killing_one_shard(${smoke_dir}/farm_shards
+                      ${smoke_dir}/farm_merged.csv
+                      farm --manifest=${smoke_dir}/farm_shards/manifest
+                      --hosts=${smoke_dir}/farm_hosts.conf --threads=1
+                      --sim=${kill_sim})
 file(READ ${smoke_dir}/farm_shards/farm.status farm_status)
 foreach(needle "\"type\":\"fleet\"" "\"done\":3" "\"host\":\"local\"")
   if(NOT farm_status MATCHES "${needle}")
@@ -570,8 +607,9 @@ run_expect_fail(farm --manifest=${smoke_dir}/farm_shards/manifest)
 run_expect_fail(farm --hosts=${smoke_dir}/farm_hosts.conf)
 file(WRITE ${smoke_dir}/bad_hosts.conf
      "version=9\nhosts=1\nhost0.host=local\n")
-run_expect_fail(farm --manifest=${smoke_dir}/farm_shards/manifest
-                --hosts=${smoke_dir}/bad_hosts.conf)
+run_expect_fail_saying(NEEDLES "version 9"
+                       ARGS farm --manifest=${smoke_dir}/farm_shards/manifest
+                            --hosts=${smoke_dir}/bad_hosts.conf)
 run_expect_fail(monitor)
 run_expect_fail(monitor --dir=${smoke_dir}/no_such_dir)
 

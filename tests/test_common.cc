@@ -605,6 +605,22 @@ TEST(Options, ParsesArgsFlagsAndPositional)
     EXPECT_EQ(o.getUint("rate", 0), 3u);
     EXPECT_TRUE(o.getBool("csv", false));
     EXPECT_EQ(o.getString("workload", "gcc"), "gcc");
+
+    // Base 10 only: a leading zero is not octal.  Seeds alone also
+    // take the CSV's 0x spelling.
+    o.set("trh", "02260");
+    EXPECT_EQ(o.getUint<std::uint32_t>("trh", 0), 2260u);
+    o.set("trh", "4294967295");
+    EXPECT_EQ(o.getUint<std::uint32_t>("trh", 0), 4294967295u);
+    o.set("cycles", "18446744073709551615");
+    EXPECT_EQ(o.getUint("cycles", 0), 18446744073709551615u);
+    o.set("seed", "0x5eed");
+    EXPECT_EQ(o.getSeed("seed", 0), 24301u);
+    o.set("seed", "24301");
+    EXPECT_EQ(o.getSeed("seed", 0), 24301u);
+    o.set("seed", "0xFFFFFFFFFFFFFFFF");
+    EXPECT_EQ(o.getSeed("seed", 0), 18446744073709551615u);
+    EXPECT_EQ(o.getSeed("absent", 0xbeef), 0xbeefu);
 }
 
 TEST(Options, TypedGetterErrors)
@@ -614,6 +630,29 @@ TEST(Options, TypedGetterErrors)
     EXPECT_THROW(o.getUint("trh", 0), FatalError);
     EXPECT_THROW(o.getDouble("p", 0.0), FatalError);
     EXPECT_THROW(o.getBool("b", false), FatalError);
+
+    // A sign, whitespace, a base prefix outside seeds, overflow and a
+    // value too large for the caller's type are all fatal, quoting
+    // the input.
+    for (const char *bad : {"-1", "+5", " 5", "5 ", "", "0x10", "1e3",
+                            "18446744073709551616"}) {
+        o.set("trh", bad);
+        EXPECT_THROW(o.getUint("trh", 0), FatalError) << "'" << bad << "'";
+    }
+    o.set("trh", "4294968496");
+    EXPECT_EQ(o.getUint("trh", 0), 4294968496u);
+    try {
+        o.getUint<std::uint32_t>("trh", 0);
+        ADD_FAILURE() << "4294968496 fit in 32 bits";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'4294968496'"),
+                  std::string::npos) << e.what();
+    }
+    for (const char *bad : {"0x", "0x-1", "0x5eedz", "0X5eed", "-0x1",
+                            "0x10000000000000000"}) {
+        o.set("seed", bad);
+        EXPECT_THROW(o.getSeed("seed", 0), FatalError) << "'" << bad << "'";
+    }
 }
 
 TEST(Options, RejectUnknownCatchesTypos)

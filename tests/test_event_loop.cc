@@ -1,44 +1,46 @@
 /**
  * @file
  * Event-driven loop equivalence: the skip-ahead System::run must be
- * indistinguishable from the tick-per-cycle reference loop.  Skipping
- * a cycle is only legal when ticking every component there is
- * provably a no-op, so every observable — IPC per core, mitigation
- * activity, Row Hammer ground truth, sweep CSV bytes — must match
- * exactly, not approximately.
+ * indistinguishable from the tick-per-cycle reference loop
+ * (SystemConfig::referenceLoop, the oracle no production caller
+ * selects).  Skipping a cycle is only legal when ticking every
+ * component there is provably a no-op, so every observable — IPC per
+ * core, mitigation activity, Row Hammer ground truth, the latency
+ * histogram — must match exactly, not approximately.
+ *
+ * The end-to-end comparison cannot see a deadline hook that is merely
+ * early, nor one whose lateness the other components' wakes happen to
+ * cover, so DeadlineHooksAreExact checks each hook on its own.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "cpu/core.hh"
+#include "memctrl/controller.hh"
+#include "mitigation/blockhammer.hh"
+#include "mitigation/srs.hh"
 #include "sim/experiment.hh"
-#include "sim/sweep.hh"
+#include "tracker/misra_gries.hh"
 
 namespace srs
 {
 namespace
 {
 
-ExperimentConfig
-smallExperiment(bool referenceLoop)
+RunResult
+runCell(const char *workload, MitigationKind kind, TrackerKind tracker,
+        bool referenceLoop, std::uint32_t trh = 1200,
+        const SystemAxes &axes = {})
 {
     ExperimentConfig exp;
     exp.cycles = 120'000;
     exp.epochLen = 50'000;
-    exp.referenceLoop = referenceLoop;
-    return exp;
-}
-
-RunResult
-runCell(const char *workload, MitigationKind kind, TrackerKind tracker,
-        bool referenceLoop)
-{
-    const ExperimentConfig exp = smallExperiment(referenceLoop);
-    const SystemConfig cfg =
-        makeSystemConfig(exp, kind, 1200, 6, tracker);
+    SystemConfig cfg = makeSystemConfig(exp, kind, trh, 6, tracker, axes);
+    cfg.referenceLoop = referenceLoop;
     return runWorkload(cfg, profileByName(workload), exp);
 }
 
@@ -69,6 +71,10 @@ expectIdentical(const RunResult &ref, const RunResult &ev,
 
 TEST(EventLoop, MatchesReferenceAcrossMitigations)
 {
+    // At T_RH 1200 (T_S = 200) no row of this window reaches T_S; at
+    // T_RH 120 (T_S = 20) the row-swap defenses swap, so the loops
+    // are also compared across migrations and latent charges.  The
+    // open-page and DDR5 2x2x32 axes move the controller's deadlines.
     const char *workloads[] = {"gups", "gcc"};
     const MitigationKind kinds[] = {
         MitigationKind::None,
@@ -76,15 +82,31 @@ TEST(EventLoop, MatchesReferenceAcrossMitigations)
         MitigationKind::ScaleSrs,
         MitigationKind::BlockHammer,
     };
+    const std::uint32_t trhs[] = {1200, 120};
+    const char *axesSpellings[] = {"closed", "open",
+                                   "open@ddr5@org=2x2x32"};
     for (const char *wl : workloads) {
         for (const MitigationKind kind : kinds) {
-            const std::string label =
-                std::string(wl) + "/" + mitigationKindName(kind);
-            const RunResult ref =
-                runCell(wl, kind, TrackerKind::MisraGries, true);
-            const RunResult ev =
-                runCell(wl, kind, TrackerKind::MisraGries, false);
-            expectIdentical(ref, ev, label);
+            for (const std::uint32_t trh : trhs) {
+                for (const char *spelling : axesSpellings) {
+                    const SystemAxes axes = SystemAxes::parse(spelling);
+                    const std::string label = std::string(wl) + "/"
+                        + mitigationKindName(kind) + "/"
+                        + std::to_string(trh) + "/" + spelling;
+                    const RunResult ref = runCell(
+                        wl, kind, TrackerKind::MisraGries, true, trh, axes);
+                    const RunResult ev = runCell(
+                        wl, kind, TrackerKind::MisraGries, false, trh,
+                        axes);
+                    expectIdentical(ref, ev, label);
+                    const bool swapping = trh == 120
+                        && (kind == MitigationKind::Srs
+                            || kind == MitigationKind::ScaleSrs);
+                    if (swapping) {
+                        EXPECT_GT(ev.swaps, 0u) << label;
+                    }
+                }
+            }
         }
     }
 }
@@ -114,10 +136,12 @@ TEST(EventLoop, MatchesReferenceOnGeneratorWorkloads)
         const GeneratorSpec gen = GeneratorSpec::parse(spelling);
         RunResult results[2];
         for (int refLoop = 0; refLoop < 2; ++refLoop) {
-            const ExperimentConfig exp =
-                smallExperiment(refLoop == 1);
-            const SystemConfig cfg = makeSystemConfig(
+            ExperimentConfig exp;
+            exp.cycles = 120'000;
+            exp.epochLen = 50'000;
+            SystemConfig cfg = makeSystemConfig(
                 exp, MitigationKind::ScaleSrs, 1200, 6);
+            cfg.referenceLoop = refLoop == 1;
             results[refLoop] = runWorkloadGenerator(cfg, gen, exp);
         }
         expectIdentical(results[1], results[0], spelling);
@@ -125,34 +149,262 @@ TEST(EventLoop, MatchesReferenceOnGeneratorWorkloads)
     }
 }
 
-TEST(EventLoop, SweepCsvBytesMatchReferenceAtAnyThreadCount)
+// ---------------------------------------------------------------------
+// The deadline contract behind the skip-ahead.
+// ---------------------------------------------------------------------
+
+/** One self-timed component as the run loop sees it. */
+struct Timed
 {
-    SweepGrid grid;
-    grid.workloads = {WorkloadSpec::synthetic("gups"),
-                      WorkloadSpec::synthetic("gcc")};
-    grid.mitigations = {MitigationKind::Srs, MitigationKind::ScaleSrs};
-    grid.trhs = {1200};
-    grid.swapRates = {6};
+    std::function<void(Cycle)> tick;
+    /** nextEventAt(now); kNoCycle when no future tick has an effect. */
+    std::function<Cycle(Cycle)> deadline;
+    /** Everything a tick can change, as one comparable string. */
+    std::function<std::string()> observe;
+    /** Tick lattice: 1 for cores, the bus clock for memory. */
+    Cycle step = 1;
+    /** How long to keep ticking after the component reports kNoCycle;
+     *  longer than any self-timed work it could have hidden. */
+    Cycle horizon = 0;
+};
 
-    ExperimentConfig exp;
-    exp.cycles = 60'000;
-    exp.epochLen = 25'000;
-
-    std::string csv[2][2];   // [referenceLoop][threads index]
-    for (int refLoop = 0; refLoop < 2; ++refLoop) {
-        exp.referenceLoop = refLoop == 1;
-        const std::size_t threadCounts[] = {1, 8};
-        for (int t = 0; t < 2; ++t) {
-            SweepRunner runner(exp, threadCounts[t]);
-            const std::vector<SweepResult> results = runner.run(grid);
-            std::ostringstream os;
-            SweepRunner::writeCsv(os, results);
-            csv[refLoop][t] = os.str();
+/**
+ * Tick @p t at every lattice point after @p now, which was just
+ * ticked, through @p deadlines reported deadlines.  Before each
+ * deadline nothing observable may change.  At it something must
+ * change, or the component must learn there that it may sleep: its
+ * next deadline lies beyond the next lattice point (a core that
+ * filled its ROB last cycle) or is kNoCycle (SRS's last lazy step
+ * finds no stale entry left).  After kNoCycle nothing may ever
+ * change.
+ * @return the number of deadlines visited
+ */
+int
+expectDeadlineContract(const Timed &t, Cycle now, int deadlines,
+                       const std::string &label)
+{
+    for (int visited = 0; visited < deadlines; ++visited) {
+        const std::string before = t.observe();
+        const Cycle reported = t.deadline(now);
+        if (reported == kNoCycle) {
+            for (Cycle c = now + t.step; c <= now + t.horizon; c += t.step) {
+                t.tick(c);
+                if (t.observe() != before) {
+                    ADD_FAILURE() << label << ": changed at cycle " << c
+                                  << " after reporting kNoCycle at "
+                                  << now;
+                    return visited;
+                }
+            }
+            return visited;
         }
+        // Memory deadlines round up to the bus lattice, as System does.
+        const Cycle at = (reported + t.step - 1) / t.step * t.step;
+        if (at <= now) {
+            ADD_FAILURE() << label << ": deadline " << reported
+                          << " is not after " << now;
+            return visited;
+        }
+        for (Cycle c = now + t.step; c < at; c += t.step) {
+            t.tick(c);
+            if (t.observe() != before) {
+                ADD_FAILURE() << label << ": changed at cycle " << c
+                              << ", before its deadline " << at;
+                return visited;
+            }
+        }
+        t.tick(at);
+        const Cycle next = t.deadline(at);
+        if (t.observe() == before && next != kNoCycle
+            && next <= at + t.step) {
+            ADD_FAILURE() << label << ": nothing changed at its deadline "
+                          << at;
+            return visited;
+        }
+        now = at;
     }
-    EXPECT_EQ(csv[0][0], csv[0][1]);   // event: threads don't matter
-    EXPECT_EQ(csv[1][0], csv[1][1]);   // reference: threads don't matter
-    EXPECT_EQ(csv[0][0], csv[1][0]);   // loops emit identical bytes
+    return deadlines;
+}
+
+/** Feeds a core back-to-back reads, so every fetch is observable. */
+class ReadTrace : public TraceSource
+{
+  public:
+    TraceRecord next() override
+    {
+        TraceRecord r;
+        r.addr = 0x1000 + 64 * records_++;
+        return r;
+    }
+
+  private:
+    Addr records_ = 0;
+};
+
+/** Serves the first @p hits reads after a fixed latency, then leaves
+ *  every read pending until the test completes it. */
+class SlowMemory : public CoreMemoryInterface
+{
+  public:
+    explicit SlowMemory(std::uint64_t hits) : hits_(hits) {}
+
+    Outcome access(Addr, bool, CoreId, std::uint64_t token, Cycle,
+                   Cycle &latencyOut) override
+    {
+        if (hits_ == 0) {
+            pending.push_back(token);
+            return Outcome::Pending;
+        }
+        --hits_;
+        latencyOut = 300;
+        return Outcome::Hit;
+    }
+
+    /** Tokens of the pending reads, oldest first. */
+    std::vector<std::uint64_t> pending;
+
+  private:
+    std::uint64_t hits_;
+};
+
+std::string
+pendingMigrations(const MemoryController &ctrl)
+{
+    std::uint64_t n = 0;
+    const DramOrg &org = ctrl.org();
+    for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
+        for (std::uint32_t b = 0;
+             b < org.ranksPerChannel * org.banksPerRank; ++b)
+            n += ctrl.pendingMigrations(ch, b);
+    }
+    return " migrations=" + std::to_string(n);
+}
+
+MisraGriesConfig
+trackerConfig(std::uint32_t ts)
+{
+    MisraGriesConfig cfg;
+    cfg.ts = ts;
+    cfg.actMaxPerEpoch = 100'000;
+    return cfg;
+}
+
+TEST(EventLoop, DeadlineHooksAreExact)
+{
+    const DramOrg org;
+    const DramTiming timing = DramTiming::fromNs(DramTimingNs{});
+    const Cycle bus = timing.busClock;
+    MitigationConfig mitCfg;
+    mitCfg.trh = 120;
+    mitCfg.swapRate = 6;   // T_S = 20
+
+    {
+        // Core: running (wake next cycle), asleep behind a 300-cycle
+        // read at the head of a full ROB, asleep behind a pending read
+        // (kNoCycle), then woken by that read's completion.
+        ReadTrace trace;
+        SlowMemory mem(120);
+        Core core(0, CoreConfig{}, trace, mem);
+        Timed t;
+        t.tick = [&](Cycle now) { core.tick(now); };
+        t.deadline = [&](Cycle) { return core.nextEventAt(); };
+        t.observe = [&] {
+            return std::to_string(core.retiredInstrs()) + " "
+                + std::to_string(core.memReads());
+        };
+        t.horizon = 2000;
+        core.tick(0);
+        expectDeadlineContract(t, 0, 100'000, "core");
+        EXPECT_EQ(core.nextEventAt(), kNoCycle);
+        EXPECT_EQ(core.retiredInstrs(), 120u);
+        ASSERT_FALSE(mem.pending.empty());
+        core.complete(mem.pending.front(), 10'000);
+        expectDeadlineContract(t, 10'000, 100, "core after a completion");
+        EXPECT_EQ(core.retiredInstrs(), 121u);
+    }
+
+    {
+        // Controller, drained: one read in flight, then tREFI refresh
+        // deadlines, forever.  A slow CL lets the closed-page idle
+        // close precharge the bank before the data returns.
+        DramTimingNs slowCas;
+        slowCas.tCAS = 60.0;
+        MemoryController ctrl(org, DramTiming::fromNs(slowCas));
+        std::uint64_t completed = 0;
+        ctrl.setReadCallback([&](const MemRequest &) { ++completed; });
+        ctrl.enqueue(0x4000, false, 0, 0);
+        Cycle now = 0;
+        ctrl.tick(now);
+        while (ctrl.nextEventAt(now) <= now + bus && now < 100'000) {
+            now += bus;
+            ctrl.tick(now);
+        }
+        ASSERT_EQ(completed, 0u) << "the read must still be in flight";
+        Timed t;
+        t.tick = [&](Cycle c) { ctrl.tick(c); };
+        t.deadline = [&](Cycle c) { return ctrl.nextEventAt(c); };
+        t.observe = [&] {
+            return ctrl.stats().dump() + " completed="
+                + std::to_string(completed);
+        };
+        t.step = bus;
+        t.horizon = 3 * ctrl.timing().tREFI;
+        EXPECT_EQ(expectDeadlineContract(t, now, 4, "controller"), 4);
+        EXPECT_EQ(completed, 1u);
+        EXPECT_GE(ctrl.stats().get("refreshes"), 3u);
+    }
+
+    {
+        // Base-class lazy pacing: SRS places back the last epoch's
+        // swaps one per paced deadline, then reports kNoCycle.
+        MemoryController ctrl(org, timing);
+        MisraGriesTracker tracker(trackerConfig(mitCfg.ts()));
+        SrsConfig srsCfg;
+        srsCfg.modelCounterTraffic = false;
+        Srs srs(ctrl, tracker, mitCfg, srsCfg);
+        for (std::uint32_t bank = 0; bank < 3; ++bank) {
+            for (int i = 0; i < 2 * static_cast<int>(mitCfg.ts()); ++i)
+                srs.onActivate(0, bank, 500 + bank, 0);
+        }
+        ASSERT_GT(srs.stats().get("swaps"), 0u);
+        srs.onEpochEnd(0, 60'000);
+        Timed t;
+        t.tick = [&](Cycle c) { srs.tick(c); };
+        t.deadline = [&](Cycle c) { return srs.nextEventAt(c); };
+        t.observe = [&] {
+            return srs.stats().dump() + pendingMigrations(ctrl);
+        };
+        t.step = bus;
+        t.horizon = 120'000;
+        expectDeadlineContract(t, 0, 1000, "srs lazy pacing");
+        EXPECT_EQ(srs.nextEventAt(0), kNoCycle);
+        EXPECT_EQ(srs.stats().get("place_backs"),
+                  srs.stats().get("swaps"));
+    }
+
+    {
+        // BlockHammer: a filter rotation every half epoch, forever,
+        // with a blacklisted row whose stamp a rotation drops.
+        MemoryController ctrl(org, timing);
+        MisraGriesTracker tracker(trackerConfig(mitCfg.ts()));
+        BlockHammer bh(ctrl, tracker, mitCfg);
+        bh.onEpochEnd(0, 8000);
+        for (std::uint32_t i = 0; i <= bh.blacklistThreshold(); ++i)
+            bh.onActivate(0, 0, 900, 0);
+        ASSERT_EQ(bh.blacklistedRows(0, 0), 1u);
+        Timed t;
+        t.tick = [&](Cycle c) { bh.tick(c); };
+        t.deadline = [&](Cycle c) { return bh.nextEventAt(c); };
+        t.observe = [&] {
+            return bh.stats().dump() + " blacklisted="
+                + std::to_string(bh.blacklistedRows(0, 0))
+                + pendingMigrations(ctrl);
+        };
+        t.step = bus;
+        t.horizon = 20'000;
+        EXPECT_EQ(expectDeadlineContract(t, 0, 3, "blockhammer"), 3);
+        EXPECT_EQ(bh.stats().get("filter_rotations"), 3u);
+    }
 }
 
 } // namespace

@@ -168,10 +168,8 @@ cmdPerf(const Options &opts)
 {
     const std::string workload = opts.getString("workload", "gcc");
     const std::string defense = opts.getString("mitigation", "scale-srs");
-    const std::uint32_t trh =
-        static_cast<std::uint32_t>(opts.getUint("trh", 1200));
-    const std::uint32_t rate =
-        static_cast<std::uint32_t>(opts.getUint("rate", 3));
+    const std::uint32_t trh = opts.getUint<std::uint32_t>("trh", 1200);
+    const std::uint32_t rate = opts.getUint<std::uint32_t>("rate", 3);
     const TrackerKind tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
     ExperimentConfig exp;
@@ -230,7 +228,7 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
 {
     exp.cycles = opts.getUint("cycles", 1'500'000);
     exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
-    exp.seed = opts.getUint("seed", exp.seed);
+    exp.seed = opts.getSeed("seed", exp.seed);
 
     const std::string workloads = opts.getString("workloads", "gcc");
     if (workloads == "all") {
@@ -276,10 +274,8 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     grid.tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
 
-    grid.mixCount =
-        static_cast<std::uint32_t>(opts.getUint("mix", 0));
-    grid.mixBase =
-        static_cast<std::uint32_t>(opts.getUint("mix-base", 0));
+    grid.mixCount = opts.getUint<std::uint32_t>("mix", 0);
+    grid.mixBase = opts.getUint<std::uint32_t>("mix-base", 0);
     grid.mixCores = exp.numCores;
 
     if ((grid.workloads.empty() && grid.mixCount == 0)
@@ -305,8 +301,7 @@ cmdSweep(const Options &opts)
     SweepGrid grid;
     ExperimentConfig exp;
     parseGridFlags(opts, grid, exp);
-    const std::size_t threads =
-        static_cast<std::size_t>(opts.getUint("threads", 0));
+    const std::size_t threads = opts.getUint<std::size_t>("threads", 0);
     const std::string out = opts.getString("out", "");
     const std::string resume = opts.getString("resume", "");
     std::string journal = opts.getString(
@@ -363,14 +358,12 @@ cmdOrchestrate(const Options &opts)
     parseGridFlags(opts, grid, exp);
 
     Orchestrator::Config cfg;
-    cfg.jobs = static_cast<std::size_t>(opts.getUint("jobs", 0));
-    cfg.shardThreads =
-        static_cast<std::size_t>(opts.getUint("threads", 1));
-    cfg.retries =
-        static_cast<std::size_t>(opts.getUint("retries", 2));
+    cfg.jobs = opts.getUint<std::size_t>("jobs", 0);
+    cfg.shardThreads = opts.getUint<std::size_t>("threads", 1);
+    cfg.retries = opts.getUint<std::size_t>("retries", 2);
     // Default shard count: one shard per concurrent job slot.
-    const std::size_t shards = static_cast<std::size_t>(opts.getUint(
-        "shards", ThreadPool::resolveThreads(cfg.jobs)));
+    const std::size_t shards = opts.getUint<std::size_t>(
+        "shards", ThreadPool::resolveThreads(cfg.jobs));
     const std::string out = opts.getString("out", "");
     cfg.dir = opts.getString(
         "dir", out.empty() ? "srs_shards" : out + ".shards");
@@ -446,10 +439,8 @@ cmdFarm(const Options &opts)
     const std::string manifestPath = opts.getString("manifest", "");
     const std::string hostsPath = opts.getString("hosts", "");
     FarmConfig cfg;
-    cfg.shardThreads =
-        static_cast<std::size_t>(opts.getUint("threads", 1));
-    cfg.retries =
-        static_cast<std::size_t>(opts.getUint("retries", 2));
+    cfg.shardThreads = opts.getUint<std::size_t>("threads", 1);
+    cfg.retries = opts.getUint<std::size_t>("retries", 2);
     cfg.pollMs = opts.getUint("poll-ms", 200);
     cfg.staleSec = static_cast<double>(opts.getUint("stale-sec", 0));
     cfg.statusFile = opts.getString("status-file", "");
@@ -570,16 +561,12 @@ cmdAttack(const Options &opts)
         axes.pagePolicy = PagePolicy::Open;
     if (opts.getBool("ddr5", false))
         axes.preset = DramPreset::Ddr5;
-    const std::uint32_t trh =
-        static_cast<std::uint32_t>(opts.getUint("trh", 4800));
-    const std::uint32_t rate =
-        static_cast<std::uint32_t>(opts.getUint("rate", 6));
-    const std::uint32_t banks =
-        static_cast<std::uint32_t>(opts.getUint("banks", 1));
+    const std::uint32_t trh = opts.getUint<std::uint32_t>("trh", 4800);
+    const std::uint32_t rate = opts.getUint<std::uint32_t>("rate", 6);
+    const std::uint32_t banks = opts.getUint<std::uint32_t>("banks", 1);
     const std::string rounds = opts.getString("rounds", "best");
     const std::uint64_t mcIters = opts.getUint("montecarlo", 0);
-    const std::size_t mcThreads =
-        static_cast<std::size_t>(opts.getUint("threads", 0));
+    const std::size_t mcThreads = opts.getUint<std::size_t>("threads", 0);
     opts.rejectUnknown();
 
     if (defense != "rrs" && defense != "srs" && defense != "scale-srs")
@@ -676,9 +663,8 @@ cmdSecurity(const Options &opts)
     const std::uint64_t iterations = opts.getUint("montecarlo", 0);
     const std::uint64_t loopLimit =
         opts.getUint("epoch-loop-limit", 100000);
-    const std::uint64_t seed = opts.getUint("seed", 0x5eed);
-    const std::size_t threads =
-        static_cast<std::size_t>(opts.getUint("threads", 0));
+    const std::uint64_t seed = opts.getSeed("seed", 0x5eed);
+    const std::size_t threads = opts.getUint<std::size_t>("threads", 0);
     const std::string out = opts.getString("out", "");
     opts.rejectUnknown();
 
@@ -709,7 +695,7 @@ int
 cmdStorage(const Options &opts)
 {
     StorageParams p;
-    p.trh = static_cast<std::uint32_t>(opts.getUint("trh", 1200));
+    p.trh = opts.getUint<std::uint32_t>("trh", 1200);
     opts.rejectUnknown();
     StorageModel model(p);
     std::printf("per-bank storage at T_RH = %u\n%-20s %10s %10s\n",
@@ -734,9 +720,8 @@ cmdTrace(const Options &opts)
     const std::string workload = opts.getString("workload", "gups");
     const std::string out = opts.getString("out", workload + ".usimm");
     const std::uint64_t records = opts.getUint("records", 100'000);
-    const std::uint64_t seed = opts.getUint("seed", 0xBEEF);
-    const std::uint32_t core =
-        static_cast<std::uint32_t>(opts.getUint("core", 0));
+    const std::uint64_t seed = opts.getSeed("seed", 0xBEEF);
+    const std::uint32_t core = opts.getUint<std::uint32_t>("core", 0);
     opts.rejectUnknown();
 
     const DramOrg org;
