@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Profile the controller-bound headline cell: gups under srs at T_RH
-# 1200 and swap rate 6 (`srs_sim perf` at its default knobs, which
-# runs the protected cell and its unprotected baseline), pinned to one
-# CPU with taskset.
+# 1200 and swap rate 6 (`srs_sim perf` at its default knobs, a
+# one-cell sweep that runs the protected cell and its unprotected
+# baseline on one pool worker), pinned to one CPU with taskset.
 #
 # Usage: scripts/profile.sh [cpu] [build-dir]
 #

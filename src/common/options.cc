@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/logging.hh"
@@ -122,21 +121,6 @@ Options::getUnsigned(const std::string &key, std::uint64_t def,
               " integer in 0..", max);
     }
     return *v;
-}
-
-double
-Options::getDouble(const std::string &key, double def) const
-{
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", key, ": '", it->second,
-              "' is not a number");
-    return v;
 }
 
 bool

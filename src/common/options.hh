@@ -77,7 +77,6 @@ class Options
                            std::numeric_limits<std::uint64_t>::max(), true);
     }
 
-    double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
     /** Positional (non --key) arguments in order. */

@@ -43,47 +43,6 @@ SecurityCell::label() const
     return "attack:rrs@n=" + std::to_string(rounds);
 }
 
-std::vector<SystemAxes>
-SecurityGrid::axes() const
-{
-    // Mirrors SweepGrid::axes() axis-for-axis so a security sweep
-    // enumerates machine variants in the same order as the
-    // performance sweep it accompanies.
-    std::vector<SystemAxes> out;
-    out.reserve(pagePolicies.size() * presets.size() * orgs.size()
-                * tRcOverrides.size() * tRcdOverrides.size()
-                * tRpOverrides.size() * tRefiOverrides.size()
-                * tRfcOverrides.size());
-    for (const PagePolicy policy : pagePolicies) {
-        for (const DramPreset preset : presets) {
-            for (const std::string &org : orgs) {
-                for (const std::uint32_t trc : tRcOverrides) {
-                    for (const std::uint32_t trcd : tRcdOverrides) {
-                        for (const std::uint32_t trp : tRpOverrides) {
-                            for (const std::uint32_t trefi : tRefiOverrides) {
-                                for (const std::uint32_t trfc : tRfcOverrides) {
-                                    SystemAxes a;
-                                    a.pagePolicy = policy;
-                                    a.preset = preset;
-                                    dramOrgFromName(org, a);
-                                    a.tRcNs = trc;
-                                    a.tRcdNs = trcd;
-                                    a.tRpNs = trp;
-                                    a.tRefiNs = trefi;
-                                    a.tRfcNs = trfc;
-                                    a.validate();
-                                    out.push_back(a);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return out;
-}
-
 std::vector<SecurityCell>
 SecurityGrid::expand() const
 {
@@ -254,26 +213,11 @@ SecuritySweep::run(const SecurityGrid &grid)
 std::string
 SecuritySweep::formatRow(std::size_t index, const SecurityResult &r)
 {
-    // Identity prefix, byte-compatible with the perf sweep's:
-    // index,workload_spec,mitigation,tracker,trh,rate,axes,seed.
     // The attack label rides in the workload_spec column and the
     // tracker column is `-` (no tracker in the analytic model).
-    char numbers[64];
-    std::snprintf(numbers, sizeof(numbers), ",%u,%u,", r.cell.trh,
-                  r.cell.swapRate);
-    char seedField[32];
-    std::snprintf(seedField, sizeof(seedField), "0x%016llx,",
-                  static_cast<unsigned long long>(r.seed));
-    std::string row = std::to_string(index);
-    row += ',';
-    row += r.cell.label();
-    row += ',';
-    row += securityDefenseName(r.cell.defense);
-    row += ",-";
-    row += numbers;
-    row += r.cell.axes.field();
-    row += ',';
-    row += seedField;
+    const std::string prefix = SweepRunner::identityPrefix(
+        index, r.cell.label(), securityDefenseName(r.cell.defense), "-",
+        r.cell.trh, r.cell.swapRate, r.cell.axes, r.seed);
 
     // Payload reinterpretation (see the file comment): ipc = MC mean
     // time-to-break, baseline_ipc = analytic time-to-break,
@@ -296,7 +240,7 @@ SecuritySweep::formatRow(std::size_t index, const SecurityResult &r)
         static_cast<unsigned long long>(r.mc.iterations),
         static_cast<unsigned long long>(r.mc.censored),
         r.mc.pBreak, r.mc.pBreakCiLo, r.mc.pBreakCiHi);
-    return row + payload;
+    return prefix + payload;
 }
 
 void

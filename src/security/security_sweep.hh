@@ -88,34 +88,23 @@ struct SecurityCell
 
 /**
  * Cross-product security-sweep description.  expand() enumerates
- * cells with the system axes outermost (the same policy -> preset ->
- * org -> timing-knob order as SweepGrid), then defenses, trhs,
+ * cells with the system axes outermost (SystemAxesGrid::axes(), the
+ * grid SweepGrid crosses too), then defenses, trhs,
  * swapRates, and the RRS rounds axis innermost (SRS cells ignore it
  * and appear once per (axes, trh, rate)).  Invalid combinations
  * (swap rate < 2, T_S rounding to zero) are fatal() at expansion,
  * before any campaign starts.
  */
-struct SecurityGrid
+struct SecurityGrid : SystemAxesGrid
 {
     /** Attacker-optimal rounds sentinel for the rounds axis. */
     static constexpr std::uint64_t kBestRounds = ~0ULL;
 
-    std::vector<PagePolicy> pagePolicies = {PagePolicy::Closed};
-    std::vector<DramPreset> presets = {DramPreset::Ddr4};
-    std::vector<std::string> orgs = {"2x1x16"};
-    std::vector<std::uint32_t> tRcOverrides = {0};
-    std::vector<std::uint32_t> tRcdOverrides = {0};
-    std::vector<std::uint32_t> tRpOverrides = {0};
-    std::vector<std::uint32_t> tRefiOverrides = {0};
-    std::vector<std::uint32_t> tRfcOverrides = {0};
     std::vector<SecurityDefense> defenses;
     std::vector<std::uint32_t> trhs;
     std::vector<std::uint32_t> swapRates;
     /** RRS rounds axis (kBestRounds = attacker-optimal N). */
     std::vector<std::uint64_t> rounds = {kBestRounds};
-
-    /** The system-axes axis, exactly as SweepGrid::axes(). */
-    std::vector<SystemAxes> axes() const;
 
     std::vector<SecurityCell> expand() const;
 };

@@ -116,23 +116,6 @@ runWorkload(const SystemConfig &sysCfg, const WorkloadProfile &profile,
 }
 
 double
-normalizedPerf(const ExperimentConfig &exp, MitigationKind kind,
-               std::uint32_t trh, std::uint32_t swapRate,
-               const WorkloadProfile &profile, TrackerKind tracker)
-{
-    const SystemConfig base =
-        makeSystemConfig(exp, MitigationKind::None, trh, swapRate,
-                         tracker);
-    const SystemConfig prot =
-        makeSystemConfig(exp, kind, trh, swapRate, tracker);
-    const RunResult baseRes = runWorkload(base, profile, exp);
-    const RunResult protRes = runWorkload(prot, profile, exp);
-    if (baseRes.aggregateIpc <= 0.0)
-        return 1.0;
-    return protRes.aggregateIpc / baseRes.aggregateIpc;
-}
-
-double
 geoMean(const std::vector<double> &values)
 {
     if (values.empty())

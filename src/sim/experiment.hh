@@ -160,18 +160,6 @@ RunResult runWorkloadGenerator(const SystemConfig &sysCfg,
                                const ExperimentConfig &exp);
 
 /**
- * Normalized performance of @p kind vs. the unprotected baseline for
- * one workload: IPC(kind) / IPC(baseline).  Both runs replay the
- * same trace seed.
- *
- * @return the IPC ratio, or 1.0 when the baseline IPC is zero
- */
-double normalizedPerf(const ExperimentConfig &exp, MitigationKind kind,
-                      std::uint32_t trh, std::uint32_t swapRate,
-                      const WorkloadProfile &profile,
-                      TrackerKind tracker = TrackerKind::MisraGries);
-
-/**
  * Geometric mean, the figure-of-merit for suite averages.
  *
  * @param values strictly positive samples (normalized IPCs)

@@ -174,22 +174,11 @@ serializeManifest(const ShardManifest &manifest)
     std::vector<std::string> mitigations;
     for (const MitigationKind kind : grid.mitigations)
         mitigations.push_back(mitigationKindName(kind));
-    std::vector<std::string> policies;
-    for (const PagePolicy policy : grid.pagePolicies)
-        policies.push_back(pagePolicyName(policy));
-    std::vector<std::string> presets;
-    for (const DramPreset preset : grid.presets)
-        presets.push_back(dramPresetName(preset));
-    out << "mitigations=" << joinList(mitigations) << '\n'
-        << "policies=" << joinList(policies) << '\n'
-        << "presets=" << joinList(presets) << '\n'
-        << "orgs=" << joinList(grid.orgs) << '\n'
-        << "trc=" << joinUint32List(grid.tRcOverrides) << '\n'
-        << "trcd=" << joinUint32List(grid.tRcdOverrides) << '\n'
-        << "trp=" << joinUint32List(grid.tRpOverrides) << '\n'
-        << "trefi=" << joinUint32List(grid.tRefiOverrides) << '\n'
-        << "trfc=" << joinUint32List(grid.tRfcOverrides) << '\n'
-        << "trh=" << joinUint32List(grid.trhs) << '\n'
+    out << "mitigations=" << joinList(mitigations) << '\n';
+    for (const auto &[key, items] :
+         grid.spellLists(SystemAxesGrid::Column::ManifestKey))
+        out << key << '=' << items << '\n';
+    out << "trh=" << joinUint32List(grid.trhs) << '\n'
         << "rates=" << joinUint32List(grid.swapRates) << '\n'
         << "tracker=" << trackerKindName(grid.tracker) << '\n'
         << "mix=" << grid.mixCount << '\n'
@@ -237,31 +226,7 @@ loadManifest(const std::string &path)
     for (const std::string &name :
          splitList(opts.getString("mitigations", "")))
         grid.mitigations.push_back(mitigationKindFromName(name));
-    grid.pagePolicies.clear();
-    for (const std::string &name :
-         splitList(opts.getString("policies", "closed")))
-        grid.pagePolicies.push_back(pagePolicyFromName(name));
-    grid.presets.clear();
-    for (const std::string &name :
-         splitList(opts.getString("presets", "ddr4")))
-        grid.presets.push_back(dramPresetFromName(name));
-    grid.orgs = splitList(opts.getString("orgs", "2x1x16"));
-    for (const std::string &org : grid.orgs) {
-        // Surface a malformed org spelling at load time, with the
-        // manifest named, instead of deep inside the first shard run.
-        SystemAxes probe;
-        dramOrgFromName(org, probe);
-    }
-    grid.tRcOverrides =
-        splitUint32List(opts.getString("trc", "0"), "manifest: trc");
-    grid.tRcdOverrides = splitUint32List(
-        opts.getString("trcd", "0"), "manifest: trcd");
-    grid.tRpOverrides =
-        splitUint32List(opts.getString("trp", "0"), "manifest: trp");
-    grid.tRefiOverrides = splitUint32List(
-        opts.getString("trefi", "0"), "manifest: trefi");
-    grid.tRfcOverrides = splitUint32List(
-        opts.getString("trfc", "0"), "manifest: trfc");
+    grid.readLists(opts, SystemAxesGrid::Column::ManifestKey);
     grid.trhs = splitUint32List(opts.getString("trh", ""), "manifest: trh");
     grid.swapRates = splitUint32List(opts.getString("rates", ""), "manifest: rates");
     grid.tracker =
@@ -438,20 +403,9 @@ shardCommandLine(const ShardManifest &manifest, std::size_t index,
     for (const MitigationKind kind : grid.mitigations)
         mitigations.push_back(mitigationKindName(kind));
     cmd.push_back("--mitigations=" + joinList(mitigations));
-    std::vector<std::string> policies;
-    for (const PagePolicy policy : grid.pagePolicies)
-        policies.push_back(pagePolicyName(policy));
-    cmd.push_back("--page-policy=" + joinList(policies));
-    std::vector<std::string> presets;
-    for (const DramPreset preset : grid.presets)
-        presets.push_back(dramPresetName(preset));
-    cmd.push_back("--preset=" + joinList(presets));
-    cmd.push_back("--org=" + joinList(grid.orgs));
-    cmd.push_back("--trc=" + joinUint32List(grid.tRcOverrides));
-    cmd.push_back("--trcd=" + joinUint32List(grid.tRcdOverrides));
-    cmd.push_back("--trp=" + joinUint32List(grid.tRpOverrides));
-    cmd.push_back("--trefi=" + joinUint32List(grid.tRefiOverrides));
-    cmd.push_back("--trfc=" + joinUint32List(grid.tRfcOverrides));
+    for (const auto &[flag, items] :
+         grid.spellLists(SystemAxesGrid::Column::Flag))
+        cmd.push_back("--" + flag + "=" + items);
     cmd.push_back("--trh=" + joinUint32List(grid.trhs));
     cmd.push_back("--rates=" + joinUint32List(grid.swapRates));
     cmd.push_back("--tracker="

@@ -4,16 +4,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/options.hh"
 #include "common/thread_pool.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
@@ -29,51 +26,10 @@ mixSweepCell(std::uint32_t index, std::uint32_t cores)
     return cell;
 }
 
-std::vector<SystemAxes>
-SweepGrid::axes() const
-{
-    std::vector<SystemAxes> out;
-    out.reserve(pagePolicies.size() * presets.size() * orgs.size()
-                * tRcOverrides.size() * tRcdOverrides.size()
-                * tRpOverrides.size() * tRefiOverrides.size()
-                * tRfcOverrides.size());
-    for (const PagePolicy policy : pagePolicies) {
-        for (const DramPreset preset : presets) {
-            for (const std::string &org : orgs) {
-                for (const std::uint32_t trc : tRcOverrides) {
-                    for (const std::uint32_t trcd : tRcdOverrides) {
-                        for (const std::uint32_t trp : tRpOverrides) {
-                            for (const std::uint32_t trefi : tRefiOverrides) {
-                                for (const std::uint32_t trfc : tRfcOverrides) {
-                                    SystemAxes a;
-                                    a.pagePolicy = policy;
-                                    a.preset = preset;
-                                    dramOrgFromName(org, a);
-                                    a.tRcNs = trc;
-                                    a.tRcdNs = trcd;
-                                    a.tRpNs = trp;
-                                    a.tRefiNs = trefi;
-                                    a.tRfcNs = trfc;
-                                    a.validate();
-                                    out.push_back(a);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return out;
-}
-
 std::size_t
 SweepGrid::innerCells() const
 {
-    return pagePolicies.size() * presets.size() * orgs.size()
-           * tRcOverrides.size() * tRcdOverrides.size()
-           * tRpOverrides.size() * tRefiOverrides.size()
-           * tRfcOverrides.size() * mitigations.size() * trhs.size()
+    return axesCount() * mitigations.size() * trhs.size()
            * swapRates.size();
 }
 
@@ -250,23 +206,35 @@ std::string
 SweepRunner::identityPrefix(std::size_t index, const SweepCell &cell,
                             std::uint64_t seed)
 {
+    return identityPrefix(index, cell.workload.label(),
+                          mitigationKindName(cell.mitigation),
+                          trackerKindName(cell.tracker), cell.trh,
+                          cell.swapRate, cell.axes, seed);
+}
+
+std::string
+SweepRunner::identityPrefix(std::size_t index, const std::string &label,
+                            const std::string &mitigation,
+                            const std::string &tracker, std::uint32_t trh,
+                            std::uint32_t rate, const SystemAxes &axes,
+                            std::uint64_t seed)
+{
     // Assembled from strings (not one bounded snprintf) because a
     // per-core trace spec's label can be arbitrarily long.
     char numbers[64];
-    std::snprintf(numbers, sizeof(numbers), ",%u,%u,", cell.trh,
-                  cell.swapRate);
+    std::snprintf(numbers, sizeof(numbers), ",%u,%u,", trh, rate);
     char seedField[32];
     std::snprintf(seedField, sizeof(seedField), "0x%016llx,",
                   static_cast<unsigned long long>(seed));
     std::string prefix = std::to_string(index);
     prefix += ',';
-    prefix += cell.workload.label();
+    prefix += label;
     prefix += ',';
-    prefix += mitigationKindName(cell.mitigation);
+    prefix += mitigation;
     prefix += ',';
-    prefix += trackerKindName(cell.tracker);
+    prefix += tracker;
     prefix += numbers;
-    prefix += cell.axes.field();
+    prefix += axes.field();
     prefix += ',';
     prefix += seedField;
     return prefix;
@@ -671,61 +639,6 @@ SweepRunner::writeCsv(std::ostream &os,
         else
             os << r.resumedRow << '\n';
     }
-}
-
-std::vector<std::string>
-splitList(const std::string &value)
-{
-    std::vector<std::string> items;
-    std::string::size_type start = 0;
-    while (start <= value.size()) {
-        const auto comma = value.find(',', start);
-        const auto end =
-            comma == std::string::npos ? value.size() : comma;
-        if (end > start)
-            items.push_back(value.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return items;
-}
-
-std::vector<std::uint32_t>
-splitUint32List(const std::string &value, const std::string &what)
-{
-    std::vector<std::uint32_t> items;
-    for (const std::string &item : splitList(value)) {
-        const std::optional<std::uint64_t> v = parseUnsigned(
-            item, std::numeric_limits<std::uint32_t>::max());
-        if (!v) {
-            fatal(what, ": '", item,
-                  "' is not a 32-bit unsigned integer");
-        }
-        items.push_back(static_cast<std::uint32_t>(*v));
-    }
-    return items;
-}
-
-std::string
-joinList(const std::vector<std::string> &items)
-{
-    std::string joined;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0)
-            joined += ',';
-        joined += items[i];
-    }
-    return joined;
-}
-
-std::string
-joinUint32List(const std::vector<std::uint32_t> &items)
-{
-    std::vector<std::string> strings;
-    for (const std::uint32_t v : items)
-        strings.push_back(std::to_string(v));
-    return joinList(strings);
 }
 
 std::string

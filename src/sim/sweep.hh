@@ -83,33 +83,15 @@ SweepCell mixSweepCell(std::uint32_t index, std::uint32_t cores);
 
 /**
  * Cross-product sweep description.  expand() enumerates cells in
- * row-major order: workloads outermost, then the system axes (page
- * policies outermost, then DRAM presets, then DRAM organizations,
- * then the timing overrides in the order tRC, tRCD, tRP, tREFI,
- * tRFC), then mitigations, then trhs, then swapRates innermost.  When mixCount > 0, MIX points
+ * row-major order: workloads outermost, then the system axes (in
+ * SystemAxesGrid::axes() order), then mitigations, then trhs, then
+ * swapRates innermost.  When mixCount > 0, MIX points
  * mix<mixBase>..mix<mixBase+mixCount-1> follow the named workloads
  * as additional outermost entries, crossed with the same inner axes.
  */
-struct SweepGrid
+struct SweepGrid : SystemAxesGrid
 {
     std::vector<WorkloadSpec> workloads;
-    /** Page-policy axis (outermost of the system axes). */
-    std::vector<PagePolicy> pagePolicies = {PagePolicy::Closed};
-    /** DRAM-generation preset axis (ddr4 = Table III defaults). */
-    std::vector<DramPreset> presets = {DramPreset::Ddr4};
-    /**
-     * DRAM-organization axis: `CxRxB` spellings (channels x ranks x
-     * banks-per-rank, dramOrgFromName bounds).  "2x1x16" is the
-     * default Table III geometry and is canonicalized away in the
-     * axes field, exactly like the ddr4 preset.
-     */
-    std::vector<std::string> orgs = {"2x1x16"};
-    /** Timing-override axes in ns; 0 = the preset's default. */
-    std::vector<std::uint32_t> tRcOverrides = {0};
-    std::vector<std::uint32_t> tRcdOverrides = {0};
-    std::vector<std::uint32_t> tRpOverrides = {0};
-    std::vector<std::uint32_t> tRefiOverrides = {0};
-    std::vector<std::uint32_t> tRfcOverrides = {0};
     std::vector<MitigationKind> mitigations;
     std::vector<std::uint32_t> trhs;
     std::vector<std::uint32_t> swapRates;
@@ -127,14 +109,6 @@ struct SweepGrid
     /** Cores per MIX point; must match ExperimentConfig::numCores. */
     std::uint32_t mixCores = 8;
 
-    /**
-     * The system-axes axis: pagePolicies x presets x orgs x the
-     * five timing-override lists, crossed in declaration order
-     * (policy outermost, tRFC innermost).  Every combination is
-     * validated (SystemAxes::validate), so an inconsistent grid is
-     * fatal() before any simulation starts.
-     */
-    std::vector<SystemAxes> axes() const;
     /** Cells per outer entry: axes x mitigations x trhs x swapRates. */
     std::size_t innerCells() const;
     /** Outer-axis length: named workloads plus MIX points. */
@@ -243,6 +217,20 @@ class SweepRunner
                                       const SweepCell &cell,
                                       std::uint64_t seed);
 
+    /**
+     * The same eight columns from their parts: the one place they
+     * are spelled.  The cell overload above and the security sweep's
+     * rows (attack label, defense, `-` tracker) both call it.
+     */
+    static std::string identityPrefix(std::size_t index,
+                                      const std::string &label,
+                                      const std::string &mitigation,
+                                      const std::string &tracker,
+                                      std::uint32_t trh,
+                                      std::uint32_t rate,
+                                      const SystemAxes &axes,
+                                      std::uint64_t seed);
+
     /** The CSV header line writeCsv() emits (no trailing newline). */
     static const char *csvHeader();
 
@@ -311,27 +299,6 @@ class SweepRunner
     std::string journalPath_;
     std::string resumePath_;
 };
-
-/**
- * Split a comma-separated list ("a,b,c") into its non-empty items;
- * an empty string yields no items.  The list syntax shared by the
- * CLI flags and the shard manifest.
- */
-std::vector<std::string> splitList(const std::string &value);
-
-/**
- * Parse a comma-separated list of 32-bit unsigned integers;
- * fatal() on malformed, negative, or out-of-range items, naming
- * @p what (e.g. "--trh" or "manifest: trh") in the message.
- */
-std::vector<std::uint32_t> splitUint32List(const std::string &value,
-                                           const std::string &what);
-
-/** Join items with commas (inverse of splitList). */
-std::string joinList(const std::vector<std::string> &items);
-
-/** Join integers with commas (inverse of splitUint32List). */
-std::string joinUint32List(const std::vector<std::uint32_t> &items);
 
 /** Canonical spellings of @p specs (joinList of labels). */
 std::string joinSpecList(const std::vector<WorkloadSpec> &specs);

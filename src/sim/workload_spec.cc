@@ -2,8 +2,12 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -15,21 +19,20 @@ namespace
 
 constexpr const char *kTracePrefix = "trace:";
 
-/** Split @p value on ';' into its non-empty items. */
+/** Split @p value on @p sep into its non-empty items. */
 std::vector<std::string>
-splitSemis(const std::string &value)
+splitOn(const std::string &value, char sep)
 {
     std::vector<std::string> items;
     std::string::size_type start = 0;
     while (start <= value.size()) {
-        const auto semi = value.find(';', start);
-        const auto end =
-            semi == std::string::npos ? value.size() : semi;
+        const auto at = value.find(sep, start);
+        const auto end = at == std::string::npos ? value.size() : at;
         if (end > start)
             items.push_back(value.substr(start, end - start));
-        if (semi == std::string::npos)
+        if (at == std::string::npos)
             break;
-        start = semi + 1;
+        start = at + 1;
     }
     return items;
 }
@@ -125,7 +128,7 @@ WorkloadSpec::parse(const std::string &spelling, std::uint32_t cores)
     if (spelling.rfind(kTracePrefix, 0) != 0)
         return synthetic(spelling);
     std::vector<std::string> paths =
-        splitSemis(spelling.substr(std::string(kTracePrefix).size()));
+        splitOn(spelling.substr(std::string(kTracePrefix).size()), ';');
     if (paths.empty()) {
         fatal("workload spec '", spelling, "': trace spec needs at "
               "least one path (want trace:<path> or "
@@ -453,6 +456,218 @@ dramOrgFromName(const std::string &name, SystemAxes &axes)
     axes.orgChannels = channels;
     axes.orgRanks = ranks;
     axes.orgBanks = banks;
+}
+
+std::vector<std::string>
+splitList(const std::string &value)
+{
+    return splitOn(value, ',');
+}
+
+namespace
+{
+
+// One item of a list by its type: read from its spelling (and
+// checked; @p what names the list in messages), or spelled.
+
+std::uint32_t
+readItem(const std::string &item, const std::string &what, std::uint32_t)
+{
+    const std::optional<std::uint64_t> v =
+        parseUnsigned(item, std::numeric_limits<std::uint32_t>::max());
+    if (!v)
+        fatal(what, ": '", item, "' is not a 32-bit unsigned integer");
+    return static_cast<std::uint32_t>(*v);
+}
+
+std::string
+readItem(const std::string &org, const std::string &, const std::string &)
+{
+    SystemAxes probe;
+    dramOrgFromName(org, probe);
+    return org;
+}
+
+PagePolicy
+readItem(const std::string &name, const std::string &, PagePolicy)
+{
+    return pagePolicyFromName(name);
+}
+
+DramPreset
+readItem(const std::string &name, const std::string &, DramPreset)
+{
+    return dramPresetFromName(name);
+}
+
+std::string spellItem(std::uint32_t ns) { return std::to_string(ns); }
+std::string spellItem(const std::string &org) { return org; }
+std::string spellItem(PagePolicy policy) { return pagePolicyName(policy); }
+std::string spellItem(DramPreset preset) { return dramPresetName(preset); }
+
+} // namespace
+
+std::vector<std::uint32_t>
+splitUint32List(const std::string &value, const std::string &what)
+{
+    std::vector<std::uint32_t> items;
+    for (const std::string &item : splitList(value))
+        items.push_back(readItem(item, what, std::uint32_t{}));
+    return items;
+}
+
+std::string
+joinList(const std::vector<std::string> &items)
+{
+    std::string joined;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i > 0)
+            joined += ',';
+        joined += items[i];
+    }
+    return joined;
+}
+
+std::string
+joinUint32List(const std::vector<std::uint32_t> &items)
+{
+    std::vector<std::string> strings;
+    for (const std::uint32_t v : items)
+        strings.push_back(std::to_string(v));
+    return joinList(strings);
+}
+
+namespace
+{
+
+/** One list of a SystemAxesGrid: its two names and its codec. */
+struct AxisList
+{
+    const char *flag;
+    const char *manifestKey;
+    /** Replace the list with @p text's items; @p what names it. */
+    void (*read)(SystemAxesGrid &grid, const std::string &text,
+                 const std::string &what);
+    /** The list's items, comma-joined. */
+    std::string (*spell)(const SystemAxesGrid &grid);
+};
+
+template <auto List>
+void
+readList(SystemAxesGrid &grid, const std::string &text,
+         const std::string &what)
+{
+    auto &list = grid.*List;
+    using Item = typename std::decay_t<decltype(list)>::value_type;
+    list.clear();
+    for (const std::string &item : splitList(text))
+        list.push_back(readItem(item, what, Item{}));
+    if (list.empty())
+        fatal(what, ": empty list; a system axis needs at least one value");
+}
+
+template <auto List>
+std::string
+spellList(const SystemAxesGrid &grid)
+{
+    std::vector<std::string> items;
+    for (const auto &item : grid.*List)
+        items.push_back(spellItem(item));
+    return joinList(items);
+}
+
+template <auto List>
+constexpr AxisList
+axisList(const char *flag, const char *manifestKey)
+{
+    return {flag, manifestKey, readList<List>, spellList<List>};
+}
+
+/** Every list in axis order, named as docs/sweep-format.md has it. */
+constexpr AxisList kAxisLists[] = {
+    axisList<&SystemAxesGrid::pagePolicies>("page-policy", "policies"),
+    axisList<&SystemAxesGrid::presets>("preset", "presets"),
+    axisList<&SystemAxesGrid::orgs>("org", "orgs"),
+    axisList<&SystemAxesGrid::tRcOverrides>("trc", "trc"),
+    axisList<&SystemAxesGrid::tRcdOverrides>("trcd", "trcd"),
+    axisList<&SystemAxesGrid::tRpOverrides>("trp", "trp"),
+    axisList<&SystemAxesGrid::tRefiOverrides>("trefi", "trefi"),
+    axisList<&SystemAxesGrid::tRfcOverrides>("trfc", "trfc"),
+};
+
+const char *
+listName(const AxisList &list, SystemAxesGrid::Column column)
+{
+    return column == SystemAxesGrid::Column::Flag ? list.flag
+                                                  : list.manifestKey;
+}
+
+} // namespace
+
+std::vector<SystemAxes>
+SystemAxesGrid::axes() const
+{
+    std::vector<SystemAxes> out;
+    out.reserve(axesCount());
+    for (const PagePolicy policy : pagePolicies) {
+        for (const DramPreset preset : presets) {
+            for (const std::string &org : orgs) {
+                for (const std::uint32_t trc : tRcOverrides) {
+                    for (const std::uint32_t trcd : tRcdOverrides) {
+                        for (const std::uint32_t trp : tRpOverrides) {
+                            for (const std::uint32_t trefi : tRefiOverrides) {
+                                for (const std::uint32_t trfc : tRfcOverrides) {
+                                    SystemAxes a;
+                                    a.pagePolicy = policy;
+                                    a.preset = preset;
+                                    dramOrgFromName(org, a);
+                                    a.tRcNs = trc;
+                                    a.tRcdNs = trcd;
+                                    a.tRpNs = trp;
+                                    a.tRefiNs = trefi;
+                                    a.tRfcNs = trfc;
+                                    a.validate();
+                                    out.push_back(a);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return out;
+}
+
+std::size_t
+SystemAxesGrid::axesCount() const
+{
+    return pagePolicies.size() * presets.size() * orgs.size()
+           * tRcOverrides.size() * tRcdOverrides.size()
+           * tRpOverrides.size() * tRefiOverrides.size()
+           * tRfcOverrides.size();
+}
+
+void
+SystemAxesGrid::readLists(const Options &opts, Column column)
+{
+    for (const AxisList &list : kAxisLists) {
+        const std::string name = listName(list, column);
+        if (opts.has(name)) {
+            list.read(*this, opts.getString(name, ""),
+                      (column == Column::Flag ? "--" : "manifest: ")
+                          + name);
+        }
+    }
+}
+
+std::vector<std::pair<std::string, std::string>>
+SystemAxesGrid::spellLists(Column column) const
+{
+    std::vector<std::pair<std::string, std::string>> lists;
+    for (const AxisList &list : kAxisLists)
+        lists.emplace_back(listName(list, column), list.spell(*this));
+    return lists;
 }
 
 } // namespace srs

@@ -15,7 +15,9 @@
  *    ranks-per-channel x banks-per-rank), and per-knob nanosecond
  *    timing overrides (tRC, tRCD, tRP, tREFI, tRFC) — as a
  *    sweepable axis applied uniformly to the protected run and its
- *    unprotected baseline.
+ *    unprotected baseline;
+ *  - SystemAxesGrid holds one list per SystemAxes knob, the grid of
+ *    machine variants both sweeps cross their cells with.
  *
  * Both types have a canonical, comma-free text spelling that appears
  * verbatim in the sweep CSV identity columns (`workload_spec`,
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dram/command.hh"
@@ -38,6 +41,7 @@
 namespace srs
 {
 
+class Options;
 struct SystemConfig;
 
 /** Which flavour of input drives a sweep cell's cores. */
@@ -204,6 +208,89 @@ struct SystemAxes
     /** Overlay these axes onto a SystemConfig (validate()s first). */
     void apply(SystemConfig &cfg) const;
 };
+
+/**
+ * The system-axes part of a grid: one list per SystemAxes knob,
+ * crossed by axes().  SweepGrid and SecurityGrid derive from it, so
+ * both sweeps enumerate the same machine variants in the same order.
+ * One table names each list by its CLI flag (`--page-policy`,
+ * `--preset`, `--org`, `--trc` .. `--trfc`) and its manifest key
+ * (`policies`, `presets`, `orgs`, `trc` .. `trfc`); readLists() and
+ * spellLists() walk it, so the CLI, the shard manifest and the shard
+ * command line spell the lists alike.
+ */
+struct SystemAxesGrid
+{
+    /** Page-policy axis (outermost of the system axes). */
+    std::vector<PagePolicy> pagePolicies = {PagePolicy::Closed};
+    /** DRAM-generation preset axis (ddr4 = Table III defaults). */
+    std::vector<DramPreset> presets = {DramPreset::Ddr4};
+    /**
+     * DRAM-organization axis: `CxRxB` spellings (channels x ranks x
+     * banks-per-rank, dramOrgFromName bounds).  "2x1x16" is the
+     * default Table III geometry and is canonicalized away in the
+     * axes field, exactly like the ddr4 preset.
+     */
+    std::vector<std::string> orgs = {"2x1x16"};
+    /** Timing-override axes in ns; 0 = the preset's default. */
+    std::vector<std::uint32_t> tRcOverrides = {0};
+    std::vector<std::uint32_t> tRcdOverrides = {0};
+    std::vector<std::uint32_t> tRpOverrides = {0};
+    std::vector<std::uint32_t> tRefiOverrides = {0};
+    std::vector<std::uint32_t> tRfcOverrides = {0};
+
+    /** Which name a list goes by: its CLI flag or manifest key. */
+    enum class Column { Flag, ManifestKey };
+
+    /**
+     * pagePolicies x presets x orgs x the five timing-override lists,
+     * crossed in declaration order (policy outermost, tRFC
+     * innermost).  Every combination is validated
+     * (SystemAxes::validate), so an inconsistent grid is fatal()
+     * before any simulation starts.
+     */
+    std::vector<SystemAxes> axes() const;
+
+    /** The number of axes(), without building or validating them. */
+    std::size_t axesCount() const;
+
+    /**
+     * Replace each list given in @p opts under its @p column name
+     * with its comma-separated items; a list not given is left as
+     * it is.  fatal() on a malformed item (messages name integer
+     * lists as `--trc` or `manifest: trc`) or an empty list (naming
+     * it the same way).
+     */
+    void readLists(const Options &opts, Column column);
+
+    /**
+     * Each list's @p column name and comma-joined spelling, in axis
+     * order: what readLists() reads back.
+     */
+    std::vector<std::pair<std::string, std::string>>
+    spellLists(Column column) const;
+};
+
+/**
+ * Split a comma-separated list ("a,b,c") into its non-empty items;
+ * an empty string yields no items.  The list syntax shared by the
+ * CLI flags and the shard manifest.
+ */
+std::vector<std::string> splitList(const std::string &value);
+
+/**
+ * Parse a comma-separated list of 32-bit unsigned integers;
+ * fatal() on malformed, negative, or out-of-range items, naming
+ * @p what (e.g. "--trh" or "manifest: trh") in the message.
+ */
+std::vector<std::uint32_t> splitUint32List(const std::string &value,
+                                           const std::string &what);
+
+/** Join items with commas (inverse of splitList). */
+std::string joinList(const std::vector<std::string> &items);
+
+/** Join integers with commas (inverse of splitUint32List). */
+std::string joinUint32List(const std::vector<std::uint32_t> &items);
 
 /** @return printable page-policy name ("closed" / "open"). */
 const char *pagePolicyName(PagePolicy policy);

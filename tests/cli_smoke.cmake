@@ -79,10 +79,23 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT seed_diff EQUAL 0)
   message(FATAL_ERROR "--seed=0x5eed and --seed=24301 differ")
 endif()
-run_expect_ok(perf --workload=gups --mitigation=rrs --trh=1200
-              --rate=6 --cycles=60000 --epoch=25000 --csv)
+# perf runs a one-cell sweep: its CSV is the sweep's for the same flags.
+execute_process(COMMAND ${SRS_SIM} perf --workload=gups --mitigation=rrs
+                --trh=1200 --rate=6 --cycles=60000 --epoch=25000 --csv
+                RESULT_VARIABLE perf_rc
+                OUTPUT_FILE ${CMAKE_CURRENT_BINARY_DIR}/perf_cell.csv)
 run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
-              --rates=6 --cycles=60000 --epoch=25000 --threads=2)
+              --rates=6 --cycles=60000 --epoch=25000 --threads=2
+              --out=${CMAKE_CURRENT_BINARY_DIR}/perf_sweep.csv
+              --journal=none)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${CMAKE_CURRENT_BINARY_DIR}/perf_cell.csv
+                ${CMAKE_CURRENT_BINARY_DIR}/perf_sweep.csv
+                RESULT_VARIABLE perf_diff)
+if(NOT perf_rc EQUAL 0 OR NOT perf_diff EQUAL 0)
+  message(FATAL_ERROR "perf --csv (exit ${perf_rc}) differs from the "
+          "sweep CSV of its cell")
+endif()
 
 # MIX points and Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200
@@ -108,6 +121,21 @@ run_expect_ok(attack --defense=rrs --trh=2400 --rate=6 --banks=4)
 run_expect_fail(attack --defense=rrs --trh=2400 --rate=6 --banks=4
                 --montecarlo=2000)
 run_expect_fail(attack --defense=srs --trh=2400 --rate=6 --banks=4)
+# --rounds is `best` or base-10 digits below the best-N sentinel:
+# anything else (and an empty attack --rounds=) is fatal, quoting it.
+foreach(bad "-1" "abc" "1e3" "18446744073709551615")
+  run_expect_fail_saying(NEEDLES "--rounds: '${bad}'"
+                         ARGS attack --defense=rrs --trh=4800 --rate=6
+                              --rounds=${bad})
+  run_expect_fail_saying(NEEDLES "--rounds: '${bad}'"
+                         ARGS security --defenses=rrs --trh=4800 --rates=6
+                              --rounds=${bad})
+endforeach()
+run_expect_fail_saying(NEEDLES "--rounds: ''"
+                       ARGS attack --defense=rrs --trh=4800 --rate=6
+                            --rounds=)
+run_expect_ok(security --defenses=rrs --trh=4800 --rates=6
+              --rounds=best,900)
 
 # Resume roundtrip: a full CSV resumes to byte-identical output
 # without recomputing anything.
@@ -174,11 +202,13 @@ run_expect_ok(sweep --workloads=gups --mitigations=rrs --trh=1200
               --threads=2)
 
 # The DDR5 preset and the per-knob timing overrides are system axes
-# too: a preset + trefi-override grid must be thread-count invariant,
+# too: a preset + timing-override grid must be thread-count invariant,
 # carry the chained axes spellings in the identity column, and ride
-# orchestrate/merge byte-identically (the Section VIII-5 recipe).
+# manifest, shard command line and merge byte-identically (the
+# Section VIII-5 recipe).
 set(ddr5_grid --workloads=gups --mitigations=rrs --trh=1200 --rates=6
-    --preset=ddr4,ddr5 --trefi=0,5000 --cycles=60000 --epoch=25000)
+    --preset=ddr4,ddr5 --trcd=0,15 --trp=0,15 --trefi=0,5000 --trfc=0,295
+    --cycles=60000 --epoch=25000)
 run_expect_ok(sweep ${ddr5_grid} --threads=1
               --out=${smoke_dir}/ddr5_t1.csv --journal=none)
 run_expect_ok(sweep ${ddr5_grid} --threads=2
@@ -191,7 +221,8 @@ if(NOT ddr5_diff EQUAL 0)
 endif()
 file(READ ${smoke_dir}/ddr5_t1.csv ddr5_csv)
 foreach(needle ",closed," ",closed@ddr5," ",closed@trefi=5000,"
-        ",closed@ddr5@trefi=5000,")
+        ",closed@ddr5@trefi=5000,"
+        ",closed@ddr5@trcd=15@trp=15@trefi=5000@trfc=295,")
   if(NOT ddr5_csv MATCHES "${needle}")
     message(FATAL_ERROR "sweep CSV lacks axes field '${needle}'")
   endif()
@@ -499,6 +530,16 @@ run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
 # Inconsistent timings (tRC < tRCD + tRP) are fatal up front.
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --trc=20)
+# An empty system-axes list is fatal by its flag, with one message
+# for all three grid readers.
+foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"
+        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6"
+        "orchestrate;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--plan;--dir=${smoke_dir}/empty_axis_plan")
+  foreach(flag org page-policy trfc)
+    run_expect_fail_saying(NEEDLES "--${flag}: empty list"
+                           ARGS ${reader} --${flag}=)
+  endforeach()
+endforeach()
 # Schema-v1 to v5 checkpoints and manifests fail with the one schema
 # message, quoting what they found, instead of a cryptic identity
 # mismatch.

@@ -625,10 +625,9 @@ TEST(Options, ParsesArgsFlagsAndPositional)
 
 TEST(Options, TypedGetterErrors)
 {
-    const char *argv[] = {"prog", "--trh=abc", "--p=x", "--b=maybe"};
-    Options o = Options::fromArgs(4, argv);
+    const char *argv[] = {"prog", "--trh=abc", "--b=maybe"};
+    Options o = Options::fromArgs(3, argv);
     EXPECT_THROW(o.getUint("trh", 0), FatalError);
-    EXPECT_THROW(o.getDouble("p", 0.0), FatalError);
     EXPECT_THROW(o.getBool("b", false), FatalError);
 
     // A sign, whitespace, a base prefix outside seeds, overflow and a

@@ -270,9 +270,9 @@ TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
 
 TEST(ShardManifestFile, RoundTripsTraceSpecsAndSystemAxes)
 {
-    // Trace-file workloads and the page-policy/tRC axes survive the
-    // serialize -> parse -> serialize cycle byte-exactly; they are
-    // what version 2 of the schema exists to carry.
+    // Trace-file workloads and every system-axes list survive the
+    // serialize -> parse -> serialize cycle byte-exactly, each list
+    // at a non-default value.
     SweepGrid grid = testGrid();
     grid.workloads.push_back(
         WorkloadSpec::parse("trace:/tmp/srs_manifest_rt.usimm", 8));
@@ -282,7 +282,10 @@ TEST(ShardManifestFile, RoundTripsTraceSpecsAndSystemAxes)
         "blend:hotspot:1024@hot=0.1@p=0.9+attack@0.05", 8));
     grid.pagePolicies = {PagePolicy::Closed, PagePolicy::Open};
     grid.presets = {DramPreset::Ddr4, DramPreset::Ddr5};
+    grid.orgs = {"2x1x16", "2x2x32"};
     grid.tRcOverrides = {0, 48};
+    grid.tRcdOverrides = {0, 15};
+    grid.tRpOverrides = {0, 15};
     grid.tRefiOverrides = {0, 3900};
     grid.tRfcOverrides = {0, 295};
     const ShardManifest manifest =
@@ -294,7 +297,10 @@ TEST(ShardManifestFile, RoundTripsTraceSpecsAndSystemAxes)
     EXPECT_EQ(loaded.grid.workloads, grid.workloads);
     EXPECT_EQ(loaded.grid.pagePolicies, grid.pagePolicies);
     EXPECT_EQ(loaded.grid.presets, grid.presets);
+    EXPECT_EQ(loaded.grid.orgs, grid.orgs);
     EXPECT_EQ(loaded.grid.tRcOverrides, grid.tRcOverrides);
+    EXPECT_EQ(loaded.grid.tRcdOverrides, grid.tRcdOverrides);
+    EXPECT_EQ(loaded.grid.tRpOverrides, grid.tRpOverrides);
     EXPECT_EQ(loaded.grid.tRefiOverrides, grid.tRefiOverrides);
     EXPECT_EQ(loaded.grid.tRfcOverrides, grid.tRfcOverrides);
     EXPECT_EQ(loaded.grid.innerCells(), grid.innerCells());

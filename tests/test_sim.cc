@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 #include "trace/attack.hh"
 #include "trace/synthetic.hh"
@@ -314,11 +315,14 @@ TEST(SystemIntegration, CbtTrackerDrivesMitigations)
 
 TEST(ExperimentHarness, NormalizedPerfNearOneForLightWorkload)
 {
-    ExperimentConfig exp = quickExp();
-    const double norm =
-        normalizedPerf(exp, MitigationKind::ScaleSrs, 4800, 3,
-                       profileByName("swaptions"));
-    EXPECT_NEAR(norm, 1.0, 0.02);
+    SweepCell cell;
+    cell.workload = WorkloadSpec::synthetic("swaptions");
+    cell.mitigation = MitigationKind::ScaleSrs;
+    cell.trh = 4800;
+    cell.swapRate = 3;
+    const std::vector<SweepResult> results =
+        SweepRunner(quickExp(), 1).run({cell});
+    EXPECT_NEAR(results.front().normalized, 1.0, 0.02);
 }
 
 TEST(ExperimentHarness, RunIsDeterministic)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "common/thread_pool.hh"
 #include "sim/sweep.hh"
 #include "stale_schema.hh"
@@ -838,6 +839,75 @@ TEST(SweepAxes, OrgAxisCrossesBetweenPresetAndTimingOverrides)
         EXPECT_NE(std::string(err.what()).find("CxRxB"),
                   std::string::npos)
             << err.what();
+    }
+}
+
+TEST(SystemAxesGridLists, ReadBackWhatTheySpellUnderEitherName)
+{
+    // Each list goes by its CLI flag or its manifest key and reads
+    // back what it spells under either name; a list not given keeps
+    // its default, and an empty one is fatal, named as it was given.
+    using Column = SystemAxesGrid::Column;
+    SystemAxesGrid grid;
+    grid.pagePolicies = {PagePolicy::Open, PagePolicy::Closed};
+    grid.presets = {DramPreset::Ddr5};
+    grid.orgs = {"2x2x32", "1x1x16"};
+    grid.tRcOverrides = {48};
+    grid.tRcdOverrides = {0, 15};
+    grid.tRpOverrides = {15};
+    grid.tRefiOverrides = {3900, 0};
+    grid.tRfcOverrides = {295};
+    for (const Column column : {Column::Flag, Column::ManifestKey}) {
+        Options opts;
+        for (const auto &[name, items] : grid.spellLists(column))
+            opts.set(name, items);
+        SystemAxesGrid read;
+        read.readLists(opts, column);
+        EXPECT_EQ(read.axes(), grid.axes());
+        EXPECT_EQ(read.orgs, grid.orgs);
+    }
+    const auto names = [](Column column) {
+        std::vector<std::string> out;
+        for (const auto &list : SystemAxesGrid{}.spellLists(column))
+            out.push_back(list.first + "=" + list.second);
+        return out;
+    };
+    EXPECT_EQ(names(Column::Flag),
+              (std::vector<std::string>{
+                  "page-policy=closed", "preset=ddr4", "org=2x1x16",
+                  "trc=0", "trcd=0", "trp=0", "trefi=0", "trfc=0"}));
+    EXPECT_EQ(names(Column::ManifestKey),
+              (std::vector<std::string>{
+                  "policies=closed", "presets=ddr4", "orgs=2x1x16",
+                  "trc=0", "trcd=0", "trp=0", "trefi=0", "trfc=0"}));
+
+    Options partial;
+    partial.set("trcd", "15");
+    SystemAxesGrid defaults;
+    defaults.readLists(partial, Column::Flag);
+    SystemAxes only;
+    only.tRcdNs = 15;
+    EXPECT_EQ(defaults.axes(), std::vector<SystemAxes>{only});
+
+    struct Empty
+    {
+        Column column;
+        const char *name;
+        const char *message;
+    };
+    for (const Empty &empty :
+         {Empty{Column::Flag, "org", "--org: empty list"},
+          Empty{Column::ManifestKey, "orgs", "manifest: orgs: empty list"}}) {
+        Options opts;
+        opts.set(empty.name, "");
+        SystemAxesGrid g;
+        try {
+            g.readLists(opts, empty.column);
+            ADD_FAILURE() << "an empty " << empty.name << " list was read";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(empty.message),
+                      std::string::npos) << e.what();
+        }
     }
 }
 

@@ -4,8 +4,9 @@
  *
  * Subcommands:
  *
- *   perf     run one workload under one defense and print IPC and
- *            normalized performance (optionally as CSV):
+ *   perf     run one workload under one defense as a one-cell sweep
+ *            and print IPC and normalized performance (--csv: the
+ *            sweep CSV of that cell):
  *              srs_sim perf --workload=gcc --mitigation=scale-srs
  *                      --trh=1200 --rate=3 [--tracker=misra-gries]
  *                      [--cycles=N] [--epoch=N] [--csv]
@@ -20,7 +21,8 @@
  *                      [--montecarlo=ITERS] [--threads=N]
  *
  *   security run the attack models (analytic + optional Monte-Carlo
- *            campaigns) over the same system axes as `sweep` and
+ *            campaigns) over the same system-axes lists as `sweep`
+ *            (SystemAxesGrid, so an empty list is fatal in both) and
  *            emit one schema-v6 CSV row per (axes, defense, trh,
  *            rate[, rounds]) cell — AttackParams are derived from
  *            the axes via attackParamsFromAxes(), never hand-rolled:
@@ -136,8 +138,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,59 +170,50 @@ cmdPerf(const Options &opts)
 {
     const std::string workload = opts.getString("workload", "gcc");
     const std::string defense = opts.getString("mitigation", "scale-srs");
-    const std::uint32_t trh = opts.getUint<std::uint32_t>("trh", 1200);
-    const std::uint32_t rate = opts.getUint<std::uint32_t>("rate", 3);
-    const TrackerKind tracker =
+    SweepCell cell;
+    cell.workload = WorkloadSpec::synthetic(workload);
+    cell.trh = opts.getUint<std::uint32_t>("trh", 1200);
+    cell.swapRate = opts.getUint<std::uint32_t>("rate", 3);
+    cell.tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
     ExperimentConfig exp;
     exp.cycles = opts.getUint("cycles", 1'500'000);
     exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
     const bool csv = opts.getBool("csv", false);
     opts.rejectUnknown();
+    cell.mitigation = mitigationKindFromName(defense);
 
-    const WorkloadProfile &profile = profileByName(workload);
-    const MitigationKind kind = mitigationKindFromName(defense);
-
-    const SystemConfig baseCfg =
-        makeSystemConfig(exp, MitigationKind::None, trh, rate, tracker);
-    const double baseIpc =
-        runWorkload(baseCfg, profile, exp).aggregateIpc;
-    const SystemConfig cfg =
-        makeSystemConfig(exp, kind, trh, rate, tracker);
-    const RunResult res = runWorkload(cfg, profile, exp);
-    const double norm = baseIpc > 0.0 ? res.aggregateIpc / baseIpc : 1.0;
-
+    // A one-cell sweep: the seed, the baseline and the row are those
+    // of this cell in `sweep`.
+    const std::vector<SweepResult> results = SweepRunner(exp, 1).run({cell});
     if (csv) {
-        std::printf("workload,mitigation,trh,rate,ipc,baseline_ipc,"
-                    "normalized,swaps,unswap_swaps,place_backs\n");
-        std::printf("%s,%s,%u,%u,%.4f,%.4f,%.4f,%llu,%llu,%llu\n",
-                    workload.c_str(), defense.c_str(), trh, rate,
-                    res.aggregateIpc, baseIpc, norm,
-                    static_cast<unsigned long long>(res.swaps),
-                    static_cast<unsigned long long>(res.unswapSwaps),
-                    static_cast<unsigned long long>(res.placeBacks));
-    } else {
-        std::printf("workload %s under %s (T_RH %u, rate %u)\n",
-                    workload.c_str(), defense.c_str(), trh, rate);
-        std::printf("  ipc        %.4f (baseline %.4f)\n",
-                    res.aggregateIpc, baseIpc);
-        std::printf("  normalized %.4f\n", norm);
-        std::printf("  swaps %llu  unswap-swaps %llu  place-backs "
-                    "%llu  pinned %llu\n",
-                    static_cast<unsigned long long>(res.swaps),
-                    static_cast<unsigned long long>(res.unswapSwaps),
-                    static_cast<unsigned long long>(res.placeBacks),
-                    static_cast<unsigned long long>(res.rowsPinned));
+        SweepRunner::writeCsv(std::cout, results);
+        if (!std::cout.flush())
+            fatal("error writing CSV to stdout");
+        return 0;
     }
+    const SweepResult &r = results.front();
+    std::printf("workload %s under %s (T_RH %u, rate %u)\n",
+                workload.c_str(), defense.c_str(), cell.trh,
+                cell.swapRate);
+    std::printf("  ipc        %.4f (baseline %.4f)\n",
+                r.run.aggregateIpc, r.baselineIpc);
+    std::printf("  normalized %.4f\n", r.normalized);
+    std::printf("  swaps %llu  unswap-swaps %llu  place-backs "
+                "%llu  pinned %llu\n",
+                static_cast<unsigned long long>(r.run.swaps),
+                static_cast<unsigned long long>(r.run.unswapSwaps),
+                static_cast<unsigned long long>(r.run.placeBacks),
+                static_cast<unsigned long long>(r.run.rowsPinned));
     return 0;
 }
 
 /**
  * Parse the sweep grid + experiment flags shared by `sweep` and
- * `orchestrate` (--workloads/--trace/--mitigations/--page-policy/
- * --preset/--org/--trc/--trcd/--trp/--trefi/--trfc/--trh/--rates/
- * --tracker/--mix/--mix-base/--cycles/--epoch/--seed); fatal() on
- * an empty grid, a malformed org, or inconsistent timing axes.
+ * `orchestrate` (--workloads/--trace/--mitigations, the system-axes
+ * lists of SystemAxesGrid, --trh/--rates/--tracker/--mix/--mix-base/
+ * --cycles/--epoch/--seed); fatal() on an empty grid, a malformed
+ * org, or inconsistent timing axes.
  */
 void
 parseGridFlags(const Options &opts, SweepGrid &grid,
@@ -248,25 +241,7 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     for (const std::string &m :
          splitList(opts.getString("mitigations", "scale-srs")))
         grid.mitigations.push_back(mitigationKindFromName(m));
-    grid.pagePolicies.clear();
-    for (const std::string &p :
-         splitList(opts.getString("page-policy", "closed")))
-        grid.pagePolicies.push_back(pagePolicyFromName(p));
-    grid.presets.clear();
-    for (const std::string &p :
-         splitList(opts.getString("preset", "ddr4")))
-        grid.presets.push_back(dramPresetFromName(p));
-    grid.orgs = splitList(opts.getString("org", "2x1x16"));
-    grid.tRcOverrides =
-        splitUint32List(opts.getString("trc", "0"), "--trc");
-    grid.tRcdOverrides =
-        splitUint32List(opts.getString("trcd", "0"), "--trcd");
-    grid.tRpOverrides =
-        splitUint32List(opts.getString("trp", "0"), "--trp");
-    grid.tRefiOverrides =
-        splitUint32List(opts.getString("trefi", "0"), "--trefi");
-    grid.tRfcOverrides =
-        splitUint32List(opts.getString("trfc", "0"), "--trfc");
+    grid.readLists(opts, SystemAxesGrid::Column::Flag);
     grid.trhs =
         splitUint32List(opts.getString("trh", "1200"), "--trh");
     grid.swapRates =
@@ -279,19 +254,13 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     grid.mixCores = exp.numCores;
 
     if ((grid.workloads.empty() && grid.mixCount == 0)
-        || grid.mitigations.empty() || grid.pagePolicies.empty()
-        || grid.presets.empty() || grid.orgs.empty()
-        || grid.tRcOverrides.empty()
-        || grid.tRcdOverrides.empty() || grid.tRpOverrides.empty()
-        || grid.tRefiOverrides.empty() || grid.tRfcOverrides.empty()
-        || grid.trhs.empty() || grid.swapRates.empty()) {
+        || grid.mitigations.empty() || grid.trhs.empty()
+        || grid.swapRates.empty()) {
         fatal("sweep grid is empty: need at least one workload or "
-              "MIX point, page policy, DRAM preset, DRAM "
-              "organization, timing override (0 = default), "
-              "mitigation, trh and rate");
+              "MIX point, mitigation, trh and rate");
     }
-    // Reject malformed orgs and inconsistent timing combinations
-    // (e.g. tRC < tRCD + tRP) before any shard or worker starts.
+    // Reject inconsistent timing combinations (e.g. tRC < tRCD +
+    // tRP) before any shard or worker starts.
     (void)grid.axes();
 }
 
@@ -548,6 +517,23 @@ cmdMonitor(const Options &opts)
     }
 }
 
+/**
+ * One `--rounds` item: `best` (the attacker-optimal N) or base-10
+ * digits below SecurityGrid::kBestRounds, so no count aliases that
+ * sentinel; fatal() quotes anything else.
+ */
+std::uint64_t
+parseRounds(const std::string &item)
+{
+    if (item == "best")
+        return SecurityGrid::kBestRounds;
+    const std::optional<std::uint64_t> n =
+        parseUnsigned(item, SecurityGrid::kBestRounds - 1);
+    if (!n)
+        fatal("--rounds: '", item, "' is not 'best' or a round count");
+    return *n;
+}
+
 int
 cmdAttack(const Options &opts)
 {
@@ -564,7 +550,8 @@ cmdAttack(const Options &opts)
     const std::uint32_t trh = opts.getUint<std::uint32_t>("trh", 4800);
     const std::uint32_t rate = opts.getUint<std::uint32_t>("rate", 6);
     const std::uint32_t banks = opts.getUint<std::uint32_t>("banks", 1);
-    const std::string rounds = opts.getString("rounds", "best");
+    const std::uint64_t rounds =
+        parseRounds(opts.getString("rounds", "best"));
     const std::uint64_t mcIters = opts.getUint("montecarlo", 0);
     const std::size_t mcThreads = opts.getUint<std::size_t>("threads", 0);
     opts.rejectUnknown();
@@ -585,9 +572,7 @@ cmdAttack(const Options &opts)
                                       : SecurityDefense::Srs};
     grid.trhs = {trh};
     grid.swapRates = {rate};
-    grid.rounds = {rounds == "best"
-                       ? SecurityGrid::kBestRounds
-                       : std::strtoull(rounds.c_str(), nullptr, 10)};
+    grid.rounds = {rounds};
     SecuritySweep sweep(/*baseSeed=*/0x5eed, mcThreads);
     sweep.setIterations(mcIters);
     const SecurityResult cell = sweep.run(grid).front();
@@ -627,25 +612,7 @@ int
 cmdSecurity(const Options &opts)
 {
     SecurityGrid grid;
-    grid.pagePolicies.clear();
-    for (const std::string &p :
-         splitList(opts.getString("page-policy", "closed")))
-        grid.pagePolicies.push_back(pagePolicyFromName(p));
-    grid.presets.clear();
-    for (const std::string &p :
-         splitList(opts.getString("preset", "ddr4")))
-        grid.presets.push_back(dramPresetFromName(p));
-    grid.orgs = splitList(opts.getString("org", "2x1x16"));
-    grid.tRcOverrides =
-        splitUint32List(opts.getString("trc", "0"), "--trc");
-    grid.tRcdOverrides =
-        splitUint32List(opts.getString("trcd", "0"), "--trcd");
-    grid.tRpOverrides =
-        splitUint32List(opts.getString("trp", "0"), "--trp");
-    grid.tRefiOverrides =
-        splitUint32List(opts.getString("trefi", "0"), "--trefi");
-    grid.tRfcOverrides =
-        splitUint32List(opts.getString("trfc", "0"), "--trfc");
+    grid.readLists(opts, SystemAxesGrid::Column::Flag);
     for (const std::string &d :
          splitList(opts.getString("defenses", "srs,rrs")))
         grid.defenses.push_back(securityDefenseFromName(d));
@@ -655,11 +622,8 @@ cmdSecurity(const Options &opts)
         splitUint32List(opts.getString("rates", "6"), "--rates");
     grid.rounds.clear();
     for (const std::string &r :
-         splitList(opts.getString("rounds", "best"))) {
-        grid.rounds.push_back(
-            r == "best" ? SecurityGrid::kBestRounds
-                        : std::strtoull(r.c_str(), nullptr, 10));
-    }
+         splitList(opts.getString("rounds", "best")))
+        grid.rounds.push_back(parseRounds(r));
     const std::uint64_t iterations = opts.getUint("montecarlo", 0);
     const std::uint64_t loopLimit =
         opts.getUint("epoch-loop-limit", 100000);
@@ -760,10 +724,11 @@ usage()
         "\n"
         "subcommands and their flags (defaults in parentheses):\n"
         "\n"
-        "  perf         one workload under one defense\n"
+        "  perf         one workload under one defense: a one-cell sweep\n"
         "    --workload=NAME (gcc)  --mitigation=KIND (scale-srs)\n"
         "    --trh=N (1200)  --rate=N (3)  --tracker=KIND\n"
-        "    --cycles=N (1500000)  --epoch=N (cycles/2)  --csv\n"
+        "    --cycles=N (1500000)  --epoch=N (cycles/2)\n"
+        "    --csv  print the sweep CSV of that cell\n"
         "\n"
         "  sweep        workload x system-axes x mitigation x TRH x\n"
         "               rate grid, one CSV row per cell,\n"
@@ -838,7 +803,8 @@ usage()
         "    --page-policy=closed|open[,..] (closed)\n"
         "    --preset=ddr4|ddr5[,..] (ddr4)  --org=CxRxB[,..]\n"
         "    --trc=NS,.. --trcd=NS,.. --trp=NS,.. --trefi=NS,..\n"
-        "    --trfc=NS,..  --montecarlo=ITERS (0 = analytic only)\n"
+        "    --trfc=NS,.. (an empty axis list is fatal, as in sweep)\n"
+        "    --montecarlo=ITERS (0 = analytic only)\n"
         "    --epoch-loop-limit=N (100000)  --seed=S (0x5eed)\n"
         "    --threads=N (all; never changes results)\n"
         "    --out=FILE (stdout)\n"
