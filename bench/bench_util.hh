@@ -5,11 +5,15 @@
  * (sim/sweep.hh), which owns the baseline runs and normalization.
  *
  * Environment knobs:
- *  - SRS_BENCH_CYCLES:  simulated CPU cycles per run (default 1.2M)
+ *  - SRS_BENCH_CYCLES:  simulated CPU cycles per run (default 1.2M;
+ *                       at least 20002, so both epochs are nonzero)
  *  - SRS_BENCH_FULL:    nonzero -> run every workload in the profile
  *                       table instead of the representative subset
  *  - SRS_BENCH_THREADS: sweep worker threads for the multi-config
  *                       benches (default 0 = hardware concurrency)
+ *
+ * The counts are base-10 digits (common/options.hh parseUnsigned);
+ * any other value exits 1 naming the knob.
  */
 
 #ifndef SRS_BENCH_BENCH_UTIL_HH
@@ -17,26 +21,51 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/options.hh"
 #include "sim/experiment.hh"
 #include "trace/profiles.hh"
 
 namespace srs::bench
 {
 
+/**
+ * Count knob @p name, or @p def when unset; exits 1 naming the knob
+ * unless its value is base-10 digits in @p min..@p max.
+ */
+inline std::uint64_t
+countKnob(const char *name, std::uint64_t def, std::uint64_t min,
+          std::uint64_t max)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return def;
+    const std::optional<std::uint64_t> v = parseUnsigned(env, max);
+    if (!v || *v < min) {
+        std::fprintf(stderr,
+                     "%s='%s': want base-10 digits in %llu..%llu\n",
+                     name, env, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max));
+        std::exit(1);
+    }
+    return *v;
+}
+
 /** Experiment config honouring the environment knobs. */
 inline ExperimentConfig
 benchExperiment()
 {
     ExperimentConfig exp;
-    exp.cycles = 1'200'000;
-    if (const char *env = std::getenv("SRS_BENCH_CYCLES"))
-        exp.cycles = static_cast<Cycle>(std::strtoull(env, nullptr, 10));
     // Two full refresh epochs per run so epoch-boundary work (lazy
     // place-backs, the no-unswap restore burst) lands inside the
-    // measurement window.
+    // measurement window.  Below 20002 cycles the epoch would be 0
+    // (the 64 ms default) or wrap around.
+    exp.cycles = countKnob("SRS_BENCH_CYCLES", 1'200'000, 20'002,
+                           std::numeric_limits<Cycle>::max());
     exp.epochLen = exp.cycles / 2 - 10'000;
     return exp;
 }
@@ -45,10 +74,9 @@ benchExperiment()
 inline std::size_t
 benchThreads()
 {
-    if (const char *env = std::getenv("SRS_BENCH_THREADS"))
-        return static_cast<std::size_t>(
-            std::strtoull(env, nullptr, 10));
-    return 0; // hardware concurrency
+    // 0 = hardware concurrency
+    return countKnob("SRS_BENCH_THREADS", 0, 0,
+                     std::numeric_limits<std::size_t>::max());
 }
 
 /** Representative per-suite workload subset used by default. */

@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "cache/cache.hh"
 #include "common/rng.hh"
 #include "dram/address.hh"
 #include "rowswap/cat.hh"
@@ -113,18 +112,6 @@ BM_IndirectionSwap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IndirectionSwap);
-
-void
-BM_LlcAccess(benchmark::State &state)
-{
-    srs::SetAssocCache cache(srs::CacheConfig{});
-    srs::Rng rng(6);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.access(rng.nextBelow(1ULL << 28) * 64, false));
-    }
-}
-BENCHMARK(BM_LlcAccess);
 
 } // namespace
 

@@ -14,13 +14,13 @@ PinBuffer::PinBuffer(std::uint32_t capacity, std::uint32_t rowBytes)
     entries_.reserve(capacity_);
 }
 
-const PinEntry *
+const Addr *
 PinBuffer::lookup(Addr addr) const
 {
     const Addr base = addr & ~static_cast<Addr>(rowBytes_ - 1);
-    for (const PinEntry &e : entries_) {
-        if (e.rowBase == base)
-            return &e;
+    for (const Addr &rowBase : entries_) {
+        if (rowBase == base)
+            return &rowBase;
     }
     return nullptr;
 }
@@ -31,21 +31,14 @@ PinBuffer::pinned(Addr rowBase) const
     return lookup(rowBase) != nullptr;
 }
 
-const PinEntry *
-PinBuffer::pin(Addr rowBase, std::uint64_t setBase)
+const Addr *
+PinBuffer::pin(Addr rowBase)
 {
     SRS_ASSERT((rowBase & (rowBytes_ - 1)) == 0,
                "pin target not row-aligned");
-    if (entries_.size() >= capacity_) {
-        stats_.inc("pin_rejected_full");
+    if (entries_.size() >= capacity_ || pinned(rowBase))
         return nullptr;
-    }
-    if (pinned(rowBase)) {
-        stats_.inc("pin_duplicate");
-        return nullptr;
-    }
-    entries_.push_back(PinEntry{rowBase, setBase});
-    stats_.inc("pins");
+    entries_.push_back(rowBase);
     return &entries_.back();
 }
 

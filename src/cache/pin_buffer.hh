@@ -2,12 +2,15 @@
  * @file
  * Scale-SRS pin-buffer (paper Section V-C).
  *
- * A small fully-associative buffer in front of the LLC that records
- * the physical base addresses of pinned DRAM rows.  Every LLC access
- * flows through it; hits are redirected to a fixed, reserved range of
- * LLC sets so pinned rows can never conflict with each other or be
- * evicted by demand traffic.  Entries are cleared when the refresh
- * interval ends.
+ * A small fully-associative buffer that records the base addresses
+ * of the DRAM rows Scale-SRS has pinned in the last-level cache.
+ * Every access is checked against it first; an access to a pinned
+ * row is an LLC hit and never reaches DRAM.  Entries are cleared
+ * when the refresh interval ends.
+ *
+ * Traces are post-LLC miss streams (the paper's USIMM methodology),
+ * so the pin-buffer is the only cache state a System keeps: a pinned
+ * row's LLC copy is modelled by its hit latency alone.
  */
 
 #ifndef SRS_CACHE_PIN_BUFFER_HH
@@ -16,18 +19,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace srs
 {
 
-/** One pinned row: address range plus its reserved set base. */
-struct PinEntry
-{
-    Addr rowBase = kInvalidAddr;  ///< first byte of the pinned row
-    std::uint64_t setBase = 0;    ///< first reserved LLC set
-};
+/** Pin-buffer entries: up to 66 rows pinned across a multi-bank
+ *  attack (paper Section V-C). */
+constexpr std::uint32_t kPinBufferEntries = 66;
+
+/** CPU cycles an access to a pinned row takes: one LLC hit. */
+constexpr Cycle kPinnedHitLatency = 40;
 
 /** Fixed-capacity pin-buffer with row-granularity matching. */
 class PinBuffer
@@ -40,23 +42,24 @@ class PinBuffer
      */
     PinBuffer(std::uint32_t capacity, std::uint32_t rowBytes);
 
-    /** @return true and the entry when @p addr falls in a pinned row. */
-    const PinEntry *lookup(Addr addr) const;
+    /** @return the pinned row's base address when @p addr falls in a
+     *  pinned row; nullptr otherwise. */
+    const Addr *lookup(Addr addr) const;
 
     /** @return true when @p rowBase is already pinned. */
     bool pinned(Addr rowBase) const;
 
     /**
-     * Pin a row.  @return the assigned entry, or nullptr when the
-     * buffer is full or the row is already pinned.
+     * Pin a row.  @return its entry, or nullptr when the buffer is
+     * full or the row is already pinned.
      */
-    const PinEntry *pin(Addr rowBase, std::uint64_t setBase);
+    const Addr *pin(Addr rowBase);
 
     /** Drop all entries (refresh-interval boundary). */
     void clear();
 
-    /** All current entries, in pin order. */
-    const std::vector<PinEntry> &entries() const { return entries_; }
+    /** Base addresses of the pinned rows, in pin order. */
+    const std::vector<Addr> &entries() const { return entries_; }
 
     std::uint32_t size() const
     {
@@ -67,13 +70,10 @@ class PinBuffer
     /** Storage cost in bits: entries * (physAddrBits - rowOffsetBits). */
     std::uint64_t storageBits(std::uint32_t physAddrBits = 48) const;
 
-    const StatSet &stats() const { return stats_; }
-
   private:
     std::uint32_t capacity_;
     std::uint32_t rowBytes_;
-    std::vector<PinEntry> entries_;
-    StatSet stats_;
+    std::vector<Addr> entries_;
 };
 
 } // namespace srs

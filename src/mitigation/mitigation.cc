@@ -5,16 +5,23 @@
 namespace srs
 {
 
+void
+checkSwapThreshold(std::uint32_t trh, std::uint32_t swapRate)
+{
+    if (swapRate == 0 || trh / swapRate == 0) {
+        fatal("trh=", trh, " rate=", swapRate,
+              ": T_S = trh/rate must be at least 1 (want a rate in "
+              "1..trh)");
+    }
+}
+
 Mitigation::Mitigation(MemoryController &ctrl, AggressorTracker &tracker,
                        const MitigationConfig &cfg)
     : ctrl_(ctrl), tracker_(tracker), cfg_(cfg), rng_(cfg.seed),
       banksPerChannel_(ctrl.org().ranksPerChannel *
                        ctrl.org().banksPerRank)
 {
-    if (cfg_.swapRate == 0 || cfg_.trh == 0)
-        fatal("mitigation needs nonzero T_RH and swap rate");
-    if (cfg_.ts() == 0)
-        fatal("swap rate exceeds T_RH");
+    checkSwapThreshold(cfg_.trh, cfg_.swapRate);
     const std::uint32_t banks = ctrl_.org().channels * banksPerChannel_;
     rits_.reserve(banks);
     for (std::uint32_t i = 0; i < banks; ++i)

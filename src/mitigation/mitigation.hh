@@ -47,6 +47,13 @@ struct MitigationConfig
     std::uint32_t ts() const { return trh / swapRate; }
 };
 
+/**
+ * fatal() naming the pair unless T_S = @p trh / @p swapRate is at
+ * least 1, a zero rate included.  Grids check every (trh, rate)
+ * pair with it before any simulation or shard plan.
+ */
+void checkSwapThreshold(std::uint32_t trh, std::uint32_t swapRate);
+
 /** Abstract row-swap mitigation. */
 class Mitigation : public MemCtrlListener
 {

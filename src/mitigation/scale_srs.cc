@@ -35,8 +35,11 @@ ScaleSrs::mitigate(std::uint32_t channel, std::uint32_t bank,
 
     if (count >= scaleCfg_.outlierSwaps * cfg_.ts()) {
         stats_.inc("outliers_detected");
-        if (pinHook_ && pinHook_(channel, bank, logical))
-            stats_.inc("rows_pinned");
+        // A full pin-buffer refuses the pin; the row then keeps only
+        // SRS's swap protection until the epoch ends.
+        if (pinHook_)
+            stats_.inc(pinHook_(channel, bank, logical) ? "rows_pinned"
+                                                        : "pins_rejected");
     }
 }
 

@@ -38,7 +38,8 @@ class ScaleSrs : public Srs
   public:
     /**
      * Hook that pins a logical row in the LLC.
-     * @return true when the pin succeeded (pin-buffer not full)
+     * @return true when the row is pinned; false when the pin-buffer
+     *         is full (counted as `pins_rejected`)
      */
     using PinHook = std::function<bool(std::uint32_t channel,
                                        std::uint32_t bank,

@@ -58,11 +58,8 @@ SecurityGrid::expand() const
         if (rate < 2)
             fatal("security grid swap rate ", rate,
                   " is invalid (must be at least 2)");
-        for (const std::uint32_t trh : trhs) {
-            if (trh / rate == 0)
-                fatal("security grid cell trh=", trh, " rate=", rate,
-                      ": T_S = trh/rate rounds to zero");
-        }
+        for (const std::uint32_t trh : trhs)
+            checkSwapThreshold(trh, rate);
     }
 
     const std::vector<SystemAxes> axisList = axes();

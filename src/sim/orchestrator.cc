@@ -118,6 +118,10 @@ planShards(const SweepGrid &grid, const ExperimentConfig &exp,
     }
     if (shardCount == 0)
         fatal("--shards must be at least 1");
+    for (const std::uint32_t trh : grid.trhs) {
+        for (const std::uint32_t rate : grid.swapRates)
+            checkSwapThreshold(trh, rate);
+    }
     const std::size_t count = std::min(shardCount, outer);
 
     ShardManifest manifest;

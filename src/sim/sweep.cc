@@ -351,9 +351,10 @@ SweepRunner::loadResume(const std::vector<SweepCell> &cells,
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepCell> &cells)
 {
-    // Resolve every workload spec before any simulation starts, so a
-    // typo'd profile name or an unreadable trace file is a clean
-    // fatal() in the calling thread, not a worker abort.  A label
+    // Check every cell's T_S and resolve every workload spec before
+    // any simulation starts, so a zero swap rate, a typo'd profile
+    // name or an unreadable trace file is a clean fatal() in the
+    // calling thread, not a worker abort.  A label
     // reused with a different spec is rejected (the label keys both
     // the trace seed and the shared baseline), and each distinct
     // trace file is parsed exactly once, shared by every cell and
@@ -371,6 +372,7 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
     std::vector<std::size_t> keyOf(cells.size());
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
         const SweepCell &cell = cells[ci];
+        checkSwapThreshold(cell.trh, cell.swapRate);
         const std::string label = cell.workload.label();
         const auto it = workloadIndex.find(label);
         if (it != workloadIndex.end()) {

@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -44,20 +43,28 @@ SystemConfig::actMaxPerEpoch() const
     // controller's refresh overhead.
     const double refreshShare =
         epochSec * (timingNs.tRFC / timingNs.tREFI);
-    return static_cast<std::uint64_t>(
-        (epochSec - refreshShare) / (timingNs.tRC * 1e-9));
+    const double acts =
+        (epochSec - refreshShare) / (timingNs.tRC * 1e-9);
+    if (!(acts >= 1.0)) {
+        fatal("refresh epoch of ", effectiveEpochLen(), " cycles (",
+              epochSec * 1e9, " ns) leaves less than one tRC (",
+              timingNs.tRC, " ns) after refresh: no row can be "
+              "activated in it");
+    }
+    return static_cast<std::uint64_t>(acts);
 }
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), epochLen_(cfg.effectiveEpochLen()),
       timing_(DramTiming::fromNs(cfg.timingNs)),
+      pins_(kPinBufferEntries, cfg.org.rowBytes),
       nextEpochAt_(epochLen_)
 {
     cfg_.org.validate();
+    // The trackers below divide by the swap rate.
+    checkSwapThreshold(cfg_.mit.trh, cfg_.mit.swapRate);
     ctrl_ = std::make_unique<MemoryController>(cfg_.org, timing_,
                                                cfg_.memCtrl);
-    llc_ = std::make_unique<Llc>(cfg_.llc, cfg_.org.rowBytes,
-                                 cfg_.pinCapacity);
 
     const std::uint32_t banksPerChannel =
         cfg_.org.ranksPerChannel * cfg_.org.banksPerRank;
@@ -135,10 +142,8 @@ System::System(const SystemConfig &cfg)
                 bank % cfg_.org.banksPerRank;
             const Addr base = ctrl_->addressMap().rowBaseAddr(
                 ch, rank, bankInRank, logical);
-            // Park displaced dirty lines; the run loop posts them
-            // (the hook fires mid-queue-iteration, where enqueuing
-            // directly could invalidate the controller's iterators).
-            return llc_->pinRow(base, &pendingPinWritebacks_);
+            // A row pinned again in the same epoch stays pinned.
+            return pins_.pinned(base) || pins_.pin(base) != nullptr;
         });
         mitigation_ = std::move(scale);
         break;
@@ -190,54 +195,14 @@ System::access(Addr addr, bool isWrite, CoreId core, std::uint64_t token,
                Cycle now, Cycle &latencyOut)
 {
     // The pin-buffer fronts everything (Section V-C): accesses to
-    // pinned rows never reach DRAM.
-    if (llc_->rowPinned(addr)) {
+    // pinned rows hit in the LLC and never reach DRAM.
+    if (pins_.lookup(addr) != nullptr) {
         stats_.inc("pinned_absorbed");
-        latencyOut = cfg_.llcHitLatency;
-        // Record the hit in the LLC stats for visibility.  The
-        // pin-buffer short-circuits the tag store, so this access is
-        // guaranteed non-mutating: it can never evict a dirty victim.
-        const LlcResult res = llc_->access(addr, isWrite);
-        SRS_ASSERT(res.pinnedHit && !res.writebackNeeded,
-                   "pinned-row access must be absorbed by the pin-buffer");
+        latencyOut = kPinnedHitLatency;
         return Outcome::Hit;
     }
 
-    if (cfg_.modelLlc) {
-        // Make sure both the demand access and the dirty victim it
-        // would evict can be posted before mutating tags.  The victim
-        // can live on a different channel than the miss address, so
-        // its capacity is probed at the actual writeback address.
-        const Addr wb = llc_->probeWriteback(addr);
-        if (!ctrl_->canAccept(addr, isWrite) ||
-            (wb != kInvalidAddr && !ctrl_->canAccept(wb, true))) {
-            return Outcome::Reject;
-        }
-        const LlcResult res = llc_->access(addr, isWrite);
-        if (res.writebackNeeded) {
-            SRS_ASSERT(res.writebackAddr == wb,
-                       "victim probe out of sync with access");
-            const std::uint64_t id =
-                ctrl_->enqueue(res.writebackAddr, true, core, now);
-            if (id == std::numeric_limits<std::uint64_t>::max())
-                stats_.inc("writebacks_dropped");
-        }
-        if (res.hit) {
-            latencyOut = cfg_.llcHitLatency;
-            return Outcome::Hit;
-        }
-        if (isWrite) {
-            // No-allocate store miss: post the write to memory.
-            ctrl_->enqueue(addr, true, core, now);
-            latencyOut = 1;
-            return Outcome::Hit;
-        }
-        const std::uint64_t id = ctrl_->enqueue(addr, false, core, now);
-        outstanding_.emplace(id, std::make_pair(core, token));
-        return Outcome::Pending;
-    }
-
-    // USIMM mode: the trace is already a post-LLC miss stream.
+    // The trace is already a post-LLC miss stream.
     if (!ctrl_->canAccept(addr, isWrite))
         return Outcome::Reject;
     if (isWrite) {
@@ -274,7 +239,7 @@ System::onEpochBoundary()
     // contents with posted writes (one per row: the full-row restore
     // is modelled at row granularity).  A restore the write queue
     // refuses is dropped and counted as such, never as restored.
-    for (const Addr rowBase : llc_->unpinAll()) {
+    for (const Addr rowBase : pins_.entries()) {
         if (ctrl_->canAccept(rowBase, true)) {
             ctrl_->enqueue(rowBase, true, 0, now_);
             stats_.inc("pinned_rows_restored");
@@ -282,19 +247,7 @@ System::onEpochBoundary()
             stats_.inc("pinned_restores_dropped");
         }
     }
-}
-
-void
-System::drainPinWritebacks()
-{
-    while (!pendingPinWritebacks_.empty()) {
-        const Addr wb = pendingPinWritebacks_.front();
-        if (!ctrl_->canAccept(wb, true))
-            break;   // write queue full: retry next cycle, never drop
-        ctrl_->enqueue(wb, true, 0, now_);
-        stats_.inc("pin_writebacks_posted");
-        pendingPinWritebacks_.erase(pendingPinWritebacks_.begin());
-    }
+    pins_.clear();
 }
 
 void
@@ -334,7 +287,6 @@ System::runReference(Cycle end)
             onEpochBoundary();
             nextEpochAt_ += epochLen_;
         }
-        drainPinWritebacks();
         ++now_;
     }
 }
@@ -365,7 +317,6 @@ System::runEventDriven(Cycle end)
             onEpochBoundary();
             nextEpochAt_ += epochLen_;
         }
-        drainPinWritebacks();
 
         Cycle next = std::min(end, nextEpochAt_);
         for (const auto &core : cores_) {
@@ -381,8 +332,6 @@ System::runEventDriven(Cycle end)
                 ((mem + busClock - 1) / busClock) * busClock;
             next = std::min(next, onBus);
         }
-        if (!pendingPinWritebacks_.empty())
-            next = std::min(next, now_ + 1);
         now_ = std::max(now_ + 1, next);
     }
 }

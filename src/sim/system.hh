@@ -1,14 +1,12 @@
 /**
  * @file
- * Full-system wiring: cores + LLC/pin-buffer + memory controller +
+ * Full-system wiring: cores + pin-buffer + memory controller +
  * tracker + mitigation, with refresh-epoch management.
  *
- * Two operating modes, selected by SystemConfig::modelLlc:
- *  - USIMM mode (default, the paper's setup): traces are post-LLC
- *    miss streams fed straight to the memory controller; only the
- *    pin-buffer intercepts accesses (for Scale-SRS row pinning);
- *  - full-LLC mode: every access goes through the shared LLC model
- *    (used by cache-focused tests and examples).
+ * Traces are post-LLC miss streams fed straight to the memory
+ * controller, the paper's USIMM methodology.  The only cache state
+ * is the Scale-SRS pin-buffer: an access to a pinned row is an LLC
+ * hit and never reaches DRAM.
  */
 
 #ifndef SRS_SIM_SYSTEM_HH
@@ -19,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/llc.hh"
+#include "cache/pin_buffer.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/core.hh"
@@ -83,11 +81,6 @@ struct SystemConfig
     /** Refresh-interval length in CPU cycles; 0 derives 64 ms. */
     Cycle epochLen = 0;
 
-    bool modelLlc = false;
-    CacheConfig llc;
-    Cycle llcHitLatency = 40;
-    std::uint32_t pinCapacity = 66;
-
     /**
      * Run the tick-per-cycle reference loop instead of the
      * event-driven skip-ahead loop.  It selects the oracle of the
@@ -102,7 +95,11 @@ struct SystemConfig
     /** Effective epoch length in cycles. */
     Cycle effectiveEpochLen() const;
 
-    /** ACT_max for one bank in one epoch (tRC-limited). */
+    /**
+     * ACT_max for one bank in one epoch (tRC-limited).  fatal() when
+     * the epoch, less its refresh share, is shorter than one tRC:
+     * a tracker sized from it would hold no entries.
+     */
     std::uint64_t actMaxPerEpoch() const;
 };
 
@@ -134,7 +131,6 @@ class System : public CoreMemoryInterface
     const MemoryController &controller() const { return *ctrl_; }
     Mitigation &mitigation() { return *mitigation_; }
     AggressorTracker &tracker() { return *tracker_; }
-    Llc &llc() { return *llc_; }
     const SystemConfig &config() const { return cfg_; }
 
     /**
@@ -155,14 +151,13 @@ class System : public CoreMemoryInterface
     void onReadDone(const MemRequest &req);
     void runReference(Cycle end);
     void runEventDriven(Cycle end);
-    void drainPinWritebacks();
 
     SystemConfig cfg_;
     Cycle epochLen_;
     DramTiming timing_;
 
     std::unique_ptr<MemoryController> ctrl_;
-    std::unique_ptr<Llc> llc_;
+    PinBuffer pins_;
     std::unique_ptr<AggressorTracker> tracker_;
     std::unique_ptr<Mitigation> mitigation_;
     std::vector<std::unique_ptr<TraceSource>> traces_;
@@ -171,14 +166,6 @@ class System : public CoreMemoryInterface
     /** outstanding read id -> (core, token) */
     std::unordered_map<std::uint64_t,
                        std::pair<CoreId, std::uint64_t>> outstanding_;
-
-    /**
-     * Dirty lines displaced by Scale-SRS row pinning.  The pin hook
-     * fires inside the controller's own queue iteration, where
-     * enqueuing could reallocate the vector being walked; evictions
-     * are parked here and posted once per simulated cycle instead.
-     */
-    std::vector<Addr> pendingPinWritebacks_;
 
     Cycle now_ = 0;
     Cycle nextEpochAt_;

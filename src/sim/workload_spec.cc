@@ -335,12 +335,14 @@ SystemAxes::parse(const std::string &text)
                   " timing override '", suffix, "' (want ",
                   kAxesGrammar, ")");
         }
+        // Spelling only: validate() below checks the knob's bound.
+        // field() never spells 0 (no override), so parse rejects it.
         const std::string value = suffix.substr(eq + 1);
         char *endp = nullptr;
         const unsigned long long ns =
             std::strtoull(value.c_str(), &endp, 10);
         if (value.empty() || endp == value.c_str() || *endp != '\0'
-            || ns == 0 || ns > kAxesKnobs[k].maxNs) {
+            || ns == 0 || ns > 0xFFFFFFFFull) {
             fatal("system axes '", text, "': '", value, "' is not a ",
                   key, " override in nanoseconds (want ",
                   kAxesGrammar, ")");
@@ -380,6 +382,15 @@ SystemAxes::validate() const
               orgChannels, "x", orgRanks, "x", orgBanks,
               " out of range — channels, ranks and banks-per-rank "
               "must be powers of two within 1..8 / 1..4 / 4..64");
+    }
+    for (const AxesKnob &knob : kAxesKnobs) {
+        const std::uint32_t ns = this->*knob.member;
+        if (ns > knob.maxNs) {
+            fatal("system axes '", field(), "': ", knob.key,
+                  " override of ", ns, " ns is out of range (want "
+                  "1..", knob.maxNs, " ns, or 0 for the preset's "
+                  "value)");
+        }
     }
     const DramTimingNs ns = effectiveTimingNs();
     if (ns.tRC < ns.tRCD + ns.tRP) {

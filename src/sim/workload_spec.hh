@@ -198,10 +198,13 @@ struct SystemAxes
     DramTimingNs effectiveTimingNs() const;
 
     /**
-     * fatal() when the effective timings are inconsistent (tRC <
-     * tRCD + tRP, which would make the derived tRAS unable to cover
-     * the row-open window) or the organization triple is out of
-     * range; the message names field() and the offending values.
+     * fatal() when the organization triple is out of range, a timing
+     * override exceeds its bound (10000 ns; tREFI 100000 ns), or the
+     * effective timings are inconsistent (tRC < tRCD + tRP, which
+     * would make the derived tRAS unable to cover the row-open
+     * window); the message names field() and the offending values.
+     * parse(), apply() and SystemAxesGrid::axes() all call it, so
+     * every reader rejects an out-of-range override alike.
      */
     void validate() const;
 

@@ -530,6 +530,33 @@ run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
 # Inconsistent timings (tRC < tRCD + tRP) are fatal up front.
 run_expect_fail(sweep --workloads=gups --mitigations=rrs --trh=1200
                 --rates=6 --trc=20)
+# A timing override past its bound is fatal, quoting it and the bound,
+# in every grid reader (`security` used to write it into an axes field
+# that no reader accepts).
+foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"
+        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6")
+  run_expect_fail_saying(NEEDLES "trc override of 20000 ns" "1..10000 ns"
+                         ARGS ${reader} --trc=20000)
+endforeach()
+# A zero swap rate, or a trh/rate pair whose T_S rounds to zero, is
+# fatal by its pair before any simulation or plan (a zero rate used to
+# die of SIGFPE in a worker).
+set(tiny_sweep sweep --workloads=gups --mitigations=rrs --cycles=20000
+    --threads=1 --journal=none)
+foreach(run "${tiny_sweep};--trh=1200;--rates=0;--epoch=10000"
+        "perf;--workload=gups;--mitigation=rrs;--trh=1200;--rate=0;--cycles=20000;--epoch=10000"
+        "orchestrate;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=0;--plan;--dir=${smoke_dir}/rate0_plan")
+  run_expect_fail_saying(NEEDLES "trh=1200 rate=0" ARGS ${run})
+endforeach()
+run_expect_fail_saying(NEEDLES "trh=5 rate=6"
+                       ARGS ${tiny_sweep} --trh=5 --rates=6 --epoch=10000)
+# A refresh epoch shorter than one tRC is fatal by its length (its
+# trackers used to be built with no entries and abort).
+run_expect_fail_saying(NEEDLES "refresh epoch of 100 cycles"
+                       ARGS ${tiny_sweep} --trh=1200 --rates=6 --epoch=100)
+run_expect_fail_saying(NEEDLES "refresh epoch of 10000 cycles"
+                               "tRC (10000 ns)"
+                       ARGS ${tiny_sweep} --trh=1200 --rates=6 --trc=10000)
 # An empty system-axes list is fatal by its flag, with one message
 # for all three grid readers.
 foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"

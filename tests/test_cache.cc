@@ -1,130 +1,23 @@
 /**
  * @file
- * Unit tests for the LLC model: set-associative tag store, way
- * reservation, the pin-buffer and the composed Llc with row pinning.
+ * Unit tests for the Scale-SRS pin-buffer, the only cache state a
+ * System keeps.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/cache.hh"
-#include "cache/llc.hh"
 #include "cache/pin_buffer.hh"
-#include "common/logging.hh"
 
 namespace srs
 {
 namespace
 {
 
-CacheConfig
-smallCache()
-{
-    CacheConfig cfg;
-    cfg.sizeBytes = 64 * 1024; // 64 sets x 16 ways x 64B
-    return cfg;
-}
-
-TEST(Cache, MissThenHit)
-{
-    SetAssocCache cache(smallCache());
-    EXPECT_FALSE(cache.access(0x1000, false).hit);
-    EXPECT_TRUE(cache.access(0x1000, false).hit);
-    EXPECT_TRUE(cache.access(0x1020, false).hit); // same line
-    EXPECT_EQ(cache.stats().get("hits"), 2u);
-    EXPECT_EQ(cache.stats().get("misses"), 1u);
-}
-
-TEST(Cache, LruEviction)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    const std::uint64_t setStride = cfg.numSets() * cfg.lineBytes;
-    // Fill one set completely, then one more: way 0's line evicts.
-    for (std::uint32_t i = 0; i <= cfg.ways; ++i)
-        cache.access(i * setStride, false);
-    EXPECT_FALSE(cache.contains(0));
-    EXPECT_TRUE(cache.contains(cfg.ways * setStride));
-}
-
-TEST(Cache, LruRefreshOnHit)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    const std::uint64_t setStride = cfg.numSets() * cfg.lineBytes;
-    for (std::uint32_t i = 0; i < cfg.ways; ++i)
-        cache.access(i * setStride, false);
-    cache.access(0, false); // refresh line 0
-    cache.access(cfg.ways * setStride, false);
-    EXPECT_TRUE(cache.contains(0));            // survived
-    EXPECT_FALSE(cache.contains(setStride));   // way 1 evicted
-}
-
-TEST(Cache, DirtyEvictionReportsWriteback)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    const std::uint64_t setStride = cfg.numSets() * cfg.lineBytes;
-    cache.access(0, true); // dirty
-    for (std::uint32_t i = 1; i <= cfg.ways; ++i) {
-        const auto res = cache.access(i * setStride, false);
-        if (i == cfg.ways) {
-            EXPECT_TRUE(res.writebackNeeded);
-            EXPECT_EQ(res.writebackAddr, 0u);
-        }
-    }
-}
-
-TEST(Cache, InvalidateReturnsDirtiness)
-{
-    SetAssocCache cache(smallCache());
-    cache.access(0x40, true);
-    cache.access(0x80, false);
-    EXPECT_TRUE(cache.invalidate(0x40));
-    EXPECT_FALSE(cache.invalidate(0x80));
-    EXPECT_FALSE(cache.invalidate(0xc0)); // absent
-    EXPECT_FALSE(cache.contains(0x40));
-}
-
-TEST(Cache, ReservedWaysShrinkCapacity)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    std::vector<Addr> wbs;
-    cache.reserveWays(0, cfg.ways, wbs);
-    const auto res = cache.access(0, false); // maps to set 0
-    EXPECT_FALSE(res.hit);
-    EXPECT_TRUE(res.bypassed);
-    EXPECT_FALSE(cache.contains(0));
-}
-
-TEST(Cache, ReservationEvictsDirtyResidents)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    const std::uint64_t setStride = cfg.numSets() * cfg.lineBytes;
-    for (std::uint32_t i = 0; i < cfg.ways; ++i)
-        cache.access(i * setStride, true);
-    std::vector<Addr> wbs;
-    cache.reserveWays(0, cfg.ways, wbs);
-    EXPECT_EQ(wbs.size(), cfg.ways);
-}
-
-TEST(Cache, ReleaseRestoresAllocation)
-{
-    CacheConfig cfg = smallCache();
-    SetAssocCache cache(cfg);
-    std::vector<Addr> wbs;
-    cache.reserveWays(0, cfg.ways, wbs);
-    cache.releaseWays(0);
-    EXPECT_FALSE(cache.access(0, false).bypassed);
-    EXPECT_TRUE(cache.contains(0));
-}
-
 TEST(PinBuffer, PinAndLookup)
 {
     PinBuffer pins(4, 8192);
     EXPECT_EQ(pins.lookup(0x2000), nullptr);
-    ASSERT_NE(pins.pin(0x2000, 0), nullptr);
+    ASSERT_NE(pins.pin(0x2000), nullptr);
     EXPECT_NE(pins.lookup(0x2000), nullptr);
     EXPECT_NE(pins.lookup(0x2000 + 8191), nullptr); // same row
     EXPECT_EQ(pins.lookup(0x4000), nullptr);
@@ -133,24 +26,24 @@ TEST(PinBuffer, PinAndLookup)
 TEST(PinBuffer, CapacityEnforced)
 {
     PinBuffer pins(2, 8192);
-    EXPECT_NE(pins.pin(0x0000, 0), nullptr);
-    EXPECT_NE(pins.pin(0x2000, 8), nullptr);
-    EXPECT_EQ(pins.pin(0x4000, 16), nullptr);
-    EXPECT_EQ(pins.stats().get("pin_rejected_full"), 1u);
+    EXPECT_NE(pins.pin(0x0000), nullptr);
+    EXPECT_NE(pins.pin(0x2000), nullptr);
+    EXPECT_EQ(pins.pin(0x4000), nullptr);
+    EXPECT_EQ(pins.size(), 2u);
 }
 
 TEST(PinBuffer, DuplicateRejected)
 {
     PinBuffer pins(4, 8192);
-    EXPECT_NE(pins.pin(0x2000, 0), nullptr);
-    EXPECT_EQ(pins.pin(0x2000, 8), nullptr);
+    EXPECT_NE(pins.pin(0x2000), nullptr);
+    EXPECT_EQ(pins.pin(0x2000), nullptr);
     EXPECT_EQ(pins.size(), 1u);
 }
 
 TEST(PinBuffer, ClearEmpties)
 {
     PinBuffer pins(4, 8192);
-    pins.pin(0x2000, 0);
+    pins.pin(0x2000);
     pins.clear();
     EXPECT_EQ(pins.size(), 0u);
     EXPECT_EQ(pins.lookup(0x2000), nullptr);
@@ -162,104 +55,6 @@ TEST(PinBuffer, StorageBitsMatchPaper)
     // 13 row-offset bits).
     PinBuffer pins(66, 8192);
     EXPECT_EQ(pins.storageBits(48), 66u * 35u);
-}
-
-TEST(Llc, PinnedRowAlwaysHits)
-{
-    Llc llc(CacheConfig{}, 8192, 66);
-    const Addr rowBase = 0x100000;
-    EXPECT_FALSE(llc.access(rowBase, false).hit); // cold miss
-    ASSERT_TRUE(llc.pinRow(rowBase));
-    for (Addr off = 0; off < 8192; off += 64) {
-        const LlcResult res = llc.access(rowBase + off, false);
-        EXPECT_TRUE(res.hit);
-        EXPECT_TRUE(res.pinnedHit);
-    }
-    EXPECT_TRUE(llc.rowPinned(rowBase + 4096));
-}
-
-TEST(Llc, PinReservesSetRange)
-{
-    Llc llc(CacheConfig{}, 8192, 66);
-    // 8KB row / 64B lines / 16 ways = 8 sets per pinned row.
-    EXPECT_EQ(llc.setsPerRow(), 8u);
-    ASSERT_TRUE(llc.pinRow(0));
-    ASSERT_TRUE(llc.pinRow(8192));
-    EXPECT_EQ(llc.pinnedRows(), 2u);
-}
-
-TEST(Llc, UnpinReturnsRowsAndRestoresCapacity)
-{
-    Llc llc(CacheConfig{}, 8192, 66);
-    ASSERT_TRUE(llc.pinRow(0));
-    ASSERT_TRUE(llc.pinRow(16384));
-    const std::vector<Addr> rows = llc.unpinAll();
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0], 0u);
-    EXPECT_EQ(rows[1], 16384u);
-    EXPECT_EQ(llc.pinnedRows(), 0u);
-    EXPECT_FALSE(llc.rowPinned(0));
-}
-
-TEST(Llc, PinIdempotent)
-{
-    Llc llc(CacheConfig{}, 8192, 66);
-    EXPECT_TRUE(llc.pinRow(0));
-    EXPECT_TRUE(llc.pinRow(0)); // already pinned: reports success
-    EXPECT_EQ(llc.pinnedRows(), 1u);
-}
-
-TEST(Llc, PinCapacityBound)
-{
-    Llc llc(CacheConfig{}, 8192, 2);
-    EXPECT_TRUE(llc.pinRow(0));
-    EXPECT_TRUE(llc.pinRow(8192));
-    EXPECT_FALSE(llc.pinRow(16384));
-}
-
-TEST(Llc, PaperCapacityShare)
-{
-    // Paper: 3 pinned rows = 24KB of an 8MB LLC ~ 0.3%; 66 rows
-    // (multi-bank worst case) = 528KB ~ 6.5%.
-    CacheConfig cfg; // 8MB
-    Llc llc(cfg, 8192, 66);
-    const double share3 = 3.0 * 8192 / cfg.sizeBytes;
-    const double share66 = 66.0 * 8192 / cfg.sizeBytes;
-    EXPECT_NEAR(share3 * 100, 0.29, 0.05);
-    EXPECT_NEAR(share66 * 100, 6.45, 0.2);
-}
-
-TEST(Llc, RejectsOversizedPinCapacity)
-{
-    CacheConfig cfg;
-    cfg.sizeBytes = 64 * 1024;
-    EXPECT_THROW(Llc(cfg, 8192, 66), FatalError);
-}
-
-TEST(Llc, PinSurfacesDisplacedDirtyForeignLines)
-{
-    // Regression: reserving a pinned row's set range displaces
-    // whatever lives there.  Dirty lines of *other* rows exist
-    // nowhere else — pinRow must hand them to the caller for
-    // writeback rather than discard them with the reservation.
-    CacheConfig cfg;
-    Llc llc(cfg, 8192, 66);
-    // A dirty line of a foreign row that maps into set 0, inside
-    // row 0's reserved range: addr = lineBytes * numSets.
-    const Addr foreign =
-        static_cast<Addr>(cfg.lineBytes) * cfg.numSets();
-    llc.access(foreign, true);
-    // A clean foreign line in the same range must NOT be surfaced.
-    const Addr cleanForeign = 2 * foreign;
-    llc.access(cleanForeign, false);
-    // Row 0's own line: absorbed by the pinned copy, not surfaced.
-    llc.access(64, true);
-
-    std::vector<Addr> evicted;
-    ASSERT_TRUE(llc.pinRow(0, &evicted));
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_EQ(evicted[0], foreign);
-    EXPECT_EQ(llc.stats().get("pin_evictions"), 1u);
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "mitigation/blockhammer.hh"
 #include "mitigation/srs.hh"
 #include "sim/experiment.hh"
+#include "trace/attack.hh"
 #include "tracker/misra_gries.hh"
 
 namespace srs
@@ -109,6 +110,44 @@ TEST(EventLoop, MatchesReferenceAcrossMitigations)
             }
         }
     }
+}
+
+TEST(EventLoop, MatchesReferenceWhileScaleSrsPins)
+{
+    // The grid above never reaches Scale-SRS's outlier threshold.  A
+    // hammer stream with outlierSwaps = 1 pins its row at the first
+    // crossing, so the loops are also compared across pinned-row
+    // hits and the restores each epoch boundary posts.
+    double ipc[2];
+    std::string dumps[2];
+    for (int refLoop = 0; refLoop < 2; ++refLoop) {
+        ExperimentConfig exp;
+        exp.epochLen = 100'000;
+        SystemConfig cfg =
+            makeSystemConfig(exp, MitigationKind::ScaleSrs, 600, 6);
+        cfg.numCores = 1;
+        cfg.scaleCfg.outlierSwaps = 1;
+        cfg.referenceLoop = refLoop == 1;
+        System sys(cfg);
+        sys.setTrace(0, std::make_unique<HammerTrace>(
+                            sys.controller().addressMap(), 0, 0, 5000));
+        sys.run(250'000);
+        const std::string label = refLoop ? "reference" : "event";
+        EXPECT_GT(sys.mitigation().stats().get("rows_pinned"), 0u)
+            << label;
+        EXPECT_GT(sys.stats().get("pinned_absorbed"), 0u) << label;
+        EXPECT_GT(sys.stats().get("pinned_rows_restored"), 0u) << label;
+        ipc[refLoop] = sys.aggregateIpc();
+        const LatencyHistogram &lat = sys.controller().readLatency();
+        dumps[refLoop] =
+            "max_acts " + std::to_string(sys.maxEpochActivations())
+            + "\nlat_p99 " + std::to_string(lat.quantilePermille(990))
+            + "\nlat_samples " + std::to_string(lat.total()) + '\n'
+            + sys.stats().dump() + sys.controller().stats().dump()
+            + sys.mitigation().stats().dump();
+    }
+    EXPECT_EQ(ipc[1], ipc[0]);
+    EXPECT_EQ(dumps[1], dumps[0]);
 }
 
 TEST(EventLoop, MatchesReferenceWithHydraTracker)

@@ -186,6 +186,31 @@ TEST_F(MitFixture, ScaleSrsPinsOutliers)
     EXPECT_GE(scale.stats().get("outliers_detected"), 1u);
     ASSERT_FALSE(pinned.empty());
     EXPECT_GE(scale.stats().get("rows_pinned"), 1u);
+    // Counted only when a pin is refused, so dumps stay unchanged.
+    EXPECT_EQ(scale.stats().all().count("pins_rejected"), 0u);
+}
+
+TEST_F(MitFixture, ScaleSrsCountsRefusedPins)
+{
+    // A full pin-buffer refuses every pin: each outlier is counted
+    // as pins_rejected, none as rows_pinned.
+    SrsConfig srsCfg;
+    srsCfg.modelCounterTraffic = false;
+    ScaleSrsConfig scaleCfg;
+    scaleCfg.outlierSwaps = 1;
+    ScaleSrs scale(ctrl, tracker, mitConfig(), srsCfg, scaleCfg);
+    int refusals = 0;
+    scale.setPinHook([&](std::uint32_t, std::uint32_t, RowId) {
+        ++refusals;
+        return false;
+    });
+    EXPECT_EQ(scale.stats().all().count("pins_rejected"), 0u);
+    hammer(scale, 500, 100);
+    hammer(scale, 700, 100);
+    ASSERT_EQ(scale.stats().get("outliers_detected"), 2u);
+    EXPECT_EQ(refusals, 2);
+    EXPECT_EQ(scale.stats().get("pins_rejected"), 2u);
+    EXPECT_EQ(scale.stats().all().count("rows_pinned"), 0u);
 }
 
 TEST_F(MitFixture, ScaleSrsNoOutlierForSpreadTraffic)

@@ -171,6 +171,20 @@ TEST(ShardPlan, EmptyGridOrZeroShardsIsFatal)
                  FatalError);
 }
 
+TEST(ShardPlan, ZeroSwapRateIsFatalByItsPair)
+{
+    // Every shard of such a plan would divide by zero in a worker.
+    SweepGrid grid = testGrid();
+    grid.swapRates = {3, 0};
+    try {
+        planShards(grid, tinyExperiment(), 2);
+        FAIL() << "rate 0 was planned";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("trh=1200 rate=0"),
+                  std::string::npos) << err.what();
+    }
+}
+
 TEST(ShardManifestFile, RoundTripsThroughDisk)
 {
     const ShardManifest manifest =

@@ -215,17 +215,6 @@ TEST(SystemIntegration, HydraTrackerDrivesMitigations)
                   "mig_started_counter_access"), 0u);
 }
 
-TEST(SystemIntegration, FullLlcModeFiltersTraffic)
-{
-    ExperimentConfig exp = quickExp();
-    SystemConfig cfg = makeSystemConfig(exp, MitigationKind::None,
-                                        1200, 6);
-    cfg.modelLlc = true;
-    const RunResult r = runWorkload(cfg, profileByName("hmmer"), exp);
-    EXPECT_GT(r.aggregateIpc, 0.0);
-}
-
-
 // ---------------------------------------------------------------------
 // Related-work defenses through the full System stack.
 // ---------------------------------------------------------------------
@@ -364,81 +353,30 @@ TEST(SystemConfigTest, EpochDefaultsTo64ms)
                 0.05e6);
 }
 
+TEST(SystemConfigTest, EpochShorterThanOneTrcIsFatal)
+{
+    // 100 cycles at 3.2 GHz (31.25 ns) hold no 45 ns row cycle: the
+    // trackers sized from ACT_max would have no entries.
+    SystemConfig cfg;
+    cfg.epochLen = 100;
+    try {
+        cfg.actMaxPerEpoch();
+        FAIL() << "a 100-cycle epoch was accepted";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("refresh epoch of 100 cycles"),
+                  std::string::npos) << msg;
+        EXPECT_NE(msg.find("tRC ("), std::string::npos) << msg;
+    }
+    EXPECT_THROW(System{cfg}, FatalError);
+}
+
 TEST(SystemConfigTest, MitigationNames)
 {
     EXPECT_STREQ(mitigationKindName(MitigationKind::None), "baseline");
     EXPECT_STREQ(mitigationKindName(MitigationKind::Rrs), "rrs");
     EXPECT_STREQ(mitigationKindName(MitigationKind::ScaleSrs),
                  "scale-srs");
-}
-
-TEST(SystemIntegration, DirtyVictimWritebackNeverSilentlyDropped)
-{
-    // Regression: in full-LLC mode an access was admitted when the
-    // *miss address* had queue space, but the dirty victim it evicts
-    // can live on a different (full) channel — its writeback was
-    // enqueue()d into a full queue and silently discarded, losing
-    // committed stores.  The access must be rejected up front
-    // instead, leaving the victim cached and dirty.
-    SystemConfig cfg;
-    cfg.modelLlc = true;
-    System sys(cfg);
-    MemoryController &ctrl = sys.controller();
-    const AddressMap &map = ctrl.addressMap();
-    const SetAssocCache &tags = sys.llc().cache();
-
-    // Addresses that all map to LLC set 0: multiples of
-    // lineBytes * numSets.  Order them victim-first with the victim
-    // on channel 0, the channel the test saturates.
-    const Addr setStride =
-        static_cast<Addr>(cfg.llc.lineBytes) * tags.numSets();
-    const std::uint32_t ways = cfg.llc.ways;
-    std::vector<Addr> fills;
-    for (Addr k = 0; fills.size() < ways + 1; ++k) {
-        const Addr a = k * setStride;
-        if (fills.empty() && map.decode(a).channel != 0)
-            continue;
-        fills.push_back(a);
-    }
-    const Addr victim = fills[0];
-    const Addr missAddr = fills[ways];
-
-    // Dirty the whole set; the first line written is the LRU victim.
-    Cycle lat = 0;
-    for (std::uint32_t w = 0; w < ways; ++w)
-        sys.access(fills[w], true, 0, w, 0, lat);
-    ASSERT_TRUE(tags.contains(victim));
-
-    // Saturate channel 0's write queue.
-    std::uint32_t row = 1000;
-    while (ctrl.canAccept(map.rowBaseAddr(0, 0, 0, row), true)) {
-        ctrl.enqueue(map.rowBaseAddr(0, 0, 0, row), true, 0, 0);
-        ++row;
-    }
-
-    // The miss itself fits, but the victim's writeback does not:
-    // the access must bounce without touching the tags.
-    const auto out = sys.access(missAddr, false, 0, 99, 0, lat);
-    EXPECT_EQ(out, CoreMemoryInterface::Outcome::Reject);
-    EXPECT_EQ(sys.stats().get("writebacks_dropped"), 0u);
-    EXPECT_TRUE(tags.contains(victim));
-    EXPECT_FALSE(tags.contains(missAddr));
-
-    // Drain the writes; the same access then lands and posts the
-    // victim's writeback instead of dropping it.
-    Cycle now = 0;
-    while (!ctrl.canAccept(map.rowBaseAddr(0, 0, 0, row), true) &&
-           now < 1'000'000) {
-        ctrl.tick(now);
-        now += ctrl.timing().busClock;
-    }
-    ASSERT_TRUE(ctrl.canAccept(map.rowBaseAddr(0, 0, 0, row), true));
-    const auto out2 = sys.access(missAddr, false, 0, 100, now, lat);
-    EXPECT_EQ(out2, CoreMemoryInterface::Outcome::Pending);
-    EXPECT_EQ(sys.stats().get("writebacks_dropped"), 0u);
-    EXPECT_FALSE(tags.contains(victim));
-    EXPECT_EQ(sys.llc().stats().get("writebacks"), 0u);
-    EXPECT_EQ(sys.llc().cache().stats().get("writebacks"), 1u);
 }
 
 } // namespace

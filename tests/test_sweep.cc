@@ -189,16 +189,44 @@ TEST(SweepRunner, UnknownWorkloadIsFatalBeforeSimulation)
 
 TEST(SweepRunner, ConfigErrorInWorkerSurfacesAsFatalError)
 {
-    // A bad cell config only trips inside the worker (System
+    // A bad machine config only trips inside the worker (System
     // construction); the error must come back as a FatalError on the
     // calling thread, not std::terminate the process.
     std::vector<SweepCell> cells(1);
     cells[0].workload = WorkloadSpec::synthetic("gups");
     cells[0].mitigation = MitigationKind::Rrs;
     cells[0].trh = 1200;
-    cells[0].swapRate = 2000; // swap rate exceeds T_RH
-    SweepRunner runner(tinyExperiment(), 2);
+    cells[0].swapRate = 6;
+    ExperimentConfig exp = tinyExperiment();
+    exp.epochLen = 100; // shorter than one tRC
+    SweepRunner runner(exp, 2);
     EXPECT_THROW(runner.run(cells), FatalError);
+}
+
+TEST(SweepRunner, ZeroSwapThresholdIsFatalBeforeSimulation)
+{
+    // A zero rate (which divided by zero in a worker) or a T_S =
+    // trh/rate of 0 is fatal by its pair before any run: with an
+    // epoch every System rejects, the pair's message still wins.
+    ExperimentConfig exp = tinyExperiment();
+    exp.epochLen = 100;
+    for (const auto &[trh, rate] :
+         {std::pair<std::uint32_t, std::uint32_t>{1200, 0}, {5, 6}}) {
+        std::vector<SweepCell> cells(1);
+        cells[0].workload = WorkloadSpec::synthetic("gups");
+        cells[0].mitigation = MitigationKind::Rrs;
+        cells[0].trh = trh;
+        cells[0].swapRate = rate;
+        const std::string pair = "trh=" + std::to_string(trh)
+            + " rate=" + std::to_string(rate);
+        try {
+            SweepRunner(exp, 1).run(cells);
+            FAIL() << pair << " was accepted";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(pair),
+                      std::string::npos) << err.what();
+        }
+    }
 }
 
 /** CSV text of one full run of @p cells at @p threads workers. */
@@ -722,6 +750,39 @@ TEST(SystemAxesApi, MalformedOrInconsistentSpellingsAreFatal)
         EXPECT_NE(msg.find("closed|open"), std::string::npos) << msg;
         EXPECT_NE(msg.find("@trefi=NS"), std::string::npos) << msg;
     }
+}
+
+TEST(SystemAxesApi, ValidateBoundsEveryOverride)
+{
+    // The per-knob bound lives in validate(), so an override read
+    // from a CLI list or a manifest is rejected by the grid and by
+    // apply() exactly as parse() rejects its spelling.
+    SystemAxes axes;
+    axes.tRcNs = 20000;
+    try {
+        axes.validate();
+        FAIL() << "tRC of 20000 ns was accepted";
+    } catch (const FatalError &err) {
+        const std::string msg = err.what();
+        EXPECT_NE(msg.find("closed@trc=20000"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("trc override of 20000 ns"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("1..10000 ns"), std::string::npos) << msg;
+    }
+    SystemConfig cfg;
+    EXPECT_THROW(axes.apply(cfg), FatalError);
+    SweepGrid grid;
+    grid.tRcOverrides = {0, 20000};
+    EXPECT_THROW(grid.axes(), FatalError);
+
+    SystemAxes refresh;
+    refresh.tRefiNs = 100000;
+    EXPECT_NO_THROW(refresh.validate());
+    refresh.tRefiNs = 100001;
+    EXPECT_THROW(refresh.validate(), FatalError);
+    // 0 means the preset's value, so only parse() refuses to read it.
+    EXPECT_THROW(SystemAxes::parse("open@trefi=0"), FatalError);
+    EXPECT_THROW(SystemAxes::parse("open@trc=4294967296"), FatalError);
 }
 
 TEST(SystemAxesApi, Ddr5PresetAppliesTheDdr5TimingClass)
