@@ -354,11 +354,11 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
     // Check every cell's T_S and resolve every workload spec before
     // any simulation starts, so a zero swap rate, a typo'd profile
     // name or an unreadable trace file is a clean fatal() in the
-    // calling thread, not a worker abort.  A label
-    // reused with a different spec is rejected (the label keys both
-    // the trace seed and the shared baseline), and each distinct
-    // trace file is parsed exactly once, shared by every cell and
-    // core that replays it.
+    // calling thread, not a worker abort.  A label reused with a
+    // different spec is rejected (the label keys both the trace seed
+    // and the shared baseline), and each distinct trace file is
+    // parsed exactly once, shared by every cell and core that
+    // replays it.
     struct Workload
     {
         WorkloadSpec spec;
