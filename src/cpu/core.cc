@@ -27,30 +27,24 @@ Core::tick(Cycle now)
 
     // Fetch.
     std::uint32_t fetched = 0;
-    bool rejected = false;
     for (std::uint32_t f = 0; f < cfg_.fetchWidth; ++f) {
-        if (rob_.size() >= cfg_.robSize)
+        if (rob_.size() >= cfg_.robSize || !fetchOne(now))
             break;
-        if (!fetchOne(now)) {
-            rejected = true;
-            break;
-        }
         ++fetched;
     }
 
-    // Wake policy.  Any progress — and any structural reject, since a
-    // queue slot (or a forwardable posted write) can appear on the
-    // very next cycle — demands a tick next cycle.  Otherwise the ROB
-    // was full with an unretirable head, and every cycle until the
-    // head completes is provably a no-op: nothing can retire in
-    // order, the full ROB blocks fetch, and the trace source is
-    // untouched.
-    if (retiredNow > 0 || fetched > 0 || rejected || rob_.empty()) {
+    // Wake policy.  Any progress demands a tick next cycle.
+    // Otherwise the ROB was full, or the memory refused the access at
+    // the fetch point, and the head could not retire.  Every cycle
+    // until the head completes is then provably a no-op: nothing can
+    // retire in order, fetch stays blocked, and the trace source is
+    // untouched.  The one exception is a refusal that lifts first,
+    // and the memory hierarchy reports that through wake().
+    if (retiredNow > 0 || fetched > 0) {
         wakeAt_ = now + 1;
         return;
     }
-    const Cycle headDone = rob_.front().doneAt;
-    wakeAt_ = headDone == kNoCycle ? kNoCycle : headDone;
+    wakeAt_ = rob_.empty() ? kNoCycle : rob_.front().doneAt;
 }
 
 bool
@@ -92,7 +86,7 @@ Core::fetchOne(Cycle now)
         ++nextToken_;
         break;
       case CoreMemoryInterface::Outcome::Reject:
-        return false; // structural stall; retry next cycle
+        return false; // structural stall; retried at the next tick
     }
     if (current_.isWrite)
         ++memWrites_;
@@ -113,7 +107,7 @@ Core::complete(std::uint64_t token, Cycle now)
             e.token = 0;
             // A sleeping core can retire this entry (head) or resume
             // fetch next cycle; re-arm the wake.
-            wakeAt_ = now + 1;
+            wake(now + 1);
             return;
         }
     }

@@ -12,6 +12,7 @@
 #ifndef SRS_CPU_CORE_HH
 #define SRS_CPU_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -48,7 +49,7 @@ class CoreMemoryInterface
     {
         Hit,       ///< satisfied now; latency returned
         Pending,   ///< miss in flight; complete(token) will be called
-        Reject,    ///< queues full; retry next cycle
+        Reject,    ///< queues full; Core::wake() when a retry may pass
     };
 
     virtual ~CoreMemoryInterface() = default;
@@ -86,13 +87,23 @@ class Core
     void complete(std::uint64_t token, Cycle now);
 
     /**
+     * Tick the core at @p at at the latest: the memory hierarchy may
+     * now accept the access it refused.
+     */
+    void wake(Cycle at) { wakeAt_ = std::min(wakeAt_, at); }
+
+    /**
      * Earliest cycle at which ticking this core is not provably a
-     * no-op; maintained by tick()/complete().  While the ROB is full
-     * and nothing can retire, the core sleeps until its head entry's
-     * completion cycle — kNoCycle when the head is a pending read, in
-     * which case complete() re-arms the wake.  The event-driven run
-     * loop uses this so stalled cores cost zero ticks; ticking a
-     * sleeping core anyway is always safe (the tick is a no-op).
+     * no-op; maintained by tick(), complete() and wake().  When a
+     * tick retires and fetches nothing — the ROB is full, or the
+     * memory refused the access at the fetch point — the core sleeps
+     * until its head entry's completion cycle: kNoCycle when the head
+     * is a pending read (complete() re-arms the wake) or the ROB is
+     * empty.  A refused core's retry can also pass once a queue slot
+     * frees; the memory hierarchy reports that through wake().  The
+     * event-driven run loop uses this so stalled cores cost zero
+     * ticks; ticking a sleeping core anyway is always safe (the tick
+     * is a no-op).
      */
     Cycle nextEventAt() const { return wakeAt_; }
 

@@ -84,7 +84,7 @@ MemoryController::MemoryController(const DramOrg &org,
             q->hitOrStale.resize(flats);
         }
         c.walk.reserve(flats);
-        c.waiting.reserve(flats);
+        c.revalidate.reserve(flats);
     }
 
     h_.writesEnqueued = stats_.handle("writes_enqueued");
@@ -102,12 +102,6 @@ MemoryController::MemoryController(const DramOrg &org,
     h_.rowConflicts = stats_.handle("row_conflicts");
     h_.activations = stats_.handle("activations");
     h_.idleCloses = stats_.handle("idle_closes");
-    // In BankVerdict order.
-    const char *const skipNames[kSkipClasses] = {
-        "p2_skip_busy", "p2_skip_forced", "p2_skip_hit_wait",
-        "p2_skip_pre_wait", "p2_skip_act_wait"};
-    for (int k = 0; k < kSkipClasses; ++k)
-        h_.p2Skip[k] = stats_.handle(skipNames[k]);
     h_.p2SkipThrottled = stats_.handle("p2_skip_throttled");
     for (int k = 0; k < 4; ++k) {
         const auto kind = static_cast<MigrationJob::Kind>(k);
@@ -130,17 +124,24 @@ MemoryController::wouldForward(const ChannelState &c, std::uint32_t flat,
 }
 
 bool
+MemoryController::queueFull(std::uint32_t channel, bool isWrite) const
+{
+    const ChannelState &c = channels_[channel];
+    return isWrite ? c.writeQ.queued >= cfg_.writeQueueDepth
+                   : c.readQ.queued >= cfg_.readQueueDepth;
+}
+
+bool
 MemoryController::canAccept(Addr addr, bool isWrite) const
 {
     const DramCoord coord = map_.decode(addr);
-    const ChannelState &c = channels_[coord.channel];
-    if (isWrite)
-        return c.writeQ.queued < cfg_.writeQueueDepth;
-    if (c.readQ.queued < cfg_.readQueueDepth)
+    if (!queueFull(coord.channel, isWrite))
         return true;
     // A read served by read-around-write forwarding never occupies a
     // read-queue slot, so a full read queue must not reject it.
-    return wouldForward(c, flatBank(coord.rank, coord.bank),
+    return !isWrite &&
+           wouldForward(channels_[coord.channel],
+                        flatBank(coord.rank, coord.bank),
                         addr & ~static_cast<Addr>(org_.lineBytes - 1));
 }
 
@@ -669,12 +670,9 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     // request a walk over the whole queue in id order would reach
     // first.
     c.walk.clear();
-    c.waiting.clear();
+    c.revalidate.clear();
     std::uint64_t preId = kNoRequest;
     std::uint32_t preFlat = 0;
-    // What the waiting banks skip when nothing wins: all they hold.
-    std::uint64_t skipAll[kSkipClasses] = {};
-    bool revalidate = false;
     visitBanks(0, static_cast<std::uint32_t>(q.banks.size()),
                [&](std::uint32_t w) { return q.nonEmpty.words[w]; },
                [&](std::uint32_t flat) {
@@ -688,11 +686,10 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
                 preFlat = flat;
             }
         } else {
-            c.waiting.emplace_back(flat, v);
             noteDeadline(c, c.verdicts[flat].until);
-            skipAll[static_cast<int>(v)] += bq.reqs.size();
-            revalidate |= bq.stale > 0 && v != BankVerdict::Busy &&
-                          v != BankVerdict::Forced;
+            if (bq.stale > 0 && v != BankVerdict::Busy &&
+                v != BankVerdict::Forced)
+                c.revalidate.push_back(flat);
         }
         return false;
     });
@@ -721,30 +718,14 @@ MemoryController::openForOldest(std::uint32_t chIdx, ChannelState &c,
     });
     const std::uint64_t winnerId = act != nullptr ? act->id : preId;
 
-    // Every waiting request older than the winner is skipped under its
-    // bank's verdict.  Outside busy and forced-refresh banks it is
-    // also revalidated, as the request-order walk did on its way.
-    if (winnerId == kNoRequest && !revalidate) {
-        for (int k = 0; k < kSkipClasses; ++k)
-            c.skips[k] += skipAll[k];
-    } else {
-        for (const auto &[flat, v] : c.waiting) {
-            BankQueue &bq = q.banks[flat];
-            auto older = bq.reqs.end();
-            if (winnerId != kNoRequest) {
-                older = std::lower_bound(
-                    bq.reqs.begin(), bq.reqs.end(), winnerId,
-                    [](const MemRequest &r, std::uint64_t id) {
-                        return r.id < id;
-                    });
-            }
-            c.skips[static_cast<int>(v)] +=
-                static_cast<std::uint64_t>(older - bq.reqs.begin());
-            if (bq.stale > 0 && v != BankVerdict::Busy &&
-                v != BankVerdict::Forced) {
-                for (auto it = bq.reqs.begin(); it != older; ++it)
-                    physRowOf(chIdx, c, *it);
-            }
+    // Outside busy and forced-refresh banks, every waiting request
+    // older than the winner is revalidated, as a walk over the whole
+    // queue in id order would on its way to the winner.
+    for (const std::uint32_t flat : c.revalidate) {
+        for (MemRequest &req : q.banks[flat].reqs) {
+            if (req.id >= winnerId)
+                break;
+            physRowOf(chIdx, c, req);
         }
     }
 
@@ -820,21 +801,14 @@ void
 MemoryController::tickChannel(std::uint32_t ch, Cycle now)
 {
     ChannelState &c = channels_[ch];
-    if (now >= c.memoUntil) {
-        c.quiet = true;
-        c.horizon = kNoCycle;
-        std::fill(std::begin(c.skips), std::end(c.skips), 0);
-        const bool issued = scheduleChannel(ch, c, now);
-        // Queued migrations' readiness is not among the deadlines, so
-        // only a tick with none queued is replayed.
-        c.memoUntil =
-            !issued && c.quiet && c.migCount == 0 ? c.horizon : 0;
-    }
-    // A replayed tick skips exactly the requests its original did.
-    for (int k = 0; k < kSkipClasses; ++k) {
-        if (c.skips[k] > 0)
-            stats_.inc(h_.p2Skip[k], c.skips[k]);
-    }
+    if (now < c.memoUntil)
+        return;
+    c.quiet = true;
+    c.horizon = kNoCycle;
+    const bool issued = scheduleChannel(ch, c, now);
+    // Queued migrations' readiness is not among the deadlines, so
+    // only a tick with none queued is replayed.
+    c.memoUntil = !issued && c.quiet && c.migCount == 0 ? c.horizon : 0;
 }
 
 bool
@@ -914,7 +888,7 @@ MemoryController::nextEventAt(Cycle now) const
         // A queued completion bounds the next effect; any queued
         // request, pending migration, owed refresh, or — under the
         // closed-page policy — an open bank means the channel can
-        // act (or count a p2_skip_* stat) on the very next bus edge.
+        // act on the very next bus edge.
         // Early-returning now + 1 below is safe alongside this: it is
         // the smallest value any channel could contribute.
         if (!c.pendingReads.empty()) {

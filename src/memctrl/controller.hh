@@ -22,8 +22,8 @@
  * an event that can move it, bank sets kept at the same events name
  * the banks each pass must visit (idle close: open banks without a
  * pending hit), and a tick that issued nothing and changed nothing
- * is replayed (its p2_skip_* counts re-added) until the earliest
- * deadline it evaluated.
+ * is not recomputed until the earliest deadline it evaluated: a
+ * replayed tick does nothing.
  */
 
 #ifndef SRS_MEMCTRL_CONTROLLER_HH
@@ -121,6 +121,12 @@ class MemoryController
 
     /** @return true when channel queues can accept @p isWrite request. */
     bool canAccept(Addr addr, bool isWrite) const;
+
+    /**
+     * @return true when @p channel's read (or write) queue is full.
+     * Only tick() frees a slot.
+     */
+    bool queueFull(std::uint32_t channel, bool isWrite) const;
 
     /**
      * Enqueue a demand access.  Writes are posted (no callback);
@@ -241,8 +247,9 @@ class MemoryController
     /**
      * Pass-2 verdict for one bank, decided from bank, rank and
      * refresh state that no pass-2 decision changes.  The first five
-     * are the p2_skip_* classes charged to every request the verdict
-     * makes wait.
+     * make the bank's requests wait; the waiting requests of a bank
+     * that is neither busy nor owes a forced refresh are revalidated
+     * up to the tick's winner.
      */
     enum class BankVerdict : std::uint8_t
     {
@@ -254,7 +261,6 @@ class MemoryController
         PreReady, ///< row conflict, PRE legal now
         ActReady, ///< bank closed, ACT legal now (throttling is per row)
     };
-    static constexpr int kSkipClasses = 5;
 
     /**
      * A bank's cached pass-2 verdict.  It holds at every tick before
@@ -309,14 +315,11 @@ class MemoryController
 
         /**
          * Quiet-tick memo.  A tick that issued nothing and changed no
-         * controller state is replayed, by re-adding its p2_skip_*
-         * counts, at every tick before memoUntil: the earliest
-         * deadline it evaluated.  An enqueue or scheduleMigration
-         * disarms it.
+         * controller state would repeat itself, so every tick before
+         * memoUntil, the earliest deadline it evaluated, does
+         * nothing.  An enqueue or scheduleMigration disarms it.
          */
         Cycle memoUntil = 0;
-        /** p2_skip_* counts of the last computed tick */
-        std::uint64_t skips[kSkipClasses] = {};
         /** while a tick is computed: earliest deadline it evaluated */
         Cycle horizon = kNoCycle;
         /** while a tick is computed: false once it changed state */
@@ -325,10 +328,10 @@ class MemoryController
         /**
          * serviceQueue working buffers, kept here so a tick
          * allocates nothing: the banks of the current id-order walk,
-         * and the pass-2 verdicts of the banks whose requests wait.
+         * and the waiting banks pass 2 revalidates.
          */
         std::vector<BankCursor> walk;
-        std::vector<std::pair<std::uint32_t, BankVerdict>> waiting;
+        std::vector<std::uint32_t> revalidate;
 
         /** reads in flight on this channel, soonest-done first */
         std::priority_queue<PendingRead, std::vector<PendingRead>,
@@ -419,8 +422,6 @@ class MemoryController
             forcedPrecharges, latentActivations, migrationBusyCycles,
             writesIssued, readsIssued, rowHits, rowConflicts,
             activations, idleCloses, p2SkipThrottled;
-        /** p2_skip_* counters, indexed by BankVerdict */
-        StatSet::Handle p2Skip[kSkipClasses];
         StatSet::Handle migScheduled[4], migStarted[4];
     };
     StatHandles h_;

@@ -143,7 +143,13 @@ System::System(const SystemConfig &cfg)
             const Addr base = ctrl_->addressMap().rowBaseAddr(
                 ch, rank, bankInRank, logical);
             // A row pinned again in the same epoch stays pinned.
-            return pins_.pinned(base) || pins_.pin(base) != nullptr;
+            if (pins_.pinned(base))
+                return true;
+            if (pins_.pin(base) == nullptr)
+                return false;
+            // A refused access to the row now hits.
+            wakeRefused(now_ + 1);
+            return true;
         });
         mitigation_ = std::move(scale);
         break;
@@ -167,6 +173,10 @@ System::System(const SystemConfig &cfg)
         [this](const MemRequest &req) { onReadDone(req); });
 
     traces_.resize(cfg_.numCores);
+    refused_.resize(cfg_.numCores);
+    pinnedAbsorbed_ = stats_.handle("pinned_absorbed");
+    pinnedRowsRestored_ = stats_.handle("pinned_rows_restored");
+    pinnedRestoresDropped_ = stats_.handle("pinned_restores_dropped");
     maxEpochActsPerBank_.assign(
         static_cast<std::size_t>(cfg_.org.channels) * banksPerChannel,
         0);
@@ -194,19 +204,32 @@ CoreMemoryInterface::Outcome
 System::access(Addr addr, bool isWrite, CoreId core, std::uint64_t token,
                Cycle now, Cycle &latencyOut)
 {
+    Refusal &refusal = refused_[core];
+    refusal.active = false;
     // The pin-buffer fronts everything (Section V-C): accesses to
     // pinned rows hit in the LLC and never reach DRAM.
     if (pins_.lookup(addr) != nullptr) {
-        stats_.inc("pinned_absorbed");
+        stats_.inc(pinnedAbsorbed_);
         latencyOut = kPinnedHitLatency;
         return Outcome::Hit;
     }
 
     // The trace is already a post-LLC miss stream.
-    if (!ctrl_->canAccept(addr, isWrite))
+    const Addr line = addr & ~static_cast<Addr>(cfg_.org.lineBytes - 1);
+    if (!ctrl_->canAccept(addr, isWrite)) {
+        refusal = {true, ctrl_->addressMap().decode(addr).channel, isWrite,
+                   line};
         return Outcome::Reject;
+    }
     if (isWrite) {
         ctrl_->enqueue(addr, true, core, now);
+        // Reads of this line now forward from the write queue.  The
+        // cores after this one tick later in this cycle.
+        for (CoreId k = 0; k < cores_.size(); ++k) {
+            const Refusal &r = refused_[k];
+            if (r.active && !r.isWrite && r.line == line)
+                cores_[k]->wake(k > core ? now : now + 1);
+        }
         latencyOut = 1;
         return Outcome::Hit;
     }
@@ -242,12 +265,37 @@ System::onEpochBoundary()
     for (const Addr rowBase : pins_.entries()) {
         if (ctrl_->canAccept(rowBase, true)) {
             ctrl_->enqueue(rowBase, true, 0, now_);
-            stats_.inc("pinned_rows_restored");
+            stats_.inc(pinnedRowsRestored_);
         } else {
-            stats_.inc("pinned_restores_dropped");
+            stats_.inc(pinnedRestoresDropped_);
         }
     }
     pins_.clear();
+    // Restores are posted writes.  A refused read one of them could
+    // forward would be to a pinned row, which hits instead, so this
+    // once-an-epoch wake is only a guard.
+    wakeRefused(now_ + 1);
+}
+
+void
+System::wakeRefused(Cycle at)
+{
+    for (CoreId k = 0; k < cores_.size(); ++k) {
+        if (refused_[k].active)
+            cores_[k]->wake(at);
+    }
+}
+
+void
+System::wakeOnFreedSlots()
+{
+    // Only a controller tick frees a queue slot, and the cores tick
+    // before the controller, so a freed slot is first taken next cycle.
+    for (CoreId k = 0; k < cores_.size(); ++k) {
+        const Refusal &r = refused_[k];
+        if (r.active && !ctrl_->queueFull(r.channel, r.isWrite))
+            cores_[k]->wake(now_ + 1);
+    }
 }
 
 void
@@ -302,9 +350,13 @@ System::runEventDriven(Cycle end)
     // bus-clock lattice, and epoch boundaries are always visited).
     // Skipping is only ever an optimization: visiting a cycle where
     // every tick is a no-op cannot change state, so correctness
-    // reduces to never jumping past a non-no-op cycle.
+    // reduces to never jumping past a non-no-op cycle.  A core a
+    // full queue refused sleeps; access(), the pin hook, the epoch
+    // boundary and wakeOnFreedSlots() wake it when its retry may pass.
     const Cycle busClock = timing_.busClock;
     while (now_ < end) {
+        // A core woken for this cycle by an earlier core's posted
+        // write is reached later in this loop.
         for (auto &core : cores_) {
             if (core->nextEventAt() <= now_)
                 core->tick(now_);
@@ -312,6 +364,7 @@ System::runEventDriven(Cycle end)
         if (now_ % busClock == 0) {
             ctrl_->tick(now_);
             mitigation_->tick(now_);
+            wakeOnFreedSlots();
         }
         if (now_ >= nextEpochAt_) {
             onEpochBoundary();

@@ -147,10 +147,27 @@ class System : public CoreMemoryInterface
     const StatSet &stats() const { return stats_; }
 
   private:
+    /**
+     * The access a full queue refused a core at its last tick.  Every
+     * tick of a refused core retries that access first, so the
+     * record stays current until the retry passes.
+     */
+    struct Refusal
+    {
+        bool active = false;
+        std::uint32_t channel = 0;
+        bool isWrite = false;
+        Addr line = 0;
+    };
+
     void onEpochBoundary();
     void onReadDone(const MemRequest &req);
     void runReference(Cycle end);
     void runEventDriven(Cycle end);
+    /** wake every refused core at @p at */
+    void wakeRefused(Cycle at);
+    /** wake the refused cores whose queue the last tick freed a slot in */
+    void wakeOnFreedSlots();
 
     SystemConfig cfg_;
     Cycle epochLen_;
@@ -166,6 +183,8 @@ class System : public CoreMemoryInterface
     /** outstanding read id -> (core, token) */
     std::unordered_map<std::uint64_t,
                        std::pair<CoreId, std::uint64_t>> outstanding_;
+    /** per core */
+    std::vector<Refusal> refused_;
 
     Cycle now_ = 0;
     Cycle nextEpochAt_;
@@ -173,6 +192,8 @@ class System : public CoreMemoryInterface
     std::uint64_t maxEpochActs_ = 0;
     std::vector<std::uint64_t> maxEpochActsPerBank_;
     StatSet stats_;
+    StatSet::Handle pinnedAbsorbed_, pinnedRowsRestored_,
+        pinnedRestoresDropped_;
 };
 
 } // namespace srs

@@ -399,6 +399,12 @@ SystemAxes::validate() const
               ns.tRCD, "ns + ", ns.tRP, "ns); a row cycle must cover "
               "opening and closing the row");
     }
+    if (ns.tRFC >= ns.tREFI) {
+        fatal("system axes '", field(), "': inconsistent timings — "
+              "tRFC (", ns.tRFC, "ns) is not smaller than tREFI (",
+              ns.tREFI, "ns); a refresh must end before the next one "
+              "is due");
+    }
 }
 
 void

@@ -202,7 +202,8 @@ struct SystemAxes
      * override exceeds its bound (10000 ns; tREFI 100000 ns), or the
      * effective timings are inconsistent (tRC < tRCD + tRP, which
      * would make the derived tRAS unable to cover the row-open
-     * window); the message names field() and the offending values.
+     * window, or tRFC >= tREFI, a machine that never finishes a
+     * refresh); the message names field() and the offending values.
      * parse(), apply() and SystemAxesGrid::axes() all call it, so
      * every reader rejects an out-of-range override alike.
      */

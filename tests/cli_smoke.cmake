@@ -538,6 +538,15 @@ foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"
   run_expect_fail_saying(NEEDLES "trc override of 20000 ns" "1..10000 ns"
                          ARGS ${reader} --trc=20000)
 endforeach()
+# A tRFC not below tREFI (a refresh that never ends before the next is
+# due) is fatal, naming both, in every grid reader (`security` used to
+# write a time-to-break of 7.9e13 s; `sweep` failed later with an
+# epoch message that named neither timing).
+foreach(reader "security;--defenses=rrs,srs;--trh=4800;--rates=6"
+        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6")
+  run_expect_fail_saying(NEEDLES "tRFC (350ns)" "tREFI (100ns)"
+                         ARGS ${reader} --trefi=100 --trfc=350)
+endforeach()
 # A zero swap rate, or a trh/rate pair whose T_S rounds to zero, is
 # fatal by its pair before any simulation or plan (a zero rate used to
 # die of SIGFPE in a worker).

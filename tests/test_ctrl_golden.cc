@@ -7,7 +7,7 @@
  * The golden sweep CSV (golden_regression) pins only RunResult
  * columns.  This dump also pins what the scheduler decides on the
  * way there — row hits, idle closes, forced precharges, read
- * forwarding and the pass-2 skip classes — so a controller rewrite
+ * forwarding and throttled activations — so a controller rewrite
  * that keeps IPC but reorders commands or side effects is caught by
  * name.  On a mismatch the regenerated dump is written into the build
  * directory (ctrl_counters_regen.txt) and named in the failure

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -188,6 +190,152 @@ TEST(EventLoop, MatchesReferenceOnGeneratorWorkloads)
     }
 }
 
+/** Plays a fixed list of records, then pure compute forever. */
+class ScriptTrace : public TraceSource
+{
+  public:
+    explicit ScriptTrace(std::vector<TraceRecord> records)
+        : records_(std::move(records))
+    {
+    }
+
+    TraceRecord next() override
+    {
+        return next_ < records_.size() ? records_[next_++] : TraceRecord{};
+    }
+
+  private:
+    std::vector<TraceRecord> records_;
+    std::size_t next_ = 0;
+};
+
+/**
+ * Run @p sys one cycle at a time for @p cycles.  @return every
+ * core's retired instructions and the completed reads after each
+ * cycle, then System's and the controller's counters.
+ */
+std::string
+cycleByCycle(System &sys, Cycle cycles)
+{
+    std::string out;
+    for (Cycle c = 0; c < cycles; ++c) {
+        sys.run(1);
+        out += std::to_string(c);
+        for (CoreId k = 0; k < sys.config().numCores; ++k) {
+            out += ' ' + std::to_string(std::llround(
+                sys.coreIpc(k) * static_cast<double>(sys.now())));
+        }
+        out += ' ' + std::to_string(sys.controller().readLatency().total())
+            + '\n';
+    }
+    return out + sys.stats().dump() + sys.controller().stats().dump();
+}
+
+/** Compare an event-loop transcript with the reference's. */
+void
+expectSameCycles(const std::string &ev, const std::string &ref,
+                 const std::string &label)
+{
+    if (ev == ref)
+        return;
+    std::size_t at = 0;
+    while (at < ev.size() && at < ref.size() && ev[at] == ref[at])
+        ++at;
+    const std::size_t line = ev.rfind('\n', at) + 1;
+    ADD_FAILURE() << label << ": the loops diverge; event loop\n"
+                  << ev.substr(line, 80) << "\nreference\n"
+                  << ref.substr(line, 80);
+}
+
+/** @return the address of (channel 0, rank 0, bank, row, column). */
+Addr
+lineAt(const System &sys, std::uint32_t bank, RowId row,
+       std::uint32_t column)
+{
+    DramCoord c;
+    c.bank = bank;
+    c.row = row;
+    c.column = column;
+    return sys.controller().addressMap().encode(c);
+}
+
+TEST(EventLoop, RefusedCoresWakeWhenTheirRetryCanPass)
+{
+    // A one-entry read queue that core 0's stream of reads refills on
+    // the cycle after each slot frees, so every other read is refused
+    // until it can forward from a posted write.  The reader core's
+    // reads of lines L_i pass only once the writer core posts a write
+    // to L_i.  A writer with the lower index is ticked first, so the
+    // reader's retry passes in the same cycle; a writer with the
+    // higher index lets it pass one cycle later.  The two loops must
+    // agree cycle by cycle.
+    constexpr std::uint32_t kRounds = 24;
+    const CoreId orders[][2] = {{1, 2}, {2, 1}};   // {writer, reader}
+    for (const auto &[writer, reader] : orders) {
+        const std::string label = "writer " + std::to_string(writer)
+            + ", reader " + std::to_string(reader);
+        std::string runs[2];
+        for (int refLoop = 0; refLoop < 2; ++refLoop) {
+            SystemConfig cfg;
+            cfg.numCores = 3;
+            cfg.epochLen = 1'000'000;
+            cfg.memCtrl.readQueueDepth = 1;
+            cfg.referenceLoop = refLoop == 1;
+            System sys(cfg);
+            std::vector<TraceRecord> stream, writes, reads;
+            for (std::uint32_t i = 0; i < 2000; ++i)
+                stream.push_back({0, lineAt(sys, i % 16, 1000 + i / 16, 0),
+                                  false});
+            for (std::uint32_t i = 0; i < kRounds; ++i) {
+                const Addr line = lineAt(sys, 3, 50'000 + i, 5);
+                // Gaps of 10 to 30 cycles at four instructions a cycle,
+                // so the writes land at varied bus-clock phases.
+                writes.push_back({40 + 13 * (i % 7) + (i % 3), line, true});
+                reads.push_back({0, line, false});
+            }
+            sys.setTrace(0, std::make_unique<ScriptTrace>(stream));
+            sys.setTrace(writer, std::make_unique<ScriptTrace>(writes));
+            sys.setTrace(reader, std::make_unique<ScriptTrace>(reads));
+            runs[refLoop] = cycleByCycle(sys, 12'000);
+            EXPECT_EQ(sys.controller().stats().get("reads_forwarded"),
+                      kRounds) << label;
+        }
+        expectSameCycles(runs[0], runs[1], label);
+    }
+}
+
+TEST(EventLoop, RefusedCoresWakeWhenTheirRowIsPinned)
+{
+    // Core 0 alternates two rows of one bank with no gap and takes
+    // every freed slot of a one-entry read queue, so core 1's reads
+    // of the first row are refused until Scale-SRS pins that row.
+    // From the next cycle they hit the pin buffer.
+    std::string runs[2];
+    for (int refLoop = 0; refLoop < 2; ++refLoop) {
+        ExperimentConfig exp;
+        exp.epochLen = 100'000;
+        SystemConfig cfg =
+            makeSystemConfig(exp, MitigationKind::ScaleSrs, 60, 6);
+        cfg.numCores = 2;
+        cfg.scaleCfg.outlierSwaps = 1;
+        cfg.memCtrl.readQueueDepth = 1;
+        cfg.referenceLoop = refLoop == 1;
+        System sys(cfg);
+        std::vector<TraceRecord> hammer, victim;
+        for (std::uint32_t i = 0; i < 4000; ++i) {
+            hammer.push_back({0, lineAt(sys, 2, 700 + 9 * (i % 2), i % 64),
+                              false});
+            victim.push_back({0, lineAt(sys, 2, 700, 64 + i % 64), false});
+        }
+        sys.setTrace(0, std::make_unique<ScriptTrace>(hammer));
+        sys.setTrace(1, std::make_unique<ScriptTrace>(victim));
+        runs[refLoop] = cycleByCycle(sys, 30'000);
+        EXPECT_GT(sys.mitigation().stats().get("rows_pinned"), 0u);
+        EXPECT_GT(sys.stats().get("pinned_absorbed"), 0u);
+    }
+    expectSameCycles(runs[0], runs[1], "pin");
+}
+
 // ---------------------------------------------------------------------
 // The deadline contract behind the skip-ahead.
 // ---------------------------------------------------------------------
@@ -281,7 +429,8 @@ class ReadTrace : public TraceSource
 };
 
 /** Serves the first @p hits reads after a fixed latency, then leaves
- *  every read pending until the test completes it. */
+ *  every read pending until the test completes it.  While `full`, it
+ *  refuses every access, as a full queue does. */
 class SlowMemory : public CoreMemoryInterface
 {
   public:
@@ -290,6 +439,8 @@ class SlowMemory : public CoreMemoryInterface
     Outcome access(Addr, bool, CoreId, std::uint64_t token, Cycle,
                    Cycle &latencyOut) override
     {
+        if (full)
+            return Outcome::Reject;
         if (hits_ == 0) {
             pending.push_back(token);
             return Outcome::Pending;
@@ -301,6 +452,7 @@ class SlowMemory : public CoreMemoryInterface
 
     /** Tokens of the pending reads, oldest first. */
     std::vector<std::uint64_t> pending;
+    bool full = false;
 
   private:
     std::uint64_t hits_;
@@ -360,6 +512,48 @@ TEST(EventLoop, DeadlineHooksAreExact)
         core.complete(mem.pending.front(), 10'000);
         expectDeadlineContract(t, 10'000, 100, "core after a completion");
         EXPECT_EQ(core.retiredInstrs(), 121u);
+    }
+
+    {
+        // Core refused by a full queue: asleep behind the 300-cycle
+        // reads at the head of its ROB, then, with the ROB drained,
+        // kNoCycle.  Once the memory admits again, wake() re-arms it.
+        // Refused again behind a pending read, it sleeps until that
+        // read's completion.
+        ReadTrace trace;
+        SlowMemory mem(4);
+        Core core(0, CoreConfig{}, trace, mem);
+        Timed t;
+        t.tick = [&](Cycle now) { core.tick(now); };
+        t.deadline = [&](Cycle) { return core.nextEventAt(); };
+        t.observe = [&] {
+            return std::to_string(core.retiredInstrs()) + " "
+                + std::to_string(core.memReads());
+        };
+        t.horizon = 2000;
+        core.tick(0);
+        mem.full = true;
+        core.tick(1);
+        EXPECT_EQ(core.nextEventAt(), 300u);
+        expectDeadlineContract(t, 1, 100, "refused core");
+        EXPECT_EQ(core.nextEventAt(), kNoCycle);
+        EXPECT_EQ(core.retiredInstrs(), 4u);
+
+        mem.full = false;
+        core.wake(5000);
+        core.wake(6000);   // a later wake keeps the earlier one
+        EXPECT_EQ(core.nextEventAt(), 5000u);
+        expectDeadlineContract(t, 4999, 100'000, "refused core, woken");
+        EXPECT_EQ(core.nextEventAt(), kNoCycle);
+        EXPECT_EQ(core.memReads(), 4u + 192u);
+
+        mem.full = true;
+        core.complete(mem.pending.front(), 20'000);
+        expectDeadlineContract(t, 20'000, 100, "refused core, completed");
+        EXPECT_EQ(core.nextEventAt(), kNoCycle);
+        EXPECT_EQ(core.retiredInstrs(), 5u);
+        core.complete(mem.pending[1], 30'000);
+        EXPECT_EQ(core.nextEventAt(), 30'001u);
     }
 
     {

@@ -679,11 +679,10 @@ activations=3 forced_precharges=0 idle_closes=0 latent_activations=0
 mig_scheduled_counter_access=0 mig_scheduled_place_back=0
 mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
-mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=44
-p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=72 p2_skip_pre_wait=11
-p2_skip_throttled=0 read_latency_cycles=531 reads_completed=5
-reads_enqueued=5 reads_forwarded=0 reads_issued=5 refreshes=0
-row_conflicts=2 row_hits=5 writes_enqueued=0 writes_issued=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_throttled=0
+read_latency_cycles=531 reads_completed=5 reads_enqueued=5
+reads_forwarded=0 reads_issued=5 refreshes=0 row_conflicts=2 row_hits=5
+writes_enqueued=0 writes_issued=0
 )");
 }
 
@@ -718,11 +717,10 @@ activations=3 forced_precharges=0 idle_closes=0 latent_activations=2
 mig_scheduled_counter_access=0 mig_scheduled_place_back=0
 mig_scheduled_swap=1 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=1
-mig_started_unswap_swap=0 migration_busy_cycles=3000 p2_skip_act_wait=29
-p2_skip_busy=1498 p2_skip_forced=0 p2_skip_hit_wait=65
-p2_skip_pre_wait=0 p2_skip_throttled=0 read_latency_cycles=3412
-reads_completed=4 reads_enqueued=4 reads_forwarded=0 reads_issued=4
-refreshes=0 row_conflicts=0 row_hits=4 writes_enqueued=0 writes_issued=0
+mig_started_unswap_swap=0 migration_busy_cycles=3000 p2_skip_throttled=0
+read_latency_cycles=3412 reads_completed=4 reads_enqueued=4
+reads_forwarded=0 reads_issued=4 refreshes=0 row_conflicts=0 row_hits=4
+writes_enqueued=0 writes_issued=0
 )");
 }
 
@@ -754,11 +752,10 @@ activations=3 forced_precharges=0 idle_closes=3 latent_activations=0
 mig_scheduled_counter_access=0 mig_scheduled_place_back=1
 mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=1 mig_started_swap=0
-mig_started_unswap_swap=0 migration_busy_cycles=1000 p2_skip_act_wait=3
-p2_skip_busy=498 p2_skip_forced=0 p2_skip_hit_wait=65 p2_skip_pre_wait=0
-p2_skip_throttled=0 read_latency_cycles=1303 reads_completed=3
-reads_enqueued=3 reads_forwarded=0 reads_issued=3 refreshes=0
-row_conflicts=0 row_hits=3 writes_enqueued=0 writes_issued=0
+mig_started_unswap_swap=0 migration_busy_cycles=1000 p2_skip_throttled=0
+read_latency_cycles=1303 reads_completed=3 reads_enqueued=3
+reads_forwarded=0 reads_issued=3 refreshes=0 row_conflicts=0 row_hits=3
+writes_enqueued=0 writes_issued=0
 )");
 }
 
@@ -791,11 +788,10 @@ activations=4 forced_precharges=3 idle_closes=0 latent_activations=0
 mig_scheduled_counter_access=0 mig_scheduled_place_back=0
 mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
-mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=0
-p2_skip_busy=1118 p2_skip_forced=22 p2_skip_hit_wait=88
-p2_skip_pre_wait=0 p2_skip_throttled=0 read_latency_cycles=2680
-reads_completed=4 reads_enqueued=4 reads_forwarded=0 reads_issued=4
-refreshes=5 row_conflicts=0 row_hits=4 writes_enqueued=0 writes_issued=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_throttled=0
+read_latency_cycles=2680 reads_completed=4 reads_enqueued=4
+reads_forwarded=0 reads_issued=4 refreshes=5 row_conflicts=0 row_hits=4
+writes_enqueued=0 writes_issued=0
 )");
 }
 
@@ -842,11 +838,10 @@ activations=10 forced_precharges=0 idle_closes=4 latent_activations=0
 mig_scheduled_counter_access=0 mig_scheduled_place_back=0
 mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
-mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=373
-p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=758
-p2_skip_pre_wait=461 p2_skip_throttled=0 read_latency_cycles=3134
-reads_completed=8 reads_enqueued=8 reads_forwarded=0 reads_issued=8
-refreshes=0 row_conflicts=6 row_hits=8 writes_enqueued=6 writes_issued=6
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_throttled=0
+read_latency_cycles=3134 reads_completed=8 reads_enqueued=8
+reads_forwarded=0 reads_issued=8 refreshes=0 row_conflicts=6 row_hits=8
+writes_enqueued=6 writes_issued=6
 )");
 }
 
@@ -879,11 +874,10 @@ activations=4 forced_precharges=0 idle_closes=4 latent_activations=0
 mig_scheduled_counter_access=0 mig_scheduled_place_back=0
 mig_scheduled_swap=0 mig_scheduled_unswap_swap=0
 mig_started_counter_access=0 mig_started_place_back=0 mig_started_swap=0
-mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_act_wait=14
-p2_skip_busy=0 p2_skip_forced=0 p2_skip_hit_wait=117 p2_skip_pre_wait=0
-p2_skip_throttled=3736 read_latency_cycles=8015 reads_completed=5
-reads_enqueued=5 reads_forwarded=0 reads_issued=5 refreshes=0
-row_conflicts=0 row_hits=5 writes_enqueued=0 writes_issued=0
+mig_started_unswap_swap=0 migration_busy_cycles=0 p2_skip_throttled=3736
+read_latency_cycles=8015 reads_completed=5 reads_enqueued=5
+reads_forwarded=0 reads_issued=5 refreshes=0 row_conflicts=0 row_hits=5
+writes_enqueued=0 writes_issued=0
 )");
 }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,9 @@ constexpr int kIterations = 300;
  * in-bounds organization triple with probability ~1/2 (sometimes
  * landing on the default 2x1x16, which field() must canonicalize
  * away), each timing knob overridden with probability ~1/2.  tRC
- * (when overridden) is drawn at or above the effective tRCD + tRP so
- * the combination always validates.
+ * (when overridden) is drawn at or above the effective tRCD + tRP,
+ * and tRFC below the effective tREFI, so the combination always
+ * validates.
  */
 SystemAxes
 randomAxes(Rng &rng)
@@ -71,12 +73,19 @@ randomAxes(Rng &rng)
         axes.tRcNs = static_cast<std::uint32_t>(
             rng.nextRange(trcd + trp, trcd + trp + 400));
     }
+    // Likewise a refresh must end before the next is due: tRFC is
+    // drawn below the effective tREFI, and forced when the preset's
+    // tRFC is not below an overridden tREFI.
     if (rng.nextBool(0.5))
         axes.tRefiNs =
-            static_cast<std::uint32_t>(rng.nextRange(1, 100'000));
-    if (rng.nextBool(0.5))
-        axes.tRfcNs =
-            static_cast<std::uint32_t>(rng.nextRange(1, 10'000));
+            static_cast<std::uint32_t>(rng.nextRange(2, 100'000));
+    const DramTimingNs preset = DramTimingNs::preset(axes.preset);
+    const std::uint32_t trefi = axes.tRefiNs
+        ? axes.tRefiNs : static_cast<std::uint32_t>(preset.tREFI);
+    if (preset.tRFC >= trefi || rng.nextBool(0.5)) {
+        axes.tRfcNs = static_cast<std::uint32_t>(
+            rng.nextRange(1, std::min<std::uint32_t>(10'000, trefi - 1)));
+    }
     return axes;
 }
 
@@ -280,6 +289,10 @@ TEST(SpecProperty, MalformedAxesSpellingsNameInputAndGrammar)
         {"closed@trc=20", {"closed@trc=20", "tRCD + tRP"}},
         {"closed@ddr5@trcd=40@trp=40",
          {"closed@ddr5@trcd=40@trp=40", "tRCD + tRP"}},
+        {"closed@trefi=100", {"closed@trefi=100", "tRFC (350ns)",
+                              "tREFI (100ns)"}},
+        {"open@ddr5@trfc=3900",
+         {"open@ddr5@trfc=3900", "tRFC (3900ns)", "tREFI (3900ns)"}},
     };
     for (const NegativeCase &c : cases) {
         SCOPED_TRACE(c.input);
