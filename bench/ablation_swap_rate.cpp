@@ -18,7 +18,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/outlier_model.hh"
 #include "sim/sweep.hh"
 
@@ -27,7 +26,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     // The analytic outlier sweep covers all rates; the cycle-level
     // perf sweep uses the design-relevant subset to bound runtime.

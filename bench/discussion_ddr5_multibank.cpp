@@ -23,7 +23,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/attack_model.hh"
 #include "sim/sweep.hh"
 
@@ -52,7 +51,6 @@ int
 main()
 {
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("DDR5 (2x refresh): days to break RRS with Juggernaut");
     std::printf("%-10s", "T_RH");

@@ -19,7 +19,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/attack_model.hh"
 #include "sim/sweep.hh"
 
@@ -28,7 +27,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("Juggernaut vs RRS: closed vs open page (days to break)");
     std::printf("%-22s", "policy");

@@ -13,7 +13,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/security_sweep.hh"
 #include "sim/sweep.hh"
 
@@ -22,7 +21,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("Figure 1(a): days to break RRS, random-guess attack");
     // One SecuritySweep grid over (trh, rate) at N = 0 (the

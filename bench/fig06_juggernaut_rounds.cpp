@@ -18,7 +18,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/security_sweep.hh"
 
 int
@@ -26,7 +25,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("Figure 6: time-to-break RRS (days) vs attack rounds");
     SecurityGrid grid;

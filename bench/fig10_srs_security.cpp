@@ -16,7 +16,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/security_sweep.hh"
 
 int
@@ -24,7 +23,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("Figure 10: time-to-break (days), Juggernaut attack");
     SecurityGrid grid;

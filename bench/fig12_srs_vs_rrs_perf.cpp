@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "sim/sweep.hh"
 
 int
@@ -20,7 +19,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     const ExperimentConfig exp = benchExperiment();
 

@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "security/outlier_model.hh"
 
 int
@@ -18,7 +17,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("Figure 13: outlier time-to-appear (days), T_RH = 4800");
     std::printf("%-12s%14s%14s%14s%14s\n", "swap-rate", "M=1", "M=2",

@@ -14,7 +14,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "sim/sweep.hh"
 
 int
@@ -22,7 +21,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     const ExperimentConfig exp = benchExperiment();
     constexpr std::uint32_t trh = 1200;

@@ -11,7 +11,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "sim/sweep.hh"
 
 int
@@ -19,7 +18,6 @@ main()
 {
     using namespace srs;
     using namespace srs::bench;
-    setQuietLogging(true);
 
     const ExperimentConfig exp = benchExperiment();
     const auto workloads = benchWorkloads();

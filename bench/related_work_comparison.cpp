@@ -15,7 +15,6 @@
  */
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "mitigation/aqua.hh"
 #include "mitigation/blockhammer.hh"
 #include "sim/sweep.hh"
@@ -52,7 +51,6 @@ int
 main()
 {
     using namespace srs::bench;
-    setQuietLogging(true);
 
     header("BlockHammer DoS exposure: delay per blacklisted ACT");
     std::printf("%-8s %14s %18s\n", "T_RH", "delay (us)",

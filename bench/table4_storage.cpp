@@ -20,9 +20,6 @@ main()
     for (const std::uint32_t trh : {4800u, 2400u, 1200u}) {
         StorageParams p;
         p.trh = trh;
-        // The pin-buffer grows slightly at lower T_RH (paper: 289 B
-        // at 4800, 420 B below).
-        p.pinBufferEntries = trh >= 4800 ? 66 : 96;
         StorageModel m(p);
         std::printf("\n-- T_RH = %u --\n", trh);
         std::printf("%-20s%14s%14s\n", "Structure", "RRS",

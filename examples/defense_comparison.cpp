@@ -1,15 +1,14 @@
 /**
  * @file
  * Defense comparison: run every implemented Row Hammer defense —
- * RRS, SRS, Scale-SRS, BlockHammer, AQUA and PARA — against (a) a
- * benign swap-heavy workload and (b) a targeted hammer attack, and
- * print performance, storage and ground-truth security side by side.
+ * RRS, SRS, Scale-SRS, BlockHammer and AQUA — against (a) a benign
+ * swap-heavy workload and (b) a targeted hammer attack, and print
+ * performance and ground-truth security side by side.  On-chip
+ * storage is Table IV's (bench/table4_storage).
  *
  * This is the "which defense should I pick" tour of the library:
  * the same System API hosts all five, differing only in the
- * MitigationKind.  (PARA, the probabilistic VFM baseline, appears
- * in examples/half_double_study.cpp, where its weakness is the
- * point.)
+ * MitigationKind.
  *
  * Usage: defense_comparison [workload-name]   (default: gcc)
  */
@@ -63,42 +62,20 @@ main(int argc, char **argv)
     const double baseIpc =
         runWorkload(base, profile, exp).aggregateIpc;
 
-    std::printf("%-13s %8s %9s %10s %12s %12s\n", "defense", "norm",
-                "swaps", "migr-acts", "SRAM/bank", "max-row-acts");
+    std::printf("%-13s %8s %9s %10s %12s\n", "defense", "norm",
+                "swaps", "migr-acts", "max-row-acts");
     for (const Contender &c : kContenders) {
         const SystemConfig cfg =
             makeSystemConfig(exp, c.kind, trh, c.swapRate);
         const RunResult res = runWorkload(cfg, profile, exp);
-
-        // Rebuild once more to query storage (runWorkload consumes
-        // the config; storage depends only on configuration).
-        System probe(cfg);
-        const std::uint64_t sramBits =
-            probe.mitigation().storageBitsPerBank();
-
-        if (sramBits > 0) {
-            std::printf("%-13s %8.4f %9llu %10llu %10.1fKB %12llu\n",
-                        mitigationKindName(c.kind),
-                        res.aggregateIpc / baseIpc,
-                        static_cast<unsigned long long>(res.swaps),
-                        static_cast<unsigned long long>(
-                            res.latentActivations),
-                        static_cast<double>(sramBits) / 8.0 / 1024.0,
-                        static_cast<unsigned long long>(
-                            res.maxRowActivations));
-        } else {
-            // The functional RIT is unbounded by default; Table IV
-            // (bench/table4_storage) carries the provisioned sizes.
-            std::printf("%-13s %8.4f %9llu %10llu %12s %12llu\n",
-                        mitigationKindName(c.kind),
-                        res.aggregateIpc / baseIpc,
-                        static_cast<unsigned long long>(res.swaps),
-                        static_cast<unsigned long long>(
-                            res.latentActivations),
-                        "(table4)",
-                        static_cast<unsigned long long>(
-                            res.maxRowActivations));
-        }
+        std::printf("%-13s %8.4f %9llu %10llu %12llu\n",
+                    mitigationKindName(c.kind),
+                    res.aggregateIpc / baseIpc,
+                    static_cast<unsigned long long>(res.swaps),
+                    static_cast<unsigned long long>(
+                        res.latentActivations),
+                    static_cast<unsigned long long>(
+                        res.maxRowActivations));
     }
 
     std::printf("\nunder a targeted hammer attack (one aggressor row per core):\n");

@@ -26,7 +26,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/logging.hh"
 #include "sim/orchestrator.hh"
 #include "sim/sweep.hh"
 #include "trace/synthetic.hh"
@@ -36,7 +35,6 @@ int
 main(int argc, char **argv)
 {
     using namespace srs;
-    setQuietLogging(true);
 
     const std::string dir =
         argc > 1 ? argv[1] : "/tmp/srs_trace_sweep";

@@ -14,14 +14,12 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/logging.hh"
 #include "sim/experiment.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace srs;
-    setQuietLogging(true);
 
     const std::uint32_t trh =
         argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1]))

@@ -48,11 +48,4 @@ PinBuffer::clear()
     entries_.clear();
 }
 
-std::uint64_t
-PinBuffer::storageBits(std::uint32_t physAddrBits) const
-{
-    const std::uint64_t tagBits = physAddrBits - floorLog2(rowBytes_);
-    return static_cast<std::uint64_t>(capacity_) * tagBits;
-}
-
 } // namespace srs

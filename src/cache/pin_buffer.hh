@@ -67,9 +67,6 @@ class PinBuffer
     }
     std::uint32_t capacity() const { return capacity_; }
 
-    /** Storage cost in bits: entries * (physAddrBits - rowOffsetBits). */
-    std::uint64_t storageBits(std::uint32_t physAddrBits = 48) const;
-
   private:
     std::uint32_t capacity_;
     std::uint32_t rowBytes_;

@@ -1,47 +1,13 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace srs
 {
 
-namespace
-{
-
-std::atomic<bool> quiet{false};
-
-} // namespace
-
-void
-setQuietLogging(bool q)
-{
-    quiet.store(q, std::memory_order_relaxed);
-}
-
-bool
-quietLogging()
-{
-    return quiet.load(std::memory_order_relaxed);
-}
-
 namespace detail
 {
-
-void
-informImpl(const std::string &msg)
-{
-    if (!quietLogging())
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    if (!quietLogging())
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
 
 void
 fatalImpl(const std::string &msg)

@@ -1,13 +1,13 @@
 /**
  * @file
- * gem5-style status and error reporting.
+ * gem5-style error reporting.
  *
- * Four severities, mirroring gem5's src/base/logging.hh contract:
- *  - inform(): status messages, no connotation of incorrect behaviour.
- *  - warn():   something may be modelled imperfectly but continues.
+ * Two severities, mirroring gem5's src/base/logging.hh contract:
  *  - fatal():  the user asked for something impossible (bad config);
  *              throws FatalError so tests can assert on misuse.
  *  - panic():  an internal invariant broke (a simulator bug); aborts.
+ *
+ * Status output is each command's own printf.
  */
 
 #ifndef SRS_COMMON_LOGGING_HH
@@ -42,34 +42,10 @@ concat(Args &&...args)
     return os.str();
 }
 
-void informImpl(const std::string &msg);
-void warnImpl(const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
 [[noreturn]] void panicImpl(const std::string &msg);
 
 } // namespace detail
-
-/** Globally silence inform()/warn() output (used by benches). */
-void setQuietLogging(bool quiet);
-
-/** @return true when inform()/warn() output is suppressed. */
-bool quietLogging();
-
-/** Print an informational status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Print a warning about imperfect but survivable modelling. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
 
 /** Abort the simulation due to a user/configuration error. */
 template <typename... Args>

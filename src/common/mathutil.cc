@@ -74,44 +74,6 @@ poissonPmf(std::uint64_t k, double lambda)
     return std::exp(logp);
 }
 
-double
-poissonSf(std::uint64_t k, double lambda)
-{
-    if (k == 0)
-        return 1.0;
-    // P[X >= k] = 1 - sum_{i<k} pmf(i); compute the complement sum in
-    // a numerically friendly direction.
-    double below = 0.0;
-    for (std::uint64_t i = 0; i < k; ++i)
-        below += poissonPmf(i, lambda);
-    const double sf = 1.0 - below;
-    if (sf > 1e-9)
-        return sf;
-    // Tiny tail: sum upward instead to dodge cancellation.
-    double total = 0.0;
-    for (std::uint64_t i = k; i < k + 400; ++i) {
-        const double term = poissonPmf(i, lambda);
-        total += term;
-        if (term < total * 1e-16 && i > k + 4)
-            break;
-    }
-    return total;
-}
-
-std::uint64_t
-nextPowerOfTwo(std::uint64_t v)
-{
-    SRS_ASSERT(v >= 1, "nextPowerOfTwo(0)");
-    --v;
-    v |= v >> 1;
-    v |= v >> 2;
-    v |= v >> 4;
-    v |= v >> 8;
-    v |= v >> 16;
-    v |= v >> 32;
-    return v + 1;
-}
-
 unsigned
 floorLog2(std::uint64_t v)
 {

@@ -37,9 +37,6 @@ double binomialSf(std::uint64_t n, std::uint64_t k, double p);
 /** Poisson point mass P[X = k] for X ~ Poisson(lambda). */
 double poissonPmf(std::uint64_t k, double lambda);
 
-/** Poisson upper tail P[X >= k]. */
-double poissonSf(std::uint64_t k, double lambda);
-
 /** @return ceil(a / b) for positive integers. */
 constexpr std::uint64_t
 ceilDiv(std::uint64_t a, std::uint64_t b)
@@ -53,9 +50,6 @@ isPowerOfTwo(std::uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
 }
-
-/** @return smallest power of two >= v (v >= 1). */
-std::uint64_t nextPowerOfTwo(std::uint64_t v);
 
 /** @return floor(log2(v)) for v >= 1. */
 unsigned floorLog2(std::uint64_t v);

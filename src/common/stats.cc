@@ -1,77 +1,9 @@
 #include "common/stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace srs
 {
-
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::mean() const
-{
-    return count_ == 0 ? 0.0 : mean_;
-}
-
-double
-RunningStat::variance() const
-{
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-RunningStat::min() const
-{
-    return count_ == 0 ? 0.0 : min_;
-}
-
-double
-RunningStat::max() const
-{
-    return count_ == 0 ? 0.0 : max_;
-}
-
-void
-Histogram::add(std::uint64_t key, std::uint64_t weight)
-{
-    buckets_[key] += weight;
-    total_ += weight;
-}
-
-std::uint64_t
-Histogram::countOf(std::uint64_t key) const
-{
-    const auto it = buckets_.find(key);
-    return it == buckets_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-Histogram::maxKey() const
-{
-    return buckets_.empty() ? 0 : buckets_.rbegin()->first;
-}
 
 void
 LatencyHistogram::add(std::uint64_t value, std::uint64_t weight)

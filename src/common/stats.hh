@@ -15,52 +15,6 @@
 namespace srs
 {
 
-/** Running scalar summary: count, sum, min, max, mean, variance. */
-class RunningStat
-{
-  public:
-    /** Fold one sample into the summary. */
-    void add(double x);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const;
-    /** Sample variance (n-1 denominator); 0 with fewer than 2 samples. */
-    double variance() const;
-    double stddev() const;
-    double min() const;
-    double max() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double m2_ = 0.0;   // Welford accumulator
-    double mean_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Sparse integer histogram keyed by bucket value. */
-class Histogram
-{
-  public:
-    /** Count one occurrence of @p key. */
-    void add(std::uint64_t key, std::uint64_t weight = 1);
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t countOf(std::uint64_t key) const;
-    /** Largest key observed; 0 when empty. */
-    std::uint64_t maxKey() const;
-    const std::map<std::uint64_t, std::uint64_t> &buckets() const
-    {
-        return buckets_;
-    }
-
-  private:
-    std::map<std::uint64_t, std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-};
-
 /**
  * Fixed-bucket log-scale latency histogram for tail percentiles.
  *

@@ -29,12 +29,6 @@ nsToCycles(double ns, double cpuFreqGHz)
     return static_cast<Cycle>(std::ceil(ns * cpuFreqGHz - 1e-9));
 }
 
-double
-cyclesToSec(Cycle cycles, double cpuFreqGHz)
-{
-    return static_cast<double>(cycles) / (cpuFreqGHz * 1e9);
-}
-
 DramTimingNs
 DramTimingNs::ddr5()
 {

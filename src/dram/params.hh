@@ -118,9 +118,6 @@ struct DramTiming
 /** Convert nanoseconds to (rounded-up) CPU cycles. */
 Cycle nsToCycles(double ns, double cpuFreqGHz);
 
-/** Convert CPU cycles back to seconds. */
-double cyclesToSec(Cycle cycles, double cpuFreqGHz);
-
 } // namespace srs
 
 #endif // SRS_DRAM_PARAMS_HH

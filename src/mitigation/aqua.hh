@@ -47,7 +47,8 @@ class Aqua : public Mitigation
 
     const char *name() const override { return "aqua"; }
 
-    std::uint64_t storageBitsPerBank() const override;
+    /** SRAM bits per bank: the forward and reverse pointer tables. */
+    std::uint64_t storageBitsPerBank() const;
 
     /** Quarantine slots provisioned per bank. */
     std::uint32_t quarantineRows() const { return quarantineRows_; }

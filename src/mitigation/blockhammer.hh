@@ -82,7 +82,8 @@ class BlockHammer : public Mitigation
 
     void onEpochEnd(Cycle now, Cycle epochLen) override;
 
-    std::uint64_t storageBitsPerBank() const override;
+    /** SRAM bits per bank: the filters and the row blocker. */
+    std::uint64_t storageBitsPerBank() const;
 
     /** Blacklist threshold N_BL in activations. */
     std::uint32_t blacklistThreshold() const { return nbl_; }

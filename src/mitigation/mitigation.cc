@@ -132,17 +132,4 @@ Mitigation::onEpochEnd(Cycle now, Cycle epochLen)
     stats_.set("stale_entries_last_epoch", stale);
 }
 
-std::uint64_t
-Mitigation::storageBitsPerBank() const
-{
-    // RIT entries: two directions (tuples or real+mirrored halves),
-    // each mapping two row ids plus valid/lock bits.
-    const std::uint64_t rowBits = 17;
-    const std::uint64_t entryBits = 2 * rowBits + 2;
-    const std::uint64_t cap = cfg_.ritCapacityPerBank != 0
-        ? cfg_.ritCapacityPerBank
-        : 0;
-    return 2 * cap * entryBits;
-}
-
 } // namespace srs

@@ -37,9 +37,6 @@ struct MitigationConfig
     std::uint32_t swapRate = 6;   ///< T_RH / T_S
     std::uint64_t seed = 0x5125ULL;
 
-    /** RIT capacity in mappings per bank (0 = unbounded). */
-    std::uint64_t ritCapacityPerBank = 0;
-
     /** Physical rows [0, reservedLowRows) are never swap partners
      *  (they hold the in-DRAM counter structures). */
     std::uint32_t reservedLowRows = 64;
@@ -96,9 +93,6 @@ class Mitigation : public MemCtrlListener
 
     virtual const char *name() const = 0;
 
-    /** SRAM bits per bank (RIT and friends) for storage reports. */
-    virtual std::uint64_t storageBitsPerBank() const;
-
     const StatSet &stats() const { return stats_; }
     const MitigationConfig &config() const { return cfg_; }
 
@@ -148,7 +142,6 @@ class NoMitigation : public Mitigation
     {}
 
     const char *name() const override { return "baseline"; }
-    std::uint64_t storageBitsPerBank() const override { return 0; }
 
   protected:
     void mitigate(std::uint32_t, std::uint32_t, RowId, Cycle) override {}

@@ -56,14 +56,6 @@ Rrs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
         stats_.inc("swaps");
     }
     schedule(channel, bank, std::move(job));
-
-    if (cfg_.ritCapacityPerBank != 0 &&
-        r.entries() > cfg_.ritCapacityPerBank) {
-        // The CAT never admits more than its provisioned entries; an
-        // overflow here means the configuration under-provisioned it.
-        stats_.inc("rit_overflows");
-        restoreOneStale(channel, bank, now);
-    }
 }
 
 bool

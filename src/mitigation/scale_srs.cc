@@ -43,15 +43,4 @@ ScaleSrs::mitigate(std::uint32_t channel, std::uint32_t bank,
     }
 }
 
-std::uint64_t
-ScaleSrs::storageBitsPerBank() const
-{
-    // SRS structures plus the pin-buffer share (entries are per
-    // channel; apportion per bank: 66 entries * 35 bits / 16 banks).
-    const std::uint64_t banksPerChannel =
-        ctrl_.org().ranksPerChannel * ctrl_.org().banksPerRank;
-    const std::uint64_t pinBufferBits = 66ULL * 35 / banksPerChannel;
-    return Srs::storageBitsPerBank() + pinBufferBits + 19;
-}
-
 } // namespace srs

@@ -54,8 +54,6 @@ class ScaleSrs : public Srs
 
     const char *name() const override { return "scale-srs"; }
 
-    std::uint64_t storageBitsPerBank() const override;
-
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
                   RowId physRow, Cycle now) override;

@@ -80,12 +80,6 @@ Srs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
     stats_.inc("swaps");
 
     trackSwap(channel, bank, physRow, 1);
-
-    if (cfg_.ritCapacityPerBank != 0 &&
-        r.entries() > cfg_.ritCapacityPerBank) {
-        stats_.inc("rit_overflows");
-        placeBackOne(channel, bank, now);
-    }
 }
 
 bool
@@ -159,16 +153,6 @@ Srs::lazyStep(Cycle now)
         }
     }
     nextLazyAt_ = kNoCycle;
-}
-
-std::uint64_t
-Srs::storageBitsPerBank() const
-{
-    // Split RIT (real + mirrored) sized like the RRS tuple store,
-    // plus the 8KB place-back buffer; the swap-tracking counters live
-    // in DRAM, not SRAM.
-    const std::uint64_t placeBackBits = 8ULL * 1024 * 8;
-    return Mitigation::storageBitsPerBank() + placeBackBits;
 }
 
 } // namespace srs

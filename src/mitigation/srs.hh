@@ -52,8 +52,6 @@ class Srs : public Mitigation
      */
     void onEpochEnd(Cycle now, Cycle epochLen) override;
 
-    std::uint64_t storageBitsPerBank() const override;
-
     /** Swap-tracking counter file of one bank (tests/analysis). */
     const SwapTrackingCounters &counters(std::uint32_t channel,
                                          std::uint32_t bank) const;

@@ -61,15 +61,6 @@ RowIndirection::swapPhysical(RowId p, RowId q, std::uint32_t epoch)
     setMapping(lq, p, epoch);
 }
 
-std::optional<std::uint32_t>
-RowIndirection::epochOf(RowId logical) const
-{
-    const auto it = epochTag_.find(logical);
-    if (it == epochTag_.end())
-        return std::nullopt;
-    return it->second;
-}
-
 RowId
 RowIndirection::findStale(std::uint32_t epoch) const
 {

@@ -19,7 +19,6 @@
 #define SRS_ROWSWAP_INDIRECTION_HH
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "common/types.hh"
@@ -50,9 +49,6 @@ class RowIndirection
 
     /** Non-identity mappings (RIT occupancy, one per displaced row). */
     std::uint64_t entries() const { return log2phys_.size(); }
-
-    /** Epoch tag of logical row's mapping (nullopt when identity). */
-    std::optional<std::uint32_t> epochOf(RowId logical) const;
 
     /**
      * Find a displaced logical row whose mapping is older than

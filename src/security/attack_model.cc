@@ -107,12 +107,6 @@ JuggernautModel::bestRrs(std::uint64_t maxRounds) const
     return best;
 }
 
-std::uint64_t
-JuggernautModel::requiredGuesses(std::uint64_t rounds) const
-{
-    return evaluateRrs(rounds).k;
-}
-
 AttackResult
 JuggernautModel::evaluateRrsMultiBank(std::uint32_t banks,
                                       std::uint64_t maxRounds) const

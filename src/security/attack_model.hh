@@ -116,9 +116,6 @@ class JuggernautModel
     /** RRS at the attacker-optimal N in [0, maxRounds]. */
     AttackResult bestRrs(std::uint64_t maxRounds = 2000) const;
 
-    /** Required correct guesses k as a function of N (Figure 7). */
-    std::uint64_t requiredGuesses(std::uint64_t rounds) const;
-
     /**
      * Multi-bank attack (Section III-C): hammering B banks serializes
      * biasing rounds and guesses across the shared command/data path,

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
 #include "common/mathutil.hh"
+#include "mitigation/mitigation.hh"
 
 namespace srs
 {
@@ -11,10 +11,8 @@ namespace srs
 StorageModel::StorageModel(const StorageParams &params)
     : params_(params)
 {
-    if (params_.trh / params_.rrsSwapRate == 0 ||
-        params_.trh / params_.scaleSrsSwapRate == 0) {
-        fatal("storage model: T_S rounds to zero");
-    }
+    checkSwapThreshold(params_.trh, params_.rrsSwapRate);
+    checkSwapThreshold(params_.trh, params_.scaleSrsSwapRate);
 }
 
 std::uint64_t
@@ -58,6 +56,7 @@ StorageModel::ritBytesScaleSrsSingleTable() const
 std::vector<StorageLine>
 StorageModel::breakdown() const
 {
+    const std::uint64_t pinBufferEntries = params_.trh >= 4800 ? 66 : 96;
     std::vector<StorageLine> lines;
     lines.push_back({"RIT", ritBytesRrs(), ritBytesScaleSrs()});
     lines.push_back({"Swap-Buffer", params_.swapBufferBytes,
@@ -66,10 +65,8 @@ StorageModel::breakdown() const
                      params_.placeBackBufferBytes});
     lines.push_back({"Epoch Register", 0,
                      (params_.epochRegisterBits + 7) / 8});
-    lines.push_back(
-        {"Pin Buffer", 0,
-         static_cast<std::uint64_t>(params_.pinBufferEntries) *
-             params_.pinEntryBits / 8});
+    lines.push_back({"Pin Buffer", 0,
+                     pinBufferEntries * params_.pinEntryBits / 8});
     return lines;
 }
 

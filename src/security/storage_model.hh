@@ -11,6 +11,11 @@
  * provisioned.  Entries are 40 bits (two 17-bit row ids, valid,
  * lock, spare) and the table is over-provisioned by 5% against CAT
  * bucket conflicts.
+ *
+ * This is the one SRAM price of RRS, SRS and Scale-SRS: their simulated
+ * structures (mitigations, trackers, pin buffer) do not price
+ * themselves.  Only the related-work defenses (BlockHammer, AQUA)
+ * report their own.
  */
 
 #ifndef SRS_SECURITY_STORAGE_MODEL_HH
@@ -35,7 +40,6 @@ struct StorageParams
     std::uint64_t swapBufferBytes = 1024;
     std::uint64_t placeBackBufferBytes = 8 * 1024;
     std::uint32_t epochRegisterBits = 19;
-    std::uint32_t pinBufferEntries = 66;    ///< T_RH-dependent in paper
     std::uint32_t pinEntryBits = 35;
 };
 
@@ -51,6 +55,7 @@ struct StorageLine
 class StorageModel
 {
   public:
+    /** fatal() naming the pair unless both swap rates leave T_S >= 1. */
     explicit StorageModel(const StorageParams &params);
 
     /** RIT bytes per bank for RRS (tuples, two epochs retained). */
@@ -62,7 +67,11 @@ class StorageModel
     /** Section VIII-4: fold the mirrored half into a direction bit. */
     std::uint64_t ritBytesScaleSrsSingleTable() const;
 
-    /** Full Table IV breakdown. */
+    /**
+     * Full Table IV breakdown.  The pin buffer holds 66 entries at
+     * T_RH >= 4800 and 96 below (Section V-C; 35-bit entries, the
+     * paper's 289 B and 420 B).
+     */
     std::vector<StorageLine> breakdown() const;
 
     std::uint64_t totalRrsBytes() const;

@@ -690,12 +690,7 @@ trackerKindFromName(const std::string &name)
         return TrackerKind::MisraGries;
     if (name == "hydra")
         return TrackerKind::Hydra;
-    if (name == "cbt")
-        return TrackerKind::Cbt;
-    if (name == "twice")
-        return TrackerKind::TwiCe;
-    fatal("unknown tracker '", name,
-          "' (want misra-gries|hydra|cbt|twice)");
+    fatal("unknown tracker '", name, "' (want misra-gries|hydra)");
 }
 
 const char *
@@ -704,8 +699,6 @@ trackerKindName(TrackerKind kind)
     switch (kind) {
       case TrackerKind::MisraGries: return "misra-gries";
       case TrackerKind::Hydra:      return "hydra";
-      case TrackerKind::Cbt:        return "cbt";
-      case TrackerKind::TwiCe:      return "twice";
     }
     return "?";
 }

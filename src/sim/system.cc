@@ -95,24 +95,6 @@ System::System(const SystemConfig &cfg)
         tracker_ = std::move(hydra);
         break;
       }
-      case TrackerKind::Cbt: {
-        CbtConfig t;
-        t.ts = cfg_.mit.ts();
-        t.rowsPerBank = cfg_.org.rowsPerBank;
-        t.channels = cfg_.org.channels;
-        t.banksPerChannel = banksPerChannel;
-        tracker_ = std::make_unique<CbtTracker>(t);
-        break;
-      }
-      case TrackerKind::TwiCe: {
-        TwiceConfig t;
-        t.ts = cfg_.mit.ts();
-        t.actMaxPerEpoch = cfg_.actMaxPerEpoch();
-        t.channels = cfg_.org.channels;
-        t.banksPerChannel = banksPerChannel;
-        tracker_ = std::make_unique<TwiceTracker>(t);
-        break;
-      }
     }
 
     switch (cfg_.mitigation) {
@@ -177,9 +159,6 @@ System::System(const SystemConfig &cfg)
     pinnedAbsorbed_ = stats_.handle("pinned_absorbed");
     pinnedRowsRestored_ = stats_.handle("pinned_rows_restored");
     pinnedRestoresDropped_ = stats_.handle("pinned_restores_dropped");
-    maxEpochActsPerBank_.assign(
-        static_cast<std::size_t>(cfg_.org.channels) * banksPerChannel,
-        0);
 }
 
 void
@@ -247,12 +226,8 @@ System::onEpochBoundary()
         cfg_.org.ranksPerChannel * cfg_.org.banksPerRank;
     for (std::uint32_t ch = 0; ch < cfg_.org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            const std::uint64_t acts =
-                ctrl_->bankAt(ch, b).maxActivations();
-            auto &cell = maxEpochActsPerBank_[
-                static_cast<std::size_t>(ch) * banksPerChannel + b];
-            cell = std::max(cell, acts);
-            maxEpochActs_ = std::max(maxEpochActs_, acts);
+            maxEpochActs_ = std::max(
+                maxEpochActs_, ctrl_->bankAt(ch, b).maxActivations());
         }
     }
     ctrl_->resetEpochCounters();
@@ -418,19 +393,6 @@ System::maxEpochActivations() const
         }
     }
     return best;
-}
-
-std::uint64_t
-System::maxEpochActivationsAt(std::uint32_t channel,
-                              std::uint32_t bank) const
-{
-    const std::uint32_t banksPerChannel =
-        cfg_.org.ranksPerChannel * cfg_.org.banksPerRank;
-    // Include the in-progress epoch so short runs see live counts.
-    const std::uint64_t live =
-        ctrl_->bankAt(channel, bank).maxActivations();
-    return std::max(live, maxEpochActsPerBank_[
-        static_cast<std::size_t>(channel) * banksPerChannel + bank]);
 }
 
 } // namespace srs

@@ -28,10 +28,8 @@
 #include "mitigation/rrs.hh"
 #include "mitigation/scale_srs.hh"
 #include "mitigation/srs.hh"
-#include "tracker/cbt.hh"
 #include "tracker/hydra.hh"
 #include "tracker/misra_gries.hh"
-#include "tracker/twice.hh"
 
 namespace srs
 {
@@ -53,8 +51,6 @@ enum class TrackerKind
 {
     MisraGries,
     Hydra,
-    Cbt,
-    TwiCe,
 };
 
 /** @return printable mitigation name. */
@@ -140,10 +136,6 @@ class System : public CoreMemoryInterface
      */
     std::uint64_t maxEpochActivations() const;
 
-    /** Same, restricted to one bank (flat index within channel). */
-    std::uint64_t maxEpochActivationsAt(std::uint32_t channel,
-                                        std::uint32_t bank) const;
-
     const StatSet &stats() const { return stats_; }
 
   private:
@@ -190,7 +182,6 @@ class System : public CoreMemoryInterface
     Cycle nextEpochAt_;
     std::uint64_t epochs_ = 0;
     std::uint64_t maxEpochActs_ = 0;
-    std::vector<std::uint64_t> maxEpochActsPerBank_;
     StatSet stats_;
     StatSet::Handle pinnedAbsorbed_, pinnedRowsRestored_,
         pinnedRestoresDropped_;

@@ -11,9 +11,10 @@ HydraTracker::HydraTracker(const HydraConfig &cfg)
 {
     if (cfg_.ts == 0 || cfg_.rowsPerGroup == 0)
         fatal("Hydra: degenerate configuration");
-    groupsPerBank_ = ceilDiv(cfg_.rowsPerBank, cfg_.rowsPerGroup);
+    const std::uint64_t groupsPerBank =
+        ceilDiv(cfg_.rowsPerBank, cfg_.rowsPerGroup);
     gct_.assign(cfg_.channels * cfg_.banksPerChannel,
-                std::vector<std::uint32_t>(groupsPerBank_, 0));
+                std::vector<std::uint32_t>(groupsPerBank, 0));
     rcc_.resize(cfg_.channels);
 }
 
@@ -93,20 +94,6 @@ HydraTracker::resetEpoch()
         r.map.clear();
         r.lru.clear();
     }
-}
-
-std::uint64_t
-HydraTracker::storageBitsPerBank() const
-{
-    // GCT: one counter (log2 ts + margin ~ 13 bits) per group.
-    const std::uint64_t gctBits =
-        static_cast<std::uint64_t>(groupsPerBank_) * 13;
-    // RCC is shared per channel; apportion per bank.
-    constexpr std::uint64_t rccEntryBits = 32 + 13; // tag + count
-    const std::uint64_t rccBits =
-        static_cast<std::uint64_t>(cfg_.rccEntries) * rccEntryBits /
-        cfg_.banksPerChannel;
-    return gctBits + rccBits;
 }
 
 } // namespace srs

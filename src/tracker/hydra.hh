@@ -66,7 +66,6 @@ class HydraTracker : public AggressorTracker
     bool recordActivation(std::uint32_t channel, std::uint32_t bank,
                           RowId physRow, Cycle now) override;
     void resetEpoch() override;
-    std::uint64_t storageBitsPerBank() const override;
     const char *name() const override { return "hydra"; }
 
     const StatSet &stats() const { return stats_; }
@@ -88,7 +87,6 @@ class HydraTracker : public AggressorTracker
     std::uint32_t groupThreshold() const;
 
     HydraConfig cfg_;
-    std::uint32_t groupsPerBank_;
     /** GCT: [channel*banks + bank][group] */
     std::vector<std::vector<std::uint32_t>> gct_;
     std::vector<Rcc> rcc_;  ///< one per channel

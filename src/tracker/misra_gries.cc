@@ -47,20 +47,4 @@ MisraGriesTracker::resetEpoch()
         t.clear();
 }
 
-std::uint64_t
-MisraGriesTracker::storageBitsPerBank() const
-{
-    // Each entry: row id (log2 rows, ~17 bits rounded to 20 for tag
-    // flexibility) + count (log2 T_S + 1, stored as 13 bits to match
-    // the paper's per-row counter width).
-    constexpr std::uint64_t entryBits = 20 + 13;
-    return static_cast<std::uint64_t>(entriesPerBank_) * entryBits;
-}
-
-const SpaceSaving &
-MisraGriesTracker::tableAt(std::uint32_t channel, std::uint32_t bank) const
-{
-    return tables_.at(channel * cfg_.banksPerChannel + bank);
-}
-
 } // namespace srs

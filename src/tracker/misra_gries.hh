@@ -40,15 +40,10 @@ class MisraGriesTracker : public AggressorTracker
     bool recordActivation(std::uint32_t channel, std::uint32_t bank,
                           RowId physRow, Cycle now) override;
     void resetEpoch() override;
-    std::uint64_t storageBitsPerBank() const override;
     const char *name() const override { return "misra-gries"; }
 
     /** Table capacity per bank (exposed for tests). */
     std::uint32_t entriesPerBank() const { return entriesPerBank_; }
-
-    /** Direct table access for tests. */
-    const SpaceSaving &tableAt(std::uint32_t channel,
-                               std::uint32_t bank) const;
 
   private:
     MisraGriesConfig cfg_;

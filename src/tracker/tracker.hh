@@ -21,12 +21,12 @@ namespace srs
 /**
  * Observes per-bank physical-row activations; flags T_S crossings.
  *
- * Implementations (tracker/misra_gries.hh, tracker/hydra.hh,
- * tracker/cbt.hh, tracker/twice.hh) are selected by TrackerKind and
- * constructed by the System; the mitigation consumes only this
- * interface.  Trackers are single-threaded like the rest of a
- * simulated System — parallel experiments each own their System and
- * tracker (see sim/sweep.hh).
+ * The two implementations (tracker/misra_gries.hh, tracker/hydra.hh)
+ * are selected by TrackerKind and constructed by the System; the
+ * mitigation consumes only this interface.  Their SRAM cost is priced
+ * by security/storage_model.hh, not here.  Trackers are
+ * single-threaded like the rest of a simulated System — parallel
+ * experiments each own their System and tracker (see sim/sweep.hh).
  */
 class AggressorTracker
 {
@@ -49,13 +49,6 @@ class AggressorTracker
 
     /** Clear all tracking state (refresh-epoch boundary). */
     virtual void resetEpoch() = 0;
-
-    /**
-     * SRAM cost of the tracker.
-     *
-     * @return storage in bits per bank (feeds the Table IV model)
-     */
-    virtual std::uint64_t storageBitsPerBank() const = 0;
 
     /**
      * Identification for stats and experiment logs.

@@ -51,7 +51,6 @@ endfunction()
 
 # Tiny cycle budgets keep the smoke test fast.
 run_expect_ok(list)
-run_expect_ok(storage --trh=1200)
 
 # Unsigned options are base-10 digits that fit their type: a leading
 # zero is not octal, and a sign or a value past 32 bits is fatal,
@@ -66,6 +65,25 @@ endif()
 foreach(bad "-1" "4294968496")
   run_expect_fail_saying(NEEDLES "'${bad}'" ARGS storage --trh=${bad})
 endforeach()
+# StorageModel alone sizes the pin buffer: 96 entries (420 B) below
+# T_RH 4800, as in table4_storage.  A T_S of zero at either swap rate
+# is fatal by its pair, as in perf.
+execute_process(COMMAND ${SRS_SIM} storage --trh=1200
+                RESULT_VARIABLE storage_rc OUTPUT_VARIABLE storage_out
+                ERROR_QUIET)
+if(NOT storage_rc EQUAL 0
+   OR NOT storage_out MATCHES "\nPin Buffer +0\\.0K +0\\.4K\n")
+  message(FATAL_ERROR "storage --trh=1200 did not print a 0.4K pin "
+          "buffer:\n${storage_out}")
+endif()
+run_expect_fail_saying(
+  NEEDLES "trh=5 rate=6: T_S = trh/rate must be at least 1"
+  ARGS storage --trh=5)
+# The trackers are the two the paper evaluates.
+run_expect_fail_saying(
+  NEEDLES "unknown tracker 'cbt' (want misra-gries|hydra)"
+  ARGS perf --workload=gups --mitigation=rrs --tracker=cbt
+       --cycles=20000 --epoch=10000)
 set(seed_args sweep --workloads=gups --mitigations=rrs --trh=1200
     --rates=6 --cycles=20000 --epoch=10000 --threads=1 --journal=none)
 foreach(seed 0x5eed 24301)

@@ -49,13 +49,5 @@ TEST(PinBuffer, ClearEmpties)
     EXPECT_EQ(pins.lookup(0x2000), nullptr);
 }
 
-TEST(PinBuffer, StorageBitsMatchPaper)
-{
-    // Paper Section V-C: 66 entries x 35 bits (48-bit address minus
-    // 13 row-offset bits).
-    PinBuffer pins(66, 8192);
-    EXPECT_EQ(pins.storageBits(48), 66u * 35u);
-}
-
 } // namespace
 } // namespace srs

@@ -74,16 +74,20 @@ expectIdentical(const RunResult &ref, const RunResult &ev,
 
 TEST(EventLoop, MatchesReferenceAcrossMitigations)
 {
-    // At T_RH 1200 (T_S = 200) no row of this window reaches T_S; at
-    // T_RH 120 (T_S = 20) the row-swap defenses swap, so the loops
-    // are also compared across migrations and latent charges.  The
+    // Every defense a figure or bench runs.  At T_RH 1200 (T_S = 200)
+    // no row of this window reaches T_S; at T_RH 120 (T_S = 20) every
+    // row-moving defense swaps, so the loops are also compared across
+    // migrations, unswaps, place-backs and latent charges.  The
     // open-page and DDR5 2x2x32 axes move the controller's deadlines.
     const char *workloads[] = {"gups", "gcc"};
     const MitigationKind kinds[] = {
         MitigationKind::None,
+        MitigationKind::Rrs,
+        MitigationKind::RrsNoUnswap,
         MitigationKind::Srs,
         MitigationKind::ScaleSrs,
         MitigationKind::BlockHammer,
+        MitigationKind::Aqua,
     };
     const std::uint32_t trhs[] = {1200, 120};
     const char *axesSpellings[] = {"closed", "open",
@@ -103,8 +107,8 @@ TEST(EventLoop, MatchesReferenceAcrossMitigations)
                         axes);
                     expectIdentical(ref, ev, label);
                     const bool swapping = trh == 120
-                        && (kind == MitigationKind::Srs
-                            || kind == MitigationKind::ScaleSrs);
+                        && kind != MitigationKind::None
+                        && kind != MitigationKind::BlockHammer;
                     if (swapping) {
                         EXPECT_GT(ev.swaps, 0u) << label;
                     }

@@ -11,7 +11,6 @@
 #include "memctrl/controller.hh"
 #include "mitigation/aqua.hh"
 #include "mitigation/blockhammer.hh"
-#include "mitigation/para.hh"
 #include "mitigation/rrs.hh"
 #include "mitigation/scale_srs.hh"
 #include "mitigation/srs.hh"
@@ -311,73 +310,6 @@ TEST_F(MitFixture, BaselineDoesNothing)
     EXPECT_EQ(none.stats().get("mitigations"), 10u); // tracked...
     EXPECT_EQ(ctrl.stats().get("latent_activations"), 0u); // ...inert
     EXPECT_EQ(none.remapRow(0, 0, 500), 500u);
-}
-
-
-TEST_F(MitFixture, ParaRefreshesNeighborsProbabilistically)
-{
-    MitigationConfig cfg = mitConfig();
-    ParaConfig pc;
-    pc.refreshProbability = 0.1;
-    Para para(ctrl, tracker, cfg, pc);
-    hammer(para, 500, 2000);
-    // ~200 expected lottery wins, each refreshing two neighbors.
-    const std::uint64_t refreshes =
-        para.stats().get("victim_refreshes");
-    EXPECT_GT(refreshes, 250u);
-    EXPECT_LT(refreshes, 550u);
-    EXPECT_EQ(ctrl.bankAt(0, 0).activationsOf(499) +
-                  ctrl.bankAt(0, 0).activationsOf(501),
-              refreshes);
-}
-
-TEST_F(MitFixture, ParaExposesHalfDoubleLever)
-{
-    // The paper's motivation (Section II-E): under a victim-focused
-    // defense the mitigative refreshes themselves accumulate
-    // activations on distance-1 rows — which a half-double attacker
-    // exploits against distance-2 victims.  Row swaps avoid this.
-    MitigationConfig cfg = mitConfig();
-    ParaConfig pc;
-    pc.refreshProbability = 0.2;
-    Para para(ctrl, tracker, cfg, pc);
-    hammer(para, 500, 3000);
-    const std::uint64_t neighborActs =
-        ctrl.bankAt(0, 0).activationsOf(501);
-    EXPECT_GT(neighborActs, 200u); // far beyond T_S = 100
-
-    // Contrast: SRS under the same hammering never biases any
-    // specific nearby row (partners are random across the bank).
-    MemoryController ctrl2(org, timing);
-    MisraGriesTracker tracker2(trackerConfig());
-    SrsConfig srsCfg;
-    srsCfg.modelCounterTraffic = false;
-    Srs srs(ctrl2, tracker2, cfg, srsCfg);
-    for (int i = 0; i < 3000; ++i) {
-        const RowId phys = srs.remapRow(0, 0, 500);
-        ctrl2.bankAt(0, 0).chargeActivation(phys);
-        srs.onActivate(0, 0, phys, 0);
-    }
-    EXPECT_LT(ctrl2.bankAt(0, 0).activationsOf(501), 110u);
-}
-
-TEST_F(MitFixture, ParaBlastRadiusTwo)
-{
-    MitigationConfig cfg = mitConfig();
-    ParaConfig pc;
-    pc.refreshProbability = 1.0; // deterministic for the test
-    pc.blastRadius = 2;
-    Para para(ctrl, tracker, cfg, pc);
-    hammer(para, 500, 10);
-    for (const RowId victim : {498u, 499u, 501u, 502u})
-        EXPECT_EQ(ctrl.bankAt(0, 0).activationsOf(victim), 10u);
-}
-
-TEST_F(MitFixture, ParaRejectsBadProbability)
-{
-    ParaConfig pc;
-    pc.refreshProbability = 0.0;
-    EXPECT_THROW(Para(ctrl, tracker, mitConfig(), pc), FatalError);
 }
 
 

@@ -13,7 +13,6 @@
 
 #include "common/logging.hh"
 #include "security/attack_model.hh"
-#include "security/half_double.hh"
 #include "security/monte_carlo.hh"
 #include "security/outlier_model.hh"
 #include "security/power_model.hh"
@@ -51,10 +50,10 @@ TEST(Juggernaut, RequiredGuessesMatchFigure7)
 {
     // Figure 7 at T_RH 4800: k = 4 for N <= 500, k = 2 for N >= 1100.
     JuggernautModel m(paperParams());
-    EXPECT_EQ(m.requiredGuesses(0), 4u);
-    EXPECT_EQ(m.requiredGuesses(400), 4u);
-    EXPECT_EQ(m.requiredGuesses(800), 3u);
-    EXPECT_EQ(m.requiredGuesses(1100), 2u);
+    EXPECT_EQ(m.evaluateRrs(0).k, 4u);
+    EXPECT_EQ(m.evaluateRrs(400).k, 4u);
+    EXPECT_EQ(m.evaluateRrs(800).k, 3u);
+    EXPECT_EQ(m.evaluateRrs(1100).k, 2u);
 }
 
 TEST(Juggernaut, LowTrhBreaksInOneEpoch)
@@ -128,7 +127,7 @@ TEST(Juggernaut, TimeToBreakHasCliffsAtKTransitions)
     // Find the N where k changes from 3 to 2.
     std::uint64_t cliff = 0;
     for (std::uint64_t n = 800; n < 1400; ++n) {
-        if (m.requiredGuesses(n) == 2) {
+        if (m.evaluateRrs(n).k == 2) {
             cliff = n;
             break;
         }
@@ -143,7 +142,7 @@ TEST(Juggernaut, TimeIncreasesWithinSameK)
 {
     // Within a k-plateau, more rounds shrink G and raise the time.
     JuggernautModel m(paperParams());
-    ASSERT_EQ(m.requiredGuesses(600), m.requiredGuesses(700));
+    ASSERT_EQ(m.evaluateRrs(600).k, m.evaluateRrs(700).k);
     EXPECT_LT(m.evaluateRrs(600).timeToBreakSec,
               m.evaluateRrs(700).timeToBreakSec);
 }
@@ -708,13 +707,22 @@ TEST(Storage, SingleTableOptimizationHalves)
 
 TEST(Storage, BreakdownHasAllTableIVLines)
 {
-    StorageModel m(StorageParams{});
-    const auto lines = m.breakdown();
-    ASSERT_EQ(lines.size(), 5u);
-    EXPECT_EQ(lines[0].structure, "RIT");
-    EXPECT_EQ(lines[2].structure, "Place-Back Buffer");
-    EXPECT_EQ(lines[2].rrsBytes, 0u); // RRS has no place-back buffer
-    EXPECT_EQ(lines[2].scaleSrsBytes, 8192u);
+    // Section V-C: the pin buffer holds 66 entries at T_RH 4800 and 96
+    // below, each 35 bits (a 48-bit address minus 13 row-offset bits).
+    for (const auto &[trh, pinEntries] :
+         {std::pair{4800u, 66u}, std::pair{1200u, 96u}}) {
+        StorageParams p;
+        p.trh = trh;
+        const auto lines = StorageModel(p).breakdown();
+        ASSERT_EQ(lines.size(), 5u);
+        EXPECT_EQ(lines[0].structure, "RIT");
+        EXPECT_EQ(lines[2].structure, "Place-Back Buffer");
+        EXPECT_EQ(lines[2].rrsBytes, 0u); // RRS has no place-back buffer
+        EXPECT_EQ(lines[2].scaleSrsBytes, 8192u);
+        EXPECT_EQ(lines[4].structure, "Pin Buffer");
+        EXPECT_EQ(lines[4].rrsBytes, 0u);
+        EXPECT_EQ(lines[4].scaleSrsBytes, pinEntries * 35u / 8);
+    }
 }
 
 TEST(Power, CalibratedToTableV)
@@ -738,123 +746,6 @@ TEST(AttackParams, TsDerivedFromSwapRate)
 {
     AttackParams p = paperParams(4800, 6);
     EXPECT_EQ(p.ts(), 800u);
-}
-
-
-// ---------------------------------------------------------------------
-// Half-double model (motivation for aggressor-focused mitigation).
-// ---------------------------------------------------------------------
-
-TEST(HalfDouble, AggressorLevelIsJustTrh)
-{
-    HalfDoubleModel m(HalfDoubleParams{});
-    const HalfDoubleResult r = m.evaluateAtDistance(0);
-    EXPECT_EQ(r.aggressorActsNeeded, 4800u);
-    EXPECT_TRUE(r.feasibleWithinEpoch);
-}
-
-TEST(HalfDouble, InducedActsScaleWithRefreshPeriod)
-{
-    HalfDoubleParams p;
-    p.victimRefreshPeriod = 100;
-    HalfDoubleModel m(p);
-    // 100k aggressor acts -> 1k refreshes of each blast-radius row.
-    EXPECT_DOUBLE_EQ(m.inducedActivations(1, 100000), 1000.0);
-    EXPECT_DOUBLE_EQ(m.inducedActivations(2, 100000), 1000.0);
-    // Beyond blastRadius + 1 nothing arrives.
-    EXPECT_DOUBLE_EQ(m.inducedActivations(3, 100000), 0.0);
-}
-
-TEST(HalfDouble, AggressiveVfmIsVulnerable)
-{
-    // T_V = 128: half-double needs 128 * 4800 = 614k acts < 1.36M.
-    HalfDoubleParams p;
-    p.victimRefreshPeriod = 128;
-    HalfDoubleModel m(p);
-    const HalfDoubleResult r = m.evaluate();
-    EXPECT_TRUE(r.feasibleWithinEpoch);
-    EXPECT_EQ(r.aggressorActsNeeded, 128u * 4800);
-    EXPECT_GE(r.inducedActs, 4800.0);
-}
-
-TEST(HalfDouble, LazyVfmEscapesHalfDoubleButNotDistance1)
-{
-    // T_V = 2400: half-double needs 11.5M acts (> ACT_max) but a
-    // double-sided attack breaks distance 1.
-    HalfDoubleParams p;
-    p.victimRefreshPeriod = 2400;
-    HalfDoubleModel m(p);
-    EXPECT_FALSE(m.evaluate().feasibleWithinEpoch);
-    EXPECT_FALSE(m.distance1Safe(2));
-}
-
-TEST(HalfDouble, NoSafeRefreshPeriodAtLowTrh)
-{
-    // The paper's scaling argument: as T_RH drops, the safe band
-    // between half-double (small T_V) and distance-1 (large T_V)
-    // vanishes.
-    HalfDoubleParams p;
-    p.trh = 1200;
-    HalfDoubleModel m(p);
-    // Vulnerable to half-double while T_V <= 1133.
-    EXPECT_EQ(m.maxVulnerablePeriod(), 1133u);
-    // Safe from double-sided distance-1 only while T_V < 600.
-    p.victimRefreshPeriod = 599;
-    EXPECT_TRUE(HalfDoubleModel(p).distance1Safe(2));
-    // 599 < 1133: every distance-1-safe period is half-double
-    // vulnerable.
-    EXPECT_LT(599u, m.maxVulnerablePeriod());
-}
-
-TEST(HalfDouble, DribbleLowersTheBar)
-{
-    HalfDoubleParams p;
-    p.victimRefreshPeriod = 512;
-    p.directDribble = 800;
-    HalfDoubleModel m(p);
-    EXPECT_EQ(m.evaluate().aggressorActsNeeded, 512u * 4000);
-    p.directDribble = 5000; // dribble alone crosses T_RH
-    EXPECT_EQ(HalfDoubleModel(p).evaluate().aggressorActsNeeded, 0u);
-}
-
-TEST(HalfDouble, CountedRefreshesCompoundPerLevel)
-{
-    HalfDoubleParams p;
-    p.victimRefreshPeriod = 128;
-    p.refreshesCounted = true;
-    HalfDoubleModel m(p);
-    const HalfDoubleResult d2 = m.evaluateAtDistance(2);
-    // 128^2 * 4800 = 78.6M >> ACT_max: escalation becomes
-    // infeasible once refreshes are fed back into the tracker.
-    EXPECT_FALSE(d2.feasibleWithinEpoch);
-    EXPECT_GT(d2.epochFraction, 1.0);
-}
-
-TEST(HalfDouble, WiderBlastRadiusShiftsNotShrinksExposure)
-{
-    // Refreshing two rows per side just moves the target to
-    // distance 3 at the same cost — Section IX-B's observation
-    // that widening the radius does not solve the problem.
-    HalfDoubleParams p1;
-    p1.victimRefreshPeriod = 128;
-    HalfDoubleParams p2 = p1;
-    p2.blastRadius = 2;
-    const auto r1 = HalfDoubleModel(p1).evaluate();
-    const auto r2 = HalfDoubleModel(p2).evaluate();
-    EXPECT_EQ(r1.aggressorActsNeeded, r2.aggressorActsNeeded);
-}
-
-TEST(HalfDouble, RejectsBadParams)
-{
-    HalfDoubleParams bad;
-    bad.trh = 0;
-    EXPECT_THROW(HalfDoubleModel{bad}, FatalError);
-    bad = HalfDoubleParams{};
-    bad.victimRefreshPeriod = 0;
-    EXPECT_THROW(HalfDoubleModel{bad}, FatalError);
-    bad = HalfDoubleParams{};
-    bad.blastRadius = 0;
-    EXPECT_THROW(HalfDoubleModel{bad}, FatalError);
 }
 
 

@@ -286,22 +286,6 @@ TEST(SystemIntegration, AquaHomeStaysColdLikeSrs)
     EXPECT_LT(aqua.homeActs, rrs.homeActs);
 }
 
-
-TEST(SystemIntegration, CbtTrackerDrivesMitigations)
-{
-    SystemConfig cfg = attackConfig(MitigationKind::Srs);
-    cfg.tracker = TrackerKind::Cbt;
-    System sys(cfg);
-    sys.setTrace(0, std::make_unique<HammerTrace>(
-                        sys.controller().addressMap(), 0, 0, 700));
-    sys.run(400'000);
-    // The counter tree narrows onto the hammered row and fires; the
-    // SRS machinery behind it swaps as usual.
-    EXPECT_GT(sys.mitigation().stats().get("mitigations"), 0u);
-    EXPECT_GT(sys.mitigation().stats().get("swaps"), 0u);
-    EXPECT_STREQ(sys.tracker().name(), "cbt");
-}
-
 TEST(ExperimentHarness, NormalizedPerfNearOneForLightWorkload)
 {
     SweepCell cell;

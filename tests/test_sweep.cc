@@ -1237,8 +1237,7 @@ TEST(SweepNames, MitigationAndTrackerRoundTrip)
                   kind);
     }
     for (const TrackerKind kind :
-         {TrackerKind::MisraGries, TrackerKind::Hydra, TrackerKind::Cbt,
-          TrackerKind::TwiCe}) {
+         {TrackerKind::MisraGries, TrackerKind::Hydra}) {
         EXPECT_EQ(trackerKindFromName(trackerKindName(kind)), kind);
     }
     for (const DramPreset preset :

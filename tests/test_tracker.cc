@@ -12,12 +12,10 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "tracker/cbt.hh"
 #include "tracker/counting_bloom.hh"
 #include "tracker/hydra.hh"
 #include "tracker/misra_gries.hh"
 #include "tracker/space_saving.hh"
-#include "tracker/twice.hh"
 
 namespace srs
 {
@@ -148,7 +146,6 @@ TEST(MisraGries, TableSizedFromActMax)
     // entries = ceil(actMax / ts) * overProvision.
     MisraGriesTracker t(mgConfig(100));
     EXPECT_EQ(t.entriesPerBank(), 2000u);
-    EXPECT_GT(t.storageBitsPerBank(), 0u);
 }
 
 TEST(MisraGries, GuaranteeUnderAdversarialNoise)
@@ -271,16 +268,6 @@ TEST(Hydra, EpochResetClearsState)
     for (int i = 0; i < 49; ++i)
         t.recordActivation(0, 0, 10, 0);
     EXPECT_EQ(traffic, 0);
-}
-
-TEST(Hydra, StorageSmallerThanPerRowTracking)
-{
-    HydraConfig cfg;
-    cfg.ts = 200;
-    HydraTracker t(cfg);
-    // The whole point of Hydra: far less SRAM than one counter per
-    // row (128K rows x 13 bits).
-    EXPECT_LT(t.storageBitsPerBank(), 128ULL * 1024 * 13 / 4);
 }
 
 
@@ -458,242 +445,6 @@ TEST_P(BloomAccuracy, ProvisionedFilterStaysTight)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BloomAccuracy, ::testing::Range(1, 9));
-
-
-// ---------------------------------------------------------------------
-// CBT — counter-based tree tracker.
-// ---------------------------------------------------------------------
-
-CbtConfig
-cbtConfig(std::uint32_t ts = 100, std::uint32_t counters = 64)
-{
-    CbtConfig cfg;
-    cfg.ts = ts;
-    cfg.maxCounters = counters;
-    cfg.rowsPerBank = 1024;
-    cfg.channels = 1;
-    cfg.banksPerChannel = 1;
-    return cfg;
-}
-
-TEST(Cbt, StartsWithOneRootLeaf)
-{
-    CbtTracker t(cbtConfig());
-    EXPECT_EQ(t.leavesAt(0, 0), 1u);
-    EXPECT_EQ(t.countOf(0, 0, 512), 0u);
-}
-
-TEST(Cbt, SplitsTowardsHotRow)
-{
-    CbtTracker t(cbtConfig());
-    for (int i = 0; i < 60; ++i)
-        t.recordActivation(0, 0, 700, 0);
-    EXPECT_GT(t.leavesAt(0, 0), 1u);
-    // The hot row's leaf carries the full count.
-    EXPECT_GE(t.countOf(0, 0, 700), 60u);
-}
-
-TEST(Cbt, FiresAtTsOnSingleRowLeaf)
-{
-    CbtTracker t(cbtConfig());
-    int triggers = 0;
-    for (int i = 0; i < 300; ++i)
-        triggers += t.recordActivation(0, 0, 700, 0) ? 1 : 0;
-    EXPECT_GE(triggers, 1);
-    EXPECT_EQ(t.stats().get("triggers"),
-              static_cast<std::uint64_t>(triggers));
-    // Counts reset after the trigger, so roughly 300 / threshold
-    // triggers happen; the tree never misses the hammer entirely.
-    EXPECT_LE(triggers, 3);
-}
-
-TEST(Cbt, NeverUnderCounts)
-{
-    // Children inherit the parent count: the estimate for a row is
-    // always >= its true activation count.
-    CbtTracker t(cbtConfig(1000, 32));
-    Rng rng(5);
-    std::unordered_map<RowId, std::uint32_t> truth;
-    for (int i = 0; i < 3000; ++i) {
-        const RowId r = static_cast<RowId>(rng.nextBelow(1024));
-        ++truth[r];
-        t.recordActivation(0, 0, r, 0);
-    }
-    for (const auto &[row, count] : truth)
-        ASSERT_GE(t.countOf(0, 0, row), count) << "row " << row;
-}
-
-TEST(Cbt, CounterBudgetBounded)
-{
-    CbtConfig cfg = cbtConfig(100, 8);
-    CbtTracker t(cfg);
-    Rng rng(6);
-    for (int i = 0; i < 5000; ++i)
-        t.recordActivation(
-            0, 0, static_cast<RowId>(rng.nextBelow(1024)), 0);
-    EXPECT_LE(t.leavesAt(0, 0), 8u);
-}
-
-TEST(Cbt, CoarseTriggersWhenOutOfCounters)
-{
-    // With a tiny budget the tree cannot isolate single rows; it
-    // must still fire (conservatively) instead of going blind.
-    CbtConfig cfg = cbtConfig(100, 2);
-    CbtTracker t(cfg);
-    bool fired = false;
-    for (int i = 0; i < 400 && !fired; ++i)
-        fired = t.recordActivation(0, 0, 700, 0);
-    EXPECT_TRUE(fired);
-    EXPECT_GE(t.stats().get("coarse_triggers"), 1u);
-}
-
-TEST(Cbt, EpochResetCollapsesTree)
-{
-    CbtTracker t(cbtConfig());
-    for (int i = 0; i < 80; ++i)
-        t.recordActivation(0, 0, 700, 0);
-    ASSERT_GT(t.leavesAt(0, 0), 1u);
-    t.resetEpoch();
-    EXPECT_EQ(t.leavesAt(0, 0), 1u);
-    EXPECT_EQ(t.countOf(0, 0, 700), 0u);
-}
-
-TEST(Cbt, StorageIsCounterBudget)
-{
-    CbtTracker t(cbtConfig(100, 256));
-    EXPECT_EQ(t.storageBitsPerBank(), 256u * (2 * 17 + 13));
-}
-
-TEST(Cbt, RejectsBadConfig)
-{
-    CbtConfig bad = cbtConfig();
-    bad.ts = 0;
-    EXPECT_THROW(CbtTracker{bad}, FatalError);
-    bad = cbtConfig();
-    bad.maxCounters = 1;
-    EXPECT_THROW(CbtTracker{bad}, FatalError);
-    bad = cbtConfig();
-    bad.splitFraction = 0.0;
-    EXPECT_THROW(CbtTracker{bad}, FatalError);
-}
-
-/** Distinct hot rows in distinct banks are isolated by the trees. */
-class CbtMultiBank : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(CbtMultiBank, BanksTrackIndependently)
-{
-    CbtConfig cfg = cbtConfig();
-    cfg.banksPerChannel = 4;
-    CbtTracker t(cfg);
-    const RowId row = static_cast<RowId>(GetParam() * 37 % 1024);
-    for (int i = 0; i < 60; ++i)
-        t.recordActivation(0, 2, row, 0);
-    EXPECT_GE(t.countOf(0, 2, row), 60u);
-    EXPECT_EQ(t.countOf(0, 1, row), 0u);
-    EXPECT_EQ(t.leavesAt(0, 0), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Rows, CbtMultiBank, ::testing::Range(1, 7));
-
-
-// ---------------------------------------------------------------------
-// TWiCe — time-window counters with on-pace pruning.
-// ---------------------------------------------------------------------
-
-TwiceConfig
-twiceConfig(std::uint32_t ts = 100, std::uint32_t checkpoints = 10)
-{
-    TwiceConfig cfg;
-    cfg.ts = ts;
-    cfg.actMaxPerEpoch = 10000;
-    cfg.channels = 1;
-    cfg.banksPerChannel = 1;
-    cfg.checkpoints = checkpoints;
-    return cfg;
-}
-
-TEST(Twice, FiresExactlyAtThreshold)
-{
-    TwiceTracker t(twiceConfig());
-    for (int i = 0; i < 99; ++i)
-        EXPECT_FALSE(t.recordActivation(0, 0, 7, 0));
-    EXPECT_TRUE(t.recordActivation(0, 0, 7, 0));
-    // The fired entry resets; the next T_S acts fire again.
-    EXPECT_EQ(t.countOf(0, 0, 7), 0u);
-}
-
-TEST(Twice, OnPaceRowsSurviveCheckpoints)
-{
-    // A row hammered steadily (above T_S / checkpoints per
-    // interval) is never pruned: no false negatives for attackers.
-    TwiceTracker t(twiceConfig(100, 10));
-    // Interval = 1000 acts; pace needs >= 10 per checkpoint.
-    int fired = 0;
-    for (int interval = 0; interval < 10; ++interval) {
-        for (int i = 0; i < 20; ++i)
-            fired += t.recordActivation(0, 0, 7, 0) ? 1 : 0;
-        for (int i = 0; i < 980; ++i)
-            t.recordActivation(
-                0, 0, static_cast<RowId>(1000 + i % 400), 0);
-    }
-    // 200 activations on row 7 at T_S = 100: two triggers.
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(Twice, OffPaceRowsPruned)
-{
-    TwiceTracker t(twiceConfig(100, 10));
-    // 5 acts on row 7 (below the 10/checkpoint pace), then filler
-    // traffic to cross one checkpoint.
-    for (int i = 0; i < 5; ++i)
-        t.recordActivation(0, 0, 7, 0);
-    for (int i = 0; i < 1000; ++i)
-        t.recordActivation(0, 0, static_cast<RowId>(100 + i % 500),
-                           0);
-    EXPECT_EQ(t.countOf(0, 0, 7), 0u);
-    EXPECT_GT(t.stats().get("pruned"), 0u);
-}
-
-TEST(Twice, PruningBoundsTableOccupancy)
-{
-    // Uniform background traffic cannot grow the table without
-    // bound: each checkpoint clears everything off pace.
-    TwiceTracker t(twiceConfig(100, 10));
-    Rng rng(3);
-    for (int i = 0; i < 20000; ++i)
-        t.recordActivation(
-            0, 0, static_cast<RowId>(rng.nextBelow(4096)), 0);
-    EXPECT_LT(t.entriesAt(0, 0), 2500u);
-    EXPECT_GT(t.stats().get("checkpoints"), 10u);
-}
-
-TEST(Twice, EpochResetClears)
-{
-    TwiceTracker t(twiceConfig());
-    t.recordActivation(0, 0, 7, 0);
-    t.resetEpoch();
-    EXPECT_EQ(t.countOf(0, 0, 7), 0u);
-    EXPECT_EQ(t.entriesAt(0, 0), 0u);
-}
-
-TEST(Twice, StorageProvisioning)
-{
-    TwiceConfig cfg = twiceConfig(100);
-    TwiceTracker t(cfg);
-    EXPECT_EQ(t.storageBitsPerBank(), (10000u / 100) * (17 + 13 + 5));
-}
-
-TEST(Twice, RejectsBadConfig)
-{
-    TwiceConfig bad = twiceConfig(0);
-    EXPECT_THROW(TwiceTracker{bad}, FatalError);
-    bad = twiceConfig(100, 0);
-    EXPECT_THROW(TwiceTracker{bad}, FatalError);
-    bad = twiceConfig(100, 100000); // interval rounds to zero
-    EXPECT_THROW(TwiceTracker{bad}, FatalError);
-}
 
 } // namespace
 } // namespace srs

@@ -828,7 +828,6 @@ usage()
 int
 main(int argc, char **argv)
 {
-    setQuietLogging(true);
     gArgv0 = argc > 0 ? argv[0] : "srs_sim";
     const Options opts = Options::fromArgs(argc, argv);
     if (opts.positional().empty()) {
