@@ -74,6 +74,20 @@ poissonPmf(std::uint64_t k, double lambda)
     return std::exp(logp);
 }
 
+std::uint64_t
+nextPowerOfTwo(std::uint64_t v)
+{
+    SRS_ASSERT(v >= 1, "nextPowerOfTwo(0)");
+    --v;
+    v |= v >> 1;
+    v |= v >> 2;
+    v |= v >> 4;
+    v |= v >> 8;
+    v |= v >> 16;
+    v |= v >> 32;
+    return v + 1;
+}
+
 unsigned
 floorLog2(std::uint64_t v)
 {

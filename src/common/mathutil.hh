@@ -51,6 +51,9 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** @return smallest power of two >= v (v >= 1). */
+std::uint64_t nextPowerOfTwo(std::uint64_t v);
+
 /** @return floor(log2(v)) for v >= 1. */
 unsigned floorLog2(std::uint64_t v);
 

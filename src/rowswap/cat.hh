@@ -27,7 +27,7 @@
 namespace srs
 {
 
-/** Sizing rule shared with the storage model (Table IV). */
+/** CAT sizing: an over-provisioned entry budget in power-of-two buckets. */
 struct CatSizing
 {
     std::uint64_t targetEntries = 0;  ///< worst-case live entries

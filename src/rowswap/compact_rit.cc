@@ -95,10 +95,4 @@ CompactRit::unlockAll()
     table_.unlockAll();
 }
 
-std::uint64_t
-CompactRit::storageBits(std::uint32_t rowBits) const
-{
-    return table_.capacity() * (2ULL * rowBits + 7);
-}
-
 } // namespace srs

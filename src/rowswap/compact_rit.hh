@@ -87,12 +87,6 @@ class CompactRit
     std::uint64_t totalWalkProbes() const { return walkProbes_; }
     std::uint64_t walks() const { return walks_; }
 
-    /**
-     * SRAM bits for this organization, matching the StorageModel
-     * Section VIII-4 convention: entries x (2 * rowBits + 7).
-     */
-    std::uint64_t storageBits(std::uint32_t rowBits) const;
-
     std::uint32_t rowsPerBank() const { return rowsPerBank_; }
 
   private:

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cache/pin_buffer.hh"
+#include "common/mathutil.hh"
+#include "security/storage_model.hh"
 
 namespace srs
 {
@@ -47,6 +51,24 @@ TEST(PinBuffer, ClearEmpties)
     pins.clear();
     EXPECT_EQ(pins.size(), 0u);
     EXPECT_EQ(pins.lookup(0x2000), nullptr);
+}
+
+TEST(PinBuffer, StorageBitsMatchPaper)
+{
+    // Paper Section V-C: 66 entries x 35 bits (48-bit address minus
+    // 13 row-offset bits).  The buffer does not price itself: at
+    // T_RH 4800 StorageModel's Pin Buffer line prices exactly the
+    // kPinBufferEntries that System simulates.
+    EXPECT_EQ(kPinBufferEntries, 66u);
+    StorageParams p;
+    p.trh = 4800;
+    EXPECT_EQ(p.pinEntryBits, 48u - floorLog2(8192));
+    const auto lines = StorageModel(p).breakdown();
+    const auto pin = std::find_if(
+        lines.begin(), lines.end(),
+        [](const StorageLine &l) { return l.structure == "Pin Buffer"; });
+    ASSERT_NE(pin, lines.end());
+    EXPECT_EQ(pin->scaleSrsBytes, kPinBufferEntries * 35u / 8);
 }
 
 } // namespace

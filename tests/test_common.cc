@@ -432,6 +432,9 @@ TEST(MathUtil, PowerOfTwoHelpers)
     EXPECT_TRUE(isPowerOfTwo(4096));
     EXPECT_FALSE(isPowerOfTwo(0));
     EXPECT_FALSE(isPowerOfTwo(48));
+    EXPECT_EQ(nextPowerOfTwo(1), 1u);
+    EXPECT_EQ(nextPowerOfTwo(5), 8u);
+    EXPECT_EQ(nextPowerOfTwo(4096), 4096u);
     EXPECT_EQ(floorLog2(1), 0u);
     EXPECT_EQ(floorLog2(131072), 17u);
 }
