@@ -108,18 +108,6 @@ killProcess(long pid)
     ::kill(static_cast<pid_t>(pid), SIGKILL);
 }
 
-int
-runProcess(const std::vector<std::string> &argv,
-           const std::string &logPath)
-{
-    const int status = waitProcess(spawnProcess(argv, logPath));
-    if (WIFEXITED(status))
-        return WEXITSTATUS(status);
-    if (WIFSIGNALED(status))
-        return 128 + WTERMSIG(status);
-    return status;
-}
-
 bool
 processExitedCleanly(int status)
 {
@@ -146,7 +134,7 @@ namespace
 [[noreturn]] void
 posixOnly()
 {
-    fatal("process supervision (srs_sim orchestrate/farm) requires "
+    fatal("process supervision (srs_sim orchestrate) requires "
           "a POSIX platform (fork/waitpid); run the shards from the "
           "manifest by hand and stitch with 'srs_sim merge'");
 }
@@ -179,12 +167,6 @@ waitProcess(long)
 
 void
 killProcess(long)
-{
-    posixOnly();
-}
-
-int
-runProcess(const std::vector<std::string> &, const std::string &)
 {
     posixOnly();
 }

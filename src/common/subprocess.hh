@@ -2,14 +2,13 @@
  * @file
  * Child-process helpers for the shard supervisor.
  *
- * The farm dispatcher (farm/dispatcher.hh), which runs the shards of
- * both `srs_sim orchestrate` and `srs_sim farm`, forks worker
- * processes — a shard sweep locally, or an ssh/scp client carrying
- * one to another machine — through these primitives: spawn with
- * output captured to a log file, a wait that ends when a child
- * exits, non-blocking reap, kill, and a human-readable exit
- * description.  POSIX-only (fork/execv/waitid/waitpid); every entry
- * point is fatal() on non-POSIX platforms.
+ * Orchestrator::run (sim/orchestrator.hh), behind `srs_sim
+ * orchestrate`, forks one shard sweep per child through these
+ * primitives: spawn with output captured to a log file, a wait that
+ * ends when a child exits, non-blocking reap, kill, and a
+ * human-readable exit description.  POSIX-only
+ * (fork/execv/waitid/waitpid); every entry point is fatal() on
+ * non-POSIX platforms.
  */
 
 #ifndef SRS_COMMON_SUBPROCESS_HH
@@ -61,14 +60,6 @@ int waitProcess(long pid);
 
 /** SIGKILL @p pid (best-effort; no error when already gone). */
 void killProcess(long pid);
-
-/**
- * Spawn @p argv, wait for it, and return its exit code (127 when
- * the exec failed, 128+signal when it died on one).  Used for the
- * short-lived copy children (scp/rsync) of the ssh transport.
- */
-int runProcess(const std::vector<std::string> &argv,
-               const std::string &logPath = "");
 
 /** @return true when the raw status is a clean zero exit. */
 bool processExitedCleanly(int status);

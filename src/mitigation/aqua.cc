@@ -36,10 +36,8 @@ Aqua::state(std::uint32_t channel, std::uint32_t bank)
 }
 
 void
-Aqua::evictSlot(std::uint32_t channel, std::uint32_t bank, RowId slot,
-                Cycle now)
+Aqua::evictSlot(std::uint32_t channel, std::uint32_t bank, RowId slot)
 {
-    (void)now;
     RowIndirection &r = rit(channel, bank);
     if (!r.displaced(slot))
         return;
@@ -60,8 +58,7 @@ Aqua::evictSlot(std::uint32_t channel, std::uint32_t bank, RowId slot,
 }
 
 void
-Aqua::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
-               Cycle now)
+Aqua::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow)
 {
     if (inQuarantine(physRow) &&
         !rit(channel, bank).displaced(physRow)) {
@@ -78,14 +75,14 @@ Aqua::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
     if (slot == physRow) {
         // The cursor handed us the aggressor's own slot (it is a
         // quarantined row being re-hammered); take the next one.
-        return mitigate(channel, bank, physRow, now);
+        return mitigate(channel, bank, physRow);
     }
 
     // Wrapping inside an epoch reuses a slot: restore its tenant
     // first so the move below lands in a free slot.
     RowIndirection &r = rit(channel, bank);
     if (r.displaced(slot)) {
-        evictSlot(channel, bank, slot, now);
+        evictSlot(channel, bank, slot);
         stats_.inc("quarantine_wraps");
     }
 
@@ -103,7 +100,7 @@ Aqua::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
 }
 
 bool
-Aqua::restoreOne(std::uint32_t channel, std::uint32_t bank, Cycle now)
+Aqua::restoreOne(std::uint32_t channel, std::uint32_t bank)
 {
     RowIndirection &r = rit(channel, bank);
     const RowId logical = r.findStale(epochId_);
@@ -111,17 +108,17 @@ Aqua::restoreOne(std::uint32_t channel, std::uint32_t bank, Cycle now)
         return false;
     const RowId pos = r.remap(logical);
     SRS_ASSERT(pos != logical, "stale identity mapping");
-    evictSlot(channel, bank, pos, now);
+    evictSlot(channel, bank, pos);
     return true;
 }
 
 void
-Aqua::lazyStep(Cycle now)
+Aqua::lazyStep()
 {
     const auto &org = ctrl_.org();
     for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel_; ++b) {
-            if (restoreOne(ch, b, now))
+            if (restoreOne(ch, b))
                 return;
         }
     }

@@ -69,8 +69,8 @@ class Aqua : public Mitigation
 
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
-                  RowId physRow, Cycle now) override;
-    void lazyStep(Cycle now) override;
+                  RowId physRow) override;
+    void lazyStep() override;
 
   private:
     struct BankState
@@ -79,12 +79,11 @@ class Aqua : public Mitigation
     };
 
     /** Restore one stale quarantined row home; @return true if any. */
-    bool restoreOne(std::uint32_t channel, std::uint32_t bank,
-                    Cycle now);
+    bool restoreOne(std::uint32_t channel, std::uint32_t bank);
 
     /** Move the resident of @p slot home (cursor-wrap eviction). */
     void evictSlot(std::uint32_t channel, std::uint32_t bank,
-                   RowId slot, Cycle now);
+                   RowId slot);
 
     BankState &state(std::uint32_t channel, std::uint32_t bank);
 

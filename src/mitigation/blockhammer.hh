@@ -101,7 +101,7 @@ class BlockHammer : public Mitigation
 
   protected:
     /** Swapping never happens; T_S crossings are ignored. */
-    void mitigate(std::uint32_t, std::uint32_t, RowId, Cycle) override {}
+    void mitigate(std::uint32_t, std::uint32_t, RowId) override {}
 
   private:
     /** Derive the throttle spacing from the epoch length. */

@@ -57,7 +57,7 @@ Mitigation::onActivate(std::uint32_t channel, std::uint32_t bank,
 {
     if (tracker_.recordActivation(channel, bank, physRow, now)) {
         stats_.inc("mitigations");
-        mitigate(channel, bank, physRow, now);
+        mitigate(channel, bank, physRow);
     }
 }
 
@@ -99,13 +99,7 @@ Mitigation::tick(Cycle now)
     if (nextLazyAt_ == kNoCycle || now < nextLazyAt_)
         return;
     nextLazyAt_ += lazyInterval_;
-    lazyStep(now);
-}
-
-void
-Mitigation::lazyStep(Cycle now)
-{
-    (void)now;
+    lazyStep();
 }
 
 void

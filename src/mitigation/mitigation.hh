@@ -103,10 +103,10 @@ class Mitigation : public MemCtrlListener
   protected:
     /** React to a T_S crossing at physical row @p physRow. */
     virtual void mitigate(std::uint32_t channel, std::uint32_t bank,
-                          RowId physRow, Cycle now) = 0;
+                          RowId physRow) = 0;
 
     /** One lazy-eviction step (place-back / RIT cleanup). */
-    virtual void lazyStep(Cycle now);
+    virtual void lazyStep() {}
 
     RowIndirection &rit(std::uint32_t channel, std::uint32_t bank);
 
@@ -144,7 +144,7 @@ class NoMitigation : public Mitigation
     const char *name() const override { return "baseline"; }
 
   protected:
-    void mitigate(std::uint32_t, std::uint32_t, RowId, Cycle) override {}
+    void mitigate(std::uint32_t, std::uint32_t, RowId) override {}
 };
 
 } // namespace srs

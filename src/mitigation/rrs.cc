@@ -18,10 +18,8 @@ Rrs::Rrs(MemoryController &ctrl, AggressorTracker &tracker,
 }
 
 void
-Rrs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
-              Cycle now)
+Rrs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow)
 {
-    (void)now;
     RowIndirection &r = rit(channel, bank);
     const RowId logical = r.logicalAt(physRow);
     const RowId home = logical;
@@ -59,9 +57,8 @@ Rrs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
 }
 
 bool
-Rrs::restoreOneStale(std::uint32_t channel, std::uint32_t bank, Cycle now)
+Rrs::restoreOneStale(std::uint32_t channel, std::uint32_t bank)
 {
-    (void)now;
     RowIndirection &r = rit(channel, bank);
     const RowId logical = r.findStale(epochId_);
     if (logical == kInvalidRow)
@@ -83,14 +80,14 @@ Rrs::restoreOneStale(std::uint32_t channel, std::uint32_t bank, Cycle now)
 }
 
 void
-Rrs::lazyStep(Cycle now)
+Rrs::lazyStep()
 {
     const auto &org = ctrl_.org();
     const std::uint32_t banksPerChannel =
         org.ranksPerChannel * org.banksPerRank;
     for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            if (restoreOneStale(ch, b, now))
+            if (restoreOneStale(ch, b))
                 return;
         }
     }
@@ -111,7 +108,7 @@ Rrs::onEpochEnd(Cycle now, Cycle epochLen)
     std::uint64_t restored = 0;
     for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            while (restoreOneStale(ch, b, now))
+            while (restoreOneStale(ch, b))
                 ++restored;
         }
     }

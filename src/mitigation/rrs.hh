@@ -46,13 +46,12 @@ class Rrs : public Mitigation
 
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
-                  RowId physRow, Cycle now) override;
-    void lazyStep(Cycle now) override;
+                  RowId physRow) override;
+    void lazyStep() override;
 
   private:
     /** Restore one stale tuple on (channel, bank); @return done. */
-    bool restoreOneStale(std::uint32_t channel, std::uint32_t bank,
-                         Cycle now);
+    bool restoreOneStale(std::uint32_t channel, std::uint32_t bank);
 
     RrsConfig rrsCfg_;
     Cycle swapCycles_;

@@ -16,7 +16,7 @@ ScaleSrs::ScaleSrs(MemoryController &ctrl, AggressorTracker &tracker,
 
 void
 ScaleSrs::mitigate(std::uint32_t channel, std::uint32_t bank,
-                   RowId physRow, Cycle now)
+                   RowId physRow)
 {
     RowIndirection &r = rit(channel, bank);
     // The hammered logical row (resident of the crossing slot) — this
@@ -25,7 +25,7 @@ ScaleSrs::mitigate(std::uint32_t channel, std::uint32_t bank,
     const RowId logical = r.logicalAt(physRow);
 
     // Swap-only mitigation + counter update, as in SRS.
-    Srs::mitigate(channel, bank, physRow, now);
+    Srs::mitigate(channel, bank, physRow);
 
     const std::uint32_t banksPerChannel =
         ctrl_.org().ranksPerChannel * ctrl_.org().banksPerRank;

@@ -56,7 +56,7 @@ class ScaleSrs : public Srs
 
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
-                  RowId physRow, Cycle now) override;
+                  RowId physRow) override;
 
   private:
     ScaleSrsConfig scaleCfg_;

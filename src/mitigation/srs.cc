@@ -61,10 +61,8 @@ Srs::trackSwap(std::uint32_t channel, std::uint32_t bank, RowId physRow,
 }
 
 void
-Srs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
-              Cycle now)
+Srs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow)
 {
-    (void)now;
     RowIndirection &r = rit(channel, bank);
 
     // Swap-only: pick a fresh partner; never unswap first.
@@ -83,9 +81,8 @@ Srs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow,
 }
 
 bool
-Srs::placeBackOne(std::uint32_t channel, std::uint32_t bank, Cycle now)
+Srs::placeBackOne(std::uint32_t channel, std::uint32_t bank)
 {
-    (void)now;
     RowIndirection &r = rit(channel, bank);
     const RowId logical = r.findStale(epochId_);
     if (logical == kInvalidRow)
@@ -141,14 +138,14 @@ Srs::onEpochEnd(Cycle now, Cycle epochLen)
 }
 
 void
-Srs::lazyStep(Cycle now)
+Srs::lazyStep()
 {
     const auto &org = ctrl_.org();
     const std::uint32_t banksPerChannel =
         org.ranksPerChannel * org.banksPerRank;
     for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            if (placeBackOne(ch, b, now))
+            if (placeBackOne(ch, b))
                 return;
         }
     }

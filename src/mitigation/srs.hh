@@ -58,8 +58,8 @@ class Srs : public Mitigation
 
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
-                  RowId physRow, Cycle now) override;
-    void lazyStep(Cycle now) override;
+                  RowId physRow) override;
+    void lazyStep() override;
 
     /**
      * Update the swap-tracking counter for @p physRow and emit the
@@ -70,8 +70,7 @@ class Srs : public Mitigation
                             RowId physRow, std::uint32_t latent);
 
     /** Place one stale row back home; @return true when one existed. */
-    bool placeBackOne(std::uint32_t channel, std::uint32_t bank,
-                      Cycle now);
+    bool placeBackOne(std::uint32_t channel, std::uint32_t bank);
 
     SrsConfig srsCfg_;
     Cycle swapCycles_;

@@ -1,17 +1,21 @@
 #include "sim/orchestrator.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <ostream>
+#include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/options.hh"
+#include "common/subprocess.hh"
 #include "common/thread_pool.hh"
-#include "farm/dispatcher.hh"
+#include "sim/progress.hh"
 #include "sim/system.hh"
 
 namespace srs
@@ -20,10 +24,25 @@ namespace srs
 namespace
 {
 
+/**
+ * Longest wait between two polls of the running shards, in
+ * milliseconds; a shard's exit ends the wait early.
+ */
+constexpr std::uint64_t kPollMs = 200;
+
 std::string
 shardKey(std::size_t index, const char *field)
 {
     return "shard" + std::to_string(index) + "." + field;
+}
+
+/** Monotonic seconds for the progress clock. */
+double
+steadySec()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
 }
 
 /**
@@ -368,39 +387,12 @@ Orchestrator::Orchestrator(ShardManifest manifest, Config config)
 std::vector<std::string>
 Orchestrator::shardCommand(std::size_t index) const
 {
-    // A previous attempt's checkpoint (or torn CSV) seeds a resume,
-    // so a killed shard never recomputes its finished cells.
-    const std::string checkpoint =
-        shardCheckpoint(manifest_.shards[index], config_.dir);
-    return shardCommandLine(
-        manifest_, index, config_.simPath, config_.dir,
-        config_.shardThreads,
-        checkpoint.empty() ? "" : config_.dir + "/" + checkpoint);
-}
-
-std::string
-shardCheckpoint(const ShardSpec &shard, const std::string &dir)
-{
-    const std::string journal = shard.csv + ".journal";
-    if (std::filesystem::exists(dir + "/" + journal))
-        return journal;
-    if (std::filesystem::exists(dir + "/" + shard.csv))
-        return shard.csv;
-    return "";
-}
-
-std::vector<std::string>
-shardCommandLine(const ShardManifest &manifest, std::size_t index,
-                 const std::string &simPath, const std::string &dir,
-                 std::size_t shardThreads, const std::string &resume)
-{
-    const ShardSpec &shard = manifest.shards[index];
+    const ShardSpec &shard = manifest_.shards[index];
     const SweepGrid &grid = shard.grid;
-    const std::string csv = dir + "/" + shard.csv;
-    const std::string journal = csv + ".journal";
+    const std::string csv = config_.dir + "/" + shard.csv;
 
     std::vector<std::string> cmd;
-    cmd.push_back(simPath);
+    cmd.push_back(config_.simPath);
     cmd.push_back("sweep");
     cmd.push_back("--workloads=" + joinSpecList(grid.workloads));
     std::vector<std::string> mitigations;
@@ -418,14 +410,21 @@ shardCommandLine(const ShardManifest &manifest, std::size_t index,
         cmd.push_back("--mix=" + std::to_string(grid.mixCount));
         cmd.push_back("--mix-base=" + std::to_string(grid.mixBase));
     }
-    cmd.push_back("--cycles=" + std::to_string(manifest.exp.cycles));
-    cmd.push_back("--epoch=" + std::to_string(manifest.exp.epochLen));
-    cmd.push_back("--seed=" + std::to_string(manifest.exp.seed));
-    cmd.push_back("--threads=" + std::to_string(shardThreads));
+    cmd.push_back("--cycles=" + std::to_string(manifest_.exp.cycles));
+    cmd.push_back("--epoch=" + std::to_string(manifest_.exp.epochLen));
+    cmd.push_back("--seed=" + std::to_string(manifest_.exp.seed));
+    cmd.push_back("--threads=" + std::to_string(config_.shardThreads));
     cmd.push_back("--out=" + csv);
-    cmd.push_back("--journal=" + journal);
-    if (!resume.empty())
-        cmd.push_back("--resume=" + resume);
+    cmd.push_back("--journal=" + csv + ".journal");
+    // A previous attempt's checkpoint seeds a resume, so a killed
+    // shard never recomputes its finished cells: the journal when it
+    // exists, else the CSV (whole, short or torn).
+    for (const std::string &checkpoint : {csv + ".journal", csv}) {
+        if (std::filesystem::exists(checkpoint)) {
+            cmd.push_back("--resume=" + checkpoint);
+            break;
+        }
+    }
     return cmd;
 }
 
@@ -503,6 +502,30 @@ jsonQuote(const std::string &s)
     return out;
 }
 
+std::string
+shellQuote(const std::string &s)
+{
+    const bool plain =
+        !s.empty()
+        && std::all_of(s.begin(), s.end(), [](const char c) {
+               return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+                      || (c >= '0' && c <= '9')
+                      || std::string_view("_@%+=:,./-").find(c)
+                             != std::string_view::npos;
+           });
+    if (plain)
+        return s;
+    // 'foo'\''bar': close the quote, emit a literal ', reopen.
+    std::string out = "'";
+    for (const char c : s) {
+        if (c == '\'')
+            out += "'\\''";
+        else
+            out += c;
+    }
+    return out + '\'';
+}
+
 void
 writeShardSummary(std::ostream &out, const ShardManifest &manifest,
                   const std::vector<ShardRunState> &states,
@@ -540,12 +563,12 @@ Orchestrator::writePlan(std::ostream &out, bool json)
         out << "# manifest: " << manifestPath << '\n'
             << "# run each shard (any machine, same binary), collect "
                "the CSVs next to the manifest,\n"
-            << "# then: " << config_.simPath << " merge --manifest="
-            << manifestPath << '\n';
+            << "# then: " << shellQuote(config_.simPath) << " merge "
+            << shellQuote("--manifest=" + manifestPath) << '\n';
         for (std::size_t k = 0; k < manifest_.shards.size(); ++k) {
             const std::vector<std::string> cmd = shardCommand(k);
             for (std::size_t a = 0; a < cmd.size(); ++a)
-                out << (a > 0 ? " " : "") << cmd[a];
+                out << (a > 0 ? " " : "") << shellQuote(cmd[a]);
             out << '\n';
         }
         if (!out.flush())
@@ -591,21 +614,213 @@ Orchestrator::writePlan(std::ostream &out, bool json)
 void
 Orchestrator::run(std::ostream &mergedOut)
 {
-    // An orchestration is a farm of one local host with `jobs`
-    // slots: the dispatcher launches, polls, relaunches and merges.
-    HostSpec local; // the reserved name "local": shards run here
-    local.jobs = ThreadPool::resolveThreads(config_.jobs);
-    FarmConfig farm;
-    farm.dir = config_.dir;
-    farm.hosts = {local};
-    farm.simPath = config_.simPath;
-    farm.shardThreads = config_.shardThreads;
-    farm.retries = config_.retries;
-    FarmDispatcher dispatcher(manifest_, farm);
-    dispatcher.run(mergedOut);
-    launches_ = dispatcher.launches();
-    skipped_ = dispatcher.skippedShards();
-    states_ = dispatcher.shardStates();
+    prepareShardDir(manifest_, config_.dir);
+    const std::string statusPath = config_.dir + "/farm.status";
+    const std::size_t jobs = ThreadPool::resolveThreads(config_.jobs);
+    const std::size_t n = manifest_.shards.size();
+    states_.assign(n, ShardRunState{});
+    launches_ = 0;
+    skipped_ = 0;
+
+    /** Runtime state the supervisor tracks per shard. */
+    struct Live
+    {
+        ShardState state = ShardState::Pending;
+        long pid = -1;
+        std::size_t rows = 0;
+    };
+    std::vector<Live> live(n);
+    std::vector<std::string> headers(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        headers[k] = SweepRunner::journalHeader(
+            manifest_.shards[k].grid.expand(), manifest_.exp.seed);
+    }
+    ProgressClock clock(n);
+
+    const auto localPath = [&](const std::string &name) {
+        return config_.dir + "/" + name;
+    };
+    const auto logPath = [&](std::size_t k) {
+        return localPath("shard" + std::to_string(k) + ".log");
+    };
+    const auto markDone = [&](std::size_t k) {
+        live[k].state = ShardState::Done;
+        live[k].rows = manifest_.shards[k].cells;
+        states_[k].done = true;
+    };
+
+    const auto writeStatus = [&] {
+        std::vector<ShardStatus> snapshot;
+        for (std::size_t k = 0; k < n; ++k) {
+            ShardStatus status;
+            status.index = k;
+            status.state = live[k].state;
+            status.rows = live[k].rows;
+            status.cells = manifest_.shards[k].cells;
+            status.attempts = states_[k].launches;
+            status.rowsPerSec = clock.rowsPerSec(k);
+            status.etaSec =
+                live[k].state == ShardState::Done
+                    ? 0.0
+                    : clock.etaSec(k, manifest_.shards[k].cells);
+            snapshot.push_back(std::move(status));
+        }
+        // Written whole then renamed into place, so a concurrent
+        // reader never sees a half-written snapshot.
+        const std::string tmp = statusPath + ".tmp";
+        {
+            std::ofstream out(tmp,
+                              std::ios::trunc | std::ios::binary);
+            if (!out) {
+                fatal("orchestrator: cannot write status file '", tmp,
+                      "'");
+            }
+            writeStatusJson(out, snapshot);
+        }
+        std::error_code ec;
+        std::filesystem::rename(tmp, statusPath, ec);
+        if (ec) {
+            fatal("orchestrator: cannot move status snapshot into '",
+                  statusPath, "': ", ec.message());
+        }
+    };
+
+    // Reap every in-flight child before a fatal() — orphans would
+    // keep writing into the shard directory and race a re-run.
+    // Their journals survive, so no completed cell is lost.
+    const auto teardown = [&] {
+        for (Live &shard : live) {
+            if (shard.pid >= 0) {
+                killProcess(shard.pid);
+                waitProcess(shard.pid);
+                shard.pid = -1;
+            }
+        }
+    };
+
+    // Shards whose CSVs already validate (a previous run finished
+    // them) are never launched.
+    std::deque<std::size_t> pending;
+    for (std::size_t k = 0; k < n; ++k) {
+        const ShardSpec &shard = manifest_.shards[k];
+        if (!validateShardCsv(shard, manifest_.exp, localPath(shard.csv))
+                 .empty()) {
+            pending.push_back(k);
+            continue;
+        }
+        markDone(k);
+        ++skipped_;
+        std::fprintf(stderr,
+                     "orchestrator: shard %zu already complete (%zu "
+                     "cells)\n",
+                     k, shard.cells);
+    }
+
+    const auto launch = [&](std::size_t k) {
+        const std::vector<std::string> cmd = shardCommand(k);
+        const long pid = spawnProcess(cmd, logPath(k));
+        ++launches_;
+        ++states_[k].launches;
+        live[k].state = ShardState::Running;
+        live[k].pid = pid;
+        std::fprintf(stderr,
+                     "orchestrator: shard %zu of %zu launched (pid "
+                     "%ld, %zu cells%s)\n",
+                     k, n, pid, manifest_.shards[k].cells,
+                     cmd.back().starts_with("--resume=") ? ", resumed"
+                                                         : "");
+    };
+
+    // A failed shard goes back in the queue and resumes from its
+    // journal; fatal() (with the other children torn down and the
+    // child's last words) once its retries run out.
+    const auto handleFailure = [&](std::size_t k,
+                                   const std::string &err) {
+        states_[k].lastError = err;
+        if (states_[k].launches > config_.retries) {
+            live[k].state = ShardState::Failed;
+            writeStatus();
+            teardown();
+            const std::string tail = lastLogLine(logPath(k));
+            writeShardSummary(std::cerr, manifest_, states_,
+                              config_.dir);
+            fatal("orchestrator: shard ", k, " failed after ",
+                  states_[k].launches, " attempt(s): ", err,
+                  tail.empty()
+                      ? ""
+                      : "\n  shard's last log line: " + tail,
+                  "\n  (see ", logPath(k), ")");
+        }
+        ++states_[k].restarts;
+        live[k].state = ShardState::Pending;
+        std::fprintf(stderr,
+                     "orchestrator: shard %zu failed (%s), relaunching "
+                     "from its journal (attempt %zu/%zu)\n",
+                     k, err.c_str(), states_[k].launches + 1,
+                     config_.retries + 1);
+        pending.push_back(k);
+    };
+
+    for (;;) {
+        std::vector<long> running;
+        for (const Live &shard : live) {
+            if (shard.state == ShardState::Running)
+                running.push_back(shard.pid);
+        }
+        while (!pending.empty() && running.size() < jobs) {
+            launch(pending.front());
+            running.push_back(live[pending.front()].pid);
+            pending.pop_front();
+        }
+        if (running.empty())
+            break;
+
+        writeStatus();
+        // A shard's exit ends the wait early, so its job slot is
+        // refilled at once instead of at the next poll.
+        waitForExit(running, kPollMs);
+        const double now = steadySec();
+
+        for (std::size_t k = 0; k < n; ++k) {
+            if (live[k].state != ShardState::Running)
+                continue;
+            const ShardSpec &shard = manifest_.shards[k];
+            int status = 0;
+            if (pollProcess(live[k].pid, status)) {
+                live[k].pid = -1;
+                const std::string err =
+                    processExitedCleanly(status)
+                        ? validateShardCsv(shard, manifest_.exp,
+                                           localPath(shard.csv))
+                        : describeProcessExit(status);
+                if (!err.empty()) {
+                    handleFailure(k, err);
+                    continue;
+                }
+                markDone(k);
+                clock.sample(k, live[k].rows, now);
+                std::fprintf(stderr, "orchestrator: shard %zu done\n",
+                             k);
+                continue;
+            }
+            const std::string journal = localPath(shard.csv + ".journal");
+            const JournalScan scan =
+                scanShardJournal(journal, shard.cells, headers[k]);
+            if (!scan.error.empty()) {
+                teardown();
+                fatal("orchestrator: shard ", k, " journal '", journal,
+                      "': ", scan.error);
+            }
+            if (scan.exists) {
+                live[k].rows = std::max(live[k].rows, scan.rows);
+                clock.sample(k, live[k].rows, now);
+            }
+        }
+    }
+
+    writeStatus();
+    writeShardSummary(std::cerr, manifest_, states_, config_.dir);
+    mergeShards(manifest_, config_.dir, mergedOut);
 }
 
 } // namespace srs

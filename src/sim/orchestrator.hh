@@ -25,14 +25,16 @@
  *    prefix) and stitches them into one global CSV, renumbering the
  *    per-shard indices — the output is byte-identical to a
  *    single-process `srs_sim sweep` of the full grid.
- *  - Orchestrator runs the shards on this machine through the farm
- *    dispatcher (farm/dispatcher.hh), the one shard supervisor, on
- *    a single `local` host with `jobs` slots.  It restarts crashed
- *    or killed shards from their checkpoint journals (the engine's
- *    --resume machinery), writes the `<dir>/farm.status` snapshot
- *    that `srs_sim monitor` reads, and merges on completion.
- *    Re-running a killed orchestration resumes every partial shard
- *    instead of starting over.
+ *  - Orchestrator, the one shard supervisor, runs the shards as
+ *    child processes on this machine, at most `jobs` at a time.  It
+ *    restarts crashed or killed shards from their checkpoint
+ *    journals (the engine's --resume machinery), writes the
+ *    `<dir>/farm.status` snapshot that `srs_sim monitor` reads
+ *    (sim/progress.hh), and merges on completion.  Re-running a
+ *    killed orchestration resumes every partial shard instead of
+ *    starting over.  Shards for other machines come from its plan
+ *    (writePlan()): any scheduler runs the printed commands, and
+ *    mergeShards() stitches what they wrote.
  */
 
 #ifndef SRS_SIM_ORCHESTRATOR_HH
@@ -95,15 +97,14 @@ struct ShardManifest
 };
 
 /**
- * Per-shard supervision accounting, kept by the farm dispatcher
- * (farm/dispatcher.hh) for `orchestrate` and `farm` runs alike and
+ * Per-shard supervision accounting, kept by Orchestrator::run and
  * printed by writeShardSummary().
  */
 struct ShardRunState
 {
     /** Child launches performed (first run plus retries). */
     std::size_t launches = 0;
-    /** Relaunches after a crash, kill, or staleness timeout. */
+    /** Relaunches after a crash or kill. */
     std::size_t restarts = 0;
     /** The shard's CSV validated complete. */
     bool done = false;
@@ -184,33 +185,6 @@ void mergeShards(const ShardManifest &manifest, const std::string &dir,
                  std::ostream &out);
 
 /**
- * The exact `srs_sim sweep` argv for shard @p index of @p manifest,
- * with file paths resolved against @p dir — the shard directory as
- * seen by the *executing* process (the local dir, or a remote
- * host's workdir).  @p resume, when non-empty, is passed through as
- * `--resume=…` (see shardCheckpoint()).  The single source of truth
- * for `orchestrate --plan` (text and JSON) and the farm dispatcher
- * — transport never appears in the command, so a shard computes the
- * same bytes wherever it runs.
- */
-std::vector<std::string>
-shardCommandLine(const ShardManifest &manifest, std::size_t index,
-                 const std::string &simPath, const std::string &dir,
-                 std::size_t shardThreads,
-                 const std::string &resume = "");
-
-/**
- * The checkpoint a (re)launch of @p shard resumes from: its journal
- * when `<dir>/<csv>.journal` exists, else its CSV (whole, short or
- * torn) when `<dir>/<csv>` exists, else "" for a fresh start.  The
- * name is relative to @p dir, so callers can resolve it on the
- * executing side.  The one resume rule of `orchestrate --plan` and
- * the farm dispatcher.
- */
-std::string shardCheckpoint(const ShardSpec &shard,
-                            const std::string &dir);
-
-/**
  * Create @p dir and write its manifest, or verify byte-equality
  * with the manifest already there — reusing a directory that
  * belongs to a *different* orchestration is fatal(), never a silent
@@ -230,6 +204,13 @@ std::string lastLogLine(const std::string &path);
 std::string jsonQuote(const std::string &s);
 
 /**
+ * @p s as one POSIX shell word, for the text plan: unchanged when it
+ * is non-empty and every byte is in `[A-Za-z0-9_@%+=:,./-]`, else
+ * single-quoted with each `'` spelled `'\''`.
+ */
+std::string shellQuote(const std::string &s);
+
+/**
  * End-of-run per-shard summary table: cells, launches, restarts,
  * final status, log path, and any last error — one row per shard.
  * @p states must parallel @p manifest.shards.
@@ -240,10 +221,10 @@ void writeShardSummary(std::ostream &out,
                        const std::string &dir);
 
 /**
- * Runs one orchestrated sweep on this machine: a FarmDispatcher
- * (farm/dispatcher.hh) with one `local` host of `jobs` slots
- * launches, supervises and relaunches the shard processes, then
- * merges their CSVs.
+ * Runs one orchestrated sweep on this machine: launches, supervises
+ * and relaunches the shard processes, then merges their CSVs.
+ * POSIX-only: the common/subprocess.hh helpers it launches and polls
+ * through are fatal() elsewhere.
  */
 class Orchestrator
 {
@@ -267,14 +248,16 @@ class Orchestrator
 
     /**
      * Run the orchestration to completion: write the manifest into
-     * the shard directory, launch every incomplete shard (resuming
-     * from its checkpoint when one exists) with at most `jobs`
-     * children in flight, relaunch failed shards up to `retries`
-     * times, and finally merge all shard CSVs onto @p mergedOut.
-     * The farm dispatcher does all of this and writes
-     * `<dir>/farm.status` as it goes.  A shard that still fails
-     * after its retries, or a shard directory holding a *different*
-     * orchestration's manifest, is fatal().
+     * the shard directory, skip the shards whose CSVs already
+     * validate, launch the rest (resuming from a checkpoint when one
+     * exists) with at most `jobs` children in flight, relaunch failed
+     * shards up to `retries` times, and finally merge all shard CSVs
+     * onto @p mergedOut.  Every poll samples the running shards'
+     * journals and rewrites `<dir>/farm.status`; a shard's exit ends
+     * the wait for the next poll early.  A shard that still fails
+     * after its retries (with the other children torn down first),
+     * or a shard directory holding a *different* orchestration's
+     * manifest, is fatal().
      */
     void run(std::ostream &mergedOut);
 
@@ -283,12 +266,13 @@ class Orchestrator
      * manifest, and print each shard's `srs_sim sweep` command line
      * to @p out — launch nothing.  The commands are exactly what
      * run() would exec, ready to be dispatched to other machines
-     * and stitched back with `srs_sim merge`.  With @p json, the
-     * same plan is emitted as one machine-readable JSON object
+     * and stitched back with `srs_sim merge`; each text line is
+     * shell-safe (shellQuote() on every argument).  With @p json,
+     * the same plan is emitted as one machine-readable JSON object
      * (manifest path, merge argv, per-shard offset/cells/file
      * paths/argv — docs/sweep-format.md has the schema) so external
-     * schedulers and the farm dispatcher consume the same source of
-     * truth as the human listing.
+     * schedulers consume the same source of truth as the human
+     * listing.
      */
     void writePlan(std::ostream &out, bool json = false);
 
@@ -303,7 +287,11 @@ class Orchestrator
     }
 
   private:
-    /** Command line for shard @p index (argv, argv[0] = simPath). */
+    /**
+     * The exact `srs_sim sweep` argv for shard @p index (argv[0] =
+     * simPath), with `--resume=` the shard's journal, or else its CSV,
+     * when one exists in the shard directory.
+     */
     std::vector<std::string> shardCommand(std::size_t index) const;
 
     ShardManifest manifest_;

@@ -1,7 +1,6 @@
-#include "farm/progress.hh"
+#include "sim/progress.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -168,8 +167,7 @@ writeStatusJson(std::ostream &os,
     for (const ShardStatus &s : shards) {
         os << "{\"type\":\"shard\",\"shard\":" << s.index
            << ",\"state\":\"" << shardStateName(s.state)
-           << "\",\"host\":" << jsonQuote(s.host)
-           << ",\"rows\":" << s.rows << ",\"cells\":" << s.cells
+           << "\",\"rows\":" << s.rows << ",\"cells\":" << s.cells
            << ",\"pct\":" << fmtPct(s.rows, s.cells)
            << ",\"rows_per_sec\":" << fmtRate(s.rowsPerSec)
            << ",\"eta_sec\":" << fmtSec(s.etaSec)
@@ -206,14 +204,13 @@ void
 writeStatusTable(std::ostream &os,
                  const std::vector<ShardStatus> &shards)
 {
-    os << "shard  state    host              rows/cells     pct"
-          "    rows/s       eta  attempts\n";
+    os << "shard  state     rows/cells     pct  rows/s       eta"
+          "  attempts\n";
     std::size_t rows = 0, cells = 0, done = 0;
     for (const ShardStatus &s : shards) {
         char head[64];
-        std::snprintf(head, sizeof(head), "%5zu  %-7s  %-16s",
-                      s.index, shardStateName(s.state),
-                      s.host.c_str());
+        std::snprintf(head, sizeof(head), "%5zu  %-7s", s.index,
+                      shardStateName(s.state));
         char mid[80];
         std::snprintf(mid, sizeof(mid), "  %5zu/%-5zu  %5s%%",
                       s.rows, s.cells,
@@ -247,8 +244,7 @@ fleetDone(const std::vector<ShardStatus> &shards)
 std::vector<ShardStatus>
 snapshotFromJournals(const ShardManifest &manifest,
                      const std::string &dir,
-                     const ProgressClock *clock,
-                     const std::vector<std::string> &hosts)
+                     const ProgressClock *clock)
 {
     std::vector<ShardStatus> statuses;
     for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
@@ -273,8 +269,6 @@ snapshotFromJournals(const ShardManifest &manifest,
             status.state = ShardState::Running;
         else
             status.state = ShardState::Pending;
-        if (k < hosts.size() && !hosts[k].empty())
-            status.host = hosts[k];
         if (clock) {
             status.rowsPerSec = clock->rowsPerSec(k);
             status.etaSec = status.state == ShardState::Done
@@ -286,33 +280,6 @@ snapshotFromJournals(const ShardManifest &manifest,
         statuses.push_back(std::move(status));
     }
     return statuses;
-}
-
-std::vector<std::string>
-readHostsFromStatus(const std::string &path, std::size_t shardCount)
-{
-    std::vector<std::string> hosts(shardCount);
-    std::ifstream in(path);
-    if (!in)
-        return hosts;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"type\":\"shard\"") == std::string::npos)
-            continue;
-        const auto shardAt = line.find("\"shard\":");
-        const auto hostAt = line.find("\"host\":\"");
-        if (shardAt == std::string::npos
-            || hostAt == std::string::npos)
-            continue;
-        const std::size_t index = static_cast<std::size_t>(
-            std::strtoull(line.c_str() + shardAt + 8, nullptr, 10));
-        const auto hostStart = hostAt + 8;
-        const auto hostEnd = line.find('"', hostStart);
-        if (index < shardCount && hostEnd != std::string::npos)
-            hosts[index] = line.substr(hostStart,
-                                       hostEnd - hostStart);
-    }
-    return hosts;
 }
 
 } // namespace srs

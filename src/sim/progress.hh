@@ -1,6 +1,7 @@
 /**
  * @file
- * Journal-based fleet progress: the farm's observability channel.
+ * Journal-based shard progress: the orchestrator's observability
+ * channel.
  *
  * Every shard sweep already streams one flushed journal line per
  * completed cell (sim/sweep.hh) — so per-shard progress, rows/sec,
@@ -18,13 +19,13 @@
  *    totals object — docs/sweep-format.md has the schema) or as a
  *    human --watch table.
  *
- * `srs_sim farm --status-file` snapshots through these after every
- * poll; `srs_sim monitor` builds the same snapshot from the shard
- * directory alone, while the fleet is running or after it died.
+ * Orchestrator::run writes `<dir>/farm.status` through these after
+ * every poll; `srs_sim monitor` builds the same snapshot from the
+ * shard directory alone, while the shards run or after they died.
  */
 
-#ifndef SRS_FARM_PROGRESS_HH
-#define SRS_FARM_PROGRESS_HH
+#ifndef SRS_SIM_PROGRESS_HH
+#define SRS_SIM_PROGRESS_HH
 
 #include <cstddef>
 #include <cstdint>
@@ -65,7 +66,7 @@ JournalScan scanShardJournal(const std::string &path,
                              std::size_t cells,
                              const std::string &header);
 
-/** Lifecycle of one shard as the monitor/dispatcher sees it. */
+/** Lifecycle of one shard as the monitor/orchestrator sees it. */
 enum class ShardState
 {
     Pending,  ///< no journal yet, not launched (or just launched)
@@ -82,8 +83,6 @@ struct ShardStatus
 {
     std::size_t index = 0;
     ShardState state = ShardState::Pending;
-    /** Host label ("-" when unassigned/unknown). */
-    std::string host = "-";
     /** Cells completed (journal rows). */
     std::size_t rows = 0;
     /** Cells total. */
@@ -151,28 +150,17 @@ bool fleetDone(const std::vector<ShardStatus> &shards);
 
 /**
  * Build a fleet snapshot for @p manifest by reading the shard
- * journals under @p dir — nothing else; works while a farm/
- * orchestrate run is live on the same directory or after it died.
- * A journal whose header names a different grid is fatal() (reject
- * by name, never misread).  @p clock, when non-null, supplies
- * rows/sec and ETA (the caller samples it); host labels come from
- * @p hosts when non-empty (parallel to shards, "" = unknown).
+ * journals under @p dir — nothing else; works while an orchestrate
+ * run is live on the same directory or after it died.  A journal
+ * whose header names a different grid is fatal() (reject by name,
+ * never misread).  @p clock, when non-null, supplies rows/sec and
+ * ETA (the caller samples it).
  */
 std::vector<ShardStatus>
 snapshotFromJournals(const ShardManifest &manifest,
                      const std::string &dir,
-                     const ProgressClock *clock,
-                     const std::vector<std::string> &hosts = {});
-
-/**
- * Best-effort host labels from a dispatcher --status-file written
- * by writeStatusJson() (one label per shard of @p shardCount; ""
- * when absent/unreadable).  Lets `monitor` show assignments without
- * any channel beyond the shard directory.
- */
-std::vector<std::string>
-readHostsFromStatus(const std::string &path, std::size_t shardCount);
+                     const ProgressClock *clock);
 
 } // namespace srs
 
-#endif // SRS_FARM_PROGRESS_HH
+#endif // SRS_SIM_PROGRESS_HH

@@ -277,6 +277,62 @@ if(NOT axes_orch_diff EQUAL 0)
   message(FATAL_ERROR "orchestrated trace/page-policy CSV differs")
 endif()
 
+# A text plan is shell-safe: a per-core trace list spells its paths
+# with `;`, which the plan single-quotes.  Run the first shard's line
+# through `sh`, as a scheduler on another machine would, then finish
+# the plan with orchestrate on the same flags and --dir: shard 0 is
+# already complete, only shard 1 launches, and the merged CSV is the
+# single-process sweep's.
+set(trace8 "${smoke_dir}/smoke_trace.usimm")
+foreach(core RANGE 1 7)
+  string(APPEND trace8 "\;${smoke_dir}/smoke_trace.usimm")
+endforeach()
+set(sh_grid "--workloads=trace:${trace8},gups" --mitigations=rrs
+    --trh=1200 --rates=6 --cycles=60000 --epoch=25000)
+file(REMOVE_RECURSE ${smoke_dir}/sh_shards)
+# (Not through run_expect_ok: ${ARGV} would split the path list.)
+execute_process(COMMAND ${SRS_SIM} sweep ${sh_grid} --threads=2
+                --out=${smoke_dir}/sh_single.csv --journal=none
+                RESULT_VARIABLE sh_single_rc)
+if(NOT sh_single_rc EQUAL 0)
+  message(FATAL_ERROR "the single-process sweep of the plan grid failed")
+endif()
+execute_process(COMMAND ${SRS_SIM} orchestrate ${sh_grid} --shards=2 --plan
+                --dir=${smoke_dir}/sh_shards
+                OUTPUT_VARIABLE sh_plan RESULT_VARIABLE sh_plan_rc
+                ERROR_QUIET)
+string(REGEX MATCH "\n([^#\n][^\n]*)" sh_line "${sh_plan}")
+if(NOT sh_plan_rc EQUAL 0 OR sh_line STREQUAL "")
+  message(FATAL_ERROR "orchestrate --plan printed no shard line:\n${sh_plan}")
+endif()
+file(WRITE ${smoke_dir}/sh_shard0.sh "${CMAKE_MATCH_1}\n")
+execute_process(COMMAND sh ${smoke_dir}/sh_shard0.sh
+                RESULT_VARIABLE sh_rc OUTPUT_VARIABLE sh_out
+                ERROR_VARIABLE sh_err)
+if(NOT sh_rc EQUAL 0 OR NOT sh_out STREQUAL "")
+  message(FATAL_ERROR "sh exited ${sh_rc} on the plan line "
+          "${smoke_dir}/sh_shard0.sh:\n${sh_out}${sh_err}")
+endif()
+execute_process(COMMAND ${SRS_SIM} orchestrate ${sh_grid} --shards=2
+                --jobs=2 --dir=${smoke_dir}/sh_shards
+                --out=${smoke_dir}/sh_merged.csv
+                RESULT_VARIABLE sh_orch_rc ERROR_VARIABLE sh_orch_err
+                OUTPUT_QUIET)
+if(NOT sh_orch_rc EQUAL 0
+   OR NOT sh_orch_err MATCHES "shard 0 already complete"
+   OR sh_orch_err MATCHES "shard 0 of 2 launched"
+   OR NOT sh_orch_err MATCHES "shard 1 of 2 launched")
+  message(FATAL_ERROR "orchestrate did not finish the plan run by hand "
+          "(exit ${sh_orch_rc}):\n${sh_orch_err}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${smoke_dir}/sh_single.csv ${smoke_dir}/sh_merged.csv
+                RESULT_VARIABLE sh_diff)
+if(NOT sh_diff EQUAL 0)
+  message(FATAL_ERROR "the plan finished after a shard run through sh "
+          "differs from the single-process sweep")
+endif()
+
 # Orchestrate: split the same grid into 3 shards (one per workload),
 # run them as supervised child processes two at a time, and require
 # the merged CSV to be byte-identical to a single-process sweep.
@@ -322,6 +378,20 @@ if(EXISTS ${smoke_dir}/orch_plan/shard0.csv)
   message(FATAL_ERROR "orchestrate --plan ran a shard")
 endif()
 run_expect_fail(merge --manifest=${smoke_dir}/orch_plan/manifest)
+# The JSON plan names every shard's argv and the merge argv.
+execute_process(COMMAND ${SRS_SIM} orchestrate ${orch_grid} --shards=3
+                --plan --plan-format=json --dir=${smoke_dir}/orch_plan
+                OUTPUT_VARIABLE plan_json RESULT_VARIABLE plan_rc
+                ERROR_QUIET)
+if(NOT plan_rc EQUAL 0)
+  message(FATAL_ERROR "orchestrate --plan --plan-format=json failed")
+endif()
+foreach(needle "\"shards\":" "\"argv\":" "\"merge\":")
+  if(NOT plan_json MATCHES "${needle}")
+    message(FATAL_ERROR "JSON plan lacks '${needle}'")
+  endif()
+endforeach()
+run_expect_fail(orchestrate ${orch_grid} --plan --plan-format=yaml)
 
 # A tampered shard must be rejected by merge, never mixed in.
 file(READ ${smoke_dir}/orch_shards/shard1.csv shard1_text)
@@ -358,10 +428,10 @@ exec "@SRS_SIM@" "$@"
 set(kill_sim ${smoke_dir}/kill_sim.sh)
 file(WRITE ${kill_sim} "${kill_script}")
 file(CHMOD ${kill_sim} PERMISSIONS OWNER_READ OWNER_WRITE OWNER_EXECUTE)
-# Run a supervisor (orchestrate or farm) whose first shard launch goes
-# through the wrapper and dies; require the relaunch from that shard's
-# journal, a mid-run monitor snapshot with fleet and shard lines, and
-# the single-process bytes:
+# Run an orchestrate whose first shard launch goes through the wrapper
+# and dies; require the relaunch from that shard's journal, a mid-run
+# monitor snapshot with fleet and shard lines, and the single-process
+# bytes:
 #   run_killing_one_shard(<shard dir> <merged csv> <argv>...)
 function(run_killing_one_shard dir merged)
   execute_process(COMMAND ${SRS_SIM} ${ARGN} --out=${merged}
@@ -401,12 +471,14 @@ set(kill_args orchestrate ${orch_grid} --shards=3 --jobs=2 --threads=1
 run_killing_one_shard(${smoke_dir}/kill_shards
                       ${smoke_dir}/kill_merged.csv ${kill_args}
                       --dir=${smoke_dir}/kill_shards)
-# orchestrate writes the farm status file, so monitor shows hosts.
+# The final status file and a monitor snapshot from the journals alone
+# both report every shard done.
 file(READ ${smoke_dir}/kill_shards/farm.status kill_status)
 execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/kill_shards
                 OUTPUT_VARIABLE kill_monitor ERROR_QUIET)
 foreach(report kill_status kill_monitor)
-  foreach(needle "\"done\":3" "\"host\":\"local\"")
+  foreach(needle "\"type\":\"shard\"" "\"type\":\"fleet\"" "\"done\":3"
+          "\"pct\":100.0")
     if(NOT ${report} MATCHES "${needle}")
       message(FATAL_ERROR "${report} lacks '${needle}':\n${${report}}")
     endif()
@@ -639,72 +711,6 @@ foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
     ARGS ${reader})
 endforeach()
 
-# Farm: dispatch a planned orchestration across a simulated fleet of
-# two "local" hosts x 2 jobs, with the first shard launch killed, and
-# require the relaunch and the single-process bytes; the JSON plan
-# names every shard's argv; monitor reports fleet completion from the
-# journals alone.
-file(REMOVE_RECURSE ${smoke_dir}/farm_shards)
-run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan
-              --dir=${smoke_dir}/farm_shards)
-execute_process(COMMAND ${SRS_SIM} orchestrate ${orch_grid} --shards=3
-                --plan --plan-format=json --dir=${smoke_dir}/farm_shards
-                OUTPUT_VARIABLE plan_json RESULT_VARIABLE plan_rc
-                ERROR_QUIET)
-if(NOT plan_rc EQUAL 0)
-  message(FATAL_ERROR "orchestrate --plan --plan-format=json failed")
-endif()
-foreach(needle "\"shards\":" "\"argv\":" "\"merge\":")
-  if(NOT plan_json MATCHES "${needle}")
-    message(FATAL_ERROR "JSON plan lacks '${needle}'")
-  endif()
-endforeach()
-run_expect_fail(orchestrate ${orch_grid} --plan --plan-format=yaml)
-file(WRITE ${smoke_dir}/farm_hosts.conf
-     "version=1\nhosts=2\nhost0.host=local\nhost0.jobs=2\nhost1.host=local\nhost1.jobs=2\n")
-run_killing_one_shard(${smoke_dir}/farm_shards
-                      ${smoke_dir}/farm_merged.csv
-                      farm --manifest=${smoke_dir}/farm_shards/manifest
-                      --hosts=${smoke_dir}/farm_hosts.conf --threads=1
-                      --sim=${kill_sim})
-file(READ ${smoke_dir}/farm_shards/farm.status farm_status)
-foreach(needle "\"type\":\"fleet\"" "\"done\":3" "\"host\":\"local\"")
-  if(NOT farm_status MATCHES "${needle}")
-    message(FATAL_ERROR "farm status file lacks '${needle}'")
-  endif()
-endforeach()
-execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/farm_shards
-                OUTPUT_VARIABLE monitor_json RESULT_VARIABLE monitor_rc
-                ERROR_QUIET)
-if(NOT monitor_rc EQUAL 0)
-  message(FATAL_ERROR "monitor exited ${monitor_rc}")
-endif()
-foreach(needle "\"type\":\"shard\"" "\"type\":\"fleet\"" "\"done\":3"
-        "\"pct\":100.0" "\"host\":\"local\"")
-  if(NOT monitor_json MATCHES "${needle}")
-    message(FATAL_ERROR "monitor JSON lacks '${needle}'")
-  endif()
-endforeach()
-# Re-farming a finished directory launches nothing and merges the
-# same bytes.
-run_expect_ok(farm --manifest=${smoke_dir}/farm_shards/manifest
-              --hosts=${smoke_dir}/farm_hosts.conf
-              --out=${smoke_dir}/farm_again.csv)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${smoke_dir}/orch_single.csv ${smoke_dir}/farm_again.csv
-                RESULT_VARIABLE farm_rediff)
-if(NOT farm_rediff EQUAL 0)
-  message(FATAL_ERROR "re-farmed CSV differs from single-process sweep")
-endif()
-# Misconfigured fleets and missing inputs are fatal by name.
-run_expect_fail(farm)
-run_expect_fail(farm --manifest=${smoke_dir}/farm_shards/manifest)
-run_expect_fail(farm --hosts=${smoke_dir}/farm_hosts.conf)
-file(WRITE ${smoke_dir}/bad_hosts.conf
-     "version=9\nhosts=1\nhost0.host=local\n")
-run_expect_fail_saying(NEEDLES "version 9"
-                       ARGS farm --manifest=${smoke_dir}/farm_shards/manifest
-                            --hosts=${smoke_dir}/bad_hosts.conf)
 run_expect_fail(monitor)
 run_expect_fail(monitor --dir=${smoke_dir}/no_such_dir)
 
@@ -778,13 +784,12 @@ run_expect_fail()
 run_expect_fail(frobnicate)
 execute_process(COMMAND ${SRS_SIM} OUTPUT_VARIABLE usage_text
                 RESULT_VARIABLE usage_rc ERROR_QUIET)
-foreach(subcommand perf sweep orchestrate merge farm monitor attack
+foreach(subcommand perf sweep orchestrate merge monitor attack
         security storage trace list
         --workloads --shards --manifest --montecarlo --defenses --rounds
         --trace --page-policy --preset --org
         --trc --trcd --trp --trefi --trfc "trace:"
-        --hosts --status-file --stale-sec --plan-format --watch
-        --interval-ms --poll-ms)
+        --plan-format --watch --interval-ms)
   if(NOT usage_text MATCHES "${subcommand}")
     message(FATAL_ERROR "usage() does not mention '${subcommand}'")
   endif()

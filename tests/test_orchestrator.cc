@@ -4,21 +4,24 @@
  * manifest round-tripping, and the merge path — shard CSVs stitched
  * byte-identically to a single-process sweep, index renumbering,
  * rejection of mismatched or torn shards, and a killed-shard →
- * resume → re-merge roundtrip.  Orchestrator::run hands the shards
- * to the farm dispatcher (tests/test_farm.cc); tests/cli_smoke.cmake
- * runs it end to end, including a shard killed mid-run and
- * relaunched from its journal.
+ * resume → re-merge roundtrip — plus the plan's shell quoting and
+ * the supervisor's skip and give-up contracts in Orchestrator::run.
+ * tests/cli_smoke.cmake runs the supervisor end to end, including a
+ * shard killed mid-run and relaunched from its journal, and a text
+ * plan run through `sh`.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/subprocess.hh"
 #include "sim/orchestrator.hh"
 #include "sim/sweep.hh"
 #include "stale_schema.hh"
@@ -650,6 +653,23 @@ TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
     EXPECT_EQ(text.str().rfind("# manifest:", 0), 0u);
 }
 
+TEST(OrchestratorPlan, ShellQuoteSurvivesHostileStrings)
+{
+    // Words of the shell-safe set pass through, so a plan without
+    // special bytes prints the bytes it always did.
+    EXPECT_EQ(shellQuote("plain"), "plain");
+    EXPECT_EQ(shellQuote("/opt/srs-1.0/srs_sim"), "/opt/srs-1.0/srs_sim");
+    EXPECT_EQ(shellQuote("--workloads=blend:zipf:64@s=0.9+attack@0.05"),
+              "--workloads=blend:zipf:64@s=0.9+attack@0.05");
+    // Anything else is one single-quoted word, a ' spelled '\''.
+    EXPECT_EQ(shellQuote(""), "''");
+    EXPECT_EQ(shellQuote("it's"), "'it'\\''s'");
+    EXPECT_EQ(shellQuote("a b;rm -rf"), "'a b;rm -rf'");
+    EXPECT_EQ(shellQuote("--workloads=trace:a.usimm;b.usimm"),
+              "'--workloads=trace:a.usimm;b.usimm'");
+    EXPECT_EQ(shellQuote("$HOME*"), "'$HOME*'");
+}
+
 TEST(OrchestratorSummary, TableNamesEveryShardsOutcome)
 {
     const ShardManifest manifest =
@@ -699,6 +719,108 @@ TEST(OrchestratorConfig, MissingBinaryOrDirIsFatal)
     Orchestrator::Config noDir;
     noDir.simPath = "/bin/false";
     EXPECT_THROW(Orchestrator(manifest, noDir), FatalError);
+}
+
+TEST(Subprocess, SpawnReportsChildExitFaithfully)
+{
+    const std::string log = testing::TempDir() + "spawn_test.log";
+    std::remove(log.c_str());
+    const long ok =
+        spawnProcess({"/bin/sh", "-c", "echo spawn-was-here"}, log);
+    EXPECT_TRUE(processExitedCleanly(waitProcess(ok)));
+    EXPECT_NE(readFile(log).find("spawn-was-here"), std::string::npos);
+
+    const int status =
+        waitProcess(spawnProcess({"/bin/sh", "-c", "exit 3"}, log));
+    EXPECT_FALSE(processExitedCleanly(status));
+    EXPECT_NE(describeProcessExit(status).find("status 3"),
+              std::string::npos);
+}
+
+/** 2 workloads x 1 mitigation x 1 trh x 1 rate: 2 one-cell shards. */
+SweepGrid
+twoCellGrid()
+{
+    SweepGrid grid;
+    grid.workloads = {WorkloadSpec::synthetic("gups"),
+                      WorkloadSpec::synthetic("gcc")};
+    grid.mitigations = {MitigationKind::Rrs};
+    grid.trhs = {1200};
+    grid.swapRates = {3};
+    return grid;
+}
+
+TEST(OrchestratorRun, CompletedShardsMergeWithoutLaunching)
+{
+    // Every shard CSV already validates, so a run over the directory
+    // — even with more job slots than shards and a sim path that
+    // could never work — launches nothing and stitches the
+    // byte-identical merged CSV.
+    const ExperimentConfig exp = tinyExperiment();
+    const SweepGrid grid = twoCellGrid();
+    const ShardManifest manifest = planShards(grid, exp, 2);
+    const std::string dir = testing::TempDir() + "orch_done_dir";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const ShardSpec &shard : manifest.shards) {
+        std::ofstream out(dir + "/" + shard.csv,
+                          std::ios::trunc | std::ios::binary);
+        SweepRunner::writeCsv(out,
+                              SweepRunner(exp, 2).run(shard.grid));
+    }
+
+    Orchestrator::Config cfg;
+    cfg.dir = dir;
+    cfg.simPath = "/bin/false"; // must never be invoked
+    cfg.jobs = 4;
+    Orchestrator orchestrator(manifest, cfg);
+    std::ostringstream merged;
+    orchestrator.run(merged);
+    EXPECT_EQ(merged.str(), sweepCsv(grid, 1));
+    EXPECT_EQ(orchestrator.launches(), 0u);
+    EXPECT_EQ(orchestrator.skippedShards(), manifest.shards.size());
+    for (const ShardRunState &state : orchestrator.shardStates()) {
+        EXPECT_TRUE(state.done);
+        EXPECT_EQ(state.restarts, 0u);
+    }
+
+    // The run left a final status snapshot behind: all shards done.
+    const std::string status = readFile(dir + "/farm.status");
+    EXPECT_NE(status.find("\"type\":\"fleet\""), std::string::npos);
+    EXPECT_NE(status.find("\"done\":2"), std::string::npos);
+}
+
+TEST(OrchestratorRun, ExhaustedRetriesAreFatalWithTheChildsExit)
+{
+    // A sim that always dies: one relaunch (retries=1), then a fatal
+    // that carries the child's exit description.
+    const ShardManifest manifest =
+        planShards(twoCellGrid(), tinyExperiment(), 1);
+    const std::string dir = testing::TempDir() + "orch_fail_dir";
+    std::filesystem::remove_all(dir);
+
+    Orchestrator::Config cfg;
+    cfg.dir = dir;
+    cfg.simPath = "/bin/false";
+    cfg.jobs = 1;
+    cfg.retries = 1;
+    Orchestrator orchestrator(manifest, cfg);
+    std::ostringstream merged;
+    try {
+        orchestrator.run(merged);
+        FAIL() << "a shard run by /bin/false cannot succeed";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what())
+                      .find("failed after 2 attempt(s)"),
+                  std::string::npos)
+            << err.what();
+        EXPECT_NE(std::string(err.what()).find("status 1"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_EQ(orchestrator.launches(), 2u);
+    EXPECT_EQ(orchestrator.shardStates()[0].restarts, 1u);
+    EXPECT_FALSE(orchestrator.shardStates()[0].lastError.empty());
 }
 
 } // namespace

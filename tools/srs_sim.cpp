@@ -99,8 +99,11 @@
  *            sweep grid flags plus [--shards=S] [--jobs=J]
  *            [--threads=N per shard] [--retries=R] [--dir=DIR]
  *            [--sim=PATH] [--out=FILE]; --plan writes the manifest
- *            and prints the per-shard commands (for dispatch to
- *            other machines) without launching anything.
+ *            and prints the per-shard commands (shell-quoted, or as
+ *            JSON argvs with --plan-format=json) without launching
+ *            anything, for any scheduler to run on other machines;
+ *            re-running with the same flags and --dir finishes
+ *            whatever those runs left undone.
  *
  *   merge    stitch-only: validate the shard CSVs named by an
  *            orchestration manifest (written by `orchestrate`, or
@@ -108,21 +111,8 @@
  *            merged CSV:
  *              srs_sim merge --manifest=DIR/manifest [--out=FILE]
  *
- *   farm     run a planned orchestration (`orchestrate --plan`)
- *            across a fleet described by a hostfile — local job
- *            slots and/or ssh hosts — supervising every shard
- *            through its checkpoint journal, restarting or
- *            rebalancing crashed/stalled shards, and stitching the
- *            same byte-identical merged CSV:
- *              srs_sim farm --manifest=DIR/manifest
- *                      --hosts=hosts.conf [--retries=R]
- *                      [--threads=N per shard] [--poll-ms=MS]
- *                      [--stale-sec=S] [--status-file=FILE]
- *                      [--sim=PATH] [--out=FILE]
- *
- *   monitor  report live fleet progress by reading the shard
- *            journals (and the farm status file, when present) —
- *            no channel to the dispatcher needed:
+ *   monitor  report live shard progress by reading the shard
+ *            journals alone — no channel to the orchestrator needed:
  *              srs_sim monitor --dir=DIR | --manifest=FILE
  *                      [--watch] [--interval-ms=MS]
  *
@@ -147,14 +137,12 @@
 #include "common/logging.hh"
 #include "common/options.hh"
 #include "common/thread_pool.hh"
-#include "farm/dispatcher.hh"
-#include "farm/hostfile.hh"
-#include "farm/progress.hh"
 #include "security/attack_model.hh"
 #include "security/security_sweep.hh"
 #include "security/storage_model.hh"
 #include "sim/experiment.hh"
 #include "sim/orchestrator.hh"
+#include "sim/progress.hh"
 #include "sim/sweep.hh"
 #include "trace/profiles.hh"
 #include "trace/synthetic.hh"
@@ -403,56 +391,6 @@ cmdMerge(const Options &opts)
 }
 
 int
-cmdFarm(const Options &opts)
-{
-    const std::string manifestPath = opts.getString("manifest", "");
-    const std::string hostsPath = opts.getString("hosts", "");
-    FarmConfig cfg;
-    cfg.shardThreads = opts.getUint<std::size_t>("threads", 1);
-    cfg.retries = opts.getUint<std::size_t>("retries", 2);
-    cfg.pollMs = opts.getUint("poll-ms", 200);
-    cfg.staleSec = static_cast<double>(opts.getUint("stale-sec", 0));
-    cfg.statusFile = opts.getString("status-file", "");
-    cfg.simPath = opts.getString("sim", selfExePath());
-    const std::string out = opts.getString("out", "");
-    opts.rejectUnknown();
-    if (manifestPath.empty())
-        fatal("farm needs --manifest=FILE (written by 'srs_sim "
-              "orchestrate --plan')");
-    if (hostsPath.empty())
-        fatal("farm needs --hosts=FILE (the fleet hostfile; "
-              "docs/sweep-format.md has the format)");
-
-    const ShardManifest manifest = loadManifest(manifestPath);
-    cfg.dir =
-        std::filesystem::path(manifestPath).parent_path().string();
-    if (cfg.dir.empty())
-        cfg.dir = ".";
-    cfg.hosts = loadHostfile(hostsPath);
-
-    FarmDispatcher farm(manifest, cfg);
-    if (out.empty()) {
-        farm.run(std::cout);
-        if (!std::cout.flush())
-            fatal("error writing merged CSV to stdout");
-    } else {
-        std::ofstream file(out, std::ios::trunc | std::ios::binary);
-        if (!file)
-            fatal("cannot open '", out, "' for writing");
-        farm.run(file);
-    }
-    std::fprintf(stderr,
-                 "farm: merged %zu cells from %zu shard(s) across "
-                 "%zu host(s) into %s (%zu launched, %zu restarted, "
-                 "%zu already complete)\n",
-                 manifest.totalCells(), manifest.shards.size(),
-                 cfg.hosts.size(), out.empty() ? "stdout" : out.c_str(),
-                 farm.launches(), farm.restarts(),
-                 farm.skippedShards());
-    return 0;
-}
-
-int
 cmdMonitor(const Options &opts)
 {
     std::string manifestPath = opts.getString("manifest", "");
@@ -475,19 +413,14 @@ cmdMonitor(const Options &opts)
     }
 
     const ShardManifest manifest = loadManifest(manifestPath);
-    const std::size_t n = manifest.shards.size();
-    const std::string statusPath = dir + "/farm.status";
 
-    // The snapshot is built from the shard journals alone; the
-    // dispatcher's status file (when present) only decorates it with
-    // host assignments.  Rates/ETAs need two samples, so one-shot
-    // JSON reports them as -1 and --watch fills them in from the
-    // second refresh on.
-    ProgressClock clock(n);
+    // The snapshot is built from the shard journals alone.
+    // Rates/ETAs need two samples, so one-shot JSON reports them as
+    // -1 and --watch fills them in from the second refresh on.
+    ProgressClock clock(manifest.shards.size());
     for (;;) {
-        std::vector<ShardStatus> snapshot = snapshotFromJournals(
-            manifest, dir, nullptr,
-            readHostsFromStatus(statusPath, n));
+        std::vector<ShardStatus> snapshot =
+            snapshotFromJournals(manifest, dir, nullptr);
         const double now =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now().time_since_epoch())
@@ -767,19 +700,7 @@ usage()
         "  merge        validate + stitch shard CSVs from a manifest\n"
         "    --manifest=FILE (required)  --out=FILE (stdout)\n"
         "\n"
-        "  farm         dispatch a planned orchestration across a\n"
-        "               fleet (hostfile: local slots and/or ssh\n"
-        "               hosts), supervise via checkpoint journals,\n"
-        "               restart/rebalance dead shards, stitch the\n"
-        "               byte-identical merged CSV\n"
-        "    --manifest=FILE (required, from orchestrate --plan)\n"
-        "    --hosts=FILE (required fleet hostfile)\n"
-        "    --threads=N per shard (1)  --retries=R (2)\n"
-        "    --poll-ms=MS (200)  --stale-sec=S (0 = no straggler\n"
-        "    timeout)  --status-file=FILE (<dir>/farm.status)\n"
-        "    --sim=PATH (this binary)  --out=FILE (stdout)\n"
-        "\n"
-        "  monitor      live fleet progress from the shard journals\n"
+        "  monitor      live shard progress from the shard journals\n"
         "               alone (JSON lines; --watch for a table)\n"
         "    --dir=DIR | --manifest=FILE (one required;\n"
         "    --manifest defaults to <dir>/manifest)\n"
@@ -844,8 +765,6 @@ main(int argc, char **argv)
             return cmdOrchestrate(opts);
         if (cmd == "merge")
             return cmdMerge(opts);
-        if (cmd == "farm")
-            return cmdFarm(opts);
         if (cmd == "monitor")
             return cmdMonitor(opts);
         if (cmd == "attack")
