@@ -31,8 +31,9 @@ main()
     constexpr std::uint32_t kMixes = 2;
     std::vector<SweepCell> cells;
     const auto workloads = benchWorkloads();
-    const auto appendPair = [&](const SweepCell &proto) {
-        SweepCell rrs = proto;
+    const auto appendPair = [&](const WorkloadSpec &spec) {
+        SweepCell rrs;
+        rrs.workload = spec;
         rrs.mitigation = MitigationKind::Rrs;
         rrs.trh = trh;
         rrs.swapRate = 6;
@@ -42,13 +43,10 @@ main()
         scale.swapRate = 3;
         cells.push_back(std::move(scale));
     };
-    for (const WorkloadProfile &w : workloads) {
-        SweepCell proto;
-        proto.workload = WorkloadSpec::synthetic(w.name);
-        appendPair(proto);
-    }
+    for (const WorkloadProfile &w : workloads)
+        appendPair(WorkloadSpec::synthetic(w.name));
     for (std::uint32_t mix = 0; mix < kMixes; ++mix)
-        appendPair(mixSweepCell(mix, exp.numCores));
+        appendPair(WorkloadSpec::mix(mix, exp.numCores));
     SweepRunner runner(exp, benchThreads());
     const std::vector<SweepResult> results = runner.run(cells);
 

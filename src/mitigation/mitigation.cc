@@ -18,6 +18,8 @@ checkSwapThreshold(std::uint32_t trh, std::uint32_t swapRate)
 Mitigation::Mitigation(MemoryController &ctrl, AggressorTracker &tracker,
                        const MitigationConfig &cfg)
     : ctrl_(ctrl), tracker_(tracker), cfg_(cfg), rng_(cfg.seed),
+      swapCycles_(4 * ctrl.timing().rowTransferCycles(
+                          ctrl.org().linesPerRow())),
       banksPerChannel_(ctrl.org().ranksPerChannel *
                        ctrl.org().banksPerRank)
 {
@@ -100,6 +102,44 @@ Mitigation::tick(Cycle now)
         return;
     nextLazyAt_ += lazyInterval_;
     lazyStep();
+}
+
+bool
+Mitigation::placeBackOne(std::uint32_t channel, std::uint32_t bank)
+{
+    RowIndirection &r = rit(channel, bank);
+    const RowId logical = r.findStale(epochId_);
+    if (logical == kInvalidRow)
+        return false;
+    const RowId pos = r.remap(logical);
+    SRS_ASSERT(pos != logical, "stale identity mapping");
+    // Going home re-tags the touched mappings with the current epoch;
+    // for a clean tuple both collapse to identity anyway.
+    r.swapPhysical(pos, logical, epochId_);
+
+    // The row goes home through the swap buffer while the displaced
+    // resident parks in the place-back buffer (Figure 8); cost-wise
+    // it is one two-row movement.
+    MigrationJob job;
+    job.kind = MigrationJob::Kind::PlaceBack;
+    job.duration = swapCycles_;
+    job.charges.push_back(RowCharge{pos, 1});
+    job.charges.push_back(RowCharge{logical, 1});
+    schedule(channel, bank, std::move(job));
+    stats_.inc(placeBackStat_);
+    return true;
+}
+
+void
+Mitigation::lazyStep()
+{
+    for (std::uint32_t ch = 0; ch < ctrl_.org().channels; ++ch) {
+        for (std::uint32_t b = 0; b < banksPerChannel_; ++b) {
+            if (placeBackOne(ch, b))
+                return;
+        }
+    }
+    nextLazyAt_ = kNoCycle; // nothing stale left this epoch
 }
 
 void

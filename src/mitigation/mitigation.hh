@@ -105,8 +105,22 @@ class Mitigation : public MemCtrlListener
     virtual void mitigate(std::uint32_t channel, std::uint32_t bank,
                           RowId physRow) = 0;
 
-    /** One lazy-eviction step (place-back / RIT cleanup). */
-    virtual void lazyStep() {}
+    /**
+     * One lazy-eviction step: place back one stale row of the first
+     * bank that holds one (placeBackOne), or stop the pacing for this
+     * epoch when no bank does.  RRS and SRS use it as it is, AQUA
+     * overrides it, and a mitigation that never swaps never arms it.
+     */
+    virtual void lazyStep();
+
+    /**
+     * Place the oldest stale row of (@p channel, @p bank) back home:
+     * it trades slots with the row resident there in one PlaceBack
+     * job that charges both rows and lasts swapCycles_.  Counted
+     * under placeBackStat_.
+     * @return true when the bank held a stale row
+     */
+    bool placeBackOne(std::uint32_t channel, std::uint32_t bank);
 
     RowIndirection &rit(std::uint32_t channel, std::uint32_t bank);
 
@@ -126,6 +140,14 @@ class Mitigation : public MemCtrlListener
     std::uint32_t epochId_ = 0;
     Cycle nextLazyAt_ = kNoCycle;
     Cycle lazyInterval_ = 0;
+
+    /**
+     * One two-row swap streams both rows out and back: four row
+     * transfers (~2.7 us with Table III timings).
+     */
+    Cycle swapCycles_;
+    /** The counter placeBackOne() bumps (RRS: `lazy_restores`). */
+    const char *placeBackStat_ = "place_backs";
 
   private:
     std::vector<RowIndirection> rits_;  ///< channel-major per bank

@@ -1,20 +1,14 @@
 #include "mitigation/rrs.hh"
 
-#include "common/logging.hh"
-
 namespace srs
 {
 
 Rrs::Rrs(MemoryController &ctrl, AggressorTracker &tracker,
          const MitigationConfig &cfg, const RrsConfig &rrsCfg)
-    : Mitigation(ctrl, tracker, cfg), rrsCfg_(rrsCfg)
+    : Mitigation(ctrl, tracker, cfg), rrsCfg_(rrsCfg),
+      unswapSwapCycles_(2 * swapCycles_) // an unswap-swap is two swaps
 {
-    // A swap streams two rows out and back: four row transfers
-    // (~2.7 us with Table III timings); an unswap-swap doubles it.
-    const Cycle transfer =
-        ctrl_.timing().rowTransferCycles(ctrl_.org().linesPerRow());
-    swapCycles_ = 4 * transfer;
-    unswapSwapCycles_ = 8 * transfer;
+    placeBackStat_ = "lazy_restores";
 }
 
 void
@@ -56,44 +50,6 @@ Rrs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow)
     schedule(channel, bank, std::move(job));
 }
 
-bool
-Rrs::restoreOneStale(std::uint32_t channel, std::uint32_t bank)
-{
-    RowIndirection &r = rit(channel, bank);
-    const RowId logical = r.findStale(epochId_);
-    if (logical == kInvalidRow)
-        return false;
-    const RowId pos = r.remap(logical);
-    SRS_ASSERT(pos != logical, "stale identity mapping");
-    r.swapPhysical(pos, logical, epochId_);
-    // Restoring re-tags the touched mappings with the current epoch;
-    // for a clean tuple both mappings collapse to identity anyway.
-
-    MigrationJob job;
-    job.kind = MigrationJob::Kind::PlaceBack;
-    job.duration = swapCycles_;
-    job.charges.push_back(RowCharge{pos, 1});
-    job.charges.push_back(RowCharge{logical, 1});
-    schedule(channel, bank, std::move(job));
-    stats_.inc("lazy_restores");
-    return true;
-}
-
-void
-Rrs::lazyStep()
-{
-    const auto &org = ctrl_.org();
-    const std::uint32_t banksPerChannel =
-        org.ranksPerChannel * org.banksPerRank;
-    for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
-        for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            if (restoreOneStale(ch, b))
-                return;
-        }
-    }
-    nextLazyAt_ = kNoCycle; // nothing stale left this epoch
-}
-
 void
 Rrs::onEpochEnd(Cycle now, Cycle epochLen)
 {
@@ -108,7 +64,7 @@ Rrs::onEpochEnd(Cycle now, Cycle epochLen)
     std::uint64_t restored = 0;
     for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
         for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            while (restoreOneStale(ch, b))
+            while (placeBackOne(ch, b))
                 ++restored;
         }
     }

@@ -47,14 +47,9 @@ class Rrs : public Mitigation
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
                   RowId physRow) override;
-    void lazyStep() override;
 
   private:
-    /** Restore one stale tuple on (channel, bank); @return done. */
-    bool restoreOneStale(std::uint32_t channel, std::uint32_t bank);
-
     RrsConfig rrsCfg_;
-    Cycle swapCycles_;
     Cycle unswapSwapCycles_;
 };
 

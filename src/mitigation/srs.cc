@@ -1,7 +1,5 @@
 #include "mitigation/srs.hh"
 
-#include "common/logging.hh"
-
 namespace srs
 {
 
@@ -9,9 +7,6 @@ Srs::Srs(MemoryController &ctrl, AggressorTracker &tracker,
          const MitigationConfig &cfg, const SrsConfig &srsCfg)
     : Mitigation(ctrl, tracker, cfg), srsCfg_(srsCfg)
 {
-    const Cycle transfer =
-        ctrl_.timing().rowTransferCycles(ctrl_.org().linesPerRow());
-    swapCycles_ = 4 * transfer;
     // Counter read-modify-write: one activation plus a short burst.
     counterAccessCycles_ = ctrl_.timing().tRC + ctrl_.timing().tCAS +
                            ctrl_.timing().tBL;
@@ -80,30 +75,6 @@ Srs::mitigate(std::uint32_t channel, std::uint32_t bank, RowId physRow)
     trackSwap(channel, bank, physRow, 1);
 }
 
-bool
-Srs::placeBackOne(std::uint32_t channel, std::uint32_t bank)
-{
-    RowIndirection &r = rit(channel, bank);
-    const RowId logical = r.findStale(epochId_);
-    if (logical == kInvalidRow)
-        return false;
-    const RowId pos = r.remap(logical);
-    SRS_ASSERT(pos != logical, "stale identity mapping");
-    r.swapPhysical(pos, logical, epochId_);
-
-    // One place-back step: the row goes home through the swap buffer
-    // while the displaced resident parks in the place-back buffer
-    // (Figure 8); cost-wise it is one two-row movement.
-    MigrationJob job;
-    job.kind = MigrationJob::Kind::PlaceBack;
-    job.duration = swapCycles_;
-    job.charges.push_back(RowCharge{pos, 1});
-    job.charges.push_back(RowCharge{logical, 1});
-    schedule(channel, bank, std::move(job));
-    stats_.inc("place_backs");
-    return true;
-}
-
 void
 Srs::onEpochEnd(Cycle now, Cycle epochLen)
 {
@@ -135,21 +106,6 @@ Srs::onEpochEnd(Cycle now, Cycle epochLen)
         }
     }
     stats_.inc("counter_sweeps");
-}
-
-void
-Srs::lazyStep()
-{
-    const auto &org = ctrl_.org();
-    const std::uint32_t banksPerChannel =
-        org.ranksPerChannel * org.banksPerRank;
-    for (std::uint32_t ch = 0; ch < org.channels; ++ch) {
-        for (std::uint32_t b = 0; b < banksPerChannel; ++b) {
-            if (placeBackOne(ch, b))
-                return;
-        }
-    }
-    nextLazyAt_ = kNoCycle;
 }
 
 } // namespace srs

@@ -59,7 +59,6 @@ class Srs : public Mitigation
   protected:
     void mitigate(std::uint32_t channel, std::uint32_t bank,
                   RowId physRow) override;
-    void lazyStep() override;
 
     /**
      * Update the swap-tracking counter for @p physRow and emit the
@@ -69,11 +68,7 @@ class Srs : public Mitigation
     std::uint32_t trackSwap(std::uint32_t channel, std::uint32_t bank,
                             RowId physRow, std::uint32_t latent);
 
-    /** Place one stale row back home; @return true when one existed. */
-    bool placeBackOne(std::uint32_t channel, std::uint32_t bank);
-
     SrsConfig srsCfg_;
-    Cycle swapCycles_;
     Cycle counterAccessCycles_;
     std::vector<SwapTrackingCounters> counters_;
 };

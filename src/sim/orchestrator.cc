@@ -75,40 +75,33 @@ loadShardRows(const ShardSpec &shard, const ExperimentConfig &exp,
         lines.push_back(text.substr(start, nl - start));
         start = nl + 1;
     }
-    for (const std::string &line : lines) {
-        const std::string err = SweepRunner::checkLine(line);
-        if (!err.empty())
-            return "shard CSV '" + path + "': " + err;
-    }
+    const std::string headerErr = SweepRunner::checkLine(lines.front());
+    if (!headerErr.empty())
+        return "shard CSV '" + path + "': " + headerErr;
     if (lines.front() != SweepRunner::csvHeader())
         return "shard CSV '" + path + "' does not start with the sweep "
                "CSV header";
-    if (lines.size() - 1 != shard.cells) {
+
+    // Row k of a shard CSV is the shard's cell k.
+    const std::vector<SweepCell> cells = shard.grid.expand();
+    for (std::size_t k = 1; k < lines.size(); ++k) {
+        std::size_t index = 0;
+        std::string err =
+            SweepRunner::checkRow(lines[k], cells, exp.seed, index);
+        if (err.empty() && index != k - 1) {
+            err = "row " + std::to_string(k - 1) + " holds cell "
+                  + std::to_string(index) + " (rows must follow the "
+                  "shard's cell order)";
+        }
+        if (!err.empty())
+            return "shard CSV '" + path + "': " + err;
+        if (rows)
+            rows->push_back(lines[k]);
+    }
+    if (lines.size() - 1 != cells.size()) {
         return "shard CSV '" + path + "' has "
                + std::to_string(lines.size() - 1) + " data rows, "
-               "manifest expects " + std::to_string(shard.cells);
-    }
-
-    const std::vector<SweepCell> cells = shard.grid.expand();
-    if (cells.size() != shard.cells) {
-        return "manifest is inconsistent: shard grid expands to "
-               + std::to_string(cells.size()) + " cells, not "
-               + std::to_string(shard.cells);
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const std::string &row = lines[i + 1];
-        const std::string expected = SweepRunner::identityPrefix(
-            i, cells[i],
-            SweepRunner::cellSeed(exp.seed,
-                                  cells[i].workload.label()));
-        if (row.compare(0, expected.size(), expected) != 0) {
-            return "shard CSV '" + path + "' row " + std::to_string(i)
-                   + " does not match the manifest's cell identity"
-                     "\n  row:      " + row
-                   + "\n  expected: " + expected + "...";
-        }
-        if (rows)
-            rows->push_back(row);
+               "manifest expects " + std::to_string(cells.size());
     }
     return "";
 }
@@ -128,12 +121,11 @@ ShardManifest
 planShards(const SweepGrid &grid, const ExperimentConfig &exp,
            std::size_t shardCount)
 {
-    const std::size_t outer = grid.outerCount();
+    const std::size_t outer = grid.workloads.size();
     const std::size_t inner = grid.innerCells();
     if (outer == 0 || inner == 0) {
         fatal("cannot shard an empty sweep grid: need at least one "
-              "workload or MIX point, page policy, mitigation, trh "
-              "and rate");
+              "workload, page policy, mitigation, trh and rate");
     }
     if (shardCount == 0)
         fatal("--shards must be at least 1");
@@ -147,26 +139,14 @@ planShards(const SweepGrid &grid, const ExperimentConfig &exp,
     manifest.grid = grid;
     manifest.exp = exp;
     for (std::size_t k = 0; k < count; ++k) {
-        // Balanced contiguous partition of the outer axis: shard k
-        // covers outer entries [k*outer/count, (k+1)*outer/count).
+        // Balanced contiguous partition of the workloads: shard k
+        // covers [k*outer/count, (k+1)*outer/count).
         const std::size_t begin = k * outer / count;
         const std::size_t end = (k + 1) * outer / count;
         ShardSpec shard;
         shard.grid = grid;
-        shard.grid.workloads.clear();
-        shard.grid.mixCount = 0;
-        shard.grid.mixBase = 0;
-        for (std::size_t o = begin; o < end; ++o) {
-            if (o < grid.workloads.size()) {
-                shard.grid.workloads.push_back(grid.workloads[o]);
-            } else {
-                const std::uint32_t mix = static_cast<std::uint32_t>(
-                    o - grid.workloads.size());
-                if (shard.grid.mixCount == 0)
-                    shard.grid.mixBase = grid.mixBase + mix;
-                ++shard.grid.mixCount;
-            }
-        }
+        shard.grid.workloads.assign(grid.workloads.begin() + begin,
+                                    grid.workloads.begin() + end);
         shard.offset = begin * inner;
         shard.cells = (end - begin) * inner;
         shard.csv = "shard" + std::to_string(k) + ".csv";
@@ -204,8 +184,6 @@ serializeManifest(const ShardManifest &manifest)
     out << "trh=" << joinUint32List(grid.trhs) << '\n'
         << "rates=" << joinUint32List(grid.swapRates) << '\n'
         << "tracker=" << trackerKindName(grid.tracker) << '\n'
-        << "mix=" << grid.mixCount << '\n'
-        << "mix_base=" << grid.mixBase << '\n'
         << "seed=" << manifest.exp.seed << '\n'
         << "cycles=" << manifest.exp.cycles << '\n'
         << "epoch=" << manifest.exp.epochLen << '\n'
@@ -215,11 +193,6 @@ serializeManifest(const ShardManifest &manifest)
         const ShardSpec &shard = manifest.shards[k];
         out << shardKey(k, "workloads") << '='
             << joinSpecList(shard.grid.workloads) << '\n'
-            << shardKey(k, "mix") << '=' << shard.grid.mixCount << '\n'
-            << shardKey(k, "mix_base") << '=' << shard.grid.mixBase
-            << '\n'
-            << shardKey(k, "offset") << '=' << shard.offset << '\n'
-            << shardKey(k, "cells") << '=' << shard.cells << '\n'
             << shardKey(k, "csv") << '=' << shard.csv << '\n';
     }
     return out.str();
@@ -254,78 +227,35 @@ loadManifest(const std::string &path)
     grid.swapRates = splitUint32List(opts.getString("rates", ""), "manifest: rates");
     grid.tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
-    grid.mixCount = opts.getUint<std::uint32_t>("mix", 0);
-    grid.mixBase = opts.getUint<std::uint32_t>("mix_base", 0);
-    grid.mixCores = manifest.exp.numCores;
 
     const std::uint64_t shardCount = opts.getUint("shards", 0);
     if (shardCount == 0)
         fatal("manifest '", path, "': no shards");
 
-    // Rebuild each shard slice and check that, in order, the slices
-    // tile the full grid: workload lists concatenate to the global
-    // list, MIX ranges cover mixBase..mixBase+mixCount contiguously,
-    // and offsets/cell counts line up with the expansion order.
+    // Each shard is a non-empty slice of the workloads; in order the
+    // slices join into the full list, which fixes every offset.
     const std::size_t inner = grid.innerCells();
-    std::vector<WorkloadSpec> seenWorkloads;
-    std::uint32_t nextMix = grid.mixBase;
-    std::size_t nextOffset = 0;
+    std::vector<WorkloadSpec> joined;
     for (std::size_t k = 0; k < shardCount; ++k) {
         ShardSpec shard;
         shard.grid = grid;
         shard.grid.workloads = splitSpecList(
             opts.getString(shardKey(k, "workloads"), ""),
             manifest.exp.numCores);
-        shard.grid.mixCount =
-            opts.getUint<std::uint32_t>(shardKey(k, "mix"), 0);
-        shard.grid.mixBase =
-            opts.getUint<std::uint32_t>(shardKey(k, "mix_base"), 0);
-        shard.offset = opts.getUint(shardKey(k, "offset"), 0);
-        shard.cells = opts.getUint(shardKey(k, "cells"), 0);
+        if (shard.grid.workloads.empty())
+            fatal("manifest '", path, "': shard ", k, " is empty");
+        shard.offset = joined.size() * inner;
+        shard.cells = shard.grid.workloads.size() * inner;
         shard.csv = opts.getString(shardKey(k, "csv"),
                                    "shard" + std::to_string(k)
                                        + ".csv");
-
-        if (shard.grid.workloads.empty() && shard.grid.mixCount == 0)
-            fatal("manifest '", path, "': shard ", k, " is empty");
-        if (!shard.grid.workloads.empty() && nextMix != grid.mixBase) {
-            fatal("manifest '", path, "': shard ", k, " names "
-                  "workloads after an earlier shard started the MIX "
-                  "range");
-        }
-        for (const WorkloadSpec &w : shard.grid.workloads)
-            seenWorkloads.push_back(w);
-        if (shard.grid.mixCount > 0
-            && shard.grid.mixBase != nextMix) {
-            fatal("manifest '", path, "': shard ", k, " MIX range "
-                  "starts at ", shard.grid.mixBase, ", expected ",
-                  nextMix);
-        }
-        nextMix += shard.grid.mixCount;
-        if (shard.offset != nextOffset) {
-            fatal("manifest '", path, "': shard ", k, " offset ",
-                  shard.offset, " does not follow the previous "
-                  "shard (expected ", nextOffset, ")");
-        }
-        const std::size_t expanded =
-            shard.grid.outerCount() * inner;
-        if (shard.cells != expanded) {
-            fatal("manifest '", path, "': shard ", k, " claims ",
-                  shard.cells, " cells but its grid slice expands "
-                  "to ", expanded);
-        }
-        nextOffset += shard.cells;
+        joined.insert(joined.end(), shard.grid.workloads.begin(),
+                      shard.grid.workloads.end());
         manifest.shards.push_back(std::move(shard));
     }
-    if (seenWorkloads != grid.workloads
-        || nextMix != grid.mixBase + grid.mixCount) {
-        fatal("manifest '", path, "': shard slices do not tile the "
-              "full grid's workload/MIX axes");
-    }
-    if (nextOffset != grid.outerCount() * inner) {
-        fatal("manifest '", path, "': shard cells sum to ",
-              nextOffset, ", full grid has ",
-              grid.outerCount() * inner);
+    if (joined != grid.workloads) {
+        fatal("manifest '", path, "': the shard workload lists do not "
+              "join, in order, into workloads=");
     }
     opts.rejectUnknown();
     return manifest;
@@ -342,35 +272,23 @@ void
 mergeShards(const ShardManifest &manifest, const std::string &dir,
             std::ostream &out)
 {
-    std::vector<std::vector<std::string>> rowsPerShard(
-        manifest.shards.size());
+    std::vector<std::string> rows;
     for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
         const ShardSpec &shard = manifest.shards[k];
         const std::string path =
             dir.empty() ? shard.csv : dir + "/" + shard.csv;
-        const std::string err = loadShardRows(
-            shard, manifest.exp, path, &rowsPerShard[k]);
+        const std::string err =
+            loadShardRows(shard, manifest.exp, path, &rows);
         if (!err.empty())
             fatal("merge: shard ", k, ": ", err);
     }
 
-    // Each shard-local index becomes the global cell index; every
-    // byte after the first comma passes through untouched.
+    // The shards' rows in order are the grid's: each shard-local
+    // index becomes the global cell index, and every byte after the
+    // first comma passes through untouched.
     out << SweepRunner::csvHeader() << '\n';
-    std::size_t global = 0;
-    for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
-        if (global != manifest.shards[k].offset) {
-            fatal("merge: shard ", k, " offset ",
-                  manifest.shards[k].offset, " does not follow the "
-                  "previous shard (", global, " cells merged so "
-                  "far)");
-        }
-        for (const std::string &row : rowsPerShard[k]) {
-            const auto comma = row.find(',');
-            out << global << row.substr(comma) << '\n';
-            ++global;
-        }
-    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out << i << rows[i].substr(rows[i].find(',')) << '\n';
     if (!out.flush())
         fatal("merge: error writing merged CSV");
 }
@@ -406,10 +324,6 @@ Orchestrator::shardCommand(std::size_t index) const
     cmd.push_back("--rates=" + joinUint32List(grid.swapRates));
     cmd.push_back("--tracker="
                   + std::string(trackerKindName(grid.tracker)));
-    if (grid.mixCount > 0) {
-        cmd.push_back("--mix=" + std::to_string(grid.mixCount));
-        cmd.push_back("--mix-base=" + std::to_string(grid.mixBase));
-    }
     cmd.push_back("--cycles=" + std::to_string(manifest_.exp.cycles));
     cmd.push_back("--epoch=" + std::to_string(manifest_.exp.epochLen));
     cmd.push_back("--seed=" + std::to_string(manifest_.exp.seed));
@@ -630,11 +544,9 @@ Orchestrator::run(std::ostream &mergedOut)
         std::size_t rows = 0;
     };
     std::vector<Live> live(n);
-    std::vector<std::string> headers(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        headers[k] = SweepRunner::journalHeader(
-            manifest_.shards[k].grid.expand(), manifest_.exp.seed);
-    }
+    std::vector<std::vector<SweepCell>> shardCells(n);
+    for (std::size_t k = 0; k < n; ++k)
+        shardCells[k] = manifest_.shards[k].grid.expand();
     ProgressClock clock(n);
 
     const auto localPath = [&](const std::string &name) {
@@ -804,8 +716,8 @@ Orchestrator::run(std::ostream &mergedOut)
                 continue;
             }
             const std::string journal = localPath(shard.csv + ".journal");
-            const JournalScan scan =
-                scanShardJournal(journal, shard.cells, headers[k]);
+            const JournalScan scan = scanShardJournal(
+                journal, shardCells[k], manifest_.exp.seed);
             if (!scan.error.empty()) {
                 teardown();
                 fatal("orchestrator: shard ", k, " journal '", journal,

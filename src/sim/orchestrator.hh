@@ -9,14 +9,15 @@
  * `srs_sim merge`) — without giving up the engine's byte-identity
  * guarantee.  The pieces:
  *
- *  - planShards() splits a SweepGrid along the outer (workload) axis
- *    into balanced, contiguous shard grids.  MIX points are split
- *    like named workloads (a shard can cover mix3..mix5 via
- *    SweepGrid::mixBase), so paper-scale MIX campaigns shard too.
+ *  - planShards() splits a SweepGrid's workload list into balanced,
+ *    contiguous slices, one shard grid each.  A MIX point is the
+ *    workload spec `mix<N>` like any other, so paper-scale MIX
+ *    campaigns shard too.
  *  - ShardManifest is the on-disk contract between the splitter, the
  *    shard runs, and the merge: the full grid, the experiment knobs
- *    (seed/cycles/epoch/cores), and each shard's grid slice, global
- *    index offset, expected cell count, and CSV path.  Every shard
+ *    (seed/cycles/epoch/cores), and each shard's workload slice and
+ *    CSV path; the slices fix each shard's global index offset and
+ *    cell count.  Every shard
  *    row's identity prefix is recomputable from it, which is what
  *    lets the merge reject foreign or torn shards byte-exactly
  *    (docs/sweep-format.md specs the file format).
@@ -54,17 +55,16 @@ namespace srs
 struct ShardSpec
 {
     /**
-     * The shard's own sweep grid: a contiguous run of the full
-     * grid's outer entries (named workloads and/or a MIX sub-range
-     * via mixBase/mixCount) crossed with the same inner axes.
-     * Running it with `srs_sim sweep` reproduces the full grid's
-     * rows for those entries exactly — per-cell seeds depend only on
-     * the workload label, never on the surrounding grid.
+     * The shard's own sweep grid: a contiguous slice of the full
+     * grid's workloads crossed with the same inner axes.  Running it
+     * with `srs_sim sweep` reproduces the full grid's rows for those
+     * workloads exactly — per-cell seeds depend only on the workload
+     * label, never on the surrounding grid.
      */
     SweepGrid grid;
-    /** Global cell index of this shard's first cell. */
+    /** Global cell index of this shard's first cell (derived). */
     std::size_t offset = 0;
-    /** Expanded cell count of this shard (grid slice size). */
+    /** Expanded cell count of this shard's grid (derived). */
     std::size_t cells = 0;
     /**
      * Shard CSV file name, relative to the manifest's directory (so
@@ -114,10 +114,9 @@ struct ShardRunState
 
 /**
  * Split @p grid into at most @p shardCount balanced contiguous
- * shards along the outer axis (named workloads first, then MIX
- * points).  The effective shard count is clamped to the number of
- * outer entries; requesting 0 shards is fatal().  Shard CSV names
- * default to "shard<K>.csv".
+ * slices of its workload list.  The effective shard count is clamped
+ * to the number of workloads; requesting 0 shards is fatal().  Shard
+ * CSV names default to "shard<K>.csv".
  *
  * @param grid       full sweep grid (must expand to >= 1 cell)
  * @param exp        experiment knobs recorded in the manifest
@@ -143,8 +142,10 @@ void writeManifest(const ShardManifest &manifest,
 /**
  * Parse a manifest written by writeManifest().  Unknown keys,
  * missing shards, a version other than SweepRunner::kSchemaVersion
- * ("expected version 6, found: version=<N>"), or shard slices that
- * do not tile the full grid contiguously are fatal().
+ * ("expected version 7, found: version=<N>"), an empty shard, or
+ * shard workload lists that do not join, in order, into the full
+ * grid's are fatal(); each shard's offset and cell count are derived
+ * from the slices.
  */
 ShardManifest loadManifest(const std::string &path);
 
@@ -152,13 +153,12 @@ ShardManifest loadManifest(const std::string &path);
  * Validate one shard's CSV against the manifest expectations.
  *
  * Checks, in order: the file exists and ends with a newline (a
- * torn final line means the writer died mid-row), every line passes
- * SweepRunner::checkLine() (so a stale header or row fails with the
- * one schema message, quoting it), the first line is the header,
- * exactly @p shard.cells data rows follow, and every row
- * byte-matches the identity prefix of its cell *within the shard's
- * own numbering* (index local to the shard, seed derived from
- * @p exp).
+ * torn final line means the writer died mid-row), the first line is
+ * the header (a stale one fails SweepRunner::checkLine() with the one
+ * schema message, quoting it), data row k passes
+ * SweepRunner::checkRow() for the shard's grid — index local to the
+ * shard, seed derived from @p exp — and holds cell k, and there is
+ * one data row per cell.
  *
  * @return empty string when valid, else a human-readable reason.
  */

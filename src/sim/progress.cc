@@ -1,5 +1,6 @@
 #include "sim/progress.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -48,8 +49,9 @@ fmtPct(std::size_t rows, std::size_t cells)
 } // namespace
 
 JournalScan
-scanShardJournal(const std::string &path, std::size_t cells,
-                 const std::string &header)
+scanShardJournal(const std::string &path,
+                 const std::vector<SweepCell> &cells,
+                 std::uint64_t baseSeed)
 {
     JournalScan scan;
     std::ifstream in(path, std::ios::binary);
@@ -59,6 +61,7 @@ scanShardJournal(const std::string &path, std::size_t cells,
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const std::string text = buffer.str();
+    const std::string header = SweepRunner::journalHeader(cells, baseSeed);
 
     std::string::size_type start = 0;
     while (start < text.size()) {
@@ -67,22 +70,21 @@ scanShardJournal(const std::string &path, std::size_t cells,
             break; // torn final line: the writer died mid-row
         const std::string line = text.substr(start, nl - start);
         start = nl + 1;
-        if (line.empty())
+        if (line.empty() || line == SweepRunner::csvHeader())
             continue;
-        if (line[0] == '#') {
-            scan.error = SweepRunner::checkJournalHeader(line, header);
-            if (!scan.error.empty())
-                return scan;
-            if (line == header)
-                scan.headerSeen = true;
-            continue;
-        }
-        ++scan.rows;
+        std::size_t index = 0;
+        scan.error =
+            line[0] == '#'
+                ? SweepRunner::checkJournalHeader(line, header)
+                : SweepRunner::checkRow(line, cells, baseSeed, index);
+        if (!scan.error.empty())
+            return scan;
+        if (line[0] != '#')
+            ++scan.rows;
     }
     // A resumed journal re-records completed rows first; never
     // report more progress than the shard has cells.
-    if (scan.rows > cells)
-        scan.rows = cells;
+    scan.rows = std::min(scan.rows, cells.size());
     return scan;
 }
 
@@ -252,9 +254,7 @@ snapshotFromJournals(const ShardManifest &manifest,
         const std::string journal =
             dir + "/" + shard.csv + ".journal";
         const JournalScan scan = scanShardJournal(
-            journal, shard.cells,
-            SweepRunner::journalHeader(shard.grid.expand(),
-                                       manifest.exp.seed));
+            journal, shard.grid.expand(), manifest.exp.seed);
         if (!scan.error.empty()) {
             fatal("shard ", k, " journal '", journal, "': ",
                   scan.error);

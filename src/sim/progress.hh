@@ -9,9 +9,10 @@
  * instrumentation in the simulator hot path.  This header holds the
  * pieces both consumers share:
  *
- *  - scanShardJournal() counts a journal's complete data rows and
- *    validates its header comment against the shard's expected grid
- *    digest, so a stale or foreign journal is rejected by name;
+ *  - scanShardJournal() counts a journal's complete data rows,
+ *    holding its header comment and each row to the rules `--resume`
+ *    applies, so a stale, foreign or malformed journal is rejected
+ *    by name;
  *  - ProgressClock turns successive (rows, time) samples into
  *    rows/sec and ETA estimates;
  *  - writeStatusJson()/writeStatusTable() render a fleet snapshot
@@ -43,28 +44,29 @@ struct JournalScan
 {
     /** The journal file exists. */
     bool exists = false;
-    /** A journal header comment was present (and validated). */
-    bool headerSeen = false;
-    /** Complete ('\n'-terminated) non-comment rows. */
+    /** Complete ('\n'-terminated) rows, each a row of this shard. */
     std::size_t rows = 0;
     /**
      * Non-empty when the journal must be rejected: its header names
-     * a different schema or grid than this shard's.  Torn final
-     * lines are not an error — they are simply not counted.
+     * a different schema or grid than this shard's, or a row fails
+     * SweepRunner::checkRow() (malformed, or another grid's).  Torn
+     * final lines are not an error — they are simply not counted.
      */
     std::string error;
 };
 
 /**
- * Scan one shard journal at @p path.  @p cells is the shard's cell
- * count and @p header its SweepRunner::journalHeader(); a `#` line
- * failing SweepRunner::checkJournalHeader() fills
+ * Scan one shard journal at @p path as `--resume` would read it for
+ * the shard grid @p cells under base seed @p baseSeed: a `#` line
+ * must pass SweepRunner::checkJournalHeader() against the shard's
+ * journalHeader(), and every other complete line, the CSV header
+ * aside, SweepRunner::checkRow(); the first that fails fills
  * JournalScan::error.  Headerless journals (pre-header builds) scan
- * fine; rows are clamped to @p cells.
+ * fine; rows are clamped to the shard's cell count.
  */
 JournalScan scanShardJournal(const std::string &path,
-                             std::size_t cells,
-                             const std::string &header);
+                             const std::vector<SweepCell> &cells,
+                             std::uint64_t baseSeed);
 
 /** Lifecycle of one shard as the monitor/orchestrator sees it. */
 enum class ShardState
@@ -152,8 +154,8 @@ bool fleetDone(const std::vector<ShardStatus> &shards);
  * Build a fleet snapshot for @p manifest by reading the shard
  * journals under @p dir — nothing else; works while an orchestrate
  * run is live on the same directory or after it died.  A journal
- * whose header names a different grid is fatal() (reject by name,
- * never misread).  @p clock, when non-null, supplies rows/sec and
+ * that scanShardJournal() rejects is fatal() (reject by name, never
+ * misread).  @p clock, when non-null, supplies rows/sec and
  * ETA (the caller samples it).
  */
 std::vector<ShardStatus>

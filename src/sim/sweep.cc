@@ -18,14 +18,6 @@
 namespace srs
 {
 
-SweepCell
-mixSweepCell(std::uint32_t index, std::uint32_t cores)
-{
-    SweepCell cell;
-    cell.workload = WorkloadSpec::mix(index, cores);
-    return cell;
-}
-
 std::size_t
 SweepGrid::innerCells() const
 {
@@ -33,19 +25,13 @@ SweepGrid::innerCells() const
            * swapRates.size();
 }
 
-std::size_t
-SweepGrid::outerCount() const
-{
-    return workloads.size() + mixCount;
-}
-
 std::vector<SweepCell>
 SweepGrid::expand() const
 {
     const std::vector<SystemAxes> axisList = axes();
     std::vector<SweepCell> cells;
-    cells.reserve(outerCount() * innerCells());
-    const auto appendInner = [&](const WorkloadSpec &spec) {
+    cells.reserve(workloads.size() * innerCells());
+    for (const WorkloadSpec &spec : workloads) {
         for (const SystemAxes &a : axisList) {
             for (const MitigationKind m : mitigations) {
                 for (const std::uint32_t trh : trhs) {
@@ -62,11 +48,7 @@ SweepGrid::expand() const
                 }
             }
         }
-    };
-    for (const WorkloadSpec &spec : workloads)
-        appendInner(spec);
-    for (std::uint32_t mix = 0; mix < mixCount; ++mix)
-        appendInner(WorkloadSpec::mix(mixBase + mix, mixCores));
+    }
     return cells;
 }
 
@@ -190,6 +172,32 @@ SweepRunner::checkLine(const std::string &line)
 }
 
 std::string
+SweepRunner::checkRow(const std::string &line,
+                      const std::vector<SweepCell> &cells,
+                      std::uint64_t baseSeed, std::size_t &index)
+{
+    const std::string err = checkLine(line);
+    if (!err.empty())
+        return err;
+    const std::string field = line.substr(0, line.find(','));
+    const unsigned long long i = std::strtoull(field.c_str(), nullptr, 10);
+    if (i >= cells.size()) {
+        return "row index " + field + " is outside this "
+               + std::to_string(cells.size()) + "-cell grid";
+    }
+    index = static_cast<std::size_t>(i);
+    const std::string expected = identityPrefix(
+        index, cells[index],
+        cellSeed(baseSeed, cells[index].workload.label()));
+    if (line.compare(0, expected.size(), expected) != 0) {
+        return "row " + field + " does not match the identity of its "
+               "cell (another grid or seed?)\n  row:      " + line
+               + "\n  expected: " + expected + "...";
+    }
+    return "";
+}
+
+std::string
 SweepRunner::checkJournalHeader(const std::string &line,
                                 const std::string &expected)
 {
@@ -295,33 +303,17 @@ SweepRunner::loadResume(const std::vector<SweepCell> &cells,
         // instead may be cut anywhere (even mid-digit of the last
         // field, where it still splits into 25 plausible fields).
         // Never trust it; the cell is simply recomputed.
-        if (in.eof() || line.empty())
+        if (in.eof() || line.empty() || line == csvHeader())
             continue;
+        std::size_t i = 0;
         const std::string err = line[0] == '#'
                                     ? checkJournalHeader(line, header)
-                                    : checkLine(line);
+                                    : checkRow(line, cells, exp_.seed, i);
         if (!err.empty())
             fatal("resume file '", resumePath_, "': ", err);
-        if (line[0] == '#' || line == csvHeader())
+        if (line[0] == '#')
             continue;
         const std::vector<std::string> fields = splitFields(line);
-        const unsigned long long index =
-            std::strtoull(fields[0].c_str(), nullptr, 10);
-        if (index >= cells.size()) {
-            fatal("resume file '", resumePath_, "': row index ",
-                  fields[0], " is outside this sweep's ",
-                  cells.size(), "-cell grid");
-        }
-        const std::size_t i = static_cast<std::size_t>(index);
-        const std::string expected = identityPrefix(
-            i, cells[i],
-            cellSeed(exp_.seed, cells[i].workload.label()));
-        if (line.compare(0, expected.size(), expected) != 0) {
-            fatal("resume file '", resumePath_, "': row ", fields[0],
-                  " does not match this sweep's cell (different grid "
-                  "or --seed?)\n  row:      ", line,
-                  "\n  expected: ", expected, "...");
-        }
         SweepResult &r = results[i];
         r.cell = cells[i];
         r.seed = cellSeed(exp_.seed, cells[i].workload.label());

@@ -34,7 +34,8 @@
  *    CSV can be fed back via setResume() to skip already-computed
  *    cells — the resumed output is byte-identical to an
  *    uninterrupted run (docs/sweep-format.md has the file formats,
- *    schema v6 — the `p50_lat,p99_lat,p999_lat` tail-latency
+ *    schema v7, whose CSV columns are v6's — the
+ *    `p50_lat,p99_lat,p999_lat` tail-latency
  *    columns landed with the generator workloads, `lat_samples`
  *    with the DRAM-organization axis, and the
  *    `iterations,censored,p_break,ci_lo,ci_hi` Monte-Carlo
@@ -75,19 +76,12 @@ struct SweepCell
 };
 
 /**
- * Build an unconfigured MIX cell for MIX point @p index: label
- * "mix<index>" plus the deterministic per-core profile draw of
- * mixWorkload(index, cores).  Caller fills mitigation/trh/rate.
- */
-SweepCell mixSweepCell(std::uint32_t index, std::uint32_t cores);
-
-/**
  * Cross-product sweep description.  expand() enumerates cells in
  * row-major order: workloads outermost, then the system axes (in
  * SystemAxesGrid::axes() order), then mitigations, then trhs, then
- * swapRates innermost.  When mixCount > 0, MIX points
- * mix<mixBase>..mix<mixBase+mixCount-1> follow the named workloads
- * as additional outermost entries, crossed with the same inner axes.
+ * swapRates innermost.  The workloads are the one outer axis: a MIX
+ * point is the workload spec `mix<N>` like any other, so a shard is
+ * a contiguous slice of this list.
  */
 struct SweepGrid : SystemAxesGrid
 {
@@ -96,23 +90,9 @@ struct SweepGrid : SystemAxesGrid
     std::vector<std::uint32_t> trhs;
     std::vector<std::uint32_t> swapRates;
     TrackerKind tracker = TrackerKind::MisraGries;
-    /** Number of MIX points appended after the named workloads. */
-    std::uint32_t mixCount = 0;
-    /**
-     * First MIX point index.  A shard covering the middle of a larger
-     * grid's MIX range names its exact points (e.g. mix3..mix5 via
-     * mixBase=3, mixCount=3); a MIX label's profile draw and trace
-     * seed depend only on its index, so mix3 means the same cell in
-     * every shard and in the full grid.
-     */
-    std::uint32_t mixBase = 0;
-    /** Cores per MIX point; must match ExperimentConfig::numCores. */
-    std::uint32_t mixCores = 8;
 
-    /** Cells per outer entry: axes x mitigations x trhs x swapRates. */
+    /** Cells per workload: axes x mitigations x trhs x swapRates. */
     std::size_t innerCells() const;
-    /** Outer-axis length: named workloads plus MIX points. */
-    std::size_t outerCount() const;
 
     std::vector<SweepCell> expand() const;
 };
@@ -239,19 +219,35 @@ class SweepRunner
 
     /**
      * The schema version this build writes and reads: of the sweep
-     * CSV, the journal header and the shard manifest alike (they
-     * have changed together at every bump).
+     * CSV, the journal header and the shard manifest alike.  Version
+     * 7 changed only the manifest, so its CSV header and rows are
+     * v6's and a v6 CSV still resumes and merges.
      */
-    static constexpr std::uint64_t kSchemaVersion = 6;
+    static constexpr std::uint64_t kSchemaVersion = 7;
 
     /**
      * The schema rule for one complete, non-comment line of a sweep
      * CSV, journal or shard CSV: it is csvHeader(), or a row of
      * kRowColumns non-empty fields whose first is a decimal index.
-     * @return "" when it is, else "expected sweep CSV schema v6,
+     * @return "" when it is, else "expected sweep CSV schema v7,
      *         found: <line>".
      */
     static std::string checkLine(const std::string &line);
+
+    /**
+     * The resume rule for one row (a complete line other than a `#`
+     * comment or csvHeader()) of a journal, sweep CSV or shard CSV
+     * of the grid @p cells under @p baseSeed: checkLine(), an index
+     * inside the grid, and the identity prefix of the cell at that
+     * index.  Resume, the shard merge and the journal scan of
+     * `srs_sim monitor` all hold their rows to it.
+     * @return "" when the row passes (@p index then names its cell),
+     *         else the reason, quoting the row.
+     */
+    static std::string checkRow(const std::string &line,
+                                const std::vector<SweepCell> &cells,
+                                std::uint64_t baseSeed,
+                                std::size_t &index);
 
     /**
      * The schema rule for a `#` comment line of a journal whose
@@ -280,7 +276,7 @@ class SweepRunner
 
     /**
      * The comment line a checkpoint journal starts with:
-     * `# srs_sim sweep journal schema=6 cells=<N> grid=0x<digest>
+     * `# srs_sim sweep journal schema=7 cells=<N> grid=0x<digest>
      * seed=0x<seed>` (no trailing newline; digest = gridDigest()).
      * Resume and the fleet monitor hold it to checkJournalHeader();
      * headerless journals stay accepted (docs/sweep-format.md).

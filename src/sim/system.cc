@@ -137,12 +137,12 @@ System::System(const SystemConfig &cfg)
         break;
       }
       case MitigationKind::BlockHammer:
-        mitigation_ = std::make_unique<BlockHammer>(
-            *ctrl_, *tracker_, cfg_.mit, cfg_.bhCfg);
+        mitigation_ = std::make_unique<BlockHammer>(*ctrl_, *tracker_,
+                                                    cfg_.mit);
         break;
       case MitigationKind::Aqua:
         mitigation_ = std::make_unique<Aqua>(*ctrl_, *tracker_,
-                                             cfg_.mit, cfg_.aquaCfg);
+                                             cfg_.mit);
         break;
     }
 

@@ -68,9 +68,6 @@ struct SystemConfig
     MitigationKind mitigation = MitigationKind::None;
     TrackerKind tracker = TrackerKind::MisraGries;
     MitigationConfig mit;
-    RrsConfig rrsCfg;
-    BlockHammerConfig bhCfg;
-    AquaConfig aquaCfg;
     SrsConfig srsCfg;
     ScaleSrsConfig scaleCfg;
 

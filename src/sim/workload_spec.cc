@@ -18,6 +18,7 @@ namespace
 {
 
 constexpr const char *kTracePrefix = "trace:";
+constexpr const char *kMixPrefix = "mix";
 
 /** Split @p value on @p sep into its non-empty items. */
 std::vector<std::string>
@@ -87,7 +88,7 @@ WorkloadSpec::mix(std::uint32_t index, std::uint32_t cores)
 {
     WorkloadSpec spec;
     spec.kind = WorkloadKind::Mix;
-    spec.name = "mix" + std::to_string(index);
+    spec.name = kMixPrefix + std::to_string(index);
     for (const WorkloadProfile &p : mixWorkload(index, cores))
         spec.mixProfiles.push_back(p.name);
     return spec;
@@ -125,6 +126,20 @@ WorkloadSpec::parse(const std::string &spelling, std::uint32_t cores)
 {
     if (GeneratorSpec::matchesPrefix(spelling))
         return generatorSpec(GeneratorSpec::parse(spelling));
+    if (spelling.rfind(kMixPrefix, 0) == 0) {
+        // mix() spells the index with std::to_string, so only that
+        // spelling reads back: no sign, no leading zero.
+        const std::string digits =
+            spelling.substr(std::string(kMixPrefix).size());
+        const std::optional<std::uint64_t> index = parseUnsigned(
+            digits, std::numeric_limits<std::uint32_t>::max());
+        if (!index || digits != std::to_string(*index)) {
+            fatal("workload spec '", spelling, "' is not a MIX point "
+                  "(want mix<N>, N a decimal index in 0..4294967295 "
+                  "with no sign or leading zero)");
+        }
+        return mix(static_cast<std::uint32_t>(*index), cores);
+    }
     if (spelling.rfind(kTracePrefix, 0) != 0)
         return synthetic(spelling);
     std::vector<std::string> paths =

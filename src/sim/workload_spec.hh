@@ -23,7 +23,7 @@
  * verbatim in the sweep CSV identity columns (`workload_spec`,
  * `axes`) and in the shard manifest, so resume validation and the
  * shard merge can compare identities byte for byte
- * (docs/sweep-format.md specs the formats, schema v6).
+ * (docs/sweep-format.md specs the formats, schema v7).
  */
 
 #ifndef SRS_SIM_WORKLOAD_SPEC_HH
@@ -119,14 +119,17 @@ struct WorkloadSpec
 
     /**
      * Parse one spelling (a `--workloads` item, a manifest
-     * `workloads=` item, or a CSV `workload_spec` field):
+     * `workloads=` item, or a CSV `workload_spec` field), so that
+     * `parse(x.label(), cores) == x` for every spec:
      * `trace:<path>[;<path>…]` yields a TraceFile spec (fatal()
      * unless the list has exactly one or @p cores entries);
      * `zipf:…`, `hotspot:…` and `blend:…` yield a Generator spec
      * (GeneratorSpec::parse, fatal() listing the generator grammar
-     * on malformed input); anything else is a Synthetic profile
-     * name, validated later against the profile table by the sweep
-     * runner.
+     * on malformed input); `mix<N>` yields mix(N, @p cores), and any
+     * other spelling starting with `mix` — N empty, signed, with a
+     * leading zero or past 2^32-1 — is fatal() naming the grammar;
+     * anything else is a Synthetic profile name, validated later
+     * against the profile table by the sweep runner.
      */
     static WorkloadSpec parse(const std::string &spelling,
                               std::uint32_t cores);

@@ -51,6 +51,9 @@ endfunction()
 
 # Tiny cycle budgets keep the smoke test fast.
 run_expect_ok(list)
+# A bare word after the subcommand is fatal, named, never ignored.
+run_expect_fail_saying(NEEDLES "unexpected argument 'stray'"
+                       ARGS storage --trh=1200 stray words)
 
 # Unsigned options are base-10 digits that fit their type: a leading
 # zero is not octal, and a sign or a value past 32 bits is fatal,
@@ -118,6 +121,46 @@ endif()
 # MIX points and Monte-Carlo validation.
 run_expect_ok(sweep --workloads= --mix=1 --mitigations=rrs --trh=1200
               --rates=6 --cycles=60000 --epoch=25000 --threads=2)
+# A MIX point is a workload spec: `--mix=N` is shorthand for spelling
+# mix0..mix<N-1> after the other workloads, a plan shards the one list
+# (no --mix flags on its shard lines), and the sharded run merges to
+# the one-process bytes.  Off-grammar spellings are fatal, named.
+set(mix_grid --mitigations=rrs --trh=1200 --rates=6 --cycles=60000
+    --epoch=25000)
+run_expect_ok(sweep --workloads=gups --mix=3 ${mix_grid} --threads=2
+              --out=${CMAKE_CURRENT_BINARY_DIR}/mix_short.csv --journal=none)
+run_expect_ok(sweep --workloads=gups,mix0,mix1,mix2 ${mix_grid} --threads=1
+              --out=${CMAKE_CURRENT_BINARY_DIR}/mix_spelled.csv
+              --journal=none)
+file(REMOVE_RECURSE ${CMAKE_CURRENT_BINARY_DIR}/mix_shards)
+execute_process(COMMAND ${SRS_SIM} orchestrate --workloads=gups --mix=3
+                ${mix_grid} --shards=2 --plan
+                --dir=${CMAKE_CURRENT_BINARY_DIR}/mix_shards
+                OUTPUT_VARIABLE mix_plan RESULT_VARIABLE mix_plan_rc
+                ERROR_QUIET)
+if(NOT mix_plan_rc EQUAL 0
+   OR NOT mix_plan MATCHES " --workloads=gups,mix0 "
+   OR NOT mix_plan MATCHES " --workloads=mix1,mix2 "
+   OR mix_plan MATCHES " --mix")
+  message(FATAL_ERROR "the MIX plan does not slice the workload list:\n"
+          "${mix_plan}")
+endif()
+run_expect_ok(orchestrate --workloads=gups --mix=3 ${mix_grid} --shards=2
+              --jobs=2 --dir=${CMAKE_CURRENT_BINARY_DIR}/mix_shards
+              --out=${CMAKE_CURRENT_BINARY_DIR}/mix_merged.csv)
+foreach(mix_csv mix_spelled mix_merged)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${CMAKE_CURRENT_BINARY_DIR}/mix_short.csv
+                  ${CMAKE_CURRENT_BINARY_DIR}/${mix_csv}.csv
+                  RESULT_VARIABLE mix_diff)
+  if(NOT mix_diff EQUAL 0)
+    message(FATAL_ERROR "${mix_csv}.csv differs from the --mix=3 sweep")
+  endif()
+endforeach()
+foreach(bad mix mix01 mix-1 mix4294967296)
+  run_expect_fail_saying(NEEDLES "'${bad}'" "mix<N>"
+                         ARGS sweep --workloads=${bad} ${mix_grid})
+endforeach()
 # The attack reports the strata its campaign sampled and rejects --shards.
 set(attack_args attack --defense=rrs --trh=2400 --rate=6 --rounds=900
     --montecarlo=2000 --threads=2)
@@ -504,7 +547,7 @@ endif()
 
 # Generator workloads: a zipf + blend grid must be thread-count
 # invariant, carry the canonical spellings in the identity column,
-# and emit the schema-v6 tail-latency + Monte-Carlo-confidence
+# and emit the v6 tail-latency + Monte-Carlo-confidence
 # header.
 set(gen_grid --workloads=zipf:4096@s=0.99,blend:zipf:4096@s=0.9+attack@0.05
     --mitigations=rrs --trh=1200 --rates=6 --cycles=60000 --epoch=25000)
@@ -666,12 +709,12 @@ foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"
                            ARGS ${reader} --${flag}=)
   endforeach()
 endforeach()
-# Schema-v1 to v5 checkpoints and manifests fail with the one schema
-# message, quoting what they found, instead of a cryptic identity
-# mismatch.
-file(READ ${smoke_dir}/orch_shards/manifest manifest_v6)
-if(NOT manifest_v6 MATCHES "version=6")
-  message(FATAL_ERROR "orchestrate manifest is not schema v6")
+# Schema-v1 to v5 checkpoints and v1 to v6 manifests fail with the
+# one schema message, quoting what they found, instead of a cryptic
+# identity mismatch (a v6 CSV is a v7 CSV: v7 changed the manifest).
+file(READ ${smoke_dir}/orch_shards/manifest manifest_v7)
+if(NOT manifest_v7 MATCHES "version=7")
+  message(FATAL_ERROR "orchestrate manifest is not schema v7")
 endif()
 set(stale_headers
     "index,workload,mitigation,tracker,trh,rate,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
@@ -679,43 +722,51 @@ set(stale_headers
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat"
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples")
-foreach(stale_version 1 2 3 4 5)
-  math(EXPR at "${stale_version} - 1")
-  list(GET stale_headers ${at} stale_header)
-  set(checkpoint ${smoke_dir}/v${stale_version}_checkpoint.csv)
-  file(WRITE ${checkpoint} "${stale_header}\n")
-  run_expect_fail_saying(
-    NEEDLES "expected sweep CSV schema v6, found: ${stale_header}"
-    ARGS sweep --workloads=gups --mitigations=rrs --trh=1200 --rates=6
-         --resume=${checkpoint})
-  string(REPLACE "version=6" "version=${stale_version}" manifest_stale
-         "${manifest_v6}")
+foreach(stale_version 1 2 3 4 5 6)
+  if(stale_version LESS 6)
+    math(EXPR at "${stale_version} - 1")
+    list(GET stale_headers ${at} stale_header)
+    set(checkpoint ${smoke_dir}/v${stale_version}_checkpoint.csv)
+    file(WRITE ${checkpoint} "${stale_header}\n")
+    run_expect_fail_saying(
+      NEEDLES "expected sweep CSV schema v7, found: ${stale_header}"
+      ARGS sweep --workloads=gups --mitigations=rrs --trh=1200 --rates=6
+           --resume=${checkpoint})
+  endif()
+  string(REPLACE "version=7" "version=${stale_version}" manifest_stale
+         "${manifest_v7}")
   file(WRITE ${smoke_dir}/orch_shards/stale_manifest "${manifest_stale}")
   run_expect_fail_saying(
-    NEEDLES "expected version 6, found: version=${stale_version}"
+    NEEDLES "expected version 7, found: version=${stale_version}"
     ARGS merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
 endforeach()
 file(REMOVE ${smoke_dir}/orch_shards/stale_manifest)
-# A schema-4 journal header stops `--resume` and the fleet monitor's
-# journal scan with the same message.
+# A schema-4 or schema-6 journal header stops `--resume` and the fleet
+# monitor's journal scan with the same message, and so does a journal
+# row that is no sweep row (the monitor used to count it as a finished
+# cell).
 file(REMOVE_RECURSE ${smoke_dir}/stale_journal_shards)
 run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan
               --dir=${smoke_dir}/stale_journal_shards)
-set(stale_journal "# srs_sim sweep journal schema=4 cells=4 grid=0x0000000000000000 seed=0x0000000000000000")
 set(stale_journal_path ${smoke_dir}/stale_journal_shards/shard0.csv.journal)
-file(WRITE ${stale_journal_path} "${stale_journal}\n")
-foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
-        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}")
-  run_expect_fail_saying(
-    NEEDLES "expected sweep CSV schema v6, found: ${stale_journal}"
-    ARGS ${reader})
+foreach(stale_journal
+        "# srs_sim sweep journal schema=4 cells=4 grid=0x0000000000000000 seed=0x0000000000000000"
+        "# srs_sim sweep journal schema=6 cells=4 grid=0x0000000000000000 seed=0x0000000000000000"
+        "this is not a sweep row")
+  file(WRITE ${stale_journal_path} "${stale_journal}\n")
+  foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
+          "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}")
+    run_expect_fail_saying(
+      NEEDLES "expected sweep CSV schema v7, found: ${stale_journal}"
+      ARGS ${reader})
+  endforeach()
 endforeach()
 
 run_expect_fail(monitor)
 run_expect_fail(monitor --dir=${smoke_dir}/no_such_dir)
 
 # Security sweep: the security subcommand enumerates (axes, trh,
-# rate) security cells with the same schema-v6 CSV the performance
+# rate) security cells with the same CSV schema the performance
 # sweep writes, thread-count invariant, Monte-Carlo confidence
 # columns live when a campaign runs and zero when analytic-only.
 set(sec_grid --defenses=srs,rrs --trh=2400 --rates=6 --rounds=900,best)
@@ -787,7 +838,7 @@ execute_process(COMMAND ${SRS_SIM} OUTPUT_VARIABLE usage_text
 foreach(subcommand perf sweep orchestrate merge monitor attack
         security storage trace list
         --workloads --shards --manifest --montecarlo --defenses --rounds
-        --trace --page-policy --preset --org
+        --trace --mix "mix<N>" --page-policy --preset --org
         --trc --trcd --trp --trefi --trfc "trace:"
         --plan-format --watch --interval-ms)
   if(NOT usage_text MATCHES "${subcommand}")

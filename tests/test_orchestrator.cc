@@ -1,6 +1,7 @@
 /**
  * @file
- * Orchestrator coverage: shard planning (balance, MIX-awareness),
+ * Orchestrator coverage: shard planning (balance, MIX points as
+ * workloads),
  * manifest round-tripping, and the merge path — shard CSVs stitched
  * byte-identically to a single-process sweep, index renumbering,
  * rejection of mismatched or torn shards, and a killed-shard →
@@ -46,13 +47,11 @@ SweepGrid
 testGrid()
 {
     SweepGrid grid;
-    grid.workloads = {WorkloadSpec::synthetic("gups"),
-                      WorkloadSpec::synthetic("gcc")};
+    grid.workloads = splitSpecList("gups,gcc,mix0",
+                                   tinyExperiment().numCores);
     grid.mitigations = {MitigationKind::Rrs, MitigationKind::ScaleSrs};
     grid.trhs = {1200};
     grid.swapRates = {3, 6};
-    grid.mixCount = 1;
-    grid.mixCores = tinyExperiment().numCores;
     return grid;
 }
 
@@ -121,40 +120,44 @@ mergedCsv(const ShardManifest &manifest)
 TEST(ShardPlan, BalancedContiguousAndMixAware)
 {
     SweepGrid grid = testGrid();
-    grid.mixCount = 2; // outer axis: gups, gcc, mix0, mix1
+    grid.workloads.push_back(WorkloadSpec::mix(1, 8)); // gups..mix1
     const ExperimentConfig exp = tinyExperiment();
     const ShardManifest manifest = planShards(grid, exp, 3);
     ASSERT_EQ(manifest.shards.size(), 3u);
     const std::size_t inner = grid.innerCells();
     ASSERT_EQ(inner, 4u);
 
-    // 4 outer entries over 3 shards: 1 + 1 + 2 (contiguous).
+    // 4 workloads over 3 shards: 1 + 1 + 2 (contiguous).
     EXPECT_EQ(manifest.shards[0].grid.workloads,
               std::vector<WorkloadSpec>{WorkloadSpec::synthetic(
                   "gups")});
-    EXPECT_EQ(manifest.shards[0].grid.mixCount, 0u);
     EXPECT_EQ(manifest.shards[0].offset, 0u);
     EXPECT_EQ(manifest.shards[0].cells, inner);
 
     EXPECT_EQ(manifest.shards[1].grid.workloads,
               std::vector<WorkloadSpec>{WorkloadSpec::synthetic(
                   "gcc")});
-    EXPECT_EQ(manifest.shards[1].grid.mixCount, 0u);
     EXPECT_EQ(manifest.shards[1].offset, inner);
 
-    // The last shard is MIX-only: mix0..mix1 via mixBase/mixCount.
-    EXPECT_TRUE(manifest.shards[2].grid.workloads.empty());
-    EXPECT_EQ(manifest.shards[2].grid.mixBase, 0u);
-    EXPECT_EQ(manifest.shards[2].grid.mixCount, 2u);
+    // The last shard holds both MIX points, as any two workloads.
+    EXPECT_EQ(manifest.shards[2].grid.workloads,
+              (std::vector<WorkloadSpec>{WorkloadSpec::mix(0, 8),
+                                         WorkloadSpec::mix(1, 8)}));
     EXPECT_EQ(manifest.shards[2].offset, 2 * inner);
     EXPECT_EQ(manifest.shards[2].cells, 2 * inner);
     EXPECT_EQ(manifest.totalCells(), grid.expand().size());
 
-    // A MIX sub-range expands to the same labels as the full grid.
-    const std::vector<SweepCell> slice =
-        manifest.shards[2].grid.expand();
-    EXPECT_EQ(slice.front().workload.label(), "mix0");
-    EXPECT_EQ(slice.back().workload.label(), "mix1");
+    // Its manifest line spells them, and they read back alike.
+    const std::string text = serializeManifest(manifest);
+    EXPECT_NE(text.find("\nshard2.workloads=mix0,mix1\n"),
+              std::string::npos)
+        << text;
+    const ShardManifest loaded =
+        loadManifest(writeTempFile("manifest_mix", text));
+    EXPECT_EQ(loaded.shards[2].grid.workloads,
+              manifest.shards[2].grid.workloads);
+    EXPECT_EQ(loaded.shards[2].offset, 2 * inner);
+    EXPECT_EQ(loaded.shards[2].cells, 2 * inner);
 }
 
 TEST(ShardPlan, ShardCountClampsToOuterEntries)
@@ -204,69 +207,116 @@ TEST(ShardManifestFile, RoundTripsThroughDisk)
     std::remove(path.c_str());
 }
 
+/** @p text with its first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** The message loadManifest() fails with on @p text. */
+std::string
+manifestError(const std::string &name, const std::string &text)
+{
+    try {
+        loadManifest(writeTempFile(name, text));
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 TEST(ShardManifestFile, CorruptedTilingIsFatal)
 {
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
-    std::string text = serializeManifest(manifest);
+    const std::string text = serializeManifest(manifest);
+    ASSERT_NE(text.find("\nshard0.workloads=gups\n"
+                        "shard0.csv=shard0.csv\n"
+                        "shard1.workloads=gcc,mix0\n"),
+              std::string::npos)
+        << text;
 
-    // An offset that no longer follows the previous shard.
-    std::string broken = text;
-    const auto at = broken.find("shard1.offset=");
-    ASSERT_NE(at, std::string::npos);
-    broken.replace(at, std::string("shard1.offset=4").size(),
-                   "shard1.offset=5");
-    EXPECT_THROW(
-        loadManifest(writeTempFile("manifest_bad_offset", broken)),
-        FatalError);
-
-    // A shard claiming more cells than its grid slice expands to.
-    broken = text;
-    const auto cells = broken.find("shard0.cells=");
-    ASSERT_NE(cells, std::string::npos);
-    broken.replace(cells, std::string("shard0.cells=4").size(),
-                   "shard0.cells=9");
-    EXPECT_THROW(
-        loadManifest(writeTempFile("manifest_bad_cells", broken)),
-        FatalError);
+    // Shard lists that do not join, in order, into workloads=: out of
+    // order, one workload dropped, one named twice.  The slices fix
+    // every offset and cell count, so nothing else can disagree.
+    const std::string join = "do not join, in order, into workloads=";
+    EXPECT_NE(manifestError(
+                  "manifest_reordered",
+                  replaced(replaced(text, "shard0.workloads=gups",
+                                    "shard0.workloads=gcc"),
+                           "shard1.workloads=gcc,mix0",
+                           "shard1.workloads=gups,mix0"))
+                  .find(join),
+              std::string::npos);
+    EXPECT_NE(manifestError("manifest_dropped",
+                            replaced(text, "shard1.workloads=gcc,mix0",
+                                     "shard1.workloads=gcc"))
+                  .find(join),
+              std::string::npos);
+    EXPECT_NE(manifestError("manifest_twice",
+                            replaced(text, "shard1.workloads=gcc,mix0",
+                                     "shard1.workloads=gups,gcc,mix0"))
+                  .find(join),
+              std::string::npos);
+    // An empty shard is fatal by its index.
+    EXPECT_NE(manifestError("manifest_empty_shard",
+                            replaced(text, "shard0.workloads=gups",
+                                     "shard0.workloads="))
+                  .find("shard 0 is empty"),
+              std::string::npos);
+    // Version 6's MIX-range and shard-geometry keys are unknown keys,
+    // never silently ignored.
+    for (const char *key : {"mix=0", "mix_base=0", "shard0.mix=0",
+                            "shard0.mix_base=0", "shard0.offset=0",
+                            "shard0.cells=4"}) {
+        EXPECT_NE(manifestError("manifest_v6_key",
+                                text + key + "\n")
+                      .find("unknown option"),
+                  std::string::npos)
+            << key;
+    }
+    // A MIX spelling off the grammar is fatal, naming it.
+    EXPECT_NE(manifestError("manifest_bad_mix",
+                            replaced(text, "shard1.workloads=gcc,mix0",
+                                     "shard1.workloads=gcc,mix00"))
+                  .find("mix<N>"),
+              std::string::npos);
 
     // Future manifest versions are rejected, not misread.
-    broken = text;
-    const auto version = broken.find("version=6");
-    ASSERT_NE(version, std::string::npos);
-    broken.replace(version, 9, "version=7");
     EXPECT_THROW(
-        loadManifest(writeTempFile("manifest_bad_version", broken)),
+        loadManifest(writeTempFile(
+            "manifest_bad_version",
+            replaced(text, "version=7", "version=8"))),
         FatalError);
 
     // Out-of-range axis values must not wrap: trh=2^32+1200 is a
     // fatal parse error, never a silent trh=1200.
-    broken = text;
-    const auto trh = broken.find("trh=1200");
-    ASSERT_NE(trh, std::string::npos);
-    broken.replace(trh, std::string("trh=1200").size(),
-                   "trh=4294968496");
-    EXPECT_THROW(
-        loadManifest(writeTempFile("manifest_overflow", broken)),
-        FatalError);
-    broken = text;
-    broken.replace(trh, std::string("trh=1200").size(), "trh=-1");
-    EXPECT_THROW(
-        loadManifest(writeTempFile("manifest_negative", broken)),
-        FatalError);
+    EXPECT_THROW(loadManifest(writeTempFile(
+                     "manifest_overflow",
+                     replaced(text, "trh=1200", "trh=4294968496"))),
+                 FatalError);
+    EXPECT_THROW(loadManifest(writeTempFile(
+                     "manifest_negative",
+                     replaced(text, "trh=1200", "trh=-1"))),
+                 FatalError);
 }
 
 TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
 {
-    // A version-1 through version-5 manifest must fail with the one
+    // A version-1 through version-6 manifest must fail with the one
     // version message, quoting what it found, not a key-parsing mess
     // or a cryptic identity mismatch downstream.
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
     const std::string text = serializeManifest(manifest);
-    const auto version = text.find("version=6");
+    const auto version = text.find("version=7");
     ASSERT_NE(version, std::string::npos);
-    for (const int old : {1, 2, 3, 4, 5}) {
+    for (const int old : {1, 2, 3, 4, 5, 6}) {
         std::string stale = text;
         stale.replace(version, 9,
                       "version=" + std::to_string(old));
@@ -277,7 +327,7 @@ TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
             FAIL() << "v" << old << " manifest was not rejected";
         } catch (const FatalError &err) {
             EXPECT_NE(std::string(err.what())
-                          .find("expected version 6, found: version="
+                          .find("expected version 7, found: version="
                                 + std::to_string(old)),
                       std::string::npos)
                 << err.what();
@@ -508,8 +558,8 @@ TEST(ShardMerge, TornOrShortShardIsFatal)
 
 TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
 {
-    // A shard carrying a v1-v5 header, or a v1-v5 row under the v6
-    // header, must be rejected with the one schema message quoting
+    // A shard carrying a v1-v5 header, or a v1-v5 row under the
+    // current header, must be rejected with the one schema message quoting
     // that line, mirroring the manifest-version check — never merged
     // with reinterpreted columns.
     const SweepGrid grid = testGrid();
@@ -526,7 +576,7 @@ TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
                       header + intact.substr(headerEnd));
         const std::string reason =
             validateShardCsv(manifest.shards[0], exp, path);
-        EXPECT_NE(reason.find("expected sweep CSV schema v6, found: "
+        EXPECT_NE(reason.find("expected sweep CSV schema v7, found: "
                               + header),
                   std::string::npos)
             << reason;
@@ -537,7 +587,7 @@ TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
                       intact.substr(0, headerEnd + 1) + row
                           + intact.substr(row0End));
         EXPECT_NE(validateShardCsv(manifest.shards[0], exp, path)
-                      .find("expected sweep CSV schema v6, found: "
+                      .find("expected sweep CSV schema v7, found: "
                             + row),
                   std::string::npos);
     }
@@ -616,14 +666,11 @@ TEST(ShardMerge, DuplicatedShardCsvIsFatal)
     EXPECT_THROW(mergedCsv(manifest), FatalError);
 
     // The same accident in the manifest *text* — shard 1's slice
-    // re-describing shard 0's — breaks the offset chain and is
-    // rejected at load time, before any merge.
-    const ShardManifest clean = planShards(grid, exp, 3);
-    std::string text = serializeManifest(clean);
-    const auto at = text.find("shard1.offset=");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::string("shard1.offset=4").size(),
-                 "shard1.offset=0");
+    // re-describing shard 0's — breaks the join of the shard lists
+    // and is rejected at load time, before any merge.
+    const std::string text =
+        replaced(serializeManifest(planShards(grid, exp, 3)),
+                 "shard1.workloads=gcc", "shard1.workloads=gups");
     EXPECT_THROW(loadManifest(writeTempFile("manifest_dup", text)),
                  FatalError);
 }
@@ -633,6 +680,8 @@ TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
     const std::string dir = testing::TempDir() + "plan_json_dir";
+    // A manifest an older build left there would be another plan's.
+    std::filesystem::remove_all(dir);
     Orchestrator::Config cfg;
     cfg.dir = dir;
     cfg.simPath = "/opt/srs_sim";

@@ -93,26 +93,37 @@ TEST(ProgressClock, RestartShrinkResetsTheMeasurement)
     EXPECT_DOUBLE_EQ(clock.etaSec(0, 8), 0.0);
 }
 
+/** Row @p i of @p cells as a journal holds it (no newline). */
+std::string
+journalRow(const std::vector<SweepCell> &cells, std::size_t i)
+{
+    SweepResult r;
+    r.cell = cells[i];
+    r.seed = SweepRunner::cellSeed(tinyExperiment().seed,
+                                   cells[i].workload.label());
+    return SweepRunner::formatRow(i, r);
+}
+
 TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
 {
     const std::vector<SweepCell> cells = testGrid().expand();
-    const ExperimentConfig exp = tinyExperiment();
-    const std::string header =
-        SweepRunner::journalHeader(cells, exp.seed);
+    const std::uint64_t seed = tinyExperiment().seed;
+    const std::string header = SweepRunner::journalHeader(cells, seed);
+    const std::string row0 = journalRow(cells, 0);
+    const std::string row1 = journalRow(cells, 1);
 
+    // Rows land in completion order; a torn final line is not one.
     const std::string path = writeTempFile(
         "scan_rows.journal",
-        header + "\nrow-a\nrow-b\ntorn-final-line-without-newline");
-    const JournalScan scan =
-        scanShardJournal(path, cells.size(), header);
+        header + "\n" + row1 + "\n" + row0 + "\n" + row1.substr(0, 20));
+    const JournalScan scan = scanShardJournal(path, cells, seed);
     EXPECT_TRUE(scan.exists);
-    EXPECT_TRUE(scan.headerSeen);
     EXPECT_TRUE(scan.error.empty()) << scan.error;
     EXPECT_EQ(scan.rows, 2u);
 
     // A missing journal is "no progress yet", not an error.
     const JournalScan missing = scanShardJournal(
-        testing::TempDir() + "no_such.journal", cells.size(), header);
+        testing::TempDir() + "no_such.journal", cells, seed);
     EXPECT_FALSE(missing.exists);
     EXPECT_EQ(missing.rows, 0u);
     EXPECT_TRUE(missing.error.empty());
@@ -120,57 +131,101 @@ TEST(JournalScan, CountsCompleteRowsAndSkipsTornTail)
     // Headerless journals (pre-header builds) still scan, and rows
     // clamp to the shard's cell count (resumes re-record rows).
     const std::string old = writeTempFile(
-        "scan_headerless.journal", "r0\nr1\nr2\nr3\nr4\n");
-    const JournalScan clamped =
-        scanShardJournal(old, cells.size(), header);
-    EXPECT_FALSE(clamped.headerSeen);
-    EXPECT_TRUE(clamped.error.empty());
+        "scan_headerless.journal",
+        row0 + "\n" + row1 + "\n" + row0 + "\n");
+    const JournalScan clamped = scanShardJournal(old, cells, seed);
+    EXPECT_TRUE(clamped.error.empty()) << clamped.error;
     EXPECT_EQ(clamped.rows, cells.size());
 }
 
 TEST(JournalScan, ForeignOrStaleJournalsAreRejectedByName)
 {
     const std::vector<SweepCell> cells = testGrid().expand();
-    const ExperimentConfig exp = tinyExperiment();
-    const std::string header =
-        SweepRunner::journalHeader(cells, exp.seed);
+    const std::uint64_t seed = tinyExperiment().seed;
+    const std::string row0 = journalRow(cells, 0);
 
     // A header from a differently-seeded grid names the mismatch.
     const std::string foreign = writeTempFile(
         "scan_foreign.journal",
-        SweepRunner::journalHeader(cells, exp.seed ^ 1) + "\nrow\n");
-    const JournalScan wrongGrid =
-        scanShardJournal(foreign, cells.size(), header);
+        SweepRunner::journalHeader(cells, seed ^ 1) + "\n" + row0
+            + "\n");
+    const JournalScan wrongGrid = scanShardJournal(foreign, cells, seed);
     EXPECT_NE(wrongGrid.error.find("different grid"),
               std::string::npos)
         << wrongGrid.error;
 
-    // A stale schema fails with the one schema message, quoted.
-    const std::string staleHeader =
-        "# srs_sim sweep journal schema=4 cells=2 "
-        "grid=0x0000000000000000 seed=0x0000000000000000";
-    const std::string stale =
-        writeTempFile("scan_stale.journal", staleHeader + "\n");
-    const JournalScan wrongSchema =
-        scanShardJournal(stale, cells.size(), header);
-    EXPECT_NE(wrongSchema.error.find(
-                  "expected sweep CSV schema v6, found: " + staleHeader),
-              std::string::npos)
-        << wrongSchema.error;
+    // A stale schema fails with the one schema message, quoted; a
+    // schema-6 header too, though its rows read like this build's.
+    for (const char *schema : {"4", "6"}) {
+        const std::string staleHeader =
+            std::string("# srs_sim sweep journal schema=") + schema
+            + " cells=2 grid=0x0000000000000000 seed=0x0000000000000000";
+        const std::string stale = writeTempFile(
+            "scan_stale.journal", staleHeader + "\n" + row0 + "\n");
+        const JournalScan wrongSchema =
+            scanShardJournal(stale, cells, seed);
+        EXPECT_NE(wrongSchema.error.find(
+                      "expected sweep CSV schema v7, found: "
+                      + staleHeader),
+                  std::string::npos)
+            << wrongSchema.error;
+    }
 
     // A mangled header is an error, never silently skipped.
     const std::string mangled = writeTempFile(
         "scan_mangled.journal", "# srs_sim sweep journal gibberish\n");
-    EXPECT_FALSE(
-        scanShardJournal(mangled, cells.size(), header).error.empty());
+    EXPECT_FALSE(scanShardJournal(mangled, cells, seed).error.empty());
 
     // Unrelated comments are fine.
     const std::string chatty = writeTempFile(
-        "scan_chatty.journal", "# a note\nrow\n");
-    const JournalScan ok =
-        scanShardJournal(chatty, cells.size(), header);
-    EXPECT_TRUE(ok.error.empty());
+        "scan_chatty.journal", "# a note\n" + row0 + "\n");
+    const JournalScan ok = scanShardJournal(chatty, cells, seed);
+    EXPECT_TRUE(ok.error.empty()) << ok.error;
     EXPECT_EQ(ok.rows, 1u);
+}
+
+TEST(JournalScan, MalformedOrForeignRowsAreRejectedByName)
+{
+    // Each row is held to the rule `--resume` applies, so a journal
+    // the shard could not resume from never reads as progress.
+    const std::vector<SweepCell> cells = testGrid().expand();
+    const std::uint64_t seed = tinyExperiment().seed;
+    const std::string header = SweepRunner::journalHeader(cells, seed);
+
+    const std::string junk = "this is not a sweep row";
+    const JournalScan malformed = scanShardJournal(
+        writeTempFile("scan_junk.journal", header + "\n" + junk + "\n"),
+        cells, seed);
+    EXPECT_EQ(malformed.error,
+              "expected sweep CSV schema v7, found: " + junk);
+    EXPECT_EQ(malformed.rows, 0u);
+
+    // A well-formed row of another grid (T_RH 4800) names itself.
+    std::vector<SweepCell> other = cells;
+    for (SweepCell &cell : other)
+        cell.trh = 4800;
+    const std::string alien = journalRow(other, 1);
+    const JournalScan foreign = scanShardJournal(
+        writeTempFile("scan_alien.journal",
+                      header + "\n" + journalRow(cells, 0) + "\n" + alien
+                          + "\n"),
+        cells, seed);
+    EXPECT_NE(foreign.error.find("row 1 does not match the identity"),
+              std::string::npos)
+        << foreign.error;
+    EXPECT_NE(foreign.error.find(alien), std::string::npos)
+        << foreign.error;
+
+    // So is a row past the end of the shard.
+    std::vector<SweepCell> longer = cells;
+    longer.push_back(cells.front());
+    const JournalScan outside = scanShardJournal(
+        writeTempFile("scan_outside.journal",
+                      header + "\n" + journalRow(longer, 2) + "\n"),
+        cells, seed);
+    EXPECT_NE(outside.error.find("row index 2 is outside"),
+              std::string::npos)
+        << outside.error;
 }
 
 TEST(StatusSnapshot, JsonLinesHaveFixedShape)
@@ -262,15 +317,25 @@ TEST(Monitor, SnapshotComesFromJournalsAlone)
     EXPECT_EQ(snapshot[1].state, ShardState::Pending);
     EXPECT_FALSE(fleetDone(snapshot));
 
-    // A journal whose header names another grid is fatal by name.
-    std::ofstream bad(dir + "/" + manifest.shards[1].csv
-                      + ".journal");
-    bad << SweepRunner::journalHeader(
-               manifest.shards[1].grid.expand(), exp.seed ^ 1)
-        << "\n";
-    bad.close();
-    EXPECT_THROW(snapshotFromJournals(manifest, dir, nullptr),
-                 FatalError);
+    // A journal whose header names another grid is fatal by name, and
+    // so is one whose only row is no sweep row.
+    for (const std::string &text :
+         {SweepRunner::journalHeader(manifest.shards[1].grid.expand(),
+                                     exp.seed ^ 1),
+          std::string("this is not a sweep row")}) {
+        std::ofstream bad(dir + "/" + manifest.shards[1].csv
+                          + ".journal");
+        bad << text << "\n";
+        bad.close();
+        try {
+            snapshotFromJournals(manifest, dir, nullptr);
+            ADD_FAILURE() << "monitor read a bad journal: " << text;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(text),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 } // namespace

@@ -229,19 +229,25 @@ TEST(SpecProperty, GeneratorDecimalKnobsKeepExactMilliResolution)
 
 TEST(SpecProperty, MixSpecsAreDeterministicPureFunctionsOfTheIndex)
 {
-    // MIX labels are grid-generated (`--mix`), never spelled in
-    // `--workloads`, so their roundtrip property is construction
-    // determinism: the same index always draws the same per-core
-    // profile list under the same label.
+    // The same index always draws the same per-core profile list
+    // under the same label, and the label reads back as that spec
+    // (CSV rows, manifests and `--workloads` spell MIX points so),
+    // across the whole 32-bit index range and its two ends.
     Rng rng(0x3717);
     for (int i = 0; i < kIterations; ++i) {
         const std::uint32_t index =
-            static_cast<std::uint32_t>(rng.nextBelow(1000));
-        const WorkloadSpec a = WorkloadSpec::mix(index, 8);
-        const WorkloadSpec b = WorkloadSpec::mix(index, 8);
+            i == 0   ? 0u
+            : i == 1 ? 0xFFFFFFFFu
+                     : static_cast<std::uint32_t>(
+                           rng.nextBelow(i % 2 ? 1000 : 1ull << 32));
+        const std::uint32_t cores =
+            static_cast<std::uint32_t>(rng.nextRange(1, 8));
+        const WorkloadSpec a = WorkloadSpec::mix(index, cores);
+        const WorkloadSpec b = WorkloadSpec::mix(index, cores);
         EXPECT_EQ(a, b);
         EXPECT_EQ(a.label(), "mix" + std::to_string(index));
-        EXPECT_EQ(a.mixProfiles.size(), 8u);
+        EXPECT_EQ(a.mixProfiles.size(), cores);
+        EXPECT_EQ(WorkloadSpec::parse(a.label(), cores), a);
     }
 }
 
@@ -316,6 +322,14 @@ TEST(SpecProperty, MalformedWorkloadSpellingsNameInputAndGrammar)
         {"trace:/a;/b;/c", {"trace:/a;/b;/c", "8"}},
         {"trace:/tmp/a b.usimm", {"a b.usimm", "trace:<path>"}},
         {"trace:/tmp/a#b.usimm", {"a#b.usimm", "trace:<path>"}},
+        // mix<N>: N canonical decimal, no sign, no leading zero, at
+        // most 2^32-1 — the only spellings WorkloadSpec::mix writes.
+        {"mix", {"'mix'", "mix<N>"}},
+        {"mix01", {"mix01", "mix<N>", "leading zero"}},
+        {"mix-1", {"mix-1", "mix<N>", "no sign"}},
+        {"mix+1", {"mix+1", "mix<N>"}},
+        {"mix4294967296", {"mix4294967296", "0..4294967295"}},
+        {"mixer", {"mixer", "mix<N>"}},
     };
     for (const NegativeCase &c : cases) {
         SCOPED_TRACE(c.input);

@@ -393,7 +393,7 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
         SweepRunner::gridDigest(cells, exp.seed);
     char expected[128];
     std::snprintf(expected, sizeof(expected),
-                  "# srs_sim sweep journal schema=6 cells=%zu "
+                  "# srs_sim sweep journal schema=7 cells=%zu "
                   "grid=0x%016llx seed=0x%016llx",
                   cells.size(), static_cast<unsigned long long>(digest),
                   static_cast<unsigned long long>(exp.seed));
@@ -412,7 +412,7 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
     // A mangled header line is rejected, never silently skipped.
     EXPECT_EQ(SweepRunner::checkJournalHeader(
                   "# srs_sim sweep journal gibberish", header),
-              "expected sweep CSV schema v6, found: "
+              "expected sweep CSV schema v7, found: "
               "# srs_sim sweep journal gibberish");
 }
 
@@ -463,29 +463,34 @@ TEST(SweepJournal, MismatchedHeaderIsFatalByName)
             << err.what();
     }
 
-    // A stale schema fails with the one schema message, quoted.
-    const std::string staleHeader =
-        "# srs_sim sweep journal schema=4 cells=4 "
-        "grid=0x0000000000000000 seed=0x0000000000000000";
-    const std::string stale =
-        writeTempFile("journal_stale", staleHeader + "\n");
-    SweepRunner old(tinyExperiment(), 2);
-    old.setResume(stale);
-    try {
-        old.run(cells);
-        FAIL() << "schema-4 journal header was not rejected";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find(
-                      "expected sweep CSV schema v6, found: "
-                      + staleHeader),
-                  std::string::npos)
-            << err.what();
-    }
-
-    // Headerless journals (pre-header builds) still resume.
+    // A stale schema fails with the one schema message, quoted, even
+    // when its rows are this build's: v6 and v7 rows are alike, but
+    // a v6 journal belongs to a v6 manifest.
     std::string rows;
     for (std::size_t i = 0; i < cells.size(); ++i)
         rows += syntheticRow(cells, i);
+    for (const char *schema : {"4", "6"}) {
+        const std::string staleHeader =
+            std::string("# srs_sim sweep journal schema=") + schema
+            + " cells=4 grid=0x0000000000000000 seed=0x0000000000000000";
+        const std::string stale = writeTempFile(
+            "journal_stale", staleHeader + "\n" + rows);
+        SweepRunner old(tinyExperiment(), 2);
+        old.setResume(stale);
+        try {
+            old.run(cells);
+            FAIL() << "schema-" << schema
+                   << " journal header was not rejected";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "expected sweep CSV schema v7, found: "
+                          + staleHeader),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+
+    // Headerless journals (pre-header builds) still resume.
     const std::string headerless =
         writeTempFile("journal_headerless", rows);
     SweepRunner tolerant(tinyExperiment(), 2);
@@ -499,7 +504,8 @@ TEST(SweepMix, CellsRouteThroughRunWorkloadMixDeterministically)
 {
     const ExperimentConfig exp = tinyExperiment();
     std::vector<SweepCell> cells;
-    SweepCell mix = mixSweepCell(0, exp.numCores);
+    SweepCell mix;
+    mix.workload = WorkloadSpec::mix(0, exp.numCores);
     ASSERT_EQ(mix.workload.label(), "mix0");
     ASSERT_EQ(mix.workload.kind, WorkloadKind::Mix);
     ASSERT_EQ(mix.workload.mixProfiles.size(), exp.numCores);
@@ -521,59 +527,44 @@ TEST(SweepMix, CellsRouteThroughRunWorkloadMixDeterministically)
     EXPECT_GT(results[0].run.aggregateIpc, 0.0);
 }
 
-TEST(SweepMix, GridAppendsMixPointsAfterWorkloads)
+TEST(SweepMix, SpelledMixPointsExpandInListOrder)
 {
+    // A MIX point is a workload spec: spelled in the list, it expands
+    // where it stands, with the per-core draw of its index, whatever
+    // else the list holds (so a shard naming mix3,mix4 runs the cells
+    // the full grid would).
     SweepGrid grid;
-    grid.workloads = {WorkloadSpec::synthetic("gups")};
+    grid.workloads = splitSpecList("gups,mix3,mix4", 8);
     grid.mitigations = {MitigationKind::Rrs};
     grid.trhs = {1200};
     grid.swapRates = {6};
-    grid.mixCount = 2;
-    grid.mixCores = 8;
     const std::vector<SweepCell> cells = grid.expand();
     ASSERT_EQ(cells.size(), 3u);
     EXPECT_EQ(cells[0].workload.label(), "gups");
     EXPECT_TRUE(cells[0].workload.mixProfiles.empty());
-    EXPECT_EQ(cells[1].workload.label(), "mix0");
+    EXPECT_EQ(cells[1].workload, WorkloadSpec::mix(3, 8));
+    EXPECT_EQ(cells[2].workload, WorkloadSpec::mix(4, 8));
     EXPECT_EQ(cells[1].workload.mixProfiles.size(), 8u);
-    EXPECT_EQ(cells[2].workload.label(), "mix1");
     // Distinct MIX points draw distinct per-core profile lists.
     EXPECT_NE(cells[1].workload.mixProfiles,
               cells[2].workload.mixProfiles);
 }
 
-TEST(SweepMix, MixBaseShiftsThePointRange)
-{
-    // A shard covering the middle of a MIX campaign names its exact
-    // points: mixBase=3, mixCount=2 expands to mix3 and mix4 with
-    // the same per-core draws the full grid would give them.
-    SweepGrid grid;
-    grid.mitigations = {MitigationKind::Rrs};
-    grid.trhs = {1200};
-    grid.swapRates = {6};
-    grid.mixCount = 2;
-    grid.mixBase = 3;
-    grid.mixCores = 8;
-    const std::vector<SweepCell> cells = grid.expand();
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_EQ(cells[0].workload.label(), "mix3");
-    EXPECT_EQ(cells[1].workload.label(), "mix4");
-    EXPECT_EQ(cells[0].workload, mixSweepCell(3, 8).workload);
-    EXPECT_EQ(cells[1].workload, mixSweepCell(4, 8).workload);
-}
-
 TEST(SweepMix, InconsistentLabelOrCoreCountIsFatal)
 {
     const ExperimentConfig exp = tinyExperiment();
-    SweepCell a = mixSweepCell(0, exp.numCores);
+    SweepCell a;
+    a.workload = WorkloadSpec::mix(0, exp.numCores);
     a.mitigation = MitigationKind::Rrs;
-    SweepCell b = mixSweepCell(1, exp.numCores);
+    SweepCell b;
+    b.workload = WorkloadSpec::mix(1, exp.numCores);
     b.workload.name = a.workload.name; // same label, other profiles
     b.mitigation = MitigationKind::ScaleSrs;
     SweepRunner runner(exp, 2);
     EXPECT_THROW(runner.run({a, b}), FatalError);
 
-    SweepCell c = mixSweepCell(0, exp.numCores + 1);
+    SweepCell c;
+    c.workload = WorkloadSpec::mix(0, exp.numCores + 1);
     SweepRunner runner2(exp, 2);
     EXPECT_THROW(runner2.run({c}), FatalError);
 }
@@ -1086,7 +1077,7 @@ expectResumeRejects(const std::string &line, const std::string &text)
         ADD_FAILURE() << "resume accepted the line: " << line;
     } catch (const FatalError &err) {
         EXPECT_NE(std::string(err.what()).find(
-                      "expected sweep CSV schema v6, found: " + line),
+                      "expected sweep CSV schema v7, found: " + line),
                   std::string::npos)
             << err.what();
     }

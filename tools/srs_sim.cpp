@@ -49,11 +49,9 @@
  *                      --rates=3,6 [--tracker=misra-gries]
  *                      [--trace=FILE[;FILE…]] [--page-policy=A,B]
  *                      [--preset=ddr4,ddr5] [--org=CxRxB,…]
- *                      [--trc=NS,…]
- *                      [--trcd=NS,…] [--trp=NS,…] [--trefi=NS,…]
- *                      [--trfc=NS,…] [--mix=N] [--mix-base=K]
- *                      [--threads=N]
- *                      [--cycles=N] [--epoch=N]
+ *                      [--trc=NS,…] [--trcd=NS,…] [--trp=NS,…]
+ *                      [--trefi=NS,…] [--trfc=NS,…] [--mix=N]
+ *                      [--threads=N] [--cycles=N] [--epoch=N]
  *                      [--seed=S] [--out=FILE] [--resume=FILE]
  *                      [--journal=FILE]
  *            --workloads=all sweeps every built-in profile; items
@@ -65,9 +63,9 @@
  *            blend:<spec>+attack@<rate> run generator-backed skewed
  *            multi-tenant streams (Zipf row popularity, migrating
  *            hot sets, victim traffic with an embedded hammer
- *            stream — trace/generators.hh has the grammar); --mix=N
- *            appends N MIX points (per-core profile draws, starting
- *            at mix<K>) to the workload axis; --page-policy,
+ *            stream — trace/generators.hh has the grammar); items
+ *            spelled mix<N> run MIX point N (--mix=N appends
+ *            mix0..mix<N-1>); --page-policy,
  *            --preset, --org (channels x ranks x banks-per-rank
  *            DRAM organizations, e.g. 2x1x16) and the
  *            --trc/--trcd/--trp/--trefi/--trfc
@@ -118,10 +116,10 @@
  *
  *   list     list the built-in workload profiles.
  *
- * All subcommands validate unknown flags (a typo is a fatal error,
- * not a silently ignored knob).  docs/sweep-format.md specs the CSV,
- * journal and manifest formats; docs/ARCHITECTURE.md maps the
- * library layers underneath.
+ * All subcommands reject unknown flags and stray words (a typo is a
+ * fatal error, not a silently ignored knob).  docs/sweep-format.md
+ * specs the CSV, journal and manifest formats; docs/ARCHITECTURE.md
+ * maps the library layers underneath.
  */
 
 #include <chrono>
@@ -198,8 +196,8 @@ cmdPerf(const Options &opts)
 
 /**
  * Parse the sweep grid + experiment flags shared by `sweep` and
- * `orchestrate` (--workloads/--trace/--mitigations, the system-axes
- * lists of SystemAxesGrid, --trh/--rates/--tracker/--mix/--mix-base/
+ * `orchestrate` (--workloads/--trace/--mix/--mitigations, the
+ * system-axes lists of SystemAxesGrid, --trh/--rates/--tracker/
  * --cycles/--epoch/--seed); fatal() on an empty grid, a malformed
  * org, or inconsistent timing axes.
  */
@@ -226,6 +224,9 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
         grid.workloads.push_back(
             WorkloadSpec::parse("trace:" + spec, exp.numCores));
     }
+    const std::uint32_t mixes = opts.getUint<std::uint32_t>("mix", 0);
+    for (std::uint32_t mix = 0; mix < mixes; ++mix)
+        grid.workloads.push_back(WorkloadSpec::mix(mix, exp.numCores));
     for (const std::string &m :
          splitList(opts.getString("mitigations", "scale-srs")))
         grid.mitigations.push_back(mitigationKindFromName(m));
@@ -237,15 +238,10 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     grid.tracker =
         trackerKindFromName(opts.getString("tracker", "misra-gries"));
 
-    grid.mixCount = opts.getUint<std::uint32_t>("mix", 0);
-    grid.mixBase = opts.getUint<std::uint32_t>("mix-base", 0);
-    grid.mixCores = exp.numCores;
-
-    if ((grid.workloads.empty() && grid.mixCount == 0)
-        || grid.mitigations.empty() || grid.trhs.empty()
-        || grid.swapRates.empty()) {
-        fatal("sweep grid is empty: need at least one workload or "
-              "MIX point, mitigation, trh and rate");
+    if (grid.workloads.empty() || grid.mitigations.empty()
+        || grid.trhs.empty() || grid.swapRates.empty()) {
+        fatal("sweep grid is empty: need at least one workload, "
+              "mitigation, trh and rate");
     }
     // Reject inconsistent timing combinations (e.g. tRC < tRCD +
     // tRP) before any shard or worker starts.
@@ -670,7 +666,7 @@ usage()
         "    replays USIMM trace file(s), one path or one per core;\n"
         "    generator items: zipf:<rows>@s=<skew>,\n"
         "    hotspot:<rows>@hot=<frac>@p=<prob>[@shift=<cycles>],\n"
-        "    blend:<spec>+attack@<rate>\n"
+        "    blend:<spec>+attack@<rate>; mix<N>: MIX point N\n"
         "    --trace=FILE[;FILE] (none)  shorthand: append a\n"
         "    trace-file workload to the grid\n"
         "    --mitigations=A,B (scale-srs)\n"
@@ -682,8 +678,8 @@ usage()
         "    --trc=NS,.. --trcd=NS,.. --trp=NS,.. --trefi=NS,..\n"
         "    --trfc=NS,.. (0 = the preset's default timing)\n"
         "    --trh=N,M (1200)\n"
-        "    --rates=N,M (3)  --tracker=KIND\n"
-        "    --mix=N (0)  --mix-base=K (0)  --threads=N (all)\n"
+        "    --rates=N,M (3)  --tracker=KIND  --threads=N (all)\n"
+        "    --mix=N (0)  shorthand: append mix0..mix<N-1>\n"
         "    --cycles=N  --epoch=N  --seed=S  --out=FILE (stdout)\n"
         "    --journal=FILE|none (<out>.journal)  --resume=FILE\n"
         "\n"
@@ -757,6 +753,9 @@ main(int argc, char **argv)
     }
     const std::string &cmd = opts.positional().front();
     try {
+        if (opts.positional().size() > 1)
+            fatal("unexpected argument '", opts.positional()[1],
+                  "' after '", cmd, "' (options are --key=value)");
         if (cmd == "perf")
             return cmdPerf(opts);
         if (cmd == "sweep")
