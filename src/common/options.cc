@@ -72,6 +72,7 @@ Options::fromFile(const std::string &path)
     if (!in.is_open())
         fatal("options: cannot open '", path, "'");
     Options opts;
+    opts.path_ = path;
     std::string line;
     std::uint64_t lineNo = 0;
     while (std::getline(in, line)) {
@@ -116,7 +117,7 @@ Options::getUnsigned(const std::string &key, std::uint64_t def,
     const std::optional<std::uint64_t> v =
         parseUnsigned(it->second, max, hex);
     if (!v) {
-        fatal("option --", key, ": '", it->second, "' is not ",
+        fatal(name(key), ": '", it->second, "' is not ",
               hex ? "a decimal or 0x-hex" : "a decimal",
               " integer in 0..", max);
     }
@@ -135,8 +136,15 @@ Options::getBool(const std::string &key, bool def) const
         return true;
     if (v == "0" || v == "false" || v == "no" || v == "off")
         return false;
-    fatal("option --", key, ": '", v, "' is not a boolean");
+    fatal(name(key), ": '", v, "' is not a boolean");
     return def; // unreachable
+}
+
+std::string
+Options::name(const std::string &key) const
+{
+    return path_.empty() ? "option --" + key
+                         : "'" + path_ + "': key " + key;
 }
 
 void
@@ -144,8 +152,11 @@ Options::rejectUnknown() const
 {
     for (const auto &[key, value] : values_) {
         (void)value;
-        if (consumed_.find(key) == consumed_.end())
+        if (consumed_.find(key) != consumed_.end())
+            continue;
+        if (path_.empty())
             fatal("unknown option --", key);
+        fatal("'", path_, "': unknown key '", key, "'");
     }
 }
 

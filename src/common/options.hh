@@ -49,7 +49,10 @@ class Options
      */
     static Options fromArgs(int argc, const char *const *argv);
 
-    /** Parse "key=value" lines ('#' comments allowed) from a file. */
+    /**
+     * Parse "key=value" lines ('#' comments allowed) from a file.
+     * Messages about its keys name the file (name()).
+     */
     static Options fromFile(const std::string &path);
 
     /** @return true when @p key was provided. */
@@ -85,7 +88,16 @@ class Options
         return positional_;
     }
 
-    /** fatal() when any provided key was never read. */
+    /**
+     * How messages name @p key: `option --<key>` for options from
+     * argv, `'<path>': key <key>` for a file's.
+     */
+    std::string name(const std::string &key) const;
+
+    /**
+     * fatal() when any provided key was never read: `unknown option
+     * --<key>`, or `'<path>': unknown key '<key>'` for a file's.
+     */
     void rejectUnknown() const;
 
     /** Insert/overwrite (programmatic defaults, tests). */
@@ -97,6 +109,8 @@ class Options
 
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
+    /** The file the options came from; empty for argv. */
+    std::string path_;
     mutable std::set<std::string> consumed_;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/orchestrator.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -15,7 +14,6 @@
 #include "common/options.hh"
 #include "common/subprocess.hh"
 #include "common/thread_pool.hh"
-#include "sim/progress.hh"
 #include "sim/system.hh"
 
 namespace srs
@@ -25,8 +23,8 @@ namespace
 {
 
 /**
- * Longest wait between two polls of the running shards, in
- * milliseconds; a shard's exit ends the wait early.
+ * Longest wait for a running shard to exit, in milliseconds; the
+ * supervisor then polls every running shard again.
  */
 constexpr std::uint64_t kPollMs = 200;
 
@@ -34,15 +32,6 @@ std::string
 shardKey(std::size_t index, const char *field)
 {
     return "shard" + std::to_string(index) + "." + field;
-}
-
-/** Monotonic seconds for the progress clock. */
-double
-steadySec()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 /**
@@ -169,26 +158,13 @@ writeManifest(const ShardManifest &manifest, const std::string &path)
 std::string
 serializeManifest(const ShardManifest &manifest)
 {
-    const SweepGrid &grid = manifest.grid;
     std::ostringstream out;
     out << "# srs_sim shard manifest (docs/sweep-format.md)\n"
-        << "version=" << SweepRunner::kSchemaVersion << '\n'
-        << "workloads=" << joinSpecList(grid.workloads) << '\n';
-    std::vector<std::string> mitigations;
-    for (const MitigationKind kind : grid.mitigations)
-        mitigations.push_back(mitigationKindName(kind));
-    out << "mitigations=" << joinList(mitigations) << '\n';
-    for (const auto &[key, items] :
-         grid.spellLists(SystemAxesGrid::Column::ManifestKey))
-        out << key << '=' << items << '\n';
-    out << "trh=" << joinUint32List(grid.trhs) << '\n'
-        << "rates=" << joinUint32List(grid.swapRates) << '\n'
-        << "tracker=" << trackerKindName(grid.tracker) << '\n'
-        << "seed=" << manifest.exp.seed << '\n'
-        << "cycles=" << manifest.exp.cycles << '\n'
-        << "epoch=" << manifest.exp.epochLen << '\n'
-        << "cores=" << manifest.exp.numCores << '\n'
-        << "shards=" << manifest.shards.size() << '\n';
+        << "version=" << SweepRunner::kSchemaVersion << '\n';
+    for (const auto &[key, value] :
+         spellGridKeys(manifest.grid, manifest.exp))
+        out << key << '=' << value << '\n';
+    out << "shards=" << manifest.shards.size() << '\n';
     for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
         const ShardSpec &shard = manifest.shards[k];
         out << shardKey(k, "workloads") << '='
@@ -209,24 +185,8 @@ loadManifest(const std::string &path)
     }
 
     ShardManifest manifest;
-    manifest.exp.seed = opts.getSeed("seed", manifest.exp.seed);
-    manifest.exp.cycles = opts.getUint("cycles", manifest.exp.cycles);
-    manifest.exp.epochLen =
-        opts.getUint("epoch", manifest.exp.epochLen);
-    manifest.exp.numCores =
-        opts.getUint<std::uint32_t>("cores", manifest.exp.numCores);
-
     SweepGrid &grid = manifest.grid;
-    grid.workloads = splitSpecList(opts.getString("workloads", ""),
-                                   manifest.exp.numCores);
-    for (const std::string &name :
-         splitList(opts.getString("mitigations", "")))
-        grid.mitigations.push_back(mitigationKindFromName(name));
-    grid.readLists(opts, SystemAxesGrid::Column::ManifestKey);
-    grid.trhs = splitUint32List(opts.getString("trh", ""), "manifest: trh");
-    grid.swapRates = splitUint32List(opts.getString("rates", ""), "manifest: rates");
-    grid.tracker =
-        trackerKindFromName(opts.getString("tracker", "misra-gries"));
+    readGridKeys(opts, grid, manifest.exp);
 
     const std::uint64_t shardCount = opts.getUint("shards", 0);
     if (shardCount == 0)
@@ -306,27 +266,11 @@ std::vector<std::string>
 Orchestrator::shardCommand(std::size_t index) const
 {
     const ShardSpec &shard = manifest_.shards[index];
-    const SweepGrid &grid = shard.grid;
     const std::string csv = config_.dir + "/" + shard.csv;
 
-    std::vector<std::string> cmd;
-    cmd.push_back(config_.simPath);
-    cmd.push_back("sweep");
-    cmd.push_back("--workloads=" + joinSpecList(grid.workloads));
-    std::vector<std::string> mitigations;
-    for (const MitigationKind kind : grid.mitigations)
-        mitigations.push_back(mitigationKindName(kind));
-    cmd.push_back("--mitigations=" + joinList(mitigations));
-    for (const auto &[flag, items] :
-         grid.spellLists(SystemAxesGrid::Column::Flag))
-        cmd.push_back("--" + flag + "=" + items);
-    cmd.push_back("--trh=" + joinUint32List(grid.trhs));
-    cmd.push_back("--rates=" + joinUint32List(grid.swapRates));
-    cmd.push_back("--tracker="
-                  + std::string(trackerKindName(grid.tracker)));
-    cmd.push_back("--cycles=" + std::to_string(manifest_.exp.cycles));
-    cmd.push_back("--epoch=" + std::to_string(manifest_.exp.epochLen));
-    cmd.push_back("--seed=" + std::to_string(manifest_.exp.seed));
+    std::vector<std::string> cmd = {config_.simPath, "sweep"};
+    for (const auto &[key, value] : spellGridKeys(shard.grid, manifest_.exp))
+        cmd.push_back("--" + key + "=" + value);
     cmd.push_back("--threads=" + std::to_string(config_.shardThreads));
     cmd.push_back("--out=" + csv);
     cmd.push_back("--journal=" + csv + ".journal");
@@ -383,37 +327,15 @@ lastLogLine(const std::string &path)
                && (line.back() == '\r' || line.back() == ' '
                    || line.back() == '\t'))
             line.pop_back();
-        if (!line.empty())
+        if (line.empty())
+            continue;
+        // An indented line continues the message above it.
+        if (line.front() == ' ' && !last.empty())
+            last += '\n' + line;
+        else
             last = line;
     }
     return last;
-}
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
 }
 
 std::string
@@ -469,58 +391,21 @@ writeShardSummary(std::ostream &out, const ShardManifest &manifest,
 }
 
 void
-Orchestrator::writePlan(std::ostream &out, bool json)
+Orchestrator::writePlan(std::ostream &out)
 {
     prepareShardDir(manifest_, config_.dir);
     const std::string manifestPath = config_.dir + "/manifest";
-    if (!json) {
-        out << "# manifest: " << manifestPath << '\n'
-            << "# run each shard (any machine, same binary), collect "
-               "the CSVs next to the manifest,\n"
-            << "# then: " << shellQuote(config_.simPath) << " merge "
-            << shellQuote("--manifest=" + manifestPath) << '\n';
-        for (std::size_t k = 0; k < manifest_.shards.size(); ++k) {
-            const std::vector<std::string> cmd = shardCommand(k);
-            for (std::size_t a = 0; a < cmd.size(); ++a)
-                out << (a > 0 ? " " : "") << shellQuote(cmd[a]);
-            out << '\n';
-        }
-        if (!out.flush())
-            fatal("orchestrator: error writing the shard plan");
-        return;
-    }
-
-    const auto argvJson = [](const std::vector<std::string> &cmd) {
-        std::string joined = "[";
-        for (std::size_t a = 0; a < cmd.size(); ++a) {
-            if (a > 0)
-                joined += ", ";
-            joined += jsonQuote(cmd[a]);
-        }
-        return joined + "]";
-    };
-    out << "{\n"
-        << "  \"manifest\": " << jsonQuote(manifestPath) << ",\n"
-        << "  \"version\": " << SweepRunner::kSchemaVersion << ",\n"
-        << "  \"cells\": " << manifest_.totalCells() << ",\n"
-        << "  \"merge\": "
-        << argvJson({config_.simPath, "merge",
-                     "--manifest=" + manifestPath})
-        << ",\n"
-        << "  \"shards\": [\n";
+    out << "# manifest: " << manifestPath << '\n'
+        << "# run each shard (any machine, same binary), collect "
+           "the CSVs next to the manifest,\n"
+        << "# then: " << shellQuote(config_.simPath) << " merge "
+        << shellQuote("--manifest=" + manifestPath) << '\n';
     for (std::size_t k = 0; k < manifest_.shards.size(); ++k) {
-        const ShardSpec &shard = manifest_.shards[k];
-        const std::string csv = config_.dir + "/" + shard.csv;
-        out << "    {\"index\": " << k << ", \"offset\": "
-            << shard.offset << ", \"cells\": " << shard.cells
-            << ", \"csv\": " << jsonQuote(csv) << ", \"journal\": "
-            << jsonQuote(csv + ".journal") << ", \"log\": "
-            << jsonQuote(config_.dir + "/shard" + std::to_string(k)
-                         + ".log")
-            << ", \"argv\": " << argvJson(shardCommand(k)) << '}'
-            << (k + 1 < manifest_.shards.size() ? "," : "") << '\n';
+        const std::vector<std::string> cmd = shardCommand(k);
+        for (std::size_t a = 0; a < cmd.size(); ++a)
+            out << (a > 0 ? " " : "") << shellQuote(cmd[a]);
+        out << '\n';
     }
-    out << "  ]\n}\n";
     if (!out.flush())
         fatal("orchestrator: error writing the shard plan");
 }
@@ -529,25 +414,13 @@ void
 Orchestrator::run(std::ostream &mergedOut)
 {
     prepareShardDir(manifest_, config_.dir);
-    const std::string statusPath = config_.dir + "/farm.status";
     const std::size_t jobs = ThreadPool::resolveThreads(config_.jobs);
     const std::size_t n = manifest_.shards.size();
     states_.assign(n, ShardRunState{});
     launches_ = 0;
     skipped_ = 0;
-
-    /** Runtime state the supervisor tracks per shard. */
-    struct Live
-    {
-        ShardState state = ShardState::Pending;
-        long pid = -1;
-        std::size_t rows = 0;
-    };
-    std::vector<Live> live(n);
-    std::vector<std::vector<SweepCell>> shardCells(n);
-    for (std::size_t k = 0; k < n; ++k)
-        shardCells[k] = manifest_.shards[k].grid.expand();
-    ProgressClock clock(n);
+    // Each running shard's child pid; -1 while it is not running.
+    std::vector<long> pids(n, -1);
 
     const auto localPath = [&](const std::string &name) {
         return config_.dir + "/" + name;
@@ -555,57 +428,16 @@ Orchestrator::run(std::ostream &mergedOut)
     const auto logPath = [&](std::size_t k) {
         return localPath("shard" + std::to_string(k) + ".log");
     };
-    const auto markDone = [&](std::size_t k) {
-        live[k].state = ShardState::Done;
-        live[k].rows = manifest_.shards[k].cells;
-        states_[k].done = true;
-    };
-
-    const auto writeStatus = [&] {
-        std::vector<ShardStatus> snapshot;
-        for (std::size_t k = 0; k < n; ++k) {
-            ShardStatus status;
-            status.index = k;
-            status.state = live[k].state;
-            status.rows = live[k].rows;
-            status.cells = manifest_.shards[k].cells;
-            status.attempts = states_[k].launches;
-            status.rowsPerSec = clock.rowsPerSec(k);
-            status.etaSec =
-                live[k].state == ShardState::Done
-                    ? 0.0
-                    : clock.etaSec(k, manifest_.shards[k].cells);
-            snapshot.push_back(std::move(status));
-        }
-        // Written whole then renamed into place, so a concurrent
-        // reader never sees a half-written snapshot.
-        const std::string tmp = statusPath + ".tmp";
-        {
-            std::ofstream out(tmp,
-                              std::ios::trunc | std::ios::binary);
-            if (!out) {
-                fatal("orchestrator: cannot write status file '", tmp,
-                      "'");
-            }
-            writeStatusJson(out, snapshot);
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, statusPath, ec);
-        if (ec) {
-            fatal("orchestrator: cannot move status snapshot into '",
-                  statusPath, "': ", ec.message());
-        }
-    };
 
     // Reap every in-flight child before a fatal() — orphans would
     // keep writing into the shard directory and race a re-run.
     // Their journals survive, so no completed cell is lost.
     const auto teardown = [&] {
-        for (Live &shard : live) {
-            if (shard.pid >= 0) {
-                killProcess(shard.pid);
-                waitProcess(shard.pid);
-                shard.pid = -1;
+        for (long &pid : pids) {
+            if (pid >= 0) {
+                killProcess(pid);
+                waitProcess(pid);
+                pid = -1;
             }
         }
     };
@@ -620,7 +452,7 @@ Orchestrator::run(std::ostream &mergedOut)
             pending.push_back(k);
             continue;
         }
-        markDone(k);
+        states_[k].done = true;
         ++skipped_;
         std::fprintf(stderr,
                      "orchestrator: shard %zu already complete (%zu "
@@ -630,28 +462,26 @@ Orchestrator::run(std::ostream &mergedOut)
 
     const auto launch = [&](std::size_t k) {
         const std::vector<std::string> cmd = shardCommand(k);
-        const long pid = spawnProcess(cmd, logPath(k));
+        pids[k] = spawnProcess(cmd, logPath(k));
         ++launches_;
         ++states_[k].launches;
-        live[k].state = ShardState::Running;
-        live[k].pid = pid;
         std::fprintf(stderr,
                      "orchestrator: shard %zu of %zu launched (pid "
                      "%ld, %zu cells%s)\n",
-                     k, n, pid, manifest_.shards[k].cells,
+                     k, n, pids[k], manifest_.shards[k].cells,
                      cmd.back().starts_with("--resume=") ? ", resumed"
                                                          : "");
     };
 
     // A failed shard goes back in the queue and resumes from its
     // journal; fatal() (with the other children torn down and the
-    // child's last words) once its retries run out.
+    // child's last words) once its retries run out.  A journal the
+    // shard cannot resume from (another grid's, a stale schema) fails
+    // every relaunch, and its last log line names it.
     const auto handleFailure = [&](std::size_t k,
                                    const std::string &err) {
         states_[k].lastError = err;
         if (states_[k].launches > config_.retries) {
-            live[k].state = ShardState::Failed;
-            writeStatus();
             teardown();
             const std::string tail = lastLogLine(logPath(k));
             writeShardSummary(std::cerr, manifest_, states_,
@@ -664,7 +494,6 @@ Orchestrator::run(std::ostream &mergedOut)
                   "\n  (see ", logPath(k), ")");
         }
         ++states_[k].restarts;
-        live[k].state = ShardState::Pending;
         std::fprintf(stderr,
                      "orchestrator: shard %zu failed (%s), relaunching "
                      "from its journal (attempt %zu/%zu)\n",
@@ -675,62 +504,41 @@ Orchestrator::run(std::ostream &mergedOut)
 
     for (;;) {
         std::vector<long> running;
-        for (const Live &shard : live) {
-            if (shard.state == ShardState::Running)
-                running.push_back(shard.pid);
+        for (const long pid : pids) {
+            if (pid >= 0)
+                running.push_back(pid);
         }
         while (!pending.empty() && running.size() < jobs) {
             launch(pending.front());
-            running.push_back(live[pending.front()].pid);
+            running.push_back(pids[pending.front()]);
             pending.pop_front();
         }
         if (running.empty())
             break;
 
-        writeStatus();
         // A shard's exit ends the wait early, so its job slot is
         // refilled at once instead of at the next poll.
         waitForExit(running, kPollMs);
-        const double now = steadySec();
-
         for (std::size_t k = 0; k < n; ++k) {
-            if (live[k].state != ShardState::Running)
-                continue;
-            const ShardSpec &shard = manifest_.shards[k];
             int status = 0;
-            if (pollProcess(live[k].pid, status)) {
-                live[k].pid = -1;
-                const std::string err =
-                    processExitedCleanly(status)
-                        ? validateShardCsv(shard, manifest_.exp,
-                                           localPath(shard.csv))
-                        : describeProcessExit(status);
-                if (!err.empty()) {
-                    handleFailure(k, err);
-                    continue;
-                }
-                markDone(k);
-                clock.sample(k, live[k].rows, now);
-                std::fprintf(stderr, "orchestrator: shard %zu done\n",
-                             k);
+            if (pids[k] < 0 || !pollProcess(pids[k], status))
+                continue;
+            pids[k] = -1;
+            const ShardSpec &shard = manifest_.shards[k];
+            const std::string err =
+                processExitedCleanly(status)
+                    ? validateShardCsv(shard, manifest_.exp,
+                                       localPath(shard.csv))
+                    : describeProcessExit(status);
+            if (!err.empty()) {
+                handleFailure(k, err);
                 continue;
             }
-            const std::string journal = localPath(shard.csv + ".journal");
-            const JournalScan scan = scanShardJournal(
-                journal, shardCells[k], manifest_.exp.seed);
-            if (!scan.error.empty()) {
-                teardown();
-                fatal("orchestrator: shard ", k, " journal '", journal,
-                      "': ", scan.error);
-            }
-            if (scan.exists) {
-                live[k].rows = std::max(live[k].rows, scan.rows);
-                clock.sample(k, live[k].rows, now);
-            }
+            states_[k].done = true;
+            std::fprintf(stderr, "orchestrator: shard %zu done\n", k);
         }
     }
 
-    writeStatus();
     writeShardSummary(std::cerr, manifest_, states_, config_.dir);
     mergeShards(manifest_, config_.dir, mergedOut);
 }

@@ -14,13 +14,14 @@
  *    workload spec `mix<N>` like any other, so paper-scale MIX
  *    campaigns shard too.
  *  - ShardManifest is the on-disk contract between the splitter, the
- *    shard runs, and the merge: the full grid, the experiment knobs
- *    (seed/cycles/epoch/cores), and each shard's workload slice and
- *    CSV path; the slices fix each shard's global index offset and
- *    cell count.  Every shard
- *    row's identity prefix is recomputable from it, which is what
- *    lets the merge reject foreign or torn shards byte-exactly
- *    (docs/sweep-format.md specs the file format).
+ *    shard runs, and the merge: the full grid and the experiment
+ *    knobs (cycles/epoch/seed) under the `sweep` flags' names
+ *    (readGridKeys/spellGridKeys in sim/sweep.hh), and each shard's
+ *    workload slice and CSV path; the slices fix each shard's global
+ *    index offset and cell count.  Every shard row's identity prefix
+ *    is recomputable from it, which is what lets the merge reject
+ *    foreign or torn shards byte-exactly (docs/sweep-format.md specs
+ *    the file format).
  *  - mergeShards() validates every shard CSV against the manifest
  *    (header, row count, newline termination, per-row identity
  *    prefix) and stitches them into one global CSV, renumbering the
@@ -29,11 +30,11 @@
  *  - Orchestrator, the one shard supervisor, runs the shards as
  *    child processes on this machine, at most `jobs` at a time.  It
  *    restarts crashed or killed shards from their checkpoint
- *    journals (the engine's --resume machinery), writes the
- *    `<dir>/farm.status` snapshot that `srs_sim monitor` reads
- *    (sim/progress.hh), and merges on completion.  Re-running a
- *    killed orchestration resumes every partial shard instead of
- *    starting over.  Shards for other machines come from its plan
+ *    journals (the engine's --resume machinery) and merges on
+ *    completion; `srs_sim monitor` reports their progress from the
+ *    same journals (sim/progress.hh).  Re-running a killed
+ *    orchestration resumes every partial shard instead of starting
+ *    over.  Shards for other machines come from its plan
  *    (writePlan()): any scheduler runs the printed commands, and
  *    mergeShards() stitches what they wrote.
  */
@@ -78,16 +79,18 @@ struct ShardSpec
  * Everything the merge (or a remote shard runner) needs to know
  * about one orchestrated sweep.  Serialized as `key=value` lines
  * (version SweepRunner::kSchemaVersion, the version of the sweep CSV
- * its shards emit: workload-spec spellings on the outer axis,
- * page-policy/DRAM-preset/DRAM-organization/timing-override system
- * axes on the inner) — see docs/sweep-format.md for the schema.  A
- * manifest of any other version is rejected, never misread.
+ * its shards emit), its grid keys the `sweep` flags — see
+ * docs/sweep-format.md for the schema.  A manifest of any other
+ * version is rejected, never misread.
  */
 struct ShardManifest
 {
     /** The full grid, exactly as a single-process sweep would run it. */
     SweepGrid grid;
-    /** Shared experiment knobs; exp.seed keys every cell seed. */
+    /**
+     * Shared experiment knobs (cycles, epoch, seed); exp.seed keys
+     * every cell seed.
+     */
     ExperimentConfig exp;
     /** Shard slices, in global cell order (offsets ascending). */
     std::vector<ShardSpec> shards;
@@ -142,10 +145,11 @@ void writeManifest(const ShardManifest &manifest,
 /**
  * Parse a manifest written by writeManifest().  Unknown keys,
  * missing shards, a version other than SweepRunner::kSchemaVersion
- * ("expected version 7, found: version=<N>"), an empty shard, or
+ * ("expected version 8, found: version=<N>"), an empty shard, or
  * shard workload lists that do not join, in order, into the full
- * grid's are fatal(); each shard's offset and cell count are derived
- * from the slices.
+ * grid's are fatal(), the message naming @p path; a grid key left
+ * out takes the `sweep` default (readGridKeys()), and each shard's
+ * offset and cell count are derived from the slices.
  */
 ShardManifest loadManifest(const std::string &path);
 
@@ -194,17 +198,16 @@ void prepareShardDir(const ShardManifest &manifest,
                      const std::string &dir);
 
 /**
- * Last non-empty line of @p path, trailing \r/whitespace stripped
- * ("" when unreadable or empty).  Supervisors use it to surface a
- * dead child's fatal message instead of pointing at a log file.
+ * Last non-empty line of @p path with the indented lines that
+ * continue it (a multi-line fatal's `  found:`/`  expected:` lines),
+ * trailing \r/whitespace stripped ("" when unreadable or empty).
+ * Supervisors use it to surface a dead child's fatal message instead
+ * of pointing at a log file.
  */
 std::string lastLogLine(const std::string &path);
 
-/** Minimal JSON string escape+quote for the plan/status emitters. */
-std::string jsonQuote(const std::string &s);
-
 /**
- * @p s as one POSIX shell word, for the text plan: unchanged when it
+ * @p s as one POSIX shell word, for the plan: unchanged when it
  * is non-empty and every byte is in `[A-Za-z0-9_@%+=:,./-]`, else
  * single-quoted with each `'` spelled `'\''`.
  */
@@ -252,12 +255,10 @@ class Orchestrator
      * validate, launch the rest (resuming from a checkpoint when one
      * exists) with at most `jobs` children in flight, relaunch failed
      * shards up to `retries` times, and finally merge all shard CSVs
-     * onto @p mergedOut.  Every poll samples the running shards'
-     * journals and rewrites `<dir>/farm.status`; a shard's exit ends
-     * the wait for the next poll early.  A shard that still fails
-     * after its retries (with the other children torn down first),
-     * or a shard directory holding a *different* orchestration's
-     * manifest, is fatal().
+     * onto @p mergedOut.  A shard that still fails after its retries
+     * (with the other children torn down first; the message quotes
+     * its last log line), or a shard directory holding a *different*
+     * orchestration's manifest, is fatal().
      */
     void run(std::ostream &mergedOut);
 
@@ -266,15 +267,10 @@ class Orchestrator
      * manifest, and print each shard's `srs_sim sweep` command line
      * to @p out — launch nothing.  The commands are exactly what
      * run() would exec, ready to be dispatched to other machines
-     * and stitched back with `srs_sim merge`; each text line is
-     * shell-safe (shellQuote() on every argument).  With @p json,
-     * the same plan is emitted as one machine-readable JSON object
-     * (manifest path, merge argv, per-shard offset/cells/file
-     * paths/argv — docs/sweep-format.md has the schema) so external
-     * schedulers consume the same source of truth as the human
-     * listing.
+     * and stitched back with `srs_sim merge`; each line is
+     * shell-safe (shellQuote() on every argument).
      */
-    void writePlan(std::ostream &out, bool json = false);
+    void writePlan(std::ostream &out);
 
     /** Shards whose CSVs already validated and were not relaunched. */
     std::size_t skippedShards() const { return skipped_; }
@@ -289,8 +285,10 @@ class Orchestrator
   private:
     /**
      * The exact `srs_sim sweep` argv for shard @p index (argv[0] =
-     * simPath), with `--resume=` the shard's journal, or else its CSV,
-     * when one exists in the shard directory.
+     * simPath): the shard grid's keys as flags (spellGridKeys()),
+     * then --threads, --out and --journal, and `--resume=` the
+     * shard's journal, or else its CSV, when one exists in the shard
+     * directory.
      */
     std::vector<std::string> shardCommand(std::size_t index) const;
 

@@ -95,7 +95,6 @@ shardStateName(ShardState state)
       case ShardState::Pending: return "pending";
       case ShardState::Running: return "running";
       case ShardState::Done:    return "done";
-      case ShardState::Failed:  return "failed";
     }
     return "?";
 }
@@ -162,7 +161,7 @@ void
 writeStatusJson(std::ostream &os,
                 const std::vector<ShardStatus> &shards)
 {
-    std::size_t pending = 0, running = 0, done = 0, failed = 0;
+    std::size_t pending = 0, running = 0, done = 0;
     std::size_t rows = 0, cells = 0;
     double fleetRate = 0.0;
     bool anyRate = false;
@@ -172,13 +171,11 @@ writeStatusJson(std::ostream &os,
            << "\",\"rows\":" << s.rows << ",\"cells\":" << s.cells
            << ",\"pct\":" << fmtPct(s.rows, s.cells)
            << ",\"rows_per_sec\":" << fmtRate(s.rowsPerSec)
-           << ",\"eta_sec\":" << fmtSec(s.etaSec)
-           << ",\"attempts\":" << s.attempts << "}\n";
+           << ",\"eta_sec\":" << fmtSec(s.etaSec) << "}\n";
         switch (s.state) {
           case ShardState::Pending: ++pending; break;
           case ShardState::Running: ++running; break;
           case ShardState::Done:    ++done; break;
-          case ShardState::Failed:  ++failed; break;
         }
         rows += s.rows;
         cells += s.cells;
@@ -194,9 +191,9 @@ writeStatusJson(std::ostream &os,
         fleetEta = static_cast<double>(cells - rows) / fleetRate;
     os << "{\"type\":\"fleet\",\"shards\":" << shards.size()
        << ",\"pending\":" << pending << ",\"running\":" << running
-       << ",\"done\":" << done << ",\"failed\":" << failed
-       << ",\"rows\":" << rows << ",\"cells\":" << cells
-       << ",\"pct\":" << fmtPct(rows, cells) << ",\"rows_per_sec\":"
+       << ",\"done\":" << done << ",\"rows\":" << rows
+       << ",\"cells\":" << cells << ",\"pct\":" << fmtPct(rows, cells)
+       << ",\"rows_per_sec\":"
        << (anyRate ? fmtRate(fleetRate) : "-1") << ",\"eta_sec\":"
        << fmtSec(fleetEta) << "}\n";
     os.flush();
@@ -206,8 +203,7 @@ void
 writeStatusTable(std::ostream &os,
                  const std::vector<ShardStatus> &shards)
 {
-    os << "shard  state     rows/cells     pct  rows/s       eta"
-          "  attempts\n";
+    os << "shard  state     rows/cells     pct  rows/s       eta\n";
     std::size_t rows = 0, cells = 0, done = 0;
     for (const ShardStatus &s : shards) {
         char head[64];
@@ -222,7 +218,7 @@ writeStatusTable(std::ostream &os,
                                           : fmtRate(s.rowsPerSec))
            << "  " << (s.etaSec < 0 ? std::string("       -")
                                     : fmtSec(s.etaSec) + "s")
-           << "  " << s.attempts << '\n';
+           << '\n';
         rows += s.rows;
         cells += s.cells;
         done += s.state == ShardState::Done ? 1 : 0;
@@ -245,8 +241,7 @@ fleetDone(const std::vector<ShardStatus> &shards)
 
 std::vector<ShardStatus>
 snapshotFromJournals(const ShardManifest &manifest,
-                     const std::string &dir,
-                     const ProgressClock *clock)
+                     const std::string &dir)
 {
     std::vector<ShardStatus> statuses;
     for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
@@ -263,19 +258,11 @@ snapshotFromJournals(const ShardManifest &manifest,
         status.index = k;
         status.rows = scan.rows;
         status.cells = shard.cells;
-        if (scan.rows >= shard.cells)
+        if (scan.rows >= shard.cells) {
             status.state = ShardState::Done;
-        else if (scan.exists)
-            status.state = ShardState::Running;
-        else
-            status.state = ShardState::Pending;
-        if (clock) {
-            status.rowsPerSec = clock->rowsPerSec(k);
-            status.etaSec = status.state == ShardState::Done
-                                ? 0.0
-                                : clock->etaSec(k, shard.cells);
-        } else if (status.state == ShardState::Done) {
             status.etaSec = 0.0;
+        } else if (scan.exists) {
+            status.state = ShardState::Running;
         }
         statuses.push_back(std::move(status));
     }

@@ -1,28 +1,25 @@
 /**
  * @file
- * Journal-based shard progress: the orchestrator's observability
- * channel.
+ * Journal-based shard progress: what `srs_sim monitor` reports.
  *
  * Every shard sweep already streams one flushed journal line per
  * completed cell (sim/sweep.hh) — so per-shard progress, rows/sec,
  * and ETA are computable by *reading files*, with zero
- * instrumentation in the simulator hot path.  This header holds the
- * pieces both consumers share:
+ * instrumentation in the simulator hot path and no channel to the
+ * orchestrator.  The pieces:
  *
  *  - scanShardJournal() counts a journal's complete data rows,
  *    holding its header comment and each row to the rules `--resume`
  *    applies, so a stale, foreign or malformed journal is rejected
  *    by name;
+ *  - snapshotFromJournals() builds a fleet snapshot from a shard
+ *    directory alone, while the shards run or after they died;
  *  - ProgressClock turns successive (rows, time) samples into
  *    rows/sec and ETA estimates;
  *  - writeStatusJson()/writeStatusTable() render a fleet snapshot
  *    as JSON lines (one "shard" object per shard plus one "fleet"
  *    totals object — docs/sweep-format.md has the schema) or as a
  *    human --watch table.
- *
- * Orchestrator::run writes `<dir>/farm.status` through these after
- * every poll; `srs_sim monitor` builds the same snapshot from the
- * shard directory alone, while the shards run or after they died.
  */
 
 #ifndef SRS_SIM_PROGRESS_HH
@@ -68,13 +65,12 @@ JournalScan scanShardJournal(const std::string &path,
                              const std::vector<SweepCell> &cells,
                              std::uint64_t baseSeed);
 
-/** Lifecycle of one shard as the monitor/orchestrator sees it. */
+/** Lifecycle of one shard as its journal shows it. */
 enum class ShardState
 {
-    Pending,  ///< no journal yet, not launched (or just launched)
-    Running,  ///< journal growing (or launched and warming up)
-    Done,     ///< all cells journaled / CSV validated
-    Failed,   ///< gave up after retries
+    Pending,  ///< no journal yet
+    Running,  ///< journal present, cells still missing
+    Done,     ///< every cell journaled
 };
 
 /** Lowercase state name for status output. */
@@ -89,8 +85,6 @@ struct ShardStatus
     std::size_t rows = 0;
     /** Cells total. */
     std::size_t cells = 0;
-    /** Launches so far (0 until first dispatch). */
-    std::size_t attempts = 0;
     /** Completion rate; < 0 when unknown (needs two samples). */
     double rowsPerSec = -1.0;
     /** Remaining-time estimate in seconds; < 0 when unknown. */
@@ -155,13 +149,12 @@ bool fleetDone(const std::vector<ShardStatus> &shards);
  * journals under @p dir — nothing else; works while an orchestrate
  * run is live on the same directory or after it died.  A journal
  * that scanShardJournal() rejects is fatal() (reject by name, never
- * misread).  @p clock, when non-null, supplies rows/sec and
- * ETA (the caller samples it).
+ * misread).  Rates are unknown (-1) and a done shard's ETA is 0; the
+ * caller fills them in from a ProgressClock it samples.
  */
 std::vector<ShardStatus>
 snapshotFromJournals(const ShardManifest &manifest,
-                     const std::string &dir,
-                     const ProgressClock *clock);
+                     const std::string &dir);
 
 } // namespace srs
 

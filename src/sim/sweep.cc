@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "common/thread_pool.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
@@ -633,6 +634,48 @@ SweepRunner::writeCsv(std::ostream &os,
         else
             os << r.resumedRow << '\n';
     }
+}
+
+void
+readGridKeys(const Options &opts, SweepGrid &grid, ExperimentConfig &exp)
+{
+    grid.workloads = splitSpecList(opts.getString("workloads", "gcc"),
+                                   exp.numCores);
+    for (const std::string &m :
+         splitList(opts.getString("mitigations", "scale-srs")))
+        grid.mitigations.push_back(mitigationKindFromName(m));
+    grid.readLists(opts);
+    grid.trhs =
+        splitUint32List(opts.getString("trh", "1200"), opts.name("trh"));
+    grid.swapRates =
+        splitUint32List(opts.getString("rates", "3"), opts.name("rates"));
+    grid.tracker =
+        trackerKindFromName(opts.getString("tracker", "misra-gries"));
+    exp.cycles = opts.getUint("cycles", 1'500'000);
+    exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
+    exp.seed = opts.getSeed("seed", exp.seed);
+}
+
+std::vector<std::pair<std::string, std::string>>
+spellGridKeys(const SweepGrid &grid, const ExperimentConfig &exp)
+{
+    std::vector<std::string> mitigations;
+    for (const MitigationKind kind : grid.mitigations)
+        mitigations.push_back(mitigationKindName(kind));
+    std::vector<std::pair<std::string, std::string>> keys = {
+        {"workloads", joinSpecList(grid.workloads)},
+        {"mitigations", joinList(mitigations)},
+    };
+    for (auto &list : grid.spellLists())
+        keys.push_back(std::move(list));
+    keys.insert(keys.end(),
+                {{"trh", joinUint32List(grid.trhs)},
+                 {"rates", joinUint32List(grid.swapRates)},
+                 {"tracker", trackerKindName(grid.tracker)},
+                 {"cycles", std::to_string(exp.cycles)},
+                 {"epoch", std::to_string(exp.epochLen)},
+                 {"seed", std::to_string(exp.seed)}});
+    return keys;
 }
 
 std::string

@@ -34,7 +34,7 @@
  *    CSV can be fed back via setResume() to skip already-computed
  *    cells — the resumed output is byte-identical to an
  *    uninterrupted run (docs/sweep-format.md has the file formats,
- *    schema v7, whose CSV columns are v6's — the
+ *    schema v8, whose CSV columns are v6's — the
  *    `p50_lat,p99_lat,p999_lat` tail-latency
  *    columns landed with the generator workloads, `lat_samples`
  *    with the DRAM-organization axis, and the
@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -219,17 +220,17 @@ class SweepRunner
 
     /**
      * The schema version this build writes and reads: of the sweep
-     * CSV, the journal header and the shard manifest alike.  Version
-     * 7 changed only the manifest, so its CSV header and rows are
-     * v6's and a v6 CSV still resumes and merges.
+     * CSV, the journal header and the shard manifest alike.  Versions
+     * 7 and 8 changed only the manifest, so their CSV header and rows
+     * are v6's and a v6 or v7 CSV still resumes and merges.
      */
-    static constexpr std::uint64_t kSchemaVersion = 7;
+    static constexpr std::uint64_t kSchemaVersion = 8;
 
     /**
      * The schema rule for one complete, non-comment line of a sweep
      * CSV, journal or shard CSV: it is csvHeader(), or a row of
      * kRowColumns non-empty fields whose first is a decimal index.
-     * @return "" when it is, else "expected sweep CSV schema v7,
+     * @return "" when it is, else "expected sweep CSV schema v8,
      *         found: <line>".
      */
     static std::string checkLine(const std::string &line);
@@ -276,7 +277,7 @@ class SweepRunner
 
     /**
      * The comment line a checkpoint journal starts with:
-     * `# srs_sim sweep journal schema=7 cells=<N> grid=0x<digest>
+     * `# srs_sim sweep journal schema=8 cells=<N> grid=0x<digest>
      * seed=0x<seed>` (no trailing newline; digest = gridDigest()).
      * Resume and the fleet monitor hold it to checkJournalHeader();
      * headerless journals stay accepted (docs/sweep-format.md).
@@ -295,6 +296,28 @@ class SweepRunner
     std::string journalPath_;
     std::string resumePath_;
 };
+
+/**
+ * Read the grid keys — `workloads`, `mitigations`, the eight
+ * system-axes lists (SystemAxesGrid::readLists), `trh`, `rates`,
+ * `tracker`, `cycles`, `epoch` and `seed` — from @p opts into the
+ * default-constructed @p grid and @p exp: the `sweep` flags and the
+ * shard manifest's keys alike.  A key not given takes the `sweep`
+ * default (gcc, scale-srs, 1200, 3, misra-gries, 1500000 cycles, an
+ * epoch of half the cycles, exp's seed).  fatal() on a malformed
+ * value, naming the key as @p opts names it (Options::name()).
+ */
+void readGridKeys(const Options &opts, SweepGrid &grid,
+                  ExperimentConfig &exp);
+
+/**
+ * Every grid key and its spelling for @p grid and @p exp, in the
+ * order readGridKeys() lists them: what it reads back.  The shard
+ * manifest writes them as `key=value` lines and a shard's command
+ * line as `--key=value` flags.
+ */
+std::vector<std::pair<std::string, std::string>>
+spellGridKeys(const SweepGrid &grid, const ExperimentConfig &exp);
 
 /** Canonical spellings of @p specs (joinList of labels). */
 std::string joinSpecList(const std::vector<WorkloadSpec> &specs);

@@ -161,10 +161,8 @@ namespace
 {
 
 /**
- * The timing-knob suffixes of an axes spelling, in canonical order.
- * The order is load-bearing: field() emits overridden knobs in this
- * sequence and parse() requires it, which is what makes the two
- * exact inverses.
+ * The timing-knob suffixes of an axes spelling, in canonical order:
+ * field() emits overridden knobs in this sequence.
  */
 struct AxesKnob
 {
@@ -184,13 +182,6 @@ constexpr AxesKnob kAxesKnobs[] = {
     {"trefi", &SystemAxes::tRefiNs, 100'000},
     {"trfc", &SystemAxes::tRfcNs, 10'000},
 };
-
-constexpr const char *kAxesGrammar =
-    "<policy>[@ddr4|@ddr5][@org=CxRxB][@trc=NS][@trcd=NS][@trp=NS]"
-    "[@trefi=NS][@trfc=NS] with policy closed|open, suffixes in that "
-    "order, org a power-of-two channels x ranks x banks-per-rank "
-    "triple (channels 1..8, ranks 1..4, banks 4..64), NS in 1..10000 "
-    "nanoseconds (trefi: 1..100000)";
 
 bool
 isPow2(std::uint32_t v)
@@ -264,109 +255,6 @@ SystemAxes::field() const
                     + std::to_string(ns);
     }
     return text;
-}
-
-SystemAxes
-SystemAxes::parse(const std::string &text)
-{
-    SystemAxes axes;
-    const auto at = text.find('@');
-    const std::string policy = text.substr(0, at);
-    if (policy == "closed") {
-        axes.pagePolicy = PagePolicy::Closed;
-    } else if (policy == "open") {
-        axes.pagePolicy = PagePolicy::Open;
-    } else {
-        fatal("system axes '", text, "': unknown page policy '",
-              policy, "' (want ", kAxesGrammar, ")");
-    }
-
-    // Each '@'-chained suffix is the preset name, the org triple, or
-    // one knob=value pair; kAxesKnobs order is enforced (nextKnob
-    // only advances), which also rejects duplicates.
-    std::size_t nextKnob = 0;
-    bool sawPreset = false;
-    bool sawOrg = false;
-    std::string::size_type start = at;
-    while (start != std::string::npos) {
-        const auto end = text.find('@', start + 1);
-        const std::string suffix =
-            text.substr(start + 1, end == std::string::npos
-                                       ? std::string::npos
-                                       : end - start - 1);
-        start = end;
-
-        const auto eq = suffix.find('=');
-        if (eq == std::string::npos) {
-            if (sawPreset || sawOrg || nextKnob > 0) {
-                fatal("system axes '", text, "': preset '", suffix,
-                      "' must come right after the policy (want ",
-                      kAxesGrammar, ")");
-            }
-            if (suffix == "ddr4") {
-                axes.preset = DramPreset::Ddr4;
-            } else if (suffix == "ddr5") {
-                axes.preset = DramPreset::Ddr5;
-            } else {
-                fatal("system axes '", text, "': unknown suffix '",
-                      suffix, "' (want ", kAxesGrammar, ")");
-            }
-            sawPreset = true;
-            continue;
-        }
-
-        const std::string key = suffix.substr(0, eq);
-        if (key == "org") {
-            if (sawOrg || nextKnob > 0) {
-                fatal("system axes '", text, "': ",
-                      sawOrg ? "repeated" : "out-of-order",
-                      " org suffix '", suffix, "' — org comes right "
-                      "after the policy/preset (want ", kAxesGrammar,
-                      ")");
-            }
-            const std::string value = suffix.substr(eq + 1);
-            std::uint32_t channels = 0, ranks = 0, banks = 0;
-            if (!parseOrgValue(value, channels, ranks, banks)
-                || !orgInBounds(channels, ranks, banks)) {
-                fatal("system axes '", text, "': '", value,
-                      "' is not a CxRxB DRAM organization (want ",
-                      kAxesGrammar, ")");
-            }
-            axes.orgChannels = channels;
-            axes.orgRanks = ranks;
-            axes.orgBanks = banks;
-            sawOrg = true;
-            continue;
-        }
-        std::size_t k = nextKnob;
-        while (k < std::size(kAxesKnobs) && key != kAxesKnobs[k].key)
-            ++k;
-        if (k == std::size(kAxesKnobs)) {
-            bool knownKey = false;
-            for (const AxesKnob &knob : kAxesKnobs)
-                knownKey = knownKey || key == knob.key;
-            fatal("system axes '", text, "': ",
-                  knownKey ? "out-of-order or repeated" : "unknown",
-                  " timing override '", suffix, "' (want ",
-                  kAxesGrammar, ")");
-        }
-        // Spelling only: validate() below checks the knob's bound.
-        // field() never spells 0 (no override), so parse rejects it.
-        const std::string value = suffix.substr(eq + 1);
-        char *endp = nullptr;
-        const unsigned long long ns =
-            std::strtoull(value.c_str(), &endp, 10);
-        if (value.empty() || endp == value.c_str() || *endp != '\0'
-            || ns == 0 || ns > 0xFFFFFFFFull) {
-            fatal("system axes '", text, "': '", value, "' is not a ",
-                  key, " override in nanoseconds (want ",
-                  kAxesGrammar, ")");
-        }
-        axes.*kAxesKnobs[k].member = static_cast<std::uint32_t>(ns);
-        nextKnob = k + 1;
-    }
-    axes.validate();
-    return axes;
 }
 
 DramTimingNs
@@ -572,11 +460,11 @@ joinUint32List(const std::vector<std::uint32_t> &items)
 namespace
 {
 
-/** One list of a SystemAxesGrid: its two names and its codec. */
+/** One list of a SystemAxesGrid: its name and its codec. */
 struct AxisList
 {
-    const char *flag;
-    const char *manifestKey;
+    /** The `sweep` flag and the manifest key. */
+    const char *name;
     /** Replace the list with @p text's items; @p what names it. */
     void (*read)(SystemAxesGrid &grid, const std::string &text,
                  const std::string &what);
@@ -610,29 +498,22 @@ spellList(const SystemAxesGrid &grid)
 
 template <auto List>
 constexpr AxisList
-axisList(const char *flag, const char *manifestKey)
+axisList(const char *name)
 {
-    return {flag, manifestKey, readList<List>, spellList<List>};
+    return {name, readList<List>, spellList<List>};
 }
 
 /** Every list in axis order, named as docs/sweep-format.md has it. */
 constexpr AxisList kAxisLists[] = {
-    axisList<&SystemAxesGrid::pagePolicies>("page-policy", "policies"),
-    axisList<&SystemAxesGrid::presets>("preset", "presets"),
-    axisList<&SystemAxesGrid::orgs>("org", "orgs"),
-    axisList<&SystemAxesGrid::tRcOverrides>("trc", "trc"),
-    axisList<&SystemAxesGrid::tRcdOverrides>("trcd", "trcd"),
-    axisList<&SystemAxesGrid::tRpOverrides>("trp", "trp"),
-    axisList<&SystemAxesGrid::tRefiOverrides>("trefi", "trefi"),
-    axisList<&SystemAxesGrid::tRfcOverrides>("trfc", "trfc"),
+    axisList<&SystemAxesGrid::pagePolicies>("page-policy"),
+    axisList<&SystemAxesGrid::presets>("preset"),
+    axisList<&SystemAxesGrid::orgs>("org"),
+    axisList<&SystemAxesGrid::tRcOverrides>("trc"),
+    axisList<&SystemAxesGrid::tRcdOverrides>("trcd"),
+    axisList<&SystemAxesGrid::tRpOverrides>("trp"),
+    axisList<&SystemAxesGrid::tRefiOverrides>("trefi"),
+    axisList<&SystemAxesGrid::tRfcOverrides>("trfc"),
 };
-
-const char *
-listName(const AxisList &list, SystemAxesGrid::Column column)
-{
-    return column == SystemAxesGrid::Column::Flag ? list.flag
-                                                  : list.manifestKey;
-}
 
 } // namespace
 
@@ -681,24 +562,22 @@ SystemAxesGrid::axesCount() const
 }
 
 void
-SystemAxesGrid::readLists(const Options &opts, Column column)
+SystemAxesGrid::readLists(const Options &opts)
 {
     for (const AxisList &list : kAxisLists) {
-        const std::string name = listName(list, column);
-        if (opts.has(name)) {
-            list.read(*this, opts.getString(name, ""),
-                      (column == Column::Flag ? "--" : "manifest: ")
-                          + name);
+        if (opts.has(list.name)) {
+            list.read(*this, opts.getString(list.name, ""),
+                      opts.name(list.name));
         }
     }
 }
 
 std::vector<std::pair<std::string, std::string>>
-SystemAxesGrid::spellLists(Column column) const
+SystemAxesGrid::spellLists() const
 {
     std::vector<std::pair<std::string, std::string>> lists;
     for (const AxisList &list : kAxisLists)
-        lists.emplace_back(listName(list, column), list.spell(*this));
+        lists.emplace_back(list.name, list.spell(*this));
     return lists;
 }
 

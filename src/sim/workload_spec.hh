@@ -21,9 +21,10 @@
  *
  * Both types have a canonical, comma-free text spelling that appears
  * verbatim in the sweep CSV identity columns (`workload_spec`,
- * `axes`) and in the shard manifest, so resume validation and the
- * shard merge can compare identities byte for byte
- * (docs/sweep-format.md specs the formats, schema v7).
+ * `axes`), so resume validation and the shard merge can compare
+ * identities byte for byte; the shard manifest spells the workloads
+ * the same way and the axes as SystemAxesGrid's lists
+ * (docs/sweep-format.md specs the formats, schema v8).
  */
 
 #ifndef SRS_SIM_WORKLOAD_SPEC_HH
@@ -175,24 +176,17 @@ struct SystemAxes
     bool operator==(const SystemAxes &) const = default;
 
     /**
-     * Canonical text field (CSV `axes` column, manifest spelling):
-     * the policy name, then `@ddr5` when the preset is not DDR4,
-     * then `@org=CxRxB` when the organization is not the default
-     * 2x1x16, then one `@<knob>=<ns>` suffix per overridden knob in
-     * the fixed order trc, trcd, trp, trefi, trfc — `closed`,
-     * `open`, `open@trc=48`, `open@ddr5@org=2x2x32@trefi=3900`.
+     * Canonical text field (CSV `axes` column): the policy name,
+     * then `@ddr5` when the preset is not DDR4, then `@org=CxRxB`
+     * when the organization is not the default 2x1x16, then one
+     * `@<knob>=<ns>` suffix per overridden knob in the fixed order
+     * trc, trcd, trp, trefi, trfc — `closed`, `open`, `open@trc=48`,
+     * `open@ddr5@org=2x2x32@trefi=3900`.  Distinct axes spell
+     * distinct fields: the sweep shares one baseline per workload
+     * and field().  Nothing reads a field back; the grid lists
+     * (SystemAxesGrid) are the input spelling.
      */
     std::string field() const;
-
-    /**
-     * Inverse of field(): parse one axes spelling
-     * (`<policy>[@ddr4|@ddr5][@org=CxRxB][@trc=NS][@trcd=NS]
-     * [@trp=NS][@trefi=NS][@trfc=NS]`, suffixes in that order, each
-     * at most once).  fatal() names the offending input verbatim and
-     * lists every accepted spelling; the parsed axes are
-     * validate()d.
-     */
-    static SystemAxes parse(const std::string &text);
 
     /**
      * Effective timing values — the preset's defaults with this
@@ -207,8 +201,8 @@ struct SystemAxes
      * would make the derived tRAS unable to cover the row-open
      * window, or tRFC >= tREFI, a machine that never finishes a
      * refresh); the message names field() and the offending values.
-     * parse(), apply() and SystemAxesGrid::axes() all call it, so
-     * every reader rejects an out-of-range override alike.
+     * apply() and SystemAxesGrid::axes() both call it, so every
+     * reader rejects an out-of-range override alike.
      */
     void validate() const;
 
@@ -220,11 +214,9 @@ struct SystemAxes
  * The system-axes part of a grid: one list per SystemAxes knob,
  * crossed by axes().  SweepGrid and SecurityGrid derive from it, so
  * both sweeps enumerate the same machine variants in the same order.
- * One table names each list by its CLI flag (`--page-policy`,
- * `--preset`, `--org`, `--trc` .. `--trfc`) and its manifest key
- * (`policies`, `presets`, `orgs`, `trc` .. `trfc`); readLists() and
- * spellLists() walk it, so the CLI, the shard manifest and the shard
- * command line spell the lists alike.
+ * One table names each list (`page-policy`, `preset`, `org`, `trc`
+ * .. `trfc`: the `sweep` flag and the manifest key alike);
+ * readLists() and spellLists() walk it.
  */
 struct SystemAxesGrid
 {
@@ -246,9 +238,6 @@ struct SystemAxesGrid
     std::vector<std::uint32_t> tRefiOverrides = {0};
     std::vector<std::uint32_t> tRfcOverrides = {0};
 
-    /** Which name a list goes by: its CLI flag or manifest key. */
-    enum class Column { Flag, ManifestKey };
-
     /**
      * pagePolicies x presets x orgs x the five timing-override lists,
      * crossed in declaration order (policy outermost, tRFC
@@ -262,20 +251,18 @@ struct SystemAxesGrid
     std::size_t axesCount() const;
 
     /**
-     * Replace each list given in @p opts under its @p column name
-     * with its comma-separated items; a list not given is left as
-     * it is.  fatal() on a malformed item (messages name integer
-     * lists as `--trc` or `manifest: trc`) or an empty list (naming
-     * it the same way).
+     * Replace each list given in @p opts with its comma-separated
+     * items; a list not given is left as it is.  fatal() on a
+     * malformed item (integer lists name the list as @p opts names
+     * it, Options::name()) or an empty list (naming it the same way).
      */
-    void readLists(const Options &opts, Column column);
+    void readLists(const Options &opts);
 
     /**
-     * Each list's @p column name and comma-joined spelling, in axis
-     * order: what readLists() reads back.
+     * Each list's name and comma-joined spelling, in axis order: what
+     * readLists() reads back.
      */
-    std::vector<std::pair<std::string, std::string>>
-    spellLists(Column column) const;
+    std::vector<std::pair<std::string, std::string>> spellLists() const;
 };
 
 /**
@@ -288,7 +275,7 @@ std::vector<std::string> splitList(const std::string &value);
 /**
  * Parse a comma-separated list of 32-bit unsigned integers;
  * fatal() on malformed, negative, or out-of-range items, naming
- * @p what (e.g. "--trh" or "manifest: trh") in the message.
+ * @p what (Options::name() of the list's key) in the message.
  */
 std::vector<std::uint32_t> splitUint32List(const std::string &value,
                                            const std::string &what);
@@ -312,8 +299,8 @@ const char *dramPresetName(DramPreset preset);
 DramPreset dramPresetFromName(const std::string &name);
 
 /**
- * Parse a `CxRxB` DRAM-organization spelling (a `--org` grid item or
- * manifest `orgs=` item) into @p axes' org fields; fatal() listing
+ * Parse a `CxRxB` DRAM-organization spelling (an `org` list item)
+ * into @p axes' org fields; fatal() listing
  * the accepted shape and bounds on malformed or out-of-range input.
  */
 void dramOrgFromName(const std::string &name, SystemAxes &axes);

@@ -421,20 +421,10 @@ if(EXISTS ${smoke_dir}/orch_plan/shard0.csv)
   message(FATAL_ERROR "orchestrate --plan ran a shard")
 endif()
 run_expect_fail(merge --manifest=${smoke_dir}/orch_plan/manifest)
-# The JSON plan names every shard's argv and the merge argv.
-execute_process(COMMAND ${SRS_SIM} orchestrate ${orch_grid} --shards=3
-                --plan --plan-format=json --dir=${smoke_dir}/orch_plan
-                OUTPUT_VARIABLE plan_json RESULT_VARIABLE plan_rc
-                ERROR_QUIET)
-if(NOT plan_rc EQUAL 0)
-  message(FATAL_ERROR "orchestrate --plan --plan-format=json failed")
-endif()
-foreach(needle "\"shards\":" "\"argv\":" "\"merge\":")
-  if(NOT plan_json MATCHES "${needle}")
-    message(FATAL_ERROR "JSON plan lacks '${needle}'")
-  endif()
-endforeach()
-run_expect_fail(orchestrate ${orch_grid} --plan --plan-format=yaml)
+# The plan has one format, the shell lines above.
+run_expect_fail_saying(NEEDLES "unknown option --plan-format"
+                       ARGS orchestrate ${orch_grid} --shards=3 --plan
+                            --plan-format=json --dir=${smoke_dir}/orch_plan)
 
 # A tampered shard must be rejected by merge, never mixed in.
 file(READ ${smoke_dir}/orch_shards/shard1.csv shard1_text)
@@ -514,18 +504,20 @@ set(kill_args orchestrate ${orch_grid} --shards=3 --jobs=2 --threads=1
 run_killing_one_shard(${smoke_dir}/kill_shards
                       ${smoke_dir}/kill_merged.csv ${kill_args}
                       --dir=${smoke_dir}/kill_shards)
-# The final status file and a monitor snapshot from the journals alone
-# both report every shard done.
-file(READ ${smoke_dir}/kill_shards/farm.status kill_status)
+# The supervisor writes no status file: a `monitor` snapshot from the
+# journals alone is the one status, and it reports every shard done.
+if(EXISTS ${smoke_dir}/kill_shards/farm.status)
+  message(FATAL_ERROR "orchestrate wrote ${smoke_dir}/kill_shards/farm.status")
+endif()
 execute_process(COMMAND ${SRS_SIM} monitor --dir=${smoke_dir}/kill_shards
-                OUTPUT_VARIABLE kill_monitor ERROR_QUIET)
-foreach(report kill_status kill_monitor)
-  foreach(needle "\"type\":\"shard\"" "\"type\":\"fleet\"" "\"done\":3"
-          "\"pct\":100.0")
-    if(NOT ${report} MATCHES "${needle}")
-      message(FATAL_ERROR "${report} lacks '${needle}':\n${${report}}")
-    endif()
-  endforeach()
+                OUTPUT_VARIABLE kill_monitor RESULT_VARIABLE kill_monitor_rc
+                ERROR_QUIET)
+foreach(needle "\"type\":\"shard\"" "\"pct\":100.0"
+        "{\"type\":\"fleet\",\"shards\":3,\"pending\":0,\"running\":0,\"done\":3,")
+  if(NOT kill_monitor_rc EQUAL 0 OR NOT kill_monitor MATCHES "${needle}")
+    message(FATAL_ERROR "monitor (exit ${kill_monitor_rc}) lacks "
+            "'${needle}':\n${kill_monitor}")
+  endif()
 endforeach()
 execute_process(COMMAND ${SRS_SIM} ${kill_args} --retries=0
                 --out=${smoke_dir}/kill0_merged.csv
@@ -635,8 +627,8 @@ if(NOT org_merge_diff EQUAL 0)
   message(FATAL_ERROR "stitch-only org CSV differs")
 endif()
 file(STRINGS ${smoke_dir}/org_shards/manifest org_manifest_orgs
-     REGEX "^orgs=")
-if(NOT org_manifest_orgs STREQUAL "orgs=1x1x16,2x1x16,2x2x32")
+     REGEX "^org=")
+if(NOT org_manifest_orgs STREQUAL "org=1x1x16,2x1x16,2x2x32")
   message(FATAL_ERROR "org manifest names its orgs as "
           "'${org_manifest_orgs}'")
 endif()
@@ -709,12 +701,13 @@ foreach(reader "security;--defenses=rrs;--trh=4800;--rates=6"
                            ARGS ${reader} --${flag}=)
   endforeach()
 endforeach()
-# Schema-v1 to v5 checkpoints and v1 to v6 manifests fail with the
+# Schema-v1 to v5 checkpoints and v1 to v7 manifests fail with the
 # one schema message, quoting what they found, instead of a cryptic
-# identity mismatch (a v6 CSV is a v7 CSV: v7 changed the manifest).
-file(READ ${smoke_dir}/orch_shards/manifest manifest_v7)
-if(NOT manifest_v7 MATCHES "version=7")
-  message(FATAL_ERROR "orchestrate manifest is not schema v7")
+# identity mismatch (a v6 or v7 CSV is a v8 CSV: v7 and v8 changed the
+# manifest).
+file(READ ${smoke_dir}/orch_shards/manifest manifest_v8)
+if(NOT manifest_v8 MATCHES "version=8")
+  message(FATAL_ERROR "orchestrate manifest is not schema v8")
 endif()
 set(stale_headers
     "index,workload,mitigation,tracker,trh,rate,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
@@ -722,29 +715,48 @@ set(stale_headers
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts"
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat"
     "index,workload_spec,mitigation,tracker,trh,rate,axes,seed,ipc,baseline_ipc,normalized,swaps,unswap_swaps,place_backs,rows_pinned,max_row_acts,p50_lat,p99_lat,p999_lat,lat_samples")
-foreach(stale_version 1 2 3 4 5 6)
+foreach(stale_version 1 2 3 4 5 6 7)
   if(stale_version LESS 6)
     math(EXPR at "${stale_version} - 1")
     list(GET stale_headers ${at} stale_header)
     set(checkpoint ${smoke_dir}/v${stale_version}_checkpoint.csv)
     file(WRITE ${checkpoint} "${stale_header}\n")
     run_expect_fail_saying(
-      NEEDLES "expected sweep CSV schema v7, found: ${stale_header}"
+      NEEDLES "expected sweep CSV schema v8, found: ${stale_header}"
       ARGS sweep --workloads=gups --mitigations=rrs --trh=1200 --rates=6
            --resume=${checkpoint})
   endif()
-  string(REPLACE "version=7" "version=${stale_version}" manifest_stale
-         "${manifest_v7}")
+  string(REPLACE "version=8" "version=${stale_version}" manifest_stale
+         "${manifest_v8}")
   file(WRITE ${smoke_dir}/orch_shards/stale_manifest "${manifest_stale}")
   run_expect_fail_saying(
-    NEEDLES "expected version 7, found: version=${stale_version}"
+    NEEDLES "expected version 8, found: version=${stale_version}"
     ARGS merge --manifest=${smoke_dir}/orch_shards/stale_manifest)
 endforeach()
-file(REMOVE ${smoke_dir}/orch_shards/stale_manifest)
-# A schema-4 or schema-6 journal header stops `--resume` and the fleet
+# A manifest line is named by its file and key, never as a flag: a
+# leftover v6 `mix` or v7 `cores` key, a v7 axis-list name, and a
+# malformed value.
+set(bad_manifest ${smoke_dir}/orch_shards/bad_manifest)
+set(bad_mix "${manifest_v8}mix=0\n")
+set(bad_cores "${manifest_v8}cores=8\n")
+string(REPLACE "page-policy=closed" "policies=closed" bad_policies
+       "${manifest_v8}")
+string(REPLACE "cycles=60000" "cycles=6e4" bad_cycles "${manifest_v8}")
+foreach(key mix cores policies cycles)
+  file(WRITE ${bad_manifest} "${bad_${key}}")
+  set(needle "unknown key '${key}'")
+  if(key STREQUAL "cycles")
+    set(needle "key cycles: '6e4'")
+  endif()
+  run_expect_fail_saying(NEEDLES "'${bad_manifest}': ${needle}"
+                         ARGS merge --manifest=${bad_manifest})
+endforeach()
+file(REMOVE ${smoke_dir}/orch_shards/stale_manifest ${bad_manifest})
+# A schema-4, 6 or 7 journal header stops `--resume` and the fleet
 # monitor's journal scan with the same message, and so does a journal
 # row that is no sweep row (the monitor used to count it as a finished
-# cell).
+# cell).  `orchestrate` relaunches the shard with that `--resume` and
+# gives up quoting the shard's last log line.
 file(REMOVE_RECURSE ${smoke_dir}/stale_journal_shards)
 run_expect_ok(orchestrate ${orch_grid} --shards=3 --plan
               --dir=${smoke_dir}/stale_journal_shards)
@@ -752,14 +764,27 @@ set(stale_journal_path ${smoke_dir}/stale_journal_shards/shard0.csv.journal)
 foreach(stale_journal
         "# srs_sim sweep journal schema=4 cells=4 grid=0x0000000000000000 seed=0x0000000000000000"
         "# srs_sim sweep journal schema=6 cells=4 grid=0x0000000000000000 seed=0x0000000000000000"
+        "# srs_sim sweep journal schema=7 cells=4 grid=0x0000000000000000 seed=0x0000000000000000"
         "this is not a sweep row")
   file(WRITE ${stale_journal_path} "${stale_journal}\n")
   foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
-          "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}")
+          "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}"
+          "orchestrate;${orch_grid};--shards=3;--jobs=1;--retries=0;--dir=${smoke_dir}/stale_journal_shards")
     run_expect_fail_saying(
-      NEEDLES "expected sweep CSV schema v7, found: ${stale_journal}"
+      NEEDLES "expected sweep CSV schema v8, found: ${stale_journal}"
       ARGS ${reader})
   endforeach()
+endforeach()
+# So does a v8 journal header of another grid, and `orchestrate` quotes
+# the shard's whole message, its found/expected lines included.
+set(foreign_header "# srs_sim sweep journal schema=8 cells=4 grid=0x0000000000000000 seed=0x0000000000000000")
+file(WRITE ${stale_journal_path} "${foreign_header}\n")
+foreach(reader "monitor;--dir=${smoke_dir}/stale_journal_shards"
+        "sweep;--workloads=gups;--mitigations=rrs;--trh=1200;--rates=6;--resume=${stale_journal_path}"
+        "orchestrate;${orch_grid};--shards=3;--jobs=1;--retries=0;--dir=${smoke_dir}/stale_journal_shards")
+  run_expect_fail_saying(NEEDLES "journal header describes a different grid"
+                                 "found:    ${foreign_header}"
+                         ARGS ${reader})
 endforeach()
 
 run_expect_fail(monitor)
@@ -840,7 +865,7 @@ foreach(subcommand perf sweep orchestrate merge monitor attack
         --workloads --shards --manifest --montecarlo --defenses --rounds
         --trace --mix "mix<N>" --page-policy --preset --org
         --trc --trcd --trp --trefi --trfc "trace:"
-        --plan-format --watch --interval-ms)
+        --watch --interval-ms)
   if(NOT usage_text MATCHES "${subcommand}")
     message(FATAL_ERROR "usage() does not mention '${subcommand}'")
   endif()

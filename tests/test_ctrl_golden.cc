@@ -22,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/sweep.hh"
@@ -34,12 +35,22 @@ namespace
 
 const char *const kWorkloads[] = {
     "gups", "zipf:4096@s=0.99", "blend:zipf:4096@s=0.9+attack@0.05"};
-const char *const kAxes[] = {"closed", "open@org=2x2x32"};
 const char *const kMitigations[] = {"rrs", "scale-srs", "blockhammer"};
+
+/** The dumped axes: `closed` and `open@org=2x2x32`. */
+std::vector<SystemAxes>
+dumpedAxes()
+{
+    SystemAxes open;
+    open.pagePolicy = PagePolicy::Open;
+    open.orgRanks = 2;
+    open.orgBanks = 32;
+    return {SystemAxes{}, open};
+}
 
 /** Run one cell and append its counter dump to @p out. */
 void
-dumpCell(const std::string &workload, const std::string &axesText,
+dumpCell(const std::string &workload, const SystemAxes &axes,
          const std::string &mitigation, std::ostringstream &out)
 {
     ExperimentConfig exp;
@@ -48,8 +59,7 @@ dumpCell(const std::string &workload, const std::string &axesText,
     const WorkloadSpec spec = WorkloadSpec::parse(workload, exp.numCores);
     const SystemConfig cfg = makeSystemConfig(
         exp, mitigationKindFromName(mitigation), /*trh=*/60,
-        /*swapRate=*/6, TrackerKind::MisraGries,
-        SystemAxes::parse(axesText));
+        /*swapRate=*/6, TrackerKind::MisraGries, axes);
 
     System sys(cfg);
     const AddressMap &map = sys.controller().addressMap();
@@ -67,7 +77,7 @@ dumpCell(const std::string &workload, const std::string &axesText,
 
     char ipc[40];
     std::snprintf(ipc, sizeof(ipc), "%.17g", sys.aggregateIpc());
-    out << "cell " << workload << ' ' << axesText << ' ' << mitigation
+    out << "cell " << workload << ' ' << axes.field() << ' ' << mitigation
         << "\n  ipc " << ipc << '\n';
     for (const auto &[name, value] : sys.controller().stats().all())
         out << "  ctrl." << name << ' ' << value << '\n';
@@ -84,7 +94,7 @@ TEST(CtrlCountersGolden, GridMatchesCommittedDump)
 {
     std::ostringstream dump;
     for (const char *workload : kWorkloads)
-        for (const char *axes : kAxes)
+        for (const SystemAxes &axes : dumpedAxes())
             for (const char *mitigation : kMitigations)
                 dumpCell(workload, axes, mitigation, dump);
 

@@ -90,16 +90,20 @@ TEST(EventLoop, MatchesReferenceAcrossMitigations)
         MitigationKind::Aqua,
     };
     const std::uint32_t trhs[] = {1200, 120};
-    const char *axesSpellings[] = {"closed", "open",
-                                   "open@ddr5@org=2x2x32"};
+    SystemAxes open;
+    open.pagePolicy = PagePolicy::Open;
+    SystemAxes openDdr5 = open; // open@ddr5@org=2x2x32
+    openDdr5.preset = DramPreset::Ddr5;
+    openDdr5.orgRanks = 2;
+    openDdr5.orgBanks = 32;
+    const SystemAxes axesList[] = {SystemAxes{}, open, openDdr5};
     for (const char *wl : workloads) {
         for (const MitigationKind kind : kinds) {
             for (const std::uint32_t trh : trhs) {
-                for (const char *spelling : axesSpellings) {
-                    const SystemAxes axes = SystemAxes::parse(spelling);
+                for (const SystemAxes &axes : axesList) {
                     const std::string label = std::string(wl) + "/"
                         + mitigationKindName(kind) + "/"
-                        + std::to_string(trh) + "/" + spelling;
+                        + std::to_string(trh) + "/" + axes.field();
                     const RunResult ref = runCell(
                         wl, kind, TrackerKind::MisraGries, true, trh, axes);
                     const RunResult ev = runCell(

@@ -8,8 +8,8 @@
  * resume → re-merge roundtrip — plus the plan's shell quoting and
  * the supervisor's skip and give-up contracts in Orchestrator::run.
  * tests/cli_smoke.cmake runs the supervisor end to end, including a
- * shard killed mid-run and relaunched from its journal, and a text
- * plan run through `sh`.
+ * shard killed mid-run and relaunched from its journal, and a plan
+ * line run through `sh`.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +19,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/subprocess.hh"
 #include "sim/orchestrator.hh"
+#include "sim/progress.hh"
 #include "sim/sweep.hh"
 #include "stale_schema.hh"
 
@@ -269,14 +271,17 @@ TEST(ShardManifestFile, CorruptedTilingIsFatal)
                                      "shard0.workloads="))
                   .find("shard 0 is empty"),
               std::string::npos);
-    // Version 6's MIX-range and shard-geometry keys are unknown keys,
-    // never silently ignored.
-    for (const char *key : {"mix=0", "mix_base=0", "shard0.mix=0",
-                            "shard0.mix_base=0", "shard0.offset=0",
-                            "shard0.cells=4"}) {
-        EXPECT_NE(manifestError("manifest_v6_key",
-                                text + key + "\n")
-                      .find("unknown option"),
+    // Version 6's MIX-range and shard-geometry keys and version 7's
+    // `cores` key and axis-list names are unknown keys, named with
+    // the file, never silently ignored.
+    const std::string oldKeyPath = testing::TempDir() + "manifest_old_key";
+    for (const std::string key : {"mix", "mix_base", "shard0.mix",
+                                  "shard0.mix_base", "shard0.offset",
+                                  "shard0.cells", "cores", "policies",
+                                  "presets", "orgs"}) {
+        EXPECT_NE(manifestError("manifest_old_key", text + key + "=0\n")
+                      .find("'" + oldKeyPath + "': unknown key '" + key
+                            + "'"),
                   std::string::npos)
             << key;
     }
@@ -291,32 +296,69 @@ TEST(ShardManifestFile, CorruptedTilingIsFatal)
     EXPECT_THROW(
         loadManifest(writeTempFile(
             "manifest_bad_version",
-            replaced(text, "version=7", "version=8"))),
+            replaced(text, "version=8", "version=9"))),
         FatalError);
 
-    // Out-of-range axis values must not wrap: trh=2^32+1200 is a
-    // fatal parse error, never a silent trh=1200.
-    EXPECT_THROW(loadManifest(writeTempFile(
-                     "manifest_overflow",
-                     replaced(text, "trh=1200", "trh=4294968496"))),
-                 FatalError);
-    EXPECT_THROW(loadManifest(writeTempFile(
-                     "manifest_negative",
-                     replaced(text, "trh=1200", "trh=-1"))),
-                 FatalError);
+    // A malformed value is fatal, named by the file and its key,
+    // never as a command-line flag.  Out-of-range values must not
+    // wrap: trh=2^32+1200 is fatal, never a silent trh=1200.
+    const std::string path = testing::TempDir() + "manifest_bad_value";
+    for (const auto &[from, to, needle] :
+         std::vector<std::tuple<std::string, std::string, std::string>>{
+             {"trh=1200", "trh=4294968496", "key trh: '4294968496'"},
+             {"trh=1200", "trh=-1", "key trh: '-1'"},
+             {"cycles=60000", "cycles=6e4", "key cycles: '6e4'"},
+             {"trefi=0", "trefi=", "key trefi: empty list"}}) {
+        EXPECT_NE(manifestError("manifest_bad_value",
+                                replaced(text, from, to))
+                      .find("'" + path + "': " + needle),
+                  std::string::npos)
+            << to;
+    }
+}
+
+TEST(ShardManifestFile, GridKeysAreTheShardCommandFlags)
+{
+    // One writer spells the grid: each `key=value` line of the
+    // manifest between `version` and `shards` is a `--key=value`
+    // flag of the one shard's command, in the same order.
+    const ShardManifest manifest =
+        planShards(testGrid(), tinyExperiment(), 1);
+    const std::string text = serializeManifest(manifest);
+    const std::string dir = testing::TempDir() + "plan_flags_dir";
+    std::filesystem::remove_all(dir);
+    Orchestrator::Config cfg;
+    cfg.dir = dir;
+    cfg.simPath = "/opt/srs_sim";
+    std::ostringstream plan;
+    Orchestrator(manifest, cfg).writePlan(plan);
+
+    const auto from = text.find("\nworkloads=");
+    const auto to = text.find("\nshards=");
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    std::string flags;
+    std::istringstream lines(text.substr(from + 1, to - from));
+    for (std::string line; std::getline(lines, line);)
+        flags += " --" + line;
+    EXPECT_NE(plan.str().find("/opt/srs_sim sweep" + flags
+                              + " --threads=1 --out="),
+              std::string::npos)
+        << plan.str() << "\nflags:" << flags;
+    EXPECT_EQ(text.find("cores="), std::string::npos);
 }
 
 TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
 {
-    // A version-1 through version-6 manifest must fail with the one
+    // A version-1 through version-7 manifest must fail with the one
     // version message, quoting what it found, not a key-parsing mess
     // or a cryptic identity mismatch downstream.
     const ShardManifest manifest =
         planShards(testGrid(), tinyExperiment(), 2);
     const std::string text = serializeManifest(manifest);
-    const auto version = text.find("version=7");
+    const auto version = text.find("version=8");
     ASSERT_NE(version, std::string::npos);
-    for (const int old : {1, 2, 3, 4, 5, 6}) {
+    for (const int old : {1, 2, 3, 4, 5, 6, 7}) {
         std::string stale = text;
         stale.replace(version, 9,
                       "version=" + std::to_string(old));
@@ -327,7 +369,7 @@ TEST(ShardManifestFile, StaleManifestsAreRejectedWithVersionedErrors)
             FAIL() << "v" << old << " manifest was not rejected";
         } catch (const FatalError &err) {
             EXPECT_NE(std::string(err.what())
-                          .find("expected version 7, found: version="
+                          .find("expected version 8, found: version="
                                 + std::to_string(old)),
                       std::string::npos)
                 << err.what();
@@ -361,6 +403,13 @@ TEST(ShardManifestFile, RoundTripsTraceSpecsAndSystemAxes)
         writeTempFile("manifest_specs_rt", serializeManifest(manifest));
     const ShardManifest loaded = loadManifest(path);
     EXPECT_EQ(serializeManifest(loaded), serializeManifest(manifest));
+    // The axis lists go by their `sweep` flags' names.
+    EXPECT_NE(serializeManifest(manifest).find(
+                  "\npage-policy=closed,open\npreset=ddr4,ddr5\n"
+                  "org=2x1x16,2x2x32\ntrc=0,48\ntrcd=0,15\ntrp=0,15\n"
+                  "trefi=0,3900\ntrfc=0,295\n"),
+              std::string::npos)
+        << serializeManifest(manifest);
     EXPECT_EQ(loaded.grid.workloads, grid.workloads);
     EXPECT_EQ(loaded.grid.pagePolicies, grid.pagePolicies);
     EXPECT_EQ(loaded.grid.presets, grid.presets);
@@ -576,7 +625,7 @@ TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
                       header + intact.substr(headerEnd));
         const std::string reason =
             validateShardCsv(manifest.shards[0], exp, path);
-        EXPECT_NE(reason.find("expected sweep CSV schema v7, found: "
+        EXPECT_NE(reason.find("expected sweep CSV schema v8, found: "
                               + header),
                   std::string::npos)
             << reason;
@@ -587,7 +636,7 @@ TEST(ShardMerge, StaleShardCsvHeaderIsRejectedWithAVersionedError)
                       intact.substr(0, headerEnd + 1) + row
                           + intact.substr(row0End));
         EXPECT_NE(validateShardCsv(manifest.shards[0], exp, path)
-                      .find("expected sweep CSV schema v7, found: "
+                      .find("expected sweep CSV schema v8, found: "
                             + row),
                   std::string::npos);
     }
@@ -608,7 +657,7 @@ TEST(ShardMerge, OrgAxisSurvivesShardingAndMergesByteIdentical)
     EXPECT_NE(full.find("@org=4x2x32"), std::string::npos);
     // The org axis round-trips through the manifest bytes too.
     const std::string text = serializeManifest(manifest);
-    EXPECT_NE(text.find("orgs=2x1x16,4x2x32"), std::string::npos);
+    EXPECT_NE(text.find("\norg=2x1x16,4x2x32\n"), std::string::npos);
     const std::string path = writeTempFile("manifest_orgs", text);
     EXPECT_EQ(serializeManifest(loadManifest(path)), text);
 }
@@ -675,33 +724,6 @@ TEST(ShardMerge, DuplicatedShardCsvIsFatal)
                  FatalError);
 }
 
-TEST(OrchestratorPlan, JsonPlanCarriesShardArgvs)
-{
-    const ShardManifest manifest =
-        planShards(testGrid(), tinyExperiment(), 2);
-    const std::string dir = testing::TempDir() + "plan_json_dir";
-    // A manifest an older build left there would be another plan's.
-    std::filesystem::remove_all(dir);
-    Orchestrator::Config cfg;
-    cfg.dir = dir;
-    cfg.simPath = "/opt/srs_sim";
-    Orchestrator orchestrator(manifest, cfg);
-    std::ostringstream os;
-    orchestrator.writePlan(os, /*json=*/true);
-    const std::string plan = os.str();
-    EXPECT_NE(plan.find("\"manifest\": " + jsonQuote(dir + "/manifest")),
-              std::string::npos)
-        << plan;
-    EXPECT_NE(plan.find("\"argv\""), std::string::npos);
-    EXPECT_NE(plan.find("\"/opt/srs_sim\""), std::string::npos);
-    EXPECT_NE(plan.find("out=" + dir + "/shard1.csv"),
-              std::string::npos);
-    // Text mode still leads with the manifest comment.
-    std::ostringstream text;
-    orchestrator.writePlan(text, /*json=*/false);
-    EXPECT_EQ(text.str().rfind("# manifest:", 0), 0u);
-}
-
 TEST(OrchestratorPlan, ShellQuoteSurvivesHostileStrings)
 {
     // Words of the shell-safe set pass through, so a plan without
@@ -741,20 +763,18 @@ TEST(OrchestratorSummary, TableNamesEveryShardsOutcome)
     EXPECT_NE(table.find("killed by signal 9"), std::string::npos);
 }
 
-TEST(OrchestratorSummary, JsonQuoteEscapesControlBytes)
-{
-    EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
-    EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    EXPECT_EQ(jsonQuote("line\nbreak\t"), "\"line\\nbreak\\t\"");
-    EXPECT_EQ(jsonQuote(std::string(1, '\x01')), "\"\\u0001\"");
-}
-
 TEST(OrchestratorSummary, LastLogLineSkipsBlankTails)
 {
     const std::string path = writeTempFile(
         "tail.log", "first line\nthe real tail\r\n\n   \n");
     EXPECT_EQ(lastLogLine(path), "the real tail");
     EXPECT_EQ(lastLogLine(testing::TempDir() + "no_such.log"), "");
+    // A multi-line message keeps its indented continuation lines.
+    const std::string multi = writeTempFile(
+        "multi.log", "progress\nsrs_sim: a different grid\n"
+                     "  found:    x\n  expected: y\n");
+    EXPECT_EQ(lastLogLine(multi),
+              "srs_sim: a different grid\n  found:    x\n  expected: y");
 }
 
 TEST(OrchestratorConfig, MissingBinaryOrDirIsFatal)
@@ -812,10 +832,11 @@ TEST(OrchestratorRun, CompletedShardsMergeWithoutLaunching)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     for (const ShardSpec &shard : manifest.shards) {
+        SweepRunner runner(exp, 2);
+        runner.setJournal(dir + "/" + shard.csv + ".journal");
         std::ofstream out(dir + "/" + shard.csv,
                           std::ios::trunc | std::ios::binary);
-        SweepRunner::writeCsv(out,
-                              SweepRunner(exp, 2).run(shard.grid));
+        SweepRunner::writeCsv(out, runner.run(shard.grid));
     }
 
     Orchestrator::Config cfg;
@@ -833,10 +854,14 @@ TEST(OrchestratorRun, CompletedShardsMergeWithoutLaunching)
         EXPECT_EQ(state.restarts, 0u);
     }
 
-    // The run left a final status snapshot behind: all shards done.
-    const std::string status = readFile(dir + "/farm.status");
-    EXPECT_NE(status.find("\"type\":\"fleet\""), std::string::npos);
-    EXPECT_NE(status.find("\"done\":2"), std::string::npos);
+    // The supervisor writes no status file: the monitor's snapshot
+    // of the shard journals is the one status, and it reads done.
+    EXPECT_FALSE(std::filesystem::exists(dir + "/farm.status"));
+    const std::vector<ShardStatus> snapshot =
+        snapshotFromJournals(manifest, dir);
+    ASSERT_EQ(snapshot.size(), 2u);
+    for (const ShardStatus &status : snapshot)
+        EXPECT_EQ(status.state, ShardState::Done);
 }
 
 TEST(OrchestratorRun, ExhaustedRetriesAreFatalWithTheChildsExit)

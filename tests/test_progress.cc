@@ -2,10 +2,9 @@
  * @file
  * Progress-channel coverage: journal scans, the rate/ETA clock, the
  * JSON and table status snapshots, and the `monitor` snapshot built
- * from the shard journals alone.  Orchestrator::run writes these
- * snapshots to `<dir>/farm.status` (tests/test_orchestrator.cc
- * checks the final one); tests/cli_smoke.cmake takes a `monitor`
- * snapshot mid-run, just before it kills a shard.
+ * from the shard journals alone — the one shard status.
+ * tests/cli_smoke.cmake takes a `monitor` snapshot mid-run, just
+ * before it kills a shard, and another after the run.
  */
 
 #include <gtest/gtest.h>
@@ -154,9 +153,10 @@ TEST(JournalScan, ForeignOrStaleJournalsAreRejectedByName)
               std::string::npos)
         << wrongGrid.error;
 
-    // A stale schema fails with the one schema message, quoted; a
-    // schema-6 header too, though its rows read like this build's.
-    for (const char *schema : {"4", "6"}) {
+    // A stale schema fails with the one schema message, quoted;
+    // schema-6 and schema-7 headers too, though their rows read like
+    // this build's.
+    for (const char *schema : {"4", "6", "7"}) {
         const std::string staleHeader =
             std::string("# srs_sim sweep journal schema=") + schema
             + " cells=2 grid=0x0000000000000000 seed=0x0000000000000000";
@@ -165,7 +165,7 @@ TEST(JournalScan, ForeignOrStaleJournalsAreRejectedByName)
         const JournalScan wrongSchema =
             scanShardJournal(stale, cells, seed);
         EXPECT_NE(wrongSchema.error.find(
-                      "expected sweep CSV schema v7, found: "
+                      "expected sweep CSV schema v8, found: "
                       + staleHeader),
                   std::string::npos)
             << wrongSchema.error;
@@ -197,7 +197,7 @@ TEST(JournalScan, MalformedOrForeignRowsAreRejectedByName)
         writeTempFile("scan_junk.journal", header + "\n" + junk + "\n"),
         cells, seed);
     EXPECT_EQ(malformed.error,
-              "expected sweep CSV schema v7, found: " + junk);
+              "expected sweep CSV schema v8, found: " + junk);
     EXPECT_EQ(malformed.rows, 0u);
 
     // A well-formed row of another grid (T_RH 4800) names itself.
@@ -235,14 +235,12 @@ TEST(StatusSnapshot, JsonLinesHaveFixedShape)
     shards[0].state = ShardState::Running;
     shards[0].rows = 2;
     shards[0].cells = 4;
-    shards[0].attempts = 1;
     shards[0].rowsPerSec = 1.25;
     shards[0].etaSec = 1.6;
     shards[1].index = 1;
     shards[1].state = ShardState::Done;
     shards[1].rows = 4;
     shards[1].cells = 4;
-    shards[1].attempts = 2;
     shards[1].etaSec = 0.0;
 
     std::ostringstream os;
@@ -251,13 +249,12 @@ TEST(StatusSnapshot, JsonLinesHaveFixedShape)
         os.str(),
         "{\"type\":\"shard\",\"shard\":0,\"state\":\"running\","
         "\"rows\":2,\"cells\":4,\"pct\":50.0,"
-        "\"rows_per_sec\":1.25,\"eta_sec\":1.6,\"attempts\":1}\n"
+        "\"rows_per_sec\":1.25,\"eta_sec\":1.6}\n"
         "{\"type\":\"shard\",\"shard\":1,\"state\":\"done\","
         "\"rows\":4,\"cells\":4,"
-        "\"pct\":100.0,\"rows_per_sec\":-1,\"eta_sec\":0.0,"
-        "\"attempts\":2}\n"
+        "\"pct\":100.0,\"rows_per_sec\":-1,\"eta_sec\":0.0}\n"
         "{\"type\":\"fleet\",\"shards\":2,\"pending\":0,"
-        "\"running\":1,\"done\":1,\"failed\":0,\"rows\":6,"
+        "\"running\":1,\"done\":1,\"rows\":6,"
         "\"cells\":8,\"pct\":75.0,\"rows_per_sec\":1.25,"
         "\"eta_sec\":1.6}\n");
 
@@ -300,7 +297,7 @@ TEST(Monitor, SnapshotComesFromJournalsAlone)
 
     // Both shards journaled to completion: Done, rows == cells.
     std::vector<ShardStatus> snapshot =
-        snapshotFromJournals(manifest, dir, nullptr);
+        snapshotFromJournals(manifest, dir);
     ASSERT_EQ(snapshot.size(), 2u);
     for (const ShardStatus &s : snapshot) {
         EXPECT_EQ(s.state, ShardState::Done);
@@ -312,7 +309,7 @@ TEST(Monitor, SnapshotComesFromJournalsAlone)
     // Remove one journal: that shard reads as Pending.
     std::remove(
         (dir + "/" + manifest.shards[1].csv + ".journal").c_str());
-    snapshot = snapshotFromJournals(manifest, dir, nullptr);
+    snapshot = snapshotFromJournals(manifest, dir);
     EXPECT_EQ(snapshot[0].state, ShardState::Done);
     EXPECT_EQ(snapshot[1].state, ShardState::Pending);
     EXPECT_FALSE(fleetDone(snapshot));
@@ -328,7 +325,7 @@ TEST(Monitor, SnapshotComesFromJournalsAlone)
         bad << text << "\n";
         bad.close();
         try {
-            snapshotFromJournals(manifest, dir, nullptr);
+            snapshotFromJournals(manifest, dir);
             ADD_FAILURE() << "monitor read a bad journal: " << text;
         } catch (const FatalError &err) {
             EXPECT_NE(std::string(err.what()).find(text),

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -393,7 +394,7 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
         SweepRunner::gridDigest(cells, exp.seed);
     char expected[128];
     std::snprintf(expected, sizeof(expected),
-                  "# srs_sim sweep journal schema=7 cells=%zu "
+                  "# srs_sim sweep journal schema=8 cells=%zu "
                   "grid=0x%016llx seed=0x%016llx",
                   cells.size(), static_cast<unsigned long long>(digest),
                   static_cast<unsigned long long>(exp.seed));
@@ -412,7 +413,7 @@ TEST(SweepJournal, HeaderNamesSchemaAndGridIdentity)
     // A mangled header line is rejected, never silently skipped.
     EXPECT_EQ(SweepRunner::checkJournalHeader(
                   "# srs_sim sweep journal gibberish", header),
-              "expected sweep CSV schema v7, found: "
+              "expected sweep CSV schema v8, found: "
               "# srs_sim sweep journal gibberish");
 }
 
@@ -464,12 +465,12 @@ TEST(SweepJournal, MismatchedHeaderIsFatalByName)
     }
 
     // A stale schema fails with the one schema message, quoted, even
-    // when its rows are this build's: v6 and v7 rows are alike, but
-    // a v6 journal belongs to a v6 manifest.
+    // when its rows are this build's: v6, v7 and v8 rows are alike,
+    // but a v7 journal belongs to a v7 manifest.
     std::string rows;
     for (std::size_t i = 0; i < cells.size(); ++i)
         rows += syntheticRow(cells, i);
-    for (const char *schema : {"4", "6"}) {
+    for (const char *schema : {"4", "6", "7"}) {
         const std::string staleHeader =
             std::string("# srs_sim sweep journal schema=") + schema
             + " cells=4 grid=0x0000000000000000 seed=0x0000000000000000";
@@ -483,7 +484,7 @@ TEST(SweepJournal, MismatchedHeaderIsFatalByName)
                    << " journal header was not rejected";
         } catch (const FatalError &err) {
             EXPECT_NE(std::string(err.what()).find(
-                          "expected sweep CSV schema v7, found: "
+                          "expected sweep CSV schema v8, found: "
                           + staleHeader),
                       std::string::npos)
                 << err.what();
@@ -659,6 +660,20 @@ TEST(WorkloadSpecApi, MalformedTraceSpellingsAreFatal)
                  FatalError);
 }
 
+/** The one SystemAxes a grid with the lists in @p lists crosses. */
+SystemAxes
+axesFromLists(const std::vector<std::pair<std::string, std::string>> &lists)
+{
+    Options opts;
+    for (const auto &[name, items] : lists)
+        opts.set(name, items);
+    SystemAxesGrid grid;
+    grid.readLists(opts);
+    const std::vector<SystemAxes> axes = grid.axes();
+    EXPECT_EQ(axes.size(), 1u);
+    return axes.front();
+}
+
 TEST(SystemAxesApi, FieldRoundTripsAndRejectsUnknownSpellings)
 {
     SystemAxes axes;
@@ -667,28 +682,30 @@ TEST(SystemAxesApi, FieldRoundTripsAndRejectsUnknownSpellings)
     EXPECT_EQ(axes.field(), "open");
     axes.tRcNs = 48;
     EXPECT_EQ(axes.field(), "open@trc=48");
-    EXPECT_EQ(SystemAxes::parse("open@trc=48"), axes);
-    EXPECT_EQ(SystemAxes::parse("closed"), SystemAxes{});
+    // The list items field() is spelled from read back as the axes.
+    EXPECT_EQ(axesFromLists({{"page-policy", "open"}, {"trc", "48"}}),
+              axes);
+    EXPECT_EQ(axesFromLists({}), SystemAxes{});
 
     EXPECT_THROW(pagePolicyFromName("half-open"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@tras=30"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trc=zero"), FatalError);
+    EXPECT_THROW(dramPresetFromName("ddr3"), FatalError);
+    EXPECT_THROW(axesFromLists({{"trc", "zero"}}), FatalError);
 }
 
 TEST(SystemAxesApi, PresetAndTimingKnobSpellingsRoundTrip)
 {
     // The DDR5 preset chains right after the policy; overridden
     // knobs follow in the canonical trc, trcd, trp, trefi, trfc
-    // order.  parse() is the exact inverse of field().
+    // order.  The grid lists read back the axes field() spells.
     SystemAxes axes;
     axes.pagePolicy = PagePolicy::Open;
     axes.preset = DramPreset::Ddr5;
     EXPECT_EQ(axes.field(), "open@ddr5");
-    EXPECT_EQ(SystemAxes::parse("open@ddr5"), axes);
+    EXPECT_EQ(axesFromLists({{"page-policy", "open"}, {"preset", "ddr5"}}),
+              axes);
 
     axes.tRefiNs = 3900;
     EXPECT_EQ(axes.field(), "open@ddr5@trefi=3900");
-    EXPECT_EQ(SystemAxes::parse("open@ddr5@trefi=3900"), axes);
 
     axes.tRcNs = 48;
     axes.tRcdNs = 15;
@@ -696,50 +713,55 @@ TEST(SystemAxesApi, PresetAndTimingKnobSpellingsRoundTrip)
     axes.tRfcNs = 295;
     EXPECT_EQ(axes.field(),
               "open@ddr5@trc=48@trcd=15@trp=15@trefi=3900@trfc=295");
-    EXPECT_EQ(SystemAxes::parse(axes.field()), axes);
+    EXPECT_EQ(axesFromLists({{"page-policy", "open"},
+                             {"preset", "ddr5"},
+                             {"trc", "48"},
+                             {"trcd", "15"},
+                             {"trp", "15"},
+                             {"trefi", "3900"},
+                             {"trfc", "295"}}),
+              axes);
 
-    // ddr4 is accepted as an explicit preset but never emitted (it
-    // is the default): parse canonicalizes it away.
-    EXPECT_EQ(SystemAxes::parse("closed@ddr4"), SystemAxes{});
-    EXPECT_EQ(SystemAxes::parse("closed@ddr4").field(), "closed");
+    // ddr4 and the 2x1x16 organization are the defaults, so field()
+    // never spells them.
+    EXPECT_EQ(axesFromLists({{"preset", "ddr4"}, {"org", "2x1x16"}})
+                  .field(),
+              "closed");
 }
 
 TEST(SystemAxesApi, MalformedOrInconsistentSpellingsAreFatal)
 {
-    // Out-of-order, repeated, or misplaced suffixes are rejected —
-    // canonical order is what makes parse/field exact inverses.
-    EXPECT_THROW(SystemAxes::parse("open@trefi=3900@trc=48"),
-                 FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trc=48@trc=50"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trc=48@ddr5"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@ddr3"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trefi=0"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trefi=200000"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trc=20000"), FatalError);
+    // A list item off its grammar is fatal, and so is an override
+    // past its bound.
+    EXPECT_THROW(axesFromLists({{"preset", "ddr3"}}), FatalError);
+    EXPECT_THROW(axesFromLists({{"org", "2x2"}}), FatalError);
+    EXPECT_THROW(axesFromLists({{"trefi", "-1"}}), FatalError);
+    EXPECT_THROW(axesFromLists({{"trefi", "200000"}}), FatalError);
+    EXPECT_THROW(axesFromLists({{"trc", "20000"}}), FatalError);
     // tREFI's bound is per-knob: relaxed-refresh points above the
     // 10 us row-timing cap (e.g. 2x DDR4 tREFI) stay spellable.
-    EXPECT_EQ(SystemAxes::parse("open@trefi=15600").tRefiNs, 15600u);
+    EXPECT_EQ(axesFromLists({{"trefi", "15600"}}).tRefiNs, 15600u);
 
     // Inconsistent timings: a tRC smaller than tRCD + tRP cannot
     // describe a real row cycle.
-    EXPECT_THROW(SystemAxes::parse("closed@trc=20"), FatalError);
+    SystemAxes shortRc;
+    shortRc.tRcNs = 20;
+    EXPECT_THROW(shortRc.validate(), FatalError);
     SystemAxes inconsistent;
     inconsistent.tRcNs = 40;
     inconsistent.tRcdNs = 30;
     inconsistent.tRpNs = 20;
     EXPECT_THROW(inconsistent.validate(), FatalError);
 
-    // Every axes fatal names the accepted spellings and the
-    // offending input verbatim.
+    // The fatal names the axes field and the offending timings.
     try {
-        SystemAxes::parse("open@trefi=3900@trc=48");
-        FAIL() << "out-of-order suffix was not rejected";
+        inconsistent.validate();
+        FAIL() << "inconsistent timings were not rejected";
     } catch (const FatalError &err) {
         const std::string msg = err.what();
-        EXPECT_NE(msg.find("open@trefi=3900@trc=48"),
+        EXPECT_NE(msg.find("closed@trc=40@trcd=30@trp=20"),
                   std::string::npos) << msg;
-        EXPECT_NE(msg.find("closed|open"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("@trefi=NS"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("tRCD + tRP"), std::string::npos) << msg;
     }
 }
 
@@ -747,7 +769,7 @@ TEST(SystemAxesApi, ValidateBoundsEveryOverride)
 {
     // The per-knob bound lives in validate(), so an override read
     // from a CLI list or a manifest is rejected by the grid and by
-    // apply() exactly as parse() rejects its spelling.
+    // apply() alike.
     SystemAxes axes;
     axes.tRcNs = 20000;
     try {
@@ -771,9 +793,8 @@ TEST(SystemAxesApi, ValidateBoundsEveryOverride)
     EXPECT_NO_THROW(refresh.validate());
     refresh.tRefiNs = 100001;
     EXPECT_THROW(refresh.validate(), FatalError);
-    // 0 means the preset's value, so only parse() refuses to read it.
-    EXPECT_THROW(SystemAxes::parse("open@trefi=0"), FatalError);
-    EXPECT_THROW(SystemAxes::parse("open@trc=4294967296"), FatalError);
+    // A list item past 32 bits never wraps into range.
+    EXPECT_THROW(axesFromLists({{"trc", "4294967296"}}), FatalError);
 }
 
 TEST(SystemAxesApi, Ddr5PresetAppliesTheDdr5TimingClass)
@@ -896,10 +917,10 @@ TEST(SweepAxes, OrgAxisCrossesBetweenPresetAndTimingOverrides)
 
 TEST(SystemAxesGridLists, ReadBackWhatTheySpellUnderEitherName)
 {
-    // Each list goes by its CLI flag or its manifest key and reads
-    // back what it spells under either name; a list not given keeps
-    // its default, and an empty one is fatal, named as it was given.
-    using Column = SystemAxesGrid::Column;
+    // Each list goes by one name, its `sweep` flag and manifest key
+    // alike, and reads back what it spells from the command line or
+    // a manifest file; a list not given keeps its default, and an
+    // empty one is fatal, named as its source names it.
     SystemAxesGrid grid;
     grid.pagePolicies = {PagePolicy::Open, PagePolicy::Closed};
     grid.presets = {DramPreset::Ddr5};
@@ -909,55 +930,48 @@ TEST(SystemAxesGridLists, ReadBackWhatTheySpellUnderEitherName)
     grid.tRpOverrides = {15};
     grid.tRefiOverrides = {3900, 0};
     grid.tRfcOverrides = {295};
-    for (const Column column : {Column::Flag, Column::ManifestKey}) {
-        Options opts;
-        for (const auto &[name, items] : grid.spellLists(column))
-            opts.set(name, items);
+    Options flags;
+    std::string lines;
+    for (const auto &[name, items] : grid.spellLists()) {
+        flags.set(name, items);
+        lines += name + "=" + items + "\n";
+    }
+    const std::string path = writeTempFile("axes_lists", lines);
+    for (const Options &opts : {flags, Options::fromFile(path)}) {
         SystemAxesGrid read;
-        read.readLists(opts, column);
+        read.readLists(opts);
         EXPECT_EQ(read.axes(), grid.axes());
         EXPECT_EQ(read.orgs, grid.orgs);
     }
-    const auto names = [](Column column) {
-        std::vector<std::string> out;
-        for (const auto &list : SystemAxesGrid{}.spellLists(column))
-            out.push_back(list.first + "=" + list.second);
-        return out;
-    };
-    EXPECT_EQ(names(Column::Flag),
-              (std::vector<std::string>{
-                  "page-policy=closed", "preset=ddr4", "org=2x1x16",
-                  "trc=0", "trcd=0", "trp=0", "trefi=0", "trfc=0"}));
-    EXPECT_EQ(names(Column::ManifestKey),
-              (std::vector<std::string>{
-                  "policies=closed", "presets=ddr4", "orgs=2x1x16",
-                  "trc=0", "trcd=0", "trp=0", "trefi=0", "trfc=0"}));
+    std::vector<std::string> names;
+    for (const auto &list : SystemAxesGrid{}.spellLists())
+        names.push_back(list.first + "=" + list.second);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "page-policy=closed", "preset=ddr4",
+                         "org=2x1x16", "trc=0", "trcd=0", "trp=0",
+                         "trefi=0", "trfc=0"}));
 
     Options partial;
     partial.set("trcd", "15");
     SystemAxesGrid defaults;
-    defaults.readLists(partial, Column::Flag);
+    defaults.readLists(partial);
     SystemAxes only;
     only.tRcdNs = 15;
     EXPECT_EQ(defaults.axes(), std::vector<SystemAxes>{only});
 
-    struct Empty
-    {
-        Column column;
-        const char *name;
-        const char *message;
-    };
-    for (const Empty &empty :
-         {Empty{Column::Flag, "org", "--org: empty list"},
-          Empty{Column::ManifestKey, "orgs", "manifest: orgs: empty list"}}) {
-        Options opts;
-        opts.set(empty.name, "");
+    const std::string emptyPath = writeTempFile("axes_empty", "org=\n");
+    Options emptyFlag;
+    emptyFlag.set("org", "");
+    for (const auto &[opts, message] :
+         {std::pair{emptyFlag, std::string("option --org: empty list")},
+          std::pair{Options::fromFile(emptyPath),
+                    "'" + emptyPath + "': key org: empty list"}}) {
         SystemAxesGrid g;
         try {
-            g.readLists(opts, empty.column);
-            ADD_FAILURE() << "an empty " << empty.name << " list was read";
+            g.readLists(opts);
+            ADD_FAILURE() << "an empty org list was read: " << message;
         } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find(empty.message),
+            EXPECT_NE(std::string(e.what()).find(message),
                       std::string::npos) << e.what();
         }
     }
@@ -1077,7 +1091,7 @@ expectResumeRejects(const std::string &line, const std::string &text)
         ADD_FAILURE() << "resume accepted the line: " << line;
     } catch (const FatalError &err) {
         EXPECT_NE(std::string(err.what()).find(
-                      "expected sweep CSV schema v7, found: " + line),
+                      "expected sweep CSV schema v8, found: " + line),
                   std::string::npos)
             << err.what();
     }

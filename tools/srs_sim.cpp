@@ -97,9 +97,9 @@
  *            sweep grid flags plus [--shards=S] [--jobs=J]
  *            [--threads=N per shard] [--retries=R] [--dir=DIR]
  *            [--sim=PATH] [--out=FILE]; --plan writes the manifest
- *            and prints the per-shard commands (shell-quoted, or as
- *            JSON argvs with --plan-format=json) without launching
- *            anything, for any scheduler to run on other machines;
+ *            and prints the per-shard commands (shell-quoted)
+ *            without launching anything, for any scheduler to run
+ *            on other machines;
  *            re-running with the same flags and --dir finishes
  *            whatever those runs left undone.
  *
@@ -196,25 +196,20 @@ cmdPerf(const Options &opts)
 
 /**
  * Parse the sweep grid + experiment flags shared by `sweep` and
- * `orchestrate` (--workloads/--trace/--mix/--mitigations, the
- * system-axes lists of SystemAxesGrid, --trh/--rates/--tracker/
- * --cycles/--epoch/--seed); fatal() on an empty grid, a malformed
- * org, or inconsistent timing axes.
+ * `orchestrate`: the grid keys (readGridKeys(), the reader of the
+ * shard manifest too) plus three shorthands, --workloads=all,
+ * --trace and --mix; fatal() on an empty grid, a malformed org, or
+ * inconsistent timing axes.
  */
 void
 parseGridFlags(const Options &opts, SweepGrid &grid,
                ExperimentConfig &exp)
 {
-    exp.cycles = opts.getUint("cycles", 1'500'000);
-    exp.epochLen = opts.getUint("epoch", exp.cycles / 2);
-    exp.seed = opts.getSeed("seed", exp.seed);
-
-    const std::string workloads = opts.getString("workloads", "gcc");
-    if (workloads == "all") {
+    readGridKeys(opts, grid, exp);
+    if (opts.getString("workloads", "") == "all") {
+        grid.workloads.clear();
         for (const WorkloadProfile &p : allProfiles())
             grid.workloads.push_back(WorkloadSpec::synthetic(p.name));
-    } else {
-        grid.workloads = splitSpecList(workloads, exp.numCores);
     }
     // --trace=SPEC[,SPEC…] appends trace-file workloads; each SPEC is
     // a path (all cores) or a ';'-separated per-core path list —
@@ -227,16 +222,6 @@ parseGridFlags(const Options &opts, SweepGrid &grid,
     const std::uint32_t mixes = opts.getUint<std::uint32_t>("mix", 0);
     for (std::uint32_t mix = 0; mix < mixes; ++mix)
         grid.workloads.push_back(WorkloadSpec::mix(mix, exp.numCores));
-    for (const std::string &m :
-         splitList(opts.getString("mitigations", "scale-srs")))
-        grid.mitigations.push_back(mitigationKindFromName(m));
-    grid.readLists(opts, SystemAxesGrid::Column::Flag);
-    grid.trhs =
-        splitUint32List(opts.getString("trh", "1200"), "--trh");
-    grid.swapRates =
-        splitUint32List(opts.getString("rates", "3"), "--rates");
-    grid.tracker =
-        trackerKindFromName(opts.getString("tracker", "misra-gries"));
 
     if (grid.workloads.empty() || grid.mitigations.empty()
         || grid.trhs.empty() || grid.swapRates.empty()) {
@@ -322,11 +307,6 @@ cmdOrchestrate(const Options &opts)
         "dir", out.empty() ? "srs_shards" : out + ".shards");
     cfg.simPath = opts.getString("sim", selfExePath());
     const bool planOnly = opts.getBool("plan", false);
-    const std::string planFormat =
-        opts.getString("plan-format", "text");
-    if (planFormat != "text" && planFormat != "json")
-        fatal("--plan-format is 'text' or 'json', not '", planFormat,
-              "'");
     opts.rejectUnknown();
 
     const ShardManifest manifest = planShards(grid, exp, shards);
@@ -334,7 +314,7 @@ cmdOrchestrate(const Options &opts)
     if (planOnly) {
         // Write the manifest and print the shard commands for
         // dispatch to other machines; launch nothing.
-        orchestrator.writePlan(std::cout, planFormat == "json");
+        orchestrator.writePlan(std::cout);
         return 0;
     }
     if (out.empty()) {
@@ -416,7 +396,7 @@ cmdMonitor(const Options &opts)
     ProgressClock clock(manifest.shards.size());
     for (;;) {
         std::vector<ShardStatus> snapshot =
-            snapshotFromJournals(manifest, dir, nullptr);
+            snapshotFromJournals(manifest, dir);
         const double now =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now().time_since_epoch())
@@ -541,14 +521,14 @@ int
 cmdSecurity(const Options &opts)
 {
     SecurityGrid grid;
-    grid.readLists(opts, SystemAxesGrid::Column::Flag);
+    grid.readLists(opts);
     for (const std::string &d :
          splitList(opts.getString("defenses", "srs,rrs")))
         grid.defenses.push_back(securityDefenseFromName(d));
     grid.trhs =
-        splitUint32List(opts.getString("trh", "4800"), "--trh");
+        splitUint32List(opts.getString("trh", "4800"), opts.name("trh"));
     grid.swapRates =
-        splitUint32List(opts.getString("rates", "6"), "--rates");
+        splitUint32List(opts.getString("rates", "6"), opts.name("rates"));
     grid.rounds.clear();
     for (const std::string &r :
          splitList(opts.getString("rounds", "best")))
@@ -691,7 +671,6 @@ usage()
         "    --dir=DIR (<out>.shards)  --sim=PATH (this binary)\n"
         "    --out=FILE (stdout)  --plan (write manifest + print\n"
         "    shard commands for other machines, launch nothing)\n"
-        "    --plan-format=text|json (text)  plan output format\n"
         "\n"
         "  merge        validate + stitch shard CSVs from a manifest\n"
         "    --manifest=FILE (required)  --out=FILE (stdout)\n"
